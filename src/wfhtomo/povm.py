@@ -35,9 +35,6 @@ __all__ = [
     "ic_check",
 ]
 
-DEFAULT_TAIL_TOL = 1e-12
-DEFAULT_CONV_CUT = 25
-
 
 @dataclass(frozen=True)
 class CounterConfig:
@@ -75,6 +72,8 @@ class CounterConfig:
             if len(cols) != 1:
                 raise ValueError("response matrices must share a column count")
             for m in mats:
+                if not np.all(np.isfinite(m)):
+                    raise ValueError("response matrices must be finite")
                 if m.shape[0] != self.N_c + 2:
                     raise ValueError("response must have N_c + 2 rows (counts then overflow)")
                 if np.max(np.abs(m.sum(axis=0) - 1.0)) > 1e-10:
@@ -137,93 +136,192 @@ def _slot_sectors(partition: PartitionSpec) -> list[int]:
     return list(range(1, partition.K))
 
 
-def _w_vector(eta: float, zeta: float, gamma: complex, k1: int, l1: int,
-              dim: int) -> np.ndarray:
-    """Fock coefficients of (eta a^dag + zeta conj(gamma))^k1
-    (zeta a^dag - eta conj(gamma))^l1 |0>, truncated to the given dimension."""
-    c = zeta * np.conj(gamma)
-    d = -eta * np.conj(gamma)
-    p1 = np.array([math.comb(k1, p) * eta ** p * c ** (k1 - p) for p in range(k1 + 1)],
-                  dtype=np.complex128)
-    p2 = np.array([math.comb(l1, q) * zeta ** q * d ** (l1 - q) for q in range(l1 + 1)],
-                  dtype=np.complex128)
-    conv = np.convolve(p1, p2)
-    out = np.zeros(dim, dtype=np.complex128)
-    top = min(dim, conv.size)
-    for m in range(top):
-        out[m] = conv[m] * math.sqrt(math.factorial(m))
-    return out
+def _template(N: int, partition: PartitionSpec) -> BlockOperator:
+    return BlockOperator.zeros(N, len(_slot_sectors(partition)), partition)
 
 
-def pi_kl(gamma: complex, k: int, l: int, partition: PartitionSpec, N: int) -> PovmElement:
-    """Ideal two-counter element for k photons at counter 1 and l at counter 2.
+def _wrap(labels: list, rows: np.ndarray, template: BlockOperator, gamma: complex) -> dict:
+    """One element per label from flattened block rows (the layout of _stack_ops)."""
+    return {label: PovmElement(label, _unstack_op(row, template), complex(gamma))
+            for label, row in zip(labels, rows)}
 
-    Photons from the auxiliary sector modes split binomially between the
-    counters through their sector's beam splitter; the remaining counts come
-    from the mode-1 pair, whose contribution is an outer product of the
-    probe-displaced creation-polynomial vectors.
+
+def _counts(top: int, overflow: bool = False, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Count sets {first}, ..., {top}, then {> top} when overflow is set, as
+    (start, tail) arrays: a set is {start} or, where tail, {n >= start}."""
+    start = np.arange(first, top + 1 + overflow)
+    return start, start > top
+
+
+def _poisson_mass(mu: float, start: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """P(X = start), or P(X >= start) where tail, for X ~ Poisson(mu).
+
+    Both are evaluated directly rather than as complements, so small masses
+    keep their relative precision.
+    """
+    from scipy.special import gammainc, gammaln
+
+    if mu == 0.0:
+        return np.where(tail, start <= 0, start == 0).astype(float)
+    k = np.maximum(start, 0)
+    pmf = np.where(start >= 0, np.exp(k * math.log(mu) - mu - gammaln(k + 1)), 0.0)
+    return np.where(tail, np.where(start > 0, gammainc(np.maximum(start, 1), mu), 1.0), pmf)
+
+
+def _count_weights(e: float, alpha: complex, nu: float, start: np.ndarray,
+                   tail: np.ndarray, dim: int) -> np.ndarray:
+    """W[s, i, j]: one counter's factor of the element, summed over count set s.
+
+    A counter mode e a + alpha read with transmission nu contributes
+    sum_{n in s} nu^n e^{-mu} (e a^dag + alpha*)^n ... (e a + alpha)^n / n!
+    (mu = nu |alpha|^2). Expanding both binomials and summing over n leaves
+    (a^dag)^i ... a^j with weight e^{i+j} sum_t nu^r alpha*^{j-t} alpha^{i-t}
+    P(s - r) / ((i-t)! (j-t)! t!), where r = i + j - t and P(s - r) is the
+    Poisson(mu) mass of the count set shifted down by r.
+    """
+    i, j, t = np.array([(i, j, t) for i in range(dim) for j in range(dim)
+                        for t in range(min(i, j) + 1)]).T
+    r = i + j - t
+    fact = np.cumprod(np.r_[1.0, np.arange(1.0, dim)])
+    coef = (e ** (i + j) * nu ** r * np.conj(alpha) ** (j - t) * alpha ** (i - t)
+            / (fact[i - t] * fact[j - t] * fact[t]))
+    weights = np.zeros((len(start), dim * dim), dtype=np.complex128)
+    np.add.at(weights, (slice(None), i * dim + j),
+              coef * _poisson_mass(nu * abs(alpha) ** 2, start[:, None] - r, tail[:, None]))
+    return weights.reshape(-1, dim, dim)
+
+
+def _counting_rows(gamma: complex, partition: PartitionSpec, N: int, nus: tuple,
+                   sets: tuple) -> np.ndarray:
+    """Every counting element for the count sets sets[0] x sets[1] (see _counts).
+
+    Entry [s1, s2] holds the element's blocks flattened as by _stack_ops. With
+    counter modes A = eta a + zeta gamma and B = zeta a - eta gamma read with
+    transmissions nu1, nu2, the mode-1 element for counts (k, l) is the normally
+    ordered :(nu1 A^dag A)^k (nu2 B^dag B)^l e^{-nu1 A^dag A - nu2 B^dag B}:/(k! l!)
+    = nu1^k nu2^l e^{-(nu1 zeta^2 + nu2 eta^2)|gamma|^2} G^dag diag(x^n) G/(k! l!),
+    G = e^{-s* a} A^k B^l, s = eta zeta gamma (nu1 - nu2), x = 1 - nu1 eta^2 - nu2 zeta^2,
+    exact on the truncated space as only lowering operators act on the right.
+    Sums over count sets are closed-form (_count_weights); a marginal sets the
+    other counter's nu to 0. Auxiliary-sector photons split trinomially between
+    counter 1, counter 2 and loss (nu1 eta_s^2, nu2 zeta_s^2, the rest), which
+    shifts the count sets the mode-1 pair must supply.
     """
     if partition.K > 2:
         raise ValueError("analytic elements support K <= 2 only; use the dense oracle")
+    eta, zeta = partition.sectors[0]
+    nu1, nu2 = nus
+    dim = N + 1
+    slots = _slot_sectors(partition)
+    shifts = np.arange(N + 1 if slots else 1)[:, None]
+    factors, index = [], []
+    for (start, tail), e, alpha, nu in zip(sets, (eta, zeta), (zeta * gamma, -eta * gamma), nus):
+        # the sets the mode-1 pair must supply once 0..N auxiliary photons are counted
+        needed = np.stack([(start - shifts).ravel(), np.tile(tail, len(shifts))])
+        pairs, inv = np.unique(needed, axis=1, return_inverse=True)
+        factors.append(_count_weights(e, alpha, nu, pairs[0], pairs[1].astype(bool), dim))
+        index.append(inv.reshape(len(shifts), -1))
+    w1, w2 = factors
+    # coefficient of (a^dag)^p ... a^q: the product of the two counters' factors
+    coef = np.zeros((len(w1), len(w2), dim, dim), dtype=np.complex128)
+    for i in range(dim):
+        for j in range(dim):
+            coef[:, :, i:, j:] += w1[:, None, i, j, None, None] * w2[None, :, :dim - i, :dim - j]
+    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    powers = np.stack([np.linalg.matrix_power(lower, p) for p in range(dim)])
+    s = eta * zeta * gamma * (nu1 - nu2)
+    shift_op = np.einsum("p,pij->ij", (-np.conj(s)) ** np.arange(dim)
+                         / np.cumprod(np.r_[1.0, np.arange(1.0, dim)]), powers)  # e^{-s* a}
+    x = (1 - nu1) * eta ** 2 + (1 - nu2) * zeta ** 2  # 1 - nu1 eta^2 - nu2 zeta^2
+    middle = shift_op.conj().T @ (x ** np.arange(dim)[:, None] * shift_op)
+    sandwich = np.einsum("pmi,mn,qnj->pqij", powers, middle, powers).reshape(dim * dim, -1)
+    mode1 = (coef.reshape(-1, dim * dim) @ sandwich).reshape(len(w1), len(w2), dim, dim)
+    shares = [(nu1 * e ** 2, nu2 * z ** 2, (1 - nu1) * e ** 2 + (1 - nu2) * z ** 2)
+              for e, z in (partition.sectors[slot] for slot in slots)]
+    # [x, s1, y, s2]: the mode-1 element for sets s1, s2 less x and y auxiliary photons
+    shifted = mode1[index[0][:, :, None, None], index[1][None, None]]
+    out = []
+    for key in block_tuples(N, len(slots)):
+        d = N - sum(key) + 1
+        w = np.zeros((len(shifts), len(shifts)))  # x auxiliary photons at counter 1, y at 2
+        for parts in itertools.product(*(_splits(i, *sh) for i, sh in zip(key, shares))):
+            w[sum(p[0] for p in parts), sum(p[1] for p in parts)] += math.prod(p[2] for p in parts)
+        block = np.einsum("xy,xayb...->ab...", w, shifted[..., :d, :d])
+        out.append(block.reshape(*block.shape[:2], d * d))
+    return np.concatenate(out, axis=2)
+
+
+def _splits(i: int, p1: float, p2: float, p0: float) -> list[tuple[int, int, float]]:
+    """(x, y, weight): x of i photons reach counter 1, y counter 2, the rest are lost."""
+    return [(x, y, math.comb(i, x) * math.comb(i - x, y) * p1 ** x * p2 ** y * p0 ** (i - x - y))
+            for x in range(i + 1) for y in range(i + 1 - x)]
+
+
+def _with_overflow(gamma: complex, partition: PartitionSpec, N: int, nus: tuple,
+                   top: int) -> np.ndarray:
+    """Elements for counts 0..top and the overflow {> top} at each counter,
+    indexed [s1, s2] as by _counting_rows.
+
+    A counter's overflow is the complement of its in-range counts, exact to
+    rounding in absolute terms. When the probe alone overflows that counter
+    with probability below 1e-6 the complement would keep few significant
+    digits, so the closed-form sum over the overflow set stays.
+    """
+    counts = _counts(top, overflow=True)
+    rows = _counting_rows(gamma, partition, N, nus, (counts, counts))
+    eta, zeta = partition.sectors[0]
+    overflow = (np.array([top + 1]), np.array([True]))
+    big1, big2 = (_poisson_mass(nu * abs(e * gamma) ** 2, *overflow)[0] >= 1e-6
+                  for nu, e in zip(nus, (zeta, eta)))
+    if big1 or big2:
+        n = top + 1
+        only1 = _counting_rows(gamma, partition, N, (nus[0], 0.0), (_counts(top), _counts(0)))
+        only2 = _counting_rows(gamma, partition, N, (0.0, nus[1]), (_counts(0), _counts(top)))
+        ident = _stack_ops([_identity_like(_template(N, partition))])[0]
+        over_k, over_l, over_both = _complement(rows[:n, :n], only1[:, 0], only2[0], ident)
+        if big2:
+            rows[:n, n] = over_k
+        if big1:
+            rows[n, :n] = over_l
+        if big1 and big2:
+            rows[n, n] = over_both
+    return rows
+
+
+def pi_kl(gamma: complex, k: int, l: int, partition: PartitionSpec, N: int) -> PovmElement:
+    """Ideal two-counter element for k photons at counter 1 and l at counter 2."""
     if k < 0 or l < 0:
         raise ValueError("counts must be >= 0")
-    gamma = complex(gamma)
-    eta1, zeta1 = partition.sectors[0]
-    slots = _slot_sectors(partition)
-    length = len(slots)
-    pref = math.exp(-abs(gamma) ** 2)
-    out = BlockOperator.zeros(N, length, partition)
-    for key in block_tuples(N, length):
-        dim = N - sum(key) + 1
-        block = np.zeros((dim, dim), dtype=np.complex128)
-        for ks in itertools.product(*(range(i + 1) for i in key)):
-            k1 = k - sum(ks)
-            l1 = l - sum(i - x for i, x in zip(key, ks))
-            if k1 < 0 or l1 < 0:
-                continue
-            coef = 1.0
-            for slot, (i, x) in enumerate(zip(key, ks)):
-                eta_s, zeta_s = partition.sectors[slots[slot]]
-                coef *= math.comb(i, x) * eta_s ** (2 * x) * zeta_s ** (2 * (i - x))
-            w = _w_vector(eta1, zeta1, gamma, k1, l1, dim)
-            block += (coef / (math.factorial(k1) * math.factorial(l1))) * np.outer(w, w.conj())
-        out.blocks[key] = pref * block
-    return PovmElement(outcome=(k, l), op=out, gamma=gamma)
+    sets = (_counts(k, first=k), _counts(l, first=l))
+    rows = _counting_rows(complex(gamma), partition, N, (1.0, 1.0), sets)
+    return _wrap([(k, l)], rows[0], _template(N, partition), gamma)[(k, l)]
 
 
-def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int,
-         tail_tol: float = DEFAULT_TAIL_TOL, counter: int = 1) -> PovmElement:
-    """Single-counter element: k photons at the chosen counter, the other summed out.
-
-    The sum over the unobserved counter's index runs until three consecutive
-    terms fall below tail_tol in block max-norm.
-    """
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be > 0")
+def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
+         counter: int = 1) -> PovmElement:
+    """Single-counter element: k photons at the chosen counter, the other summed out."""
     if counter not in (1, 2):
         raise ValueError("counter must be 1 or 2")
-    length = partition.K if partition.s1_multi else partition.K - 1
-    acc = BlockOperator.zeros(N, length, partition)
-    streak = 0
-    last_norm = 0.0
-    other = 0
-    while True:
-        term = (pi_kl(gamma, k, other, partition, N) if counter == 1
-                else pi_kl(gamma, other, k, partition, N))
-        acc = acc + term.op
-        last_norm = max(float(np.max(np.abs(m))) for m in term.op.blocks.values())
-        streak = streak + 1 if last_norm < tail_tol else 0
-        if streak >= 3:
-            break
-        other += 1
-        if other > 500:
-            raise ValueError("single-counter tail sum failed to converge by l = 500")
-    return PovmElement(outcome=(k,), op=acc, gamma=complex(gamma),
-                       meta={"counter": counter, "terms": other + 1, "tail_bound": last_norm})
+    if k < 0:
+        raise ValueError("counts must be >= 0")
+    read, unread = _counts(k, first=k), _counts(0)
+    nus, sets = ((1.0, 0.0), (read, unread)) if counter == 1 else ((0.0, 1.0), (unread, read))
+    rows = _counting_rows(complex(gamma), partition, N, nus, sets)
+    el = _wrap([(k,)], rows[0], _template(N, partition), gamma)[(k,)]
+    el.meta = {"counter": counter, "tail_bound": 0.0}
+    return el
 
 
 def _identity_like(any_op: BlockOperator) -> BlockOperator:
     return BlockOperator.identity(any_op.N, any_op.tuple_length, any_op.partition)
+
+
+def _complement(grid: np.ndarray, only1: np.ndarray, only2: np.ndarray,
+                ident: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overflow rows (k, >), (>, l) and (>, >) as complements of the in-range
+    grid, given each counter's in-range marginals and the identity."""
+    return (only1 - grid.sum(axis=1), only2 - grid.sum(axis=0),
+            ident - only1.sum(axis=0) - only2.sum(axis=0) + grid.sum(axis=(0, 1)))
 
 
 def overflow_elements(elements: dict, pi_row: list[PovmElement], pi_col: list[PovmElement],
@@ -235,26 +333,14 @@ def overflow_elements(elements: dict, pi_row: list[PovmElement], pi_col: list[Po
     """
     if len(pi_row) != N_c + 1 or len(pi_col) != N_c + 1:
         raise ValueError("need single-counter elements for every count <= N_c")
-    gamma = pi_row[0].gamma
-    out: dict = {}
-    ident = _identity_like(pi_row[0].op)
-    rest = ident
-    for e in pi_row:
-        rest = rest - e.op
-    for e in pi_col:
-        rest = rest - e.op
-    for k in range(N_c + 1):
-        row_rest = pi_row[k].op
-        for l in range(N_c + 1):
-            row_rest = row_rest - elements[(k, l)].op
-            rest = rest + elements[(k, l)].op
-        out[(k, ">")] = PovmElement((k, ">"), row_rest, gamma)
-    for l in range(N_c + 1):
-        col_rest = pi_col[l].op
-        for k in range(N_c + 1):
-            col_rest = col_rest - elements[(k, l)].op
-        out[(">", l)] = PovmElement((">", l), col_rest, gamma)
-    out[(">", ">")] = PovmElement((">", ">"), rest, gamma)
+    template = pi_row[0].op
+    grid = _stack_ops([elements[(k, l)].op for k in range(N_c + 1) for l in range(N_c + 1)])
+    over_k, over_l, over_both = _complement(
+        grid.reshape(N_c + 1, N_c + 1, -1), _stack_ops([e.op for e in pi_row]),
+        _stack_ops([e.op for e in pi_col]), _stack_ops([_identity_like(template)])[0])
+    labels = ([(k, ">") for k in range(N_c + 1)] + [(">", l) for l in range(N_c + 1)]
+              + [(">", ">")])
+    out = _wrap(labels, np.vstack([over_k, over_l, over_both]), template, pi_row[0].gamma)
     for e in out.values():
         low = e.op.min_eigenvalue()
         if low < -1e-6:
@@ -287,41 +373,23 @@ def _unstack_op(row: np.ndarray, template: BlockOperator) -> BlockOperator:
     return BlockOperator(template.N, blocks, template.partition)
 
 
-def apply_loss(elements: dict, nu_1: float, nu_2: float,
-               conv_cut: int = DEFAULT_CONV_CUT) -> dict:
+def apply_loss(elements: dict, nu_1: float, nu_2: float, conv_cut: int = 25) -> dict:
     """Binomial-thinning loss channel applied to ideal counting elements.
 
     Pi'_{kl} = sum_{m>=k} sum_{n>=l} C(m,k) C(n,l) nu_1^k (1-nu_1)^(m-k)
     nu_2^l (1-nu_2)^(n-l) Pi_{mn}, with both sums truncated at conv_cut.
-    Input keys may be (m, n) pairs or single-counter (m,) tuples (then only
-    nu_1 applies). Returns elements over the same keys.
+    Input keys are (m, n) pairs; returns elements over the same keys. The
+    POVM build sums loss in closed form, so this serves as the reference for
+    that sum.
     """
     for nu in (nu_1, nu_2):
         if not (0.0 <= nu <= 1.0):
             raise ValueError("transmission nu must lie in [0,1]")
     keys = list(elements)
-    arity = len(keys[0])
+    if len(keys[0]) != 2:
+        raise ValueError("apply_loss takes two-counter (m, n) elements")
     template = elements[keys[0]].op
     gamma = elements[keys[0]].gamma
-    if arity == 1:
-        ms = sorted(key[0] for key in keys)
-        cut = min(conv_cut, max(ms))
-        if template.N > conv_cut:
-            raise ValueError("conv_cut must be at least the photon cutoff N")
-        for m in range(cut + 1):
-            if (m,) not in elements:
-                raise ValueError(f"missing input element {(m,)}")
-        w1 = _thinning_matrix(nu_1, cut)
-        v = _stack_ops([elements[(m,)].op for m in range(cut + 1)])
-        out_rows = w1 @ v
-        out = {}
-        for m in ms:
-            if m <= cut:
-                op = _unstack_op(out_rows[m], template)
-            else:
-                op = BlockOperator.zeros(template.N, template.tuple_length, template.partition)
-            out[(m,)] = PovmElement((m,), op, gamma)
-        return out
     if template.N > conv_cut:
         raise ValueError("conv_cut must be at least the photon cutoff N")
     max_m = max(k[0] for k in keys)
@@ -375,6 +443,20 @@ def _overflow_label(row: int, N_c: int):
     return row if row <= N_c else ">"
 
 
+def _respond(v: np.ndarray, config: CounterConfig, template: BlockOperator,
+             gamma: complex) -> dict:
+    """Outcome map from flattened ideal elements (photons present 0..M_cut,
+    row-major over counters) and the config's responses with loss folded in."""
+    mats = config.response
+    if config.loss is not None:
+        mats = tuple(compose_response(t, nu) for t, nu in zip(mats, config.loss))
+    labels = [_overflow_label(r, config.N_c) for r in range(config.N_c + 2)]
+    if config.counters == 1:
+        return _wrap([(o,) for o in labels], mats[0] @ v, template, gamma)
+    weights = np.einsum("km,ln->klmn", *mats).reshape(len(labels) ** 2, -1)
+    return _wrap([(o1, o2) for o1 in labels for o2 in labels], weights @ v, template, gamma)
+
+
 def apply_detector_response(elements: dict, config: CounterConfig) -> dict:
     """Convolve ideal counting elements with measured detector responses.
 
@@ -384,67 +466,29 @@ def apply_detector_response(elements: dict, config: CounterConfig) -> dict:
     """
     if config.response is None:
         raise ValueError("counter config carries no response matrices")
-    mats = config.response
-    if config.loss is not None:
-        mats = tuple(compose_response(t, nu) for t, nu in zip(mats, config.loss))
-    n_c = config.N_c
-    m_cut = mats[0].shape[1] - 1
-    keys = list(elements)
-    arity = len(keys[0])
-    if arity != config.counters:
+    if len(next(iter(elements))) != config.counters:
         raise ValueError("element outcome arity does not match counter count")
-    template = elements[keys[0]].op
-    gamma = elements[keys[0]].gamma
-    if arity == 1:
-        t1 = mats[0]
-        v = _stack_ops([elements[(m,)].op for m in range(m_cut + 1)])
-        rows = t1 @ v
-        return {
-            (_overflow_label(r, n_c),): PovmElement(
-                (_overflow_label(r, n_c),), _unstack_op(rows[r], template), gamma)
-            for r in range(n_c + 2)
-        }
-    t1, t2 = mats
-    for m in range(m_cut + 1):
-        for n in range(m_cut + 1):
-            if (m, n) not in elements:
-                raise ValueError(f"missing ideal element {(m, n)} for response convolution")
-    v = _stack_ops([elements[(m, n)].op
-                    for m in range(m_cut + 1) for n in range(m_cut + 1)])
-    weights = np.einsum("km,ln->klmn", t1, t2).reshape(
-        (n_c + 2) ** 2, (m_cut + 1) ** 2)
-    rows = weights @ v
-    out = {}
-    for r1 in range(n_c + 2):
-        for r2 in range(n_c + 2):
-            label = (_overflow_label(r1, n_c), _overflow_label(r2, n_c))
-            out[label] = PovmElement(label, _unstack_op(rows[r1 * (n_c + 2) + r2], template),
-                                     gamma)
-    return out
+    present = range(config.response[0].shape[1])
+    keys = list(itertools.product(present, repeat=config.counters))
+    for key in keys:
+        if key not in elements:
+            raise ValueError(f"missing ideal element {key} for response convolution")
+    first = elements[keys[0]]
+    return _respond(_stack_ops([elements[key].op for key in keys]), config, first.op,
+                    first.gamma)
 
 
-def click_povm(gamma: complex, partition: PartitionSpec, N: int,
-               tail_tol: float = DEFAULT_TAIL_TOL) -> dict:
+def click_povm(gamma: complex, partition: PartitionSpec, N: int) -> dict:
     """Four-outcome click/no-click POVM for a K=1 partition.
 
-    Pi_00 = e^{-|gamma|^2} |vac><vac|; the single-click elements are the
-    no-photon marginals of the opposite counter minus Pi_00; Pi_II is the
-    complement.
+    Pi_00 = e^{-|gamma|^2} |vac><vac|; a click is the count set {n >= 1} of
+    its counter, so every element comes straight from the counting kernel.
     """
     if partition.K != 1:
         raise ValueError("click POVM requires K = 1")
-    gamma = complex(gamma)
-    p00 = pi_kl(gamma, 0, 0, partition, N)
-    row0 = pi_k(gamma, 0, partition, N, tail_tol, counter=1)  # counter 1 dark
-    col0 = pi_k(gamma, 0, partition, N, tail_tol, counter=2)  # counter 2 dark
-    ident = _identity_like(p00.op)
-    ops = {
-        (0, 0): p00.op,
-        ("I", 0): col0.op - p00.op,
-        (0, "I"): row0.op - p00.op,
-        ("I", "I"): ident - row0.op - col0.op + p00.op,
-    }
-    return {k: PovmElement(k, op, gamma) for k, op in ops.items()}
+    rows = _with_overflow(complex(gamma), partition, N, (1.0, 1.0), 0)  # a click overflows 0
+    return _wrap([(0, 0), ("I", 0), (0, "I"), ("I", "I")],
+                 [rows[0, 0], rows[1, 0], rows[0, 1], rows[1, 1]], _template(N, partition), gamma)
 
 
 @dataclass(frozen=True)
@@ -462,7 +506,10 @@ class Setting:
             raise ValueError("detector must be counting or click")
         if self.detector == "click" and (self.counter.loss or self.counter.response):
             raise ValueError("click detectors with loss/response are not supported")
-        object.__setattr__(self, "gamma", complex(self.gamma))
+        gamma = complex(self.gamma)
+        if not np.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
+        object.__setattr__(self, "gamma", gamma)
 
     def to_json(self) -> dict:
         return {
@@ -484,67 +531,31 @@ class Setting:
         )
 
 
-def build_povm(setting: Setting, tail_tol: float = DEFAULT_TAIL_TOL,
-               conv_cut: int = DEFAULT_CONV_CUT) -> dict:
+def build_povm(setting: Setting) -> dict:
     """Complete outcome map for one setting, in a fixed construction order."""
     gamma, cfg, part, N = setting.gamma, setting.counter, setting.partition, setting.N
     if setting.detector == "click":
-        return click_povm(gamma, part, N, tail_tol)
-    n_c = cfg.N_c
+        return click_povm(gamma, part, N)
+    template = _template(N, part)
+    if cfg.response is not None:  # ideal counts of every photon number the responses cover
+        present = _counts(cfg.response[0].shape[1] - 1)
+        if cfg.counters == 1:  # the absent counter reads nothing
+            rows = _counting_rows(gamma, part, N, (1.0, 0.0), (present, _counts(0)))
+        else:
+            rows = _counting_rows(gamma, part, N, (1.0, 1.0), (present, present))
+        return _respond(rows.reshape(-1, rows.shape[-1]), cfg, template, gamma)
+    nus = cfg.loss or (1.0, 1.0)
+    labels = [_overflow_label(k, cfg.N_c) for k in range(cfg.N_c + 2)]
     if cfg.counters == 1:
-        if cfg.response is not None:
-            m_cut = cfg.response[0].shape[1] - 1
-            ideal = {(m,): pi_k(gamma, m, part, N, tail_tol) for m in range(m_cut + 1)}
-            return apply_detector_response(ideal, cfg)
-        top = conv_cut if cfg.loss is not None else n_c
-        ideal = {(m,): pi_k(gamma, m, part, N, tail_tol) for m in range(top + 1)}
-        if cfg.loss is not None:
-            ideal = apply_loss(ideal, cfg.loss[0], 0.0, conv_cut)
-        out = {}
-        ident = _identity_like(ideal[(0,)].op)
-        rest = ident
-        for k in range(n_c + 1):
-            out[(k,)] = ideal[(k,)]
-            rest = rest - ideal[(k,)].op
-        out[(">",)] = PovmElement((">",), rest, complex(gamma))
-        low = rest.min_eigenvalue()
-        if low < -1e-6:
-            raise ValueError(f"overflow element has eigenvalue {low:.3e}")
-        return out
-    if cfg.response is not None:
-        m_cut = cfg.response[0].shape[1] - 1
-        ideal = {(m, n): pi_kl(gamma, m, n, part, N)
-                 for m in range(m_cut + 1) for n in range(m_cut + 1)}
-        return apply_detector_response(ideal, cfg)
-    if cfg.loss is not None:
-        rect = {(m, n): pi_kl(gamma, m, n, part, N)
-                for m in range(conv_cut + 1) for n in range(conv_cut + 1)}
-        lossy = apply_loss(rect, cfg.loss[0], cfg.loss[1], conv_cut)
-        grid = {(k, l): lossy[(k, l)] for k in range(n_c + 1) for l in range(n_c + 1)}
-        rows_ideal = {(m,): pi_k(gamma, m, part, N, tail_tol, counter=1)
-                      for m in range(conv_cut + 1)}
-        cols_ideal = {(m,): pi_k(gamma, m, part, N, tail_tol, counter=2)
-                      for m in range(conv_cut + 1)}
-        rows = apply_loss(rows_ideal, cfg.loss[0], 0.0, conv_cut)
-        cols = apply_loss(cols_ideal, cfg.loss[1], 0.0, conv_cut)
-        pr = [rows[(k,)] for k in range(n_c + 1)]
-        pc = [cols[(l,)] for l in range(n_c + 1)]
-    else:
-        grid = {(k, l): pi_kl(gamma, k, l, part, N)
-                for k in range(n_c + 1) for l in range(n_c + 1)}
-        pr = [pi_k(gamma, k, part, N, tail_tol, counter=1) for k in range(n_c + 1)]
-        pc = [pi_k(gamma, l, part, N, tail_tol, counter=2) for l in range(n_c + 1)]
-    over = overflow_elements(grid, pr, pc, n_c)
-    out = {}
-    for k in range(n_c + 1):
-        for l in range(n_c + 1):
-            out[(k, l)] = grid[(k, l)]
-    for k in range(n_c + 1):
-        out[(k, ">")] = over[(k, ">")]
-    for l in range(n_c + 1):
-        out[(">", l)] = over[(">", l)]
-    out[(">", ">")] = over[(">", ">")]
-    return out
+        rows = _with_overflow(gamma, part, N, (nus[0], 0.0), cfg.N_c)
+        return _wrap([(o,) for o in labels], rows[:, 0], template, gamma)
+    rows = _with_overflow(gamma, part, N, nus, cfg.N_c)
+    # counts in range first, then overflow at counter 2, at counter 1, at both
+    n = cfg.N_c + 1
+    order = ([(k, l) for k in range(n) for l in range(n)] + [(k, n) for k in range(n)]
+             + [(n, l) for l in range(n)] + [(n, n)])
+    return _wrap([(labels[k], labels[l]) for k, l in order],
+                 [rows[k, l] for k, l in order], template, gamma)
 
 
 @dataclass
@@ -553,42 +564,31 @@ class MeasurementContext:
 
     settings: list[Setting]
     povms: list[dict]
-    tail_tol: float = DEFAULT_TAIL_TOL
-    conv_cut: int = DEFAULT_CONV_CUT
 
     @classmethod
-    def build(cls, settings: list[Setting], tail_tol: float = DEFAULT_TAIL_TOL,
-              conv_cut: int = DEFAULT_CONV_CUT) -> "MeasurementContext":
+    def build(cls, settings: list[Setting]) -> "MeasurementContext":
         if not settings:
             raise ValueError("context needs at least one setting")
         povms = []
         for s in settings:
-            povm = build_povm(s, tail_tol, conv_cut)
-            total = None
-            for e in povm.values():
-                total = e.op if total is None else total + e.op
-            ident = _identity_like(total)
-            dev = max(float(np.max(np.abs(a - b)))
-                      for a, b in zip(total.blocks.values(), ident.blocks.values()))
-            if dev > 1e-8:
+            povm = build_povm(s)
+            ops = [e.op for e in povm.values()]
+            total = _stack_ops(ops).sum(axis=0)
+            dev = float(np.max(np.abs(total - _stack_ops([_identity_like(ops[0])])[0])))
+            if not dev <= 1e-8:
                 raise ValueError(f"POVM for gamma={s.gamma} sums to identity only "
                                  f"within {dev:.3e}")
             povms.append(povm)
-        return cls(settings=list(settings), povms=povms, tail_tol=tail_tol,
-                   conv_cut=conv_cut)
+        return cls(settings=list(settings), povms=povms)
 
     def to_json(self) -> dict:
-        return {
-            "settings": [s.to_json() for s in self.settings],
-            "tail_tol": self.tail_tol,
-            "conv_cut": self.conv_cut,
-        }
+        return {"settings": [s.to_json() for s in self.settings]}
 
     @classmethod
     def from_json(cls, d: dict) -> "MeasurementContext":
-        settings = [Setting.from_json(s) for s in d["settings"]]
-        return cls.build(settings, tail_tol=float(d.get("tail_tol", DEFAULT_TAIL_TOL)),
-                         conv_cut=int(d.get("conv_cut", DEFAULT_CONV_CUT)))
+        # Older files carry "tail_tol" and "conv_cut"; the elements are exact,
+        # so both are ignored.
+        return cls.build([Setting.from_json(s) for s in d["settings"]])
 
 
 def ic_check(context: MeasurementContext) -> dict:
@@ -596,17 +596,15 @@ def ic_check(context: MeasurementContext) -> dict:
 
     Each element is vectorized block by block (rows stacked, blocks
     concatenated); the context is IC when the stack of element vectors has
-    rank equal to the total number of free (complex) block entries.
+    rank equal to the total number of free (complex) block entries. The
+    singular values come from the small R factor of the tall stack, which has
+    the same ones.
     """
     parts = {(s.partition, s.N) for s in context.settings}
     if len(parts) != 1:
         raise ValueError("ic_check requires a single (partition, N) across settings")
-    rows = []
-    for povm in context.povms:
-        for e in povm.values():
-            rows.append(np.concatenate([m.ravel() for m in e.op.blocks.values()]))
-    mat = np.stack(rows)
-    sv = np.linalg.svd(mat, compute_uv=False)
+    mat = np.concatenate([_stack_ops([e.op for e in povm.values()]) for povm in context.povms])
+    sv = np.linalg.svd(np.linalg.qr(mat, mode="r"), compute_uv=False)
     rank = int(np.sum(sv >= 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
     any_op = next(iter(context.povms[0].values())).op
     required = sum(m.shape[0] ** 2 for m in any_op.blocks.values())

@@ -9,7 +9,8 @@ import pytest
 from wfhtomo import cli
 from wfhtomo.fock import StateSpec, make_state
 from wfhtomo.optics import PartitionSpec
-from wfhtomo.povm import CounterConfig, MeasurementContext, PovmElement, Setting
+from wfhtomo.povm import (CounterConfig, MeasurementContext, PovmElement, Setting,
+                          identity_response)
 from wfhtomo.probes import ProbeSet, design_gamma, interpolation_matrix
 from wfhtomo.sim import Dataset
 from wfhtomo.twirl import BlockOperator, reduced_assignment, twirl_analytic
@@ -99,6 +100,34 @@ def test_ic_check(capsys, workspace):
     assert code == 0
     assert summary["is_ic"] is True
     assert summary["rank"] == summary["required"] == 4
+
+
+def _ic_check_with_edit(capsys, workspace, tmp_path, edit):
+    root, _, _ = workspace
+    payload = json.loads((root / "context.json").read_text())
+    edit(payload["settings"][0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["ic-check", "--context", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_ic_check_nan_gamma_exits_1(capsys, workspace, tmp_path):
+    def edit(setting):
+        setting["gamma"]["re"] = math.nan
+    code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert "gamma" in err
+
+
+def test_ic_check_nan_response_exits_1(capsys, workspace, tmp_path):
+    def edit(setting):
+        T = identity_response(setting["counter"]["n_c"], 8)
+        T[0, 0] = math.nan
+        setting["counter"]["response"] = [T.tolist(), T.tolist()]
+    code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert "response" in err
 
 
 def test_povm_dump(capsys, workspace, tmp_path):

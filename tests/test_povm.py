@@ -528,3 +528,69 @@ def test_setting_json_roundtrip():
     assert s2.partition == s.partition
     assert s2.counter.loss == cfg.loss
     assert np.max(np.abs(s2.counter.response[0] - T)) == 0.0
+
+
+def _poisson_with_tail(mean, n_c):
+    """P(n = j) for j <= n_c, then P(n > n_c) as a direct sum (no complement)."""
+    pmf = [math.exp(j * math.log(mean) - mean - math.lgamma(j + 1)) for j in range(n_c + 1)]
+    tail = math.fsum(math.exp(j * math.log(mean) - mean - math.lgamma(j + 1))
+                     for j in range(n_c + 1, n_c + 400))
+    return {**dict(enumerate(pmf)), ">": tail}
+
+
+@pytest.mark.parametrize("partition", [P1, BAL_MULTI])
+@pytest.mark.parametrize("radius", [0.3, 2.7, 6.0, 7.0])
+@pytest.mark.parametrize("loss", [None, (0.8, 0.7)])
+def test_vacuum_entries_are_poisson_products(partition, radius, loss):
+    # a vacuum input leaves independent Poisson counts with means
+    # nu1 zeta^2 |gamma|^2 and nu2 eta^2 |gamma|^2, so the vacuum entry of
+    # every element is a product of one pmf or tail per counter
+    n_c = 6
+    g = radius * np.exp(0.6j)
+    setting = Setting(gamma=g, counter=CounterConfig(counters=2, N_c=n_c, loss=loss),
+                      partition=partition, N=3)
+    povm = build_povm(setting)
+    assert len(povm) == (n_c + 2) ** 2
+    nu1, nu2 = loss or (1.0, 1.0)
+    eta, zeta = partition.sectors[0]
+    p1 = _poisson_with_tail(nu1 * zeta ** 2 * radius ** 2, n_c)
+    p2 = _poisson_with_tail(nu2 * eta ** 2 * radius ** 2, n_c)
+    vac = (0,) * tuple_length(partition)
+    for (k, l), el in povm.items():
+        assert el.op.blocks[vac][0, 0].real == pytest.approx(p1[k] * p2[l], rel=1e-9, abs=0)
+
+
+def test_setting_rejects_non_finite_gamma():
+    cfg = CounterConfig(counters=2, N_c=2)
+    for g in (complex(math.nan, 0.0), complex(0.3, math.inf)):
+        with pytest.raises(ValueError, match="gamma"):
+            Setting(gamma=g, counter=cfg, partition=P1, N=2)
+
+
+def test_counter_config_rejects_non_finite_response():
+    T = identity_response(2, 5)
+    T[0, 0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        CounterConfig(counters=1, N_c=2, response=(T,))
+
+
+def test_context_build_rejects_nan_completeness(monkeypatch):
+    import wfhtomo.povm as povm_module
+
+    setting = Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=1), partition=P1, N=2)
+    povm = build_povm(setting)
+    povm[(0, 0)].op.blocks[()][0, 0] = math.nan
+    monkeypatch.setattr(povm_module, "build_povm", lambda s: povm)
+    with pytest.raises(ValueError, match="sums to identity"):
+        MeasurementContext.build([setting])
+
+
+def test_context_json_ignores_truncation_keys():
+    settings = [Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=3, loss=(0.8, 0.7)),
+                        partition=P1, N=3)]
+    payload = MeasurementContext.build(settings).to_json()
+    assert set(payload) == {"settings"}
+    old = MeasurementContext.from_json({**payload, "tail_tol": 1e-3, "conv_cut": 4})
+    new = MeasurementContext.from_json(payload)
+    for key in new.povms[0]:
+        assert np.array_equal(old.povms[0][key].op.blocks[()], new.povms[0][key].op.blocks[()])

@@ -1,0 +1,68 @@
+"""Property tests of the closed-form POVM elements over random settings."""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wfhtomo.optics import PartitionSpec
+from wfhtomo.povm import CounterConfig, Setting, apply_loss, build_povm, pi_kl
+from wfhtomo.twirl import BlockOperator
+
+unit = st.floats(0.0, 1.0)
+transmission = st.floats(0.1, 0.9)
+
+
+@st.composite
+def partitions(draw):
+    """K=1 or K=2 with random sector ratios, s1_multi either way."""
+    t1 = draw(transmission)
+    sectors = [(math.sqrt(t1), math.sqrt(1 - t1))]
+    if draw(st.booleans()):
+        t2 = draw(transmission.filter(lambda t: abs(t - t1) > 0.05))
+        sectors.append((math.sqrt(t2), math.sqrt(1 - t2)))
+    return PartitionSpec(sectors=tuple(sectors), s1_multi=draw(st.booleans()))
+
+
+def probes(max_radius):
+    return st.builds(lambda r, phi: r * complex(math.cos(phi), math.sin(phi)),
+                     st.floats(0.0, max_radius), st.floats(0.0, 2 * math.pi))
+
+
+def identity_dev(povm, N, partition):
+    length = partition.K if partition.s1_multi else partition.K - 1
+    ident = BlockOperator.identity(N, length)
+    total = None
+    for el in povm.values():
+        total = el.op if total is None else total + el.op
+    return max(float(np.max(np.abs(total.blocks[k] - ident.blocks[k]))) for k in total.blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=probes(7.0), partition=partitions(), N=st.integers(0, 4),
+       n_c=st.integers(0, 8), loss=st.none() | st.tuples(unit, unit))
+def test_build_povm_complete_and_psd(gamma, partition, N, n_c, loss):
+    setting = Setting(gamma=gamma, counter=CounterConfig(counters=2, N_c=n_c, loss=loss),
+                      partition=partition, N=N)
+    povm = build_povm(setting)
+    assert len(povm) == (n_c + 2) ** 2
+    assert identity_dev(povm, N, partition) < 1e-8
+    for el in povm.values():
+        el.validate_psd(-1e-9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(gamma=probes(1.5), partition=partitions(), N=st.integers(0, 4),
+       n_c=st.integers(0, 8), loss=st.tuples(unit, unit))
+def test_lossy_grid_is_thinned_ideal_rectangle(gamma, partition, N, n_c, loss):
+    cut = 25
+    rect = {(m, n): pi_kl(gamma, m, n, partition, N)
+            for m in range(cut + 1) for n in range(cut + 1)}
+    thinned = apply_loss(rect, *loss, conv_cut=cut)
+    povm = build_povm(Setting(gamma=gamma,
+                              counter=CounterConfig(counters=2, N_c=n_c, loss=loss),
+                              partition=partition, N=N))
+    for k in range(n_c + 1):
+        for l in range(n_c + 1):
+            want, got = thinned[(k, l)].op.blocks, povm[(k, l)].op.blocks
+            assert max(float(np.max(np.abs(want[key] - got[key]))) for key in got) < 1e-10
