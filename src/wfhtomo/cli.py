@@ -22,7 +22,7 @@ from ._rng import setting_seed
 from .fock import StateSpec, fidelity, make_state
 from .mle import ReconstructionParams, reconstruct
 from .optics import PartitionSpec
-from .povm import MeasurementContext, Setting, build_povm, ic_check
+from .povm import DatasetMismatch, MeasurementContext, Setting, build_povm, ic_check
 from .probes import ProbeSet, design_gamma, feasibility
 from .sim import Dataset, simulate_dataset
 from .stats import parametric_bootstrap
@@ -219,7 +219,8 @@ def _cmd_bootstrap(args) -> dict:
         _write_json(args.out, report.to_json())
     return {"command": "bootstrap", "original_lr": report.original_lr,
             "sigma_deviation": report.sigma_deviation,
-            "n_boot": args.n_boot, "out": args.out}
+            "n_boot": args.n_boot, "nonconverged": report.nonconverged,
+            "out": args.out}
 
 
 def _cmd_fidelity(args) -> dict:
@@ -365,6 +366,9 @@ def main(argv=None) -> int:
         summary = args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DatasetMismatch as exc:
+        print(f"error: dataset does not fit the context: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -14,8 +14,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .povm import MeasurementContext, ic_check
+from .povm import MeasurementContext, _split_dense, ic_check
 from .sim import Dataset
 from .twirl import BlockOperator
 
@@ -84,165 +85,54 @@ class ReconstructionReport:
         }
 
 
-def _aligned_counts(context: MeasurementContext, dataset: Dataset) -> list[dict]:
-    if len(dataset.counts) != len(context.settings):
-        raise ValueError(f"dataset has {len(dataset.counts)} settings, "
-                         f"context has {len(context.settings)}")
-    for povm, counts in zip(context.povms, dataset.counts):
-        unknown = set(counts) - set(povm)
-        if unknown:
-            raise ValueError(f"counts contain outcomes absent from the POVM: "
-                             f"{sorted(map(str, unknown))}")
-    return dataset.counts
+def _counted(context: MeasurementContext, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Design-matrix rows and counts of the outcomes the dataset counts."""
+    m = context.compiled.counts(dataset)
+    counted = m > 0
+    return context.compiled.P[counted], m[counted]
 
 
 def log_likelihood(state: BlockOperator, context: MeasurementContext,
                    dataset: Dataset) -> float:
     """sum_i m(i) log tr(E_i rho), natural log; -inf when a counted outcome
     has nonpositive probability."""
-    total = 0.0
-    for povm, counts in zip(context.povms, _aligned_counts(context, dataset)):
-        for outcome, m in counts.items():
-            if m == 0:
-                continue
-            p = state.pair_trace(povm[outcome].op).real
-            if p <= 0.0:
-                return -math.inf
-            total += m * math.log(p)
-    return total
+    P, m = _counted(context, dataset)
+    p = P @ context.compiled.vec(state)
+    if not np.all(p > 0.0):
+        return -math.inf
+    return float(m @ np.log(p))
 
 
 def r_operator(state: BlockOperator, context: MeasurementContext,
                dataset: Dataset) -> BlockOperator:
     """R-hat = (1/M) sum_i m(i)/p(i) E_i over all settings and outcomes."""
-    counts_list = _aligned_counts(context, dataset)
-    M = dataset.total_shots()
-    template = next(iter(context.povms[0].values())).op
-    out = BlockOperator.zeros(template.N, template.tuple_length,
-                              context.settings[0].partition)
-    for povm, counts in zip(context.povms, counts_list):
-        for outcome, m in counts.items():
-            if m == 0:
-                continue
-            element = povm[outcome].op
-            p = state.pair_trace(element).real
-            if p <= 0.0:
-                raise ValueError(f"outcome {outcome} has zero probability "
-                                 f"but {m} counts")
-            out = out + element.scale(m / (M * p))
-    return out
+    compiled = context.compiled
+    P, m = _counted(context, dataset)
+    p = P @ compiled.vec(state)
+    if not np.all(p > 0.0):
+        raise ValueError("a counted outcome has zero probability")
+    return compiled.operator(compiled.coords.unvec(P.T @ (m / p) / dataset.total_shots()))
+
+
+def _step(rho: np.ndarray, R: np.ndarray, eps: float) -> np.ndarray:
+    """A rho A / tr(A rho A) on dense block-diagonal matrices."""
+    A = R if math.isinf(eps) else (np.eye(len(R)) + eps * R) / (1.0 + eps)
+    new = A @ rho @ A
+    new = (new + new.conj().T) / 2.0
+    tr = float(np.trace(new).real)
+    if tr < 1e-300:
+        raise ValueError("iterate trace collapsed")
+    return new / tr
 
 
 def diluted_step(state: BlockOperator, R: BlockOperator, eps: float) -> BlockOperator:
     """rho -> A rho A with A = (I + eps R)/(1 + eps); eps = inf gives A = R."""
     if not (eps > 0):
         raise ValueError("eps must be positive (math.inf selects the R rho R map)")
-    if math.isinf(eps):
-        A = R
-    else:
-        ident = BlockOperator.identity(R.N, R.tuple_length, R.partition)
-        A = (ident + R.scale(eps)).scale(1.0 / (1.0 + eps))
-    new = (A @ state @ A).hermitize()
-    tr = new.trace().real
-    if tr < 1e-300:
-        raise ValueError("iterate trace collapsed")
-    return new.scale(1.0 / tr)
-
-
-# vectorized internals ------------------------------------------------------
-#
-# Hermitian block operators are mapped isometrically to real vectors
-# (diagonal, then sqrt(2) Re / sqrt(2) Im of the upper triangle, block by
-# block), so tr(X Y) = vec(X) . vec(Y) and each iteration's probabilities
-# and R-hat reduce to matvecs against fixed per-setting matrices.
-
-def _herm_vec(m: np.ndarray) -> np.ndarray:
-    d = m.shape[0]
-    iu = np.triu_indices(d, 1)
-    return np.concatenate([np.real(np.diag(m)),
-                           math.sqrt(2.0) * np.real(m[iu]),
-                           math.sqrt(2.0) * np.imag(m[iu])])
-
-
-def _herm_unvec(v: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d, 1)
-    n_off = iu[0].size
-    off = (v[d:d + n_off] + 1j * v[d + n_off:]) / math.sqrt(2.0)
-    m = np.zeros((d, d), dtype=np.complex128)
-    m[iu] = off
-    m = m + m.conj().T
-    m[np.diag_indices(d)] = v[:d]
-    return m
-
-
-class _Linearized:
-    """Fixed matrices turning states into outcome probabilities per setting."""
-
-    def __init__(self, context: MeasurementContext, dataset: Dataset):
-        counts_list = _aligned_counts(context, dataset)
-        template = next(iter(context.povms[0].values())).op
-        self.keys = list(template.keys())
-        self.dims = [template.blocks[k].shape[0] for k in self.keys]
-        self.N = template.N
-        self.partition = context.settings[0].partition
-        self.P: list[np.ndarray] = []
-        self.m: list[np.ndarray] = []
-        for povm, counts in zip(context.povms, counts_list):
-            rows = [np.concatenate([_herm_vec(e.op.blocks[k]) for k in self.keys])
-                    for e in povm.values()]
-            self.P.append(np.stack(rows))
-            self.m.append(np.array([counts.get(o, 0) for o in povm],
-                                   dtype=float))
-        self.M = float(dataset.total_shots())
-
-    def vec(self, blocks: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([_herm_vec(b) for b in blocks])
-
-    def unvec(self, v: np.ndarray) -> list[np.ndarray]:
-        out, at = [], 0
-        for d in self.dims:
-            out.append(_herm_unvec(v[at:at + d * d], d))
-            at += d * d
-        return out
-
-    def loglik_and_r(self, blocks: list[np.ndarray]):
-        """Returns (loglik, R blocks, r_k) at the given state."""
-        x = self.vec(blocks)
-        loglik = 0.0
-        r_vec = np.zeros_like(x)
-        for P, m in zip(self.P, self.m):
-            p = P @ x
-            pos = m > 0
-            if np.any(p[pos] <= 0.0):
-                bad = int(np.argmax((p <= 0.0) & pos))
-                raise ValueError(f"outcome index {bad} has zero probability "
-                                 f"but nonzero counts")
-            loglik += float(np.sum(m[pos] * np.log(p[pos])))
-            w = np.zeros_like(p)
-            w[pos] = m[pos] / p[pos]
-            r_vec += P.T @ w
-        r_blocks = self.unvec(r_vec / self.M)
-        r_k = max(float(np.max(np.linalg.eigvalsh(b))) for b in r_blocks) - 1.0
-        return loglik, r_blocks, r_k
-
-    def to_operator(self, blocks: list[np.ndarray]) -> BlockOperator:
-        return BlockOperator(self.N, dict(zip(self.keys, blocks)), self.partition)
-
-
-def _step_blocks(blocks: list[np.ndarray], r_blocks: list[np.ndarray],
-                 eps: float) -> list[np.ndarray]:
-    out = []
-    for rho, R in zip(blocks, r_blocks):
-        if math.isinf(eps):
-            A = R
-        else:
-            A = (np.eye(R.shape[0]) + eps * R) / (1.0 + eps)
-        m = A @ rho @ A
-        out.append((m + m.conj().T) / 2.0)
-    tr = sum(float(np.trace(b).real) for b in out)
-    if tr < 1e-300:
-        raise ValueError("iterate trace collapsed")
-    return [b / tr for b in out]
+    if state.N != R.N or state.blocks.keys() != R.blocks.keys():
+        raise ValueError("block structure mismatch")
+    new = _step(block_diag(*state.blocks.values()), block_diag(*R.blocks.values()), eps)
+    return _split_dense(new, R if R.partition is not None else state)
 
 
 def reconstruct(context: MeasurementContext, dataset: Dataset,
@@ -257,8 +147,10 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
     """
     if params is None:
         params = ReconstructionParams()
-    lin = _Linearized(context, dataset)
-    r_stop = params.r_stop if params.r_stop is not None else 1.0 / lin.M
+    compiled = context.compiled
+    P, m = _counted(context, dataset)
+    M = float(dataset.total_shots())
+    r_stop = params.r_stop if params.r_stop is not None else 1.0 / M
 
     icr = ic_check(context)
     if not icr["is_ic"]:
@@ -266,9 +158,16 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
                       f"(rank {icr['rank']} of {icr['required']}); "
                       f"the estimate may not be unique", stacklevel=2)
 
-    mixed = BlockOperator.maximally_mixed(lin.N, len(lin.keys[0]), lin.partition)
-    blocks = [mixed.blocks[k] for k in lin.keys]
-    loglik, r_blocks, r_k = lin.loglik_and_r(blocks)
+    def evaluate(rho: np.ndarray):
+        """(log-likelihood, R-hat, r_k) at a dense state."""
+        p = P @ compiled.coords.vec(rho)
+        if not np.all(p > 0.0):
+            raise ValueError("a counted outcome has zero probability")
+        R = compiled.coords.unvec(P.T @ (m / p) / M)
+        return float(m @ np.log(p)), R, float(np.linalg.eigvalsh(R)[-1]) - 1.0
+
+    rho = np.eye(compiled.coords.D, dtype=np.complex128) / compiled.coords.D
+    loglik, R, r_k = evaluate(rho)
     loglik_trace, rk_trace = [loglik], [r_k]
 
     eps = _EPS_INF
@@ -281,13 +180,13 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
         if iterations >= params.max_iter:
             termination = "max_iter"
             break
-        candidate = _step_blocks(blocks, r_blocks, eps)
+        candidate = _step(rho, R, eps)
         iterations += 1
-        new_loglik, new_r_blocks, new_r_k = lin.loglik_and_r(candidate)
+        new_loglik, new_R, new_r_k = evaluate(candidate)
         accepted = new_loglik >= loglik
         stagnant = (new_loglik - loglik) < params.delta_L
         if accepted:
-            blocks, loglik, r_blocks, r_k = candidate, new_loglik, new_r_blocks, new_r_k
+            rho, loglik, R, r_k = candidate, new_loglik, new_R, new_r_k
             loglik_trace.append(loglik)
             rk_trace.append(r_k)
         if not accepted or stagnant:
@@ -299,6 +198,6 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
                     termination = "eps_exhausted"
                     break
 
-    return ReconstructionReport(estimate=lin.to_operator(blocks),
+    return ReconstructionReport(estimate=compiled.operator(rho),
                                 loglik_trace=loglik_trace, rk_trace=rk_trace,
                                 termination=termination, iterations=iterations)

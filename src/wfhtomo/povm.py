@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,9 @@ __all__ = [
     "PovmElement",
     "Setting",
     "MeasurementContext",
+    "CompiledContext",
+    "HermitianCoords",
+    "DatasetMismatch",
     "pi_kl",
     "pi_k",
     "overflow_elements",
@@ -360,7 +364,9 @@ def _thinning_matrix(nu: float, cut: int) -> np.ndarray:
 
 
 def _stack_ops(ops: list[BlockOperator]) -> np.ndarray:
-    return np.stack([np.concatenate([m.ravel() for m in op.blocks.values()]) for op in ops])
+    """One row per operator: its blocks raveled and concatenated."""
+    return np.concatenate([m for op in ops for m in op.blocks.values()],
+                          axis=None).reshape(len(ops), -1)
 
 
 def _unstack_op(row: np.ndarray, template: BlockOperator) -> BlockOperator:
@@ -371,6 +377,17 @@ def _unstack_op(row: np.ndarray, template: BlockOperator) -> BlockOperator:
         blocks[key] = row[pos:pos + n].reshape(m.shape)
         pos += n
     return BlockOperator(template.N, blocks, template.partition)
+
+
+def _split_dense(mat: np.ndarray, like: BlockOperator) -> BlockOperator:
+    """The diagonal blocks of a dense block-diagonal matrix, in like's structure."""
+    blocks = {}
+    at = 0
+    for key, m in like.blocks.items():
+        d = m.shape[0]
+        blocks[key] = mat[at:at + d, at:at + d].copy()
+        at += d
+    return BlockOperator(like.N, blocks, like.partition)
 
 
 def apply_loss(elements: dict, nu_1: float, nu_2: float, conv_cut: int = 25) -> dict:
@@ -581,6 +598,11 @@ class MeasurementContext:
             povms.append(povm)
         return cls(settings=list(settings), povms=povms)
 
+    @cached_property
+    def compiled(self) -> "CompiledContext":
+        """The context's design matrix, index maps and rank, built on first use."""
+        return CompiledContext(self)
+
     def to_json(self) -> dict:
         return {"settings": [s.to_json() for s in self.settings]}
 
@@ -591,21 +613,136 @@ class MeasurementContext:
         return cls.build([Setting.from_json(s) for s in d["settings"]])
 
 
+class DatasetMismatch(ValueError):
+    """A dataset that does not fit the measurement context it is fitted in."""
+
+
+class HermitianCoords:
+    """Index maps between Hermitian block-diagonal matrices and real vectors.
+
+    Coordinates run block by block: the diagonal, then sqrt(2) Re and
+    sqrt(2) Im of the upper triangle, so tr(X Y) = vec(X) . vec(Y) for
+    Hermitian X and Y. A state is one dense block-diagonal D x D matrix;
+    block operators enter as the flattened block rows of _stack_ops.
+    """
+
+    def __init__(self, dims: list[int]):
+        dims = np.array(dims, dtype=np.int64)
+        self.D = int(dims.sum())
+        start = np.cumsum(dims) - dims  # block offsets along the diagonal
+        flat = np.cumsum(dims ** 2) - dims ** 2  # block offsets in a stack row
+        parts = []
+        for b, d in enumerate(dims):
+            iu, ju = np.triu_indices(d, 1)
+            diag = np.arange(d)
+            parts.append((np.full(d + 2 * iu.size, b), np.r_[diag, iu, iu], np.r_[diag, ju, ju],
+                          np.r_[np.zeros(d + iu.size, np.int64), np.ones(iu.size, np.int64)]))
+        block, i, j, imag = (np.concatenate(a) for a in zip(*parts))
+        off = i != j
+        self.weight = np.where(off, math.sqrt(2.0), 1.0)
+        # positions in the float64 views of a stack row and of a raveled D x D
+        # matrix; a stack row is read at (i, j) and (j, i), for its Hermitian part
+        self._stack = 2 * (flat[block] + i * dims[block] + j) + imag
+        self._stack_mirror = 2 * (flat[block] + j * dims[block] + i) + imag
+        self._sign = np.where(imag == 1, -1.0, 1.0)
+        row, col = start[block] + i, start[block] + j
+        self._dense = 2 * (row * self.D + col) + imag
+        # unvec writes each coordinate at (row, col), and its conjugate at (col, row)
+        self._to = np.r_[self._dense, (2 * (col * self.D + row) + imag)[off]]
+        self._from = np.r_[np.arange(i.size), np.nonzero(off)[0]]
+        self._coef = np.r_[1.0 / self.weight, self._sign[off] / math.sqrt(2.0)]
+
+    def rows(self, ops: list[BlockOperator]) -> np.ndarray:
+        """Coordinates of the Hermitian part of each block operator, one row
+        per operator: for a Hermitian X, rows(E) . vec(X) = Re tr(E X)."""
+        flat = _stack_ops(ops).view(np.float64)
+        return (flat[:, self._stack] + self._sign * flat[:, self._stack_mirror]) \
+            * (self.weight / 2.0)
+
+    def vec(self, mat: np.ndarray) -> np.ndarray:
+        """Coordinates of a dense block-diagonal Hermitian matrix."""
+        flat = np.ascontiguousarray(mat, dtype=np.complex128).reshape(-1).view(np.float64)
+        return flat[self._dense] * self.weight
+
+    def unvec(self, x: np.ndarray) -> np.ndarray:
+        """The dense block-diagonal Hermitian matrix with coordinates x."""
+        out = np.zeros(2 * self.D * self.D)
+        out[self._to] = x[self._from] * self._coef
+        return out.view(np.complex128).reshape(self.D, self.D)
+
+
+class CompiledContext:
+    """A measurement context compiled once into one real design matrix.
+
+    Row r of ``P`` holds the coordinates (HermitianCoords) of one element,
+    so the Born probabilities of a state with coordinates x are ``P @ x``.
+    Rows run over the settings in order, setting s owning rows
+    ``offsets[s]:offsets[s + 1]`` in its outcome construction order;
+    ``row_of[s]`` maps each of its outcomes to its row.
+    ``rank`` is the rank of ``P``; ``P.shape[1]`` is the number of real
+    parameters of a state.
+    """
+
+    def __init__(self, context: MeasurementContext):
+        if len({(s.partition, s.N) for s in context.settings}) != 1:
+            raise ValueError("the context needs a single (partition, N) across settings")
+        first = next(iter(context.povms[0].values())).op
+        self.template = BlockOperator.zeros(first.N, first.tuple_length,
+                                            context.settings[0].partition)
+        self.coords = HermitianCoords([m.shape[0] for m in first.blocks.values()])
+        self.P = np.concatenate([self.coords.rows([e.op for e in povm.values()])
+                                 for povm in context.povms])
+        self.offsets = np.cumsum([0] + [len(povm) for povm in context.povms])
+        self.row_of = [dict(zip(povm, range(at, at + len(povm))))
+                       for povm, at in zip(context.povms, self.offsets)]
+        self.gammas = [s.gamma for s in context.settings]
+        # singular values of the tall P come from its small R factor
+        sv = np.linalg.svd(np.linalg.qr(self.P, mode="r"), compute_uv=False)
+        self.rank = int(np.sum(sv >= 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
+
+    def vec(self, op: BlockOperator) -> np.ndarray:
+        """Coordinates of a block operator of the context's structure."""
+        if op.N != self.template.N or op.blocks.keys() != self.template.blocks.keys():
+            raise ValueError("block structure mismatch")
+        return self.coords.rows([op])[0]
+
+    def operator(self, mat: np.ndarray) -> BlockOperator:
+        """A dense block-diagonal matrix as a block operator."""
+        return _split_dense(mat, self.template)
+
+    def counts(self, dataset) -> np.ndarray:
+        """The dataset's counts as one vector over the rows of P.
+
+        This is where a dataset is checked against the context: it must have
+        one entry per setting, count only outcomes of that setting's POVM and,
+        when it records probe amplitudes, match every probe within 1e-12.
+        """
+        if len(dataset.counts) != len(self.row_of):
+            raise DatasetMismatch(f"dataset has {len(dataset.counts)} settings, "
+                                  f"context has {len(self.row_of)}")
+        gammas = getattr(dataset, "gammas", None)
+        m = np.zeros(len(self.P))
+        for s, (row_of, counts) in enumerate(zip(self.row_of, dataset.counts)):
+            if gammas is not None and not abs(complex(gammas[s]) - self.gammas[s]) <= 1e-12:
+                raise DatasetMismatch(f"settings[{s}].gamma is {complex(gammas[s])}, "
+                                      f"but the context probe is {self.gammas[s]}")
+            unknown = counts.keys() - row_of.keys()
+            if unknown:
+                raise DatasetMismatch(f"settings[{s}].counts has outcomes absent from "
+                                      f"the POVM: {sorted(map(str, unknown))}")
+            m[[row_of[o] for o in counts]] = list(counts.values())
+        return m
+
+
 def ic_check(context: MeasurementContext) -> dict:
     """Rank test for informational completeness of a context.
 
-    Each element is vectorized block by block (rows stacked, blocks
-    concatenated); the context is IC when the stack of element vectors has
-    rank equal to the total number of free (complex) block entries. The
-    singular values come from the small R factor of the tall stack, which has
-    the same ones.
+    The context is IC when its design matrix (CompiledContext.P) has full
+    column rank, one column per real parameter of a block operator. For
+    Hermitian elements this is the rank over the complex block entries: both
+    spans have the Gram matrix tr(E_a E_b). The rank is computed once per
+    context.
     """
-    parts = {(s.partition, s.N) for s in context.settings}
-    if len(parts) != 1:
-        raise ValueError("ic_check requires a single (partition, N) across settings")
-    mat = np.concatenate([_stack_ops([e.op for e in povm.values()]) for povm in context.povms])
-    sv = np.linalg.svd(np.linalg.qr(mat, mode="r"), compute_uv=False)
-    rank = int(np.sum(sv >= 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
-    any_op = next(iter(context.povms[0].values())).op
-    required = sum(m.shape[0] ** 2 for m in any_op.blocks.values())
-    return {"rank": rank, "required": required, "is_ic": rank == required}
+    compiled = context.compiled
+    required = compiled.P.shape[1]
+    return {"rank": compiled.rank, "required": required, "is_ic": compiled.rank == required}

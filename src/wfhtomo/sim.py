@@ -12,7 +12,7 @@ import numpy as np
 from ._rng import Xoshiro256PP, setting_seed
 from .fock import DenseOperator, OccupationBasis, complex_from_json, complex_to_json
 from .optics import plt_on_fock
-from .povm import MeasurementContext
+from .povm import HermitianCoords, MeasurementContext
 from .twirl import BlockOperator
 
 __all__ = [
@@ -38,20 +38,29 @@ def parse_outcome(s: str) -> tuple:
     return tuple(p if p in (">", "I") else int(p) for p in parts)
 
 
-def probabilities(state: BlockOperator, povm: dict) -> dict:
-    """Born probabilities p(o) = sum_blocks tr(chi Pi-block) for every outcome."""
+def _checked(outcomes, p: np.ndarray) -> dict:
+    """Outcome -> probability, clipping rounding below zero; rejects a
+    probability below -1e-12 or a total off 1 by more than 1e-6."""
     out = {}
     total = 0.0
-    for outcome, element in povm.items():
-        p = state.pair_trace(element.op).real
-        if p < -1e-12:
-            raise ValueError(f"outcome {outcome} has probability {p:.3e} < -1e-12")
-        p = max(p, 0.0)
-        out[outcome] = p
-        total += p
+    for outcome, value in zip(outcomes, p.tolist()):
+        if value < -1e-12:
+            raise ValueError(f"outcome {outcome} has probability {value:.3e} < -1e-12")
+        value = max(value, 0.0)
+        out[outcome] = value
+        total += value
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"probabilities sum to {total!r}, off by more than 1e-6")
     return out
+
+
+def probabilities(state: BlockOperator, povm: dict) -> dict:
+    """Born probabilities p(o) = sum_blocks tr(chi Pi-block) for every outcome."""
+    ops = [e.op for e in povm.values()]
+    if any(op.N != state.N or op.blocks.keys() != state.blocks.keys() for op in ops):
+        raise ValueError("block structure mismatch")
+    coords = HermitianCoords([m.shape[0] for m in state.blocks.values()])
+    return _checked(povm, coords.rows(ops) @ coords.rows([state])[0])
 
 
 def _pair_grid_unitary(block: np.ndarray, cutoff: int) -> np.ndarray:
@@ -193,8 +202,12 @@ class Dataset:
         counts = []
         gammas = []
         have_gamma = True
-        for s in d["settings"]:
-            counts.append({parse_outcome(k): int(v) for k, v in s["counts"].items()})
+        for i, s in enumerate(d["settings"]):
+            for k, v in s["counts"].items():
+                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                    raise ValueError(f'settings[{i}].counts["{k}"] must be a '
+                                     f"non-negative integer, got {v!r}")
+            counts.append({parse_outcome(k): v for k, v in s["counts"].items()})
             if "gamma" in s:
                 gammas.append(complex_from_json(s["gamma"]))
             else:
@@ -218,9 +231,11 @@ def simulate_dataset(state: BlockOperator, context: MeasurementContext,
         raise ValueError("M_i must give one total per setting")
     if any(m < 1 for m in M_i):
         raise ValueError("every M_i must be >= 1")
+    compiled = context.compiled
+    p_all = compiled.P @ compiled.vec(state)
     counts_per_setting = []
     for i, povm in enumerate(context.povms):
-        probs = probabilities(state, povm)
+        probs = _checked(povm, p_all[compiled.offsets[i]:compiled.offsets[i + 1]])
         outcomes = list(probs)
         cum = []
         acc = 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,19 +35,29 @@ __all__ = [
 
 @dataclass
 class BootstrapReport:
+    """``replicates`` holds each refit's {termination, iterations, r_k}; a
+    replicate that did not reach the certificate is flagged there and
+    counted by ``nonconverged``, not dropped from ``boot_lrs``."""
+
     original_lr: float
     boot_lrs: list[float]
     sigma_deviation: float
+    replicates: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.boot_lrs:
             raise ValueError("boot_lrs must be nonempty")
+
+    @property
+    def nonconverged(self) -> int:
+        return sum(r["termination"] != "stopped_on_r" for r in self.replicates)
 
     def to_json(self) -> dict:
         return {
             "original_lr": float(self.original_lr),
             "boot_lrs": [float(v) for v in self.boot_lrs],
             "sigma_deviation": float(self.sigma_deviation),
+            "replicates": [dict(r) for r in self.replicates],
         }
 
 
@@ -72,11 +82,13 @@ def log_lr(loglik: float, counts) -> float:
     return -2.0 * (loglik - l_u)
 
 
-def _replicate_lr(args) -> float:
+def _replicate_lr(args) -> tuple[float, dict]:
     context, estimate, M_i, params, seed = args
     data = simulate_dataset(estimate, context, M_i, seed)
     report = reconstruct(context, data, params)
-    return log_lr(log_likelihood(report.estimate, context, data), data.counts)
+    fit = {"termination": report.termination, "iterations": int(report.iterations),
+           "r_k": float(report.rk_trace[-1])}
+    return log_lr(log_likelihood(report.estimate, context, data), data.counts), fit
 
 
 def parametric_bootstrap(estimate, context: MeasurementContext,
@@ -101,16 +113,18 @@ def parametric_bootstrap(estimate, context: MeasurementContext,
              for j in range(n_boot)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            boot = list(pool.map(_replicate_lr, tasks))
+            results = list(pool.map(_replicate_lr, tasks))
     else:
-        boot = [_replicate_lr(t) for t in tasks]
+        results = [_replicate_lr(t) for t in tasks]
+    boot = [lr for lr, _ in results]
     spread = float(np.std(boot, ddof=1))
     if spread == 0.0:
         sigma = 0.0 if original == boot[0] else math.inf
     else:
         sigma = (original - float(np.mean(boot))) / spread
     return BootstrapReport(original_lr=original, boot_lrs=boot,
-                           sigma_deviation=sigma)
+                           sigma_deviation=sigma,
+                           replicates=[fit for _, fit in results])
 
 
 def _poisson_pmf_matrix(mu: float, m_cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

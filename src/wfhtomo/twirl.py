@@ -72,7 +72,7 @@ class BlockOperator:
         norm: dict[tuple[int, ...], np.ndarray] = {}
         lengths = set()
         for key, mat in self.blocks.items():
-            k = tuple(int(v) for v in key)
+            k = tuple(map(int, key))
             lengths.add(len(k))
             m = np.asarray(mat, dtype=np.complex128)
             d = self.N - sum(k) + 1
@@ -84,13 +84,13 @@ class BlockOperator:
         if len(lengths) > 1:
             raise ValueError("all tuples must have the same length")
         length = lengths.pop() if lengths else 0
-        expected = _tuples(self.N, length)
-        if set(norm) != set(expected):
-            missing = set(expected) - set(norm)
-            extra = set(norm) - set(expected)
-            raise ValueError(f"incomplete tuple set (missing {sorted(missing)}, "
-                             f"unexpected {sorted(extra)})")
-        self.blocks = {k: norm[k] for k in expected}
+        # distinct non-negative tuples with sum <= N: a full count is the full set
+        if (any(min(k, default=0) < 0 for k in norm)
+                or len(norm) != math.comb(self.N + length, length)):
+            expected = set(_tuples(self.N, length))
+            raise ValueError(f"incomplete tuple set (missing {sorted(expected - set(norm))}, "
+                             f"unexpected {sorted(set(norm) - expected)})")
+        self.blocks = {k: norm[k] for k in sorted(norm, key=lambda t: (sum(t), t))}
 
     @property
     def tuple_length(self) -> int:

@@ -277,6 +277,61 @@ def test_bootstrap_command(capsys, workspace, tmp_path):
     assert summary["original_lr"] == payload["original_lr"]
 
 
+def test_bootstrap_reports_nonconverged(capsys, workspace, tmp_path):
+    root, _, _ = workspace
+    data, est = _simulated(capsys, workspace, tmp_path), tmp_path / "est.json"
+    est.write_text(json.dumps(BlockOperator.maximally_mixed(N, 0).to_json()))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"r_stop": 1e-15, "max_iter": 2}))
+    boot = tmp_path / "boot.json"
+    code, summary = run_cli(capsys, "bootstrap", "--estimate", str(est),
+                            "--context", str(root / "context.json"),
+                            "--data", str(data), "--n-boot", "2", "--seed", "21",
+                            "--params", str(params), "--out", str(boot))
+    assert code == 0
+    assert summary["nonconverged"] == 2
+    replicates = json.loads(boot.read_text())["replicates"]
+    assert [r["termination"] for r in replicates] == ["max_iter", "max_iter"]
+
+
+def _simulated(capsys, workspace, tmp_path):
+    root, _, _ = workspace
+    data = tmp_path / "data.json"
+    code, _ = run_cli(capsys, "simulate", "--state", str(root / "state.json"),
+                      "--context", str(root / "context.json"),
+                      "--m", "300", "--seed", "13", "--out", str(data))
+    assert code == 0
+    return data
+
+
+def _reconstruct_edited(capsys, workspace, tmp_path, edit):
+    root, _, _ = workspace
+    data = _simulated(capsys, workspace, tmp_path)
+    payload = json.loads(data.read_text())
+    edit(payload)
+    data.write_text(json.dumps(payload))
+    code = cli.main(["reconstruct", "--context", str(root / "context.json"),
+                     "--data", str(data)])
+    return code, capsys.readouterr().err
+
+
+def test_reconstruct_reversed_settings_exits_1(capsys, workspace, tmp_path):
+    def edit(payload):
+        payload["settings"].reverse()
+    code, err = _reconstruct_edited(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert "settings[0].gamma" in err
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, True])
+def test_reconstruct_bad_count_exits_1(capsys, workspace, tmp_path, bad):
+    def edit(payload):
+        payload["settings"][0]["counts"]["(1,2)"] = bad
+    code, err = _reconstruct_edited(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert 'settings[0].counts["(1,2)"]' in err
+
+
 def test_twirl_closed_form(capsys, tmp_path):
     out = tmp_path / "tmsv.json"
     code, summary = run_cli(capsys, "twirl", "--closed-form", "tmsv",

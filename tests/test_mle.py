@@ -4,26 +4,28 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from wfhtomo.fock import OccupationBasis, StateSpec, StateVector, fidelity, make_state
 from wfhtomo.mle import (
     ReconstructionParams,
     ReconstructionReport,
-    _herm_unvec,
-    _herm_vec,
-    _Linearized,
     diluted_step,
     log_likelihood,
     r_operator,
     reconstruct,
 )
 from wfhtomo.optics import PartitionSpec
-from wfhtomo.povm import CounterConfig, MeasurementContext, PovmElement, Setting
+from wfhtomo.povm import (CounterConfig, HermitianCoords, MeasurementContext, PovmElement,
+                          Setting)
 from wfhtomo.probes import design_gamma
 from wfhtomo.sim import Dataset, probabilities, simulate_dataset
 from wfhtomo.twirl import BlockOperator, reduced_assignment, twirl_analytic
 
 BAL = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=False)
+BAL_MULTI = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=True)
 
 
 @dataclass
@@ -201,26 +203,144 @@ def test_small_eps_never_decreases_loglik(ctx, rho_true):
 
 def test_herm_vec_isometry():
     rng = np.random.default_rng(2)
+    xs = []
     for d in (1, 3, 6):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x = (a + a.conj().T) / 2
         b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         y = (b + b.conj().T) / 2
-        vx, vy = _herm_vec(x), _herm_vec(y)
+        coords = HermitianCoords([d])
+        vx, vy = coords.vec(x), coords.vec(y)
         assert np.trace(x @ y).real == pytest.approx(float(vx @ vy), abs=1e-10)
-        assert np.allclose(_herm_unvec(vx, d), x, atol=1e-12)
+        assert np.allclose(coords.unvec(vx), x, atol=1e-12)
+        # block operators enter through the same coordinates
+        assert np.array_equal(coords.rows([BlockOperator(d - 1, {(): x})])[0], vx)
+        xs.append(x)
+    coords = HermitianCoords([1, 3, 6])
+    dense = block_diag(*xs)
+    assert np.allclose(coords.unvec(coords.vec(dense)), dense, atol=1e-12)
+    assert np.trace(dense @ dense).real == pytest.approx(
+        float(coords.vec(dense) @ coords.vec(dense)), abs=1e-10)
 
 
-def test_linearized_matches_operator_forms(ctx, rho_true):
+def reference_loglik_and_r(state, context, counts, M):
+    """Log-likelihood and R-hat summed outcome by outcome with pair_trace."""
+    loglik = 0.0
+    R = BlockOperator.zeros(state.N, state.tuple_length)
+    for povm, c in zip(context.povms, counts):
+        for outcome, m in c.items():
+            if m == 0:
+                continue
+            element = povm[outcome].op
+            p = state.pair_trace(element).real
+            loglik += m * math.log(p)
+            R = R + element.scale(m / (M * p))
+    return loglik, R
+
+
+def reference_fit(context, data, params):
+    """The R rho R map and eps ladder of reconstruct, in BlockOperator algebra."""
+    M = data.total_shots()
+    r_stop = params.r_stop if params.r_stop is not None else 1.0 / M
+    op = next(iter(context.povms[0].values())).op
+    ident = BlockOperator.identity(op.N, op.tuple_length)
+    rho = BlockOperator.maximally_mixed(op.N, op.tuple_length)
+
+    def evaluate(state):
+        loglik, R = reference_loglik_and_r(state, context, data.counts, M)
+        return loglik, R, R.max_eigenvalue() - 1.0
+
+    loglik, R, r_k = evaluate(rho)
+    eps, iterations = math.inf, 0
+    while r_k > r_stop and iterations < params.max_iter:
+        A = R if math.isinf(eps) else (ident + R.scale(eps)).scale(1.0 / (1.0 + eps))
+        candidate = (A @ rho @ A).hermitize()
+        candidate = candidate.scale(1.0 / candidate.trace().real)
+        iterations += 1
+        new_loglik, new_R, new_r_k = evaluate(candidate)
+        accepted = new_loglik >= loglik
+        if accepted:
+            rho, R, r_k, gain, loglik = candidate, new_R, new_r_k, new_loglik - loglik, new_loglik
+        if not accepted or gain < params.delta_L:
+            eps = params.eps_start if math.isinf(eps) else eps * params.eps_decay
+            if eps <= params.eps_floor:
+                break
+    return rho, iterations, loglik, r_k
+
+
+@pytest.fixture(scope="module")
+def ctx_multi():
+    settings_ = [Setting(gamma=g, counter=CounterConfig(counters=2, N_c=5),
+                         partition=BAL_MULTI, N=2) for g in design_gamma(2, seed=3).gammas]
+    return MeasurementContext.build(settings_)
+
+
+def test_compiled_matches_operator_forms(ctx, rho_true):
     data = simulate_dataset(rho_true, ctx, [250] * len(ctx.settings), seed=21)
-    lin = _Linearized(ctx, data)
-    blocks = [rho_true.blocks[k] for k in lin.keys]
-    ll, r_blocks, r_k = lin.loglik_and_r(blocks)
+    ll, R_ref = reference_loglik_and_r(rho_true, ctx, data.counts, data.total_shots())
     assert ll == pytest.approx(log_likelihood(rho_true, ctx, data), abs=1e-8)
     R = r_operator(rho_true, ctx, data)
-    for k, rb in zip(lin.keys, r_blocks):
-        assert np.allclose(R.blocks[k], rb, atol=1e-10)
-    assert r_k == pytest.approx(R.max_eigenvalue() - 1.0, abs=1e-12)
+    for k in R_ref.blocks:
+        assert np.allclose(R.blocks[k], R_ref.blocks[k], atol=1e-10)
+    # the fit's r_k, taken from the dense R-hat at its maximally mixed start
+    mixed = BlockOperator.maximally_mixed(2, 0)
+    _, R_mixed = reference_loglik_and_r(mixed, ctx, data.counts, data.total_shots())
+    r_k = reconstruct(ctx, data, ReconstructionParams(max_iter=1)).rk_trace[0]
+    assert r_k == pytest.approx(R_mixed.max_eigenvalue() - 1.0, abs=1e-12)
+
+
+def random_block_state(N, length, rng):
+    """A full-rank state whose blocks are random PSD matrices of random weight."""
+    blocks = {}
+    for key, block in BlockOperator.zeros(N, length).blocks.items():
+        d = block.shape[0]
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        blocks[key] = rng.uniform(0.2, 1.0) * (g @ g.conj().T + 0.1 * np.eye(d))
+    state = BlockOperator(N, blocks)
+    return state.scale(1.0 / state.trace().real)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), multi=st.booleans())
+def test_compiled_forms_match_pair_trace(ctx, ctx_multi, seed, multi):
+    context = ctx_multi if multi else ctx
+    rng = np.random.default_rng(seed)
+    state = random_block_state(2, 1 if multi else 0, rng)
+    counts = [dict(zip(povm, rng.integers(0, 40, len(povm)).tolist()))
+              for povm in context.povms]
+    data = Dataset(counts=counts, M_i=[sum(c.values()) for c in counts], seed=0)
+    ll, R_ref = reference_loglik_and_r(state, context, counts, data.total_shots())
+    assert log_likelihood(state, context, data) == pytest.approx(ll, rel=1e-12)
+    # R-hat is Hermitian; the sum above also carries the elements' rounding-level
+    # anti-Hermitian parts, weighted by m/p
+    R, R_ref = r_operator(state, context, data), R_ref.hermitize()
+    scale = max(float(np.max(np.abs(b))) for b in R_ref.blocks.values())
+    for k in R_ref.blocks:
+        assert np.max(np.abs(R.blocks[k] - R_ref.blocks[k])) <= 1e-12 * scale
+    for povm in context.povms:
+        probs = probabilities(state, povm)
+        for outcome, element in povm.items():
+            assert probs[outcome] == pytest.approx(state.pair_trace(element.op).real,
+                                                   rel=1e-12)
+        assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("multi", [False, True])
+@pytest.mark.parametrize("delta_L", [1e-12, 1e-2])
+def test_reconstruct_fixed_iterations_match_operator_algebra(ctx, ctx_multi, rho_true,
+                                                             multi, delta_L):
+    context = ctx_multi if multi else ctx
+    truth = twirl_analytic(coherent_vac_density(0.5, 2), [0, 0], BAL_MULTI, 2) \
+        if multi else rho_true
+    data = simulate_dataset(truth, context, [500] * len(context.settings), seed=31)
+    params = ReconstructionParams(max_iter=50, delta_L=delta_L)
+    report = reconstruct(context, data, params)
+    rho, iterations, loglik, r_k = reference_fit(context, data, params)
+    assert report.iterations == iterations
+    assert report.loglik_trace[-1] == pytest.approx(loglik, rel=1e-12)
+    assert report.rk_trace[-1] == pytest.approx(r_k, abs=1e-12)
+    for k in rho.blocks:
+        assert np.max(np.abs(report.estimate.blocks[k] - rho.blocks[k])) <= 1e-12
 
 
 def test_reconstruct_immediate_at_mixed_truth(ctx):

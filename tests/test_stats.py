@@ -238,7 +238,7 @@ def test_parametric_bootstrap_model_matched(small_problem):
     assert report.original_lr >= 0
     assert abs(report.sigma_deviation) <= 3.0
     d = report.to_json()
-    assert set(d) == {"original_lr", "boot_lrs", "sigma_deviation"}
+    assert set(d) == {"original_lr", "boot_lrs", "sigma_deviation", "replicates"}
 
 
 def test_parametric_bootstrap_deterministic(small_problem):
@@ -274,3 +274,22 @@ def test_parametric_bootstrap_parallel_matches_serial(small_problem):
     parallel = parametric_bootstrap(fit.estimate, ctx, M_i, 4, None, 99, data,
                                     n_jobs=2)
     assert serial.boot_lrs == parallel.boot_lrs
+
+
+def test_parametric_bootstrap_flags_nonconverged_replicates(small_problem):
+    rho, ctx = small_problem
+    M_i = [200] * len(ctx.settings)
+    data = simulate_dataset(rho, ctx, M_i, seed=6)
+    fit = reconstruct(ctx, data)
+    full = parametric_bootstrap(fit.estimate, ctx, M_i, 3, None, 4, data)
+    assert [r["termination"] for r in full.replicates] == ["stopped_on_r"] * 3
+    assert full.nonconverged == 0
+    capped = parametric_bootstrap(fit.estimate, ctx, M_i, 3,
+                                  ReconstructionParams(r_stop=1e-15, max_iter=2), 4, data)
+    # flagged, not dropped: every replicate still contributes its LR
+    assert len(capped.boot_lrs) == 3
+    assert capped.nonconverged == 3
+    for rep in capped.to_json()["replicates"]:
+        assert rep["termination"] == "max_iter"
+        assert rep["iterations"] == 2
+        assert rep["r_k"] > 1e-15
