@@ -4,13 +4,15 @@ Every subcommand reads and writes JSON artifacts, prints a single JSON
 summary line to stdout, and is deterministic for a given configuration and
 seed. Output files are written atomically (temp file, then rename). Exit
 codes: 0 success, 1 invalid configuration (bad flags, missing or
-unparseable inputs), 2 domain error, 3 numerical failure.
+unparseable inputs, non-finite numbers, a state file that is not a state),
+2 domain error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -45,14 +47,48 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _NonFinite(float):
+    """A NaN, Infinity or -Infinity literal, or a number that overflows a
+    float, marked while a JSON file is parsed."""
+
+
+def _non_finite_path(node, path: str = "") -> str | None:
+    """JSON path of the first marked number under node, e.g. tuples[0].re[0][1]."""
+    if isinstance(node, _NonFinite):
+        return path or "the top level"
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        found = _non_finite_path(child, f"{path}[{key}]" if isinstance(key, int)
+                                 else f"{path}.{key}" if path else key)
+        if found:
+            return found
+    return None
+
+
 def _load_json(path: str):
+    """A JSON file's content; NaN, Infinity and overflowing numbers are
+    rejected, naming their JSON path."""
+    marked = []
+
+    def non_finite(text: str) -> float:
+        marked.append(text)
+        return _NonFinite(text)
+
+    def number(text: str) -> float:
+        value = float(text)
+        return value if math.isfinite(value) else non_finite(text)
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh, parse_float=number, parse_constant=non_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if marked:
+        raise ConfigError(f"{path}: {_non_finite_path(payload)} is not a finite number")
+    return payload
 
 
 def _parse_as(label: str, parser, payload):
@@ -64,6 +100,15 @@ def _parse_as(label: str, parser, payload):
 
 def _load(label: str, parser, path: str):
     return _parse_as(f"{label} ({path})", parser, _load_json(path))
+
+
+def _load_state(label: str, path: str) -> BlockOperator:
+    """A block state file; it must hold a state: Hermitian, PSD and trace 1."""
+    def parse(payload):
+        state = BlockOperator.from_json(payload)
+        state.validate_state()
+        return state
+    return _load(label, parse, path)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -138,7 +183,7 @@ def _cmd_povm_dump(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    state = _load("state", BlockOperator.from_json, args.state)
+    state = _load_state("state", args.state)
     context = _load("context", MeasurementContext.from_json, args.context)
     M_i = _m_list(args, len(context.settings))
     data = simulate_dataset(state, context, M_i, args.seed)
@@ -162,8 +207,7 @@ def _cmd_reconstruct(args) -> dict:
     context = _load("context", MeasurementContext.from_json, args.context)
     params = (_load("params", ReconstructionParams.from_json, args.params)
               if args.params else None)
-    truth = (_load("true state", BlockOperator.from_json, args.true_state)
-             if args.true_state else None)
+    truth = _load_state("true state", args.true_state) if args.true_state else None
 
     if args.trials > 1:
         if truth is None:
@@ -184,7 +228,9 @@ def _cmd_reconstruct(args) -> dict:
             _write_json(args.out, payload)
         return {"command": "reconstruct", "trials": args.trials,
                 "mean_fidelity": payload["mean_fidelity"],
-                "std_fidelity": payload["std_fidelity"], "out": args.out}
+                "std_fidelity": payload["std_fidelity"],
+                "nonconverged": sum(t["termination"] != "stopped_on_r" for t in trials),
+                "out": args.out}
 
     if not args.data:
         raise ConfigError("--data is required (or use --trials with --true-state)")
@@ -204,7 +250,7 @@ def _cmd_reconstruct(args) -> dict:
 
 
 def _cmd_bootstrap(args) -> dict:
-    estimate = _load("estimate", BlockOperator.from_json, args.estimate)
+    estimate = _load_state("estimate", args.estimate)
     context = _load("context", MeasurementContext.from_json, args.context)
     data = _load("dataset", Dataset.from_json, args.data)
     params = (_load("params", ReconstructionParams.from_json, args.params)
@@ -224,8 +270,8 @@ def _cmd_bootstrap(args) -> dict:
 
 
 def _cmd_fidelity(args) -> dict:
-    a = _load("state a", BlockOperator.from_json, args.a)
-    b = _load("state b", BlockOperator.from_json, args.b)
+    a = _load_state("state a", args.a)
+    b = _load_state("state b", args.b)
     value = fidelity(a, b)
     if args.out:
         _write_json(args.out, {"fidelity": value})

@@ -145,7 +145,15 @@ def _template(N: int, partition: PartitionSpec) -> BlockOperator:
 
 
 def _wrap(labels: list, rows: np.ndarray, template: BlockOperator, gamma: complex) -> dict:
-    """One element per label from flattened block rows (the layout of _stack_ops)."""
+    """One element per label from flattened block rows (the layout of _stack_ops),
+    each kept as its Hermitian part (E + E^dag) / 2."""
+    rows = np.asarray(rows)
+    at = 0
+    mirror = []  # position of the transposed entry in a row, block by block
+    for m in template.blocks.values():
+        mirror.append(at + np.arange(m.size).reshape(m.shape).T.ravel())
+        at += m.size
+    rows = (rows + rows[:, np.concatenate(mirror)].conj()) / 2
     return {label: PovmElement(label, _unstack_op(row, template), complex(gamma))
             for label, row in zip(labels, rows)}
 

@@ -1,7 +1,6 @@
 """Born probabilities, a dense brute-force oracle, and seeded dataset sampling."""
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 from collections import OrderedDict
@@ -9,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import Xoshiro256PP, setting_seed
+from ._rng import inverse_cdf_counts, setting_seed
 from .fock import DenseOperator, OccupationBasis, complex_from_json, complex_to_json
 from .optics import plt_on_fock
 from .povm import HermitianCoords, MeasurementContext
@@ -40,7 +39,8 @@ def parse_outcome(s: str) -> tuple:
 
 def _checked(outcomes, p: np.ndarray) -> dict:
     """Outcome -> probability, clipping rounding below zero; rejects a
-    probability below -1e-12 or a total off 1 by more than 1e-6."""
+    probability below -1e-12, and a total off 1 by more than 1e-6 or not
+    finite."""
     out = {}
     total = 0.0
     for outcome, value in zip(outcomes, p.tolist()):
@@ -49,7 +49,7 @@ def _checked(outcomes, p: np.ndarray) -> dict:
         value = max(value, 0.0)
         out[outcome] = value
         total += value
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:  # also fails on a NaN or infinite total
         raise ValueError(f"probabilities sum to {total!r}, off by more than 1e-6")
     return out
 
@@ -224,7 +224,8 @@ def simulate_dataset(state: BlockOperator, context: MeasurementContext,
 
     Sampling uses inverse-CDF draws from a xoshiro256++ stream seeded per
     setting with splitmix64(seed XOR setting index), over the context's
-    outcome construction order.
+    outcome construction order; the streams are drawn in lanes
+    (``_rng.inverse_cdf_counts``).
     """
     M_i = [int(m) for m in M_i]
     if len(M_i) != len(context.settings):
@@ -233,21 +234,17 @@ def simulate_dataset(state: BlockOperator, context: MeasurementContext,
         raise ValueError("every M_i must be >= 1")
     compiled = context.compiled
     p_all = compiled.P @ compiled.vec(state)
-    counts_per_setting = []
+    outcomes, cums = [], []
     for i, povm in enumerate(context.povms):
         probs = _checked(povm, p_all[compiled.offsets[i]:compiled.offsets[i + 1]])
-        outcomes = list(probs)
         cum = []
         acc = 0.0
-        for o in outcomes:
-            acc += probs[o]
+        for value in probs.values():
+            acc += value
             cum.append(acc)
         cum[-1] = 1.0  # guard against float shortfall; u < 1 always lands
-        rng = Xoshiro256PP(setting_seed(seed, i))
-        tallies = [0] * len(outcomes)
-        for _ in range(M_i[i]):
-            u = rng.next_double()
-            tallies[bisect.bisect_right(cum, u)] += 1
-        counts_per_setting.append({o: t for o, t in zip(outcomes, tallies)})
-    return Dataset(counts=counts_per_setting, M_i=M_i, seed=int(seed),
-                   gammas=[s.gamma for s in context.settings])
+        outcomes.append(list(probs))
+        cums.append(cum)
+    tallies = inverse_cdf_counts([setting_seed(seed, i) for i in range(len(M_i))], cums, M_i)
+    return Dataset(counts=[dict(zip(o, t.tolist())) for o, t in zip(outcomes, tallies)],
+                   M_i=M_i, seed=int(seed), gammas=[s.gamma for s in context.settings])

@@ -143,12 +143,13 @@ class BlockOperator:
         return BlockOperator(self.N, {k: (m + m.conj().T) / 2 for k, m in self.blocks.items()},
                              self.partition)
 
+    # np.max/np.min over the blocks, so that a NaN in any block propagates
     def max_abs_dev_from_hermitian(self) -> float:
-        return max(float(np.max(np.abs(m - m.conj().T))) for m in self.blocks.values())
+        return float(np.max([np.max(np.abs(m - m.conj().T)) for m in self.blocks.values()]))
 
     def min_eigenvalue(self) -> float:
-        return min(float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-                   for m in self.blocks.values())
+        return float(np.min([np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))
+                             for m in self.blocks.values()]))
 
     def max_eigenvalue(self) -> float:
         return max(float(np.max(np.linalg.eigvalsh((m + m.conj().T) / 2)))
@@ -156,12 +157,16 @@ class BlockOperator:
 
     def validate_state(self, herm_tol: float = 1e-10, psd_tol: float = -1e-9,
                        trace_tol: float = 1e-9) -> None:
-        if self.max_abs_dev_from_hermitian() > herm_tol:
-            raise ValueError("state blocks are not Hermitian")
-        if self.min_eigenvalue() < psd_tol:
-            raise ValueError("state blocks are not PSD")
-        if abs(self.trace().real - 1.0) > trace_tol or abs(self.trace().imag) > trace_tol:
-            raise ValueError("state trace is not 1")
+        # written as "not within" so that a NaN fails every check
+        dev = self.max_abs_dev_from_hermitian()
+        if not dev <= herm_tol:
+            raise ValueError(f"state blocks are not Hermitian (deviation {dev:.3e})")
+        low = self.min_eigenvalue()
+        if not low >= psd_tol:
+            raise ValueError(f"state blocks are not PSD (minimum eigenvalue {low:.3e})")
+        tr = self.trace()
+        if not (abs(tr.real - 1.0) <= trace_tol and abs(tr.imag) <= trace_tol):
+            raise ValueError(f"state trace is not 1 (trace {tr:.6g})")
 
     # constructors --------------------------------------------------------
     @classmethod

@@ -216,6 +216,22 @@ def test_reconstruct_trials_mode(capsys, workspace, tmp_path):
     assert len({t["seed"] for t in payload["trials"]}) == 3
 
 
+def test_reconstruct_trials_reports_nonconverged(capsys, workspace, tmp_path):
+    root, _, _ = workspace
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"r_stop": 1e-15, "max_iter": 2}))
+    report = tmp_path / "trials.json"
+    code, summary = run_cli(capsys, "reconstruct",
+                            "--context", str(root / "context.json"),
+                            "--true-state", str(root / "state.json"),
+                            "--params", str(params), "--trials", "3", "--m", "400",
+                            "--seed", "5", "--out", str(report))
+    assert code == 0
+    assert summary["nonconverged"] == 3
+    assert [t["termination"] for t in json.loads(report.read_text())["trials"]] == \
+        ["max_iter"] * 3
+
+
 def test_reconstruct_trials_requires_truth(capsys, workspace):
     root, _, _ = workspace
     code = cli.main(["reconstruct", "--context", str(root / "context.json"),
@@ -379,3 +395,77 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+def _edited_state(workspace, tmp_path, edit):
+    root, _, _ = workspace
+    payload = json.loads((root / "state.json").read_text())
+    edit(payload)
+    path = tmp_path / "edited_state.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_simulate_nan_state_exits_1(capsys, workspace, tmp_path):
+    root, _, _ = workspace
+
+    def edit(payload):
+        payload["tuples"][0]["re"][0][0] = math.nan
+    path = _edited_state(workspace, tmp_path, edit)
+    out = tmp_path / "data.json"
+    code = cli.main(["simulate", "--state", str(path), "--context", str(root / "context.json"),
+                     "--m", "100", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "tuples[0].re[0][0]" in err and str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e999"])
+def test_non_finite_json_number_exits_1(capsys, workspace, tmp_path, literal):
+    root, _, _ = workspace
+    text = (root / "context.json").read_text()
+    path = tmp_path / "context.json"
+    payload = json.loads(text)
+    payload["settings"][1]["gamma"]["im"] = "@"
+    path.write_text(json.dumps(payload).replace('"@"', literal))
+    code = cli.main(["ic-check", "--context", str(path)])
+    assert code == 1
+    assert "settings[1].gamma.im is not a finite number" in capsys.readouterr().err
+
+
+def _not_psd(payload):
+    # Hermitian with trace 1, but one eigenvalue is -0.5
+    block = payload["tuples"][0]
+    d = len(block["re"])
+    block["re"] = [[0.0] * d for _ in range(d)]
+    block["im"] = [[0.0] * d for _ in range(d)]
+    block["re"][0][0], block["re"][1][1] = 1.5, -0.5
+
+
+def test_simulate_non_psd_state_exits_1(capsys, workspace, tmp_path):
+    root, _, _ = workspace
+    path = _edited_state(workspace, tmp_path, _not_psd)
+    code = cli.main(["simulate", "--state", str(path), "--context", str(root / "context.json"),
+                     "--m", "100", "--out", str(tmp_path / "data.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "not PSD" in err and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "bootstrap", "fidelity-a", "fidelity-b"])
+def test_invalid_state_inputs_exit_1(capsys, workspace, tmp_path, command):
+    root, _, _ = workspace
+    data = _simulated(capsys, workspace, tmp_path)
+    bad = str(_edited_state(workspace, tmp_path, _not_psd))
+    good, ctx = str(root / "state.json"), str(root / "context.json")
+    argv = {"reconstruct": ["reconstruct", "--context", ctx, "--data", str(data),
+                            "--true-state", bad],
+            "bootstrap": ["bootstrap", "--estimate", bad, "--context", ctx,
+                          "--data", str(data), "--n-boot", "1"],
+            "fidelity-a": ["fidelity", "--a", bad, "--b", good],
+            "fidelity-b": ["fidelity", "--a", good, "--b", bad]}[command]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "not PSD" in err and bad in err

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from wfhtomo import povm as povm_module
 from wfhtomo.fock import StateSpec, make_state
 from wfhtomo.optics import PartitionSpec, standard_block
 from wfhtomo.povm import (
     CounterConfig,
     MeasurementContext,
+    PovmElement,
     Setting,
     apply_detector_response,
     apply_loss,
@@ -20,6 +22,7 @@ from wfhtomo.povm import (
     pi_k,
     pi_kl,
 )
+from wfhtomo.probes import design_gamma
 from wfhtomo.sim import born_oracle, born_table
 from wfhtomo.twirl import BlockOperator, twirl_analytic
 
@@ -594,3 +597,27 @@ def test_context_json_ignores_truncation_keys():
     new = MeasurementContext.from_json(payload)
     for key in new.povms[0]:
         assert np.array_equal(old.povms[0][key].op.blocks[()], new.povms[0][key].op.blocks[()])
+
+
+@pytest.mark.parametrize("loss", [None, (0.8, 0.7)])
+def test_elements_are_hermitian_and_design_matrix_unchanged(monkeypatch, loss):
+    # the quick-start probes; storing (E + E^dag)/2 leaves every row of P
+    # bitwise as it was with the elements as the kernel computed them
+    balanced = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=True)
+    counter = CounterConfig(counters=2, N_c=6, loss=loss)
+    settings = [Setting(gamma=g, counter=counter, partition=balanced, N=3)
+                for g in design_gamma(3, 7).gammas]
+    ctx = MeasurementContext.build(settings)
+    for povm in ctx.povms:
+        for e in povm.values():
+            for m in e.op.blocks.values():
+                assert np.array_equal(m, m.conj().T)
+
+    def unsymmetrised(labels, rows, template, gamma):
+        return {label: PovmElement(label, povm_module._unstack_op(row, template), complex(gamma))
+                for label, row in zip(labels, rows)}
+    monkeypatch.setattr(povm_module, "_wrap", unsymmetrised)
+    raw = MeasurementContext.build(settings)
+    assert max(np.max(np.abs(m - m.conj().T)) for povm in raw.povms
+               for e in povm.values() for m in e.op.blocks.values()) > 0
+    assert ctx.compiled.P.tobytes() == raw.compiled.P.tobytes()

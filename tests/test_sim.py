@@ -1,11 +1,15 @@
+import bisect
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
-from wfhtomo._rng import SplitMix64, Xoshiro256PP, setting_seed
+from wfhtomo._rng import (SplitMix64, Xoshiro256PP, _jump, _step, inverse_cdf_counts,
+                          setting_seed)
 from wfhtomo.fock import DenseOperator, OccupationBasis, StateSpec, make_state
 from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock, standard_block
 from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
@@ -52,6 +56,55 @@ def test_xoshiro256pp_reference_outputs():
     for _ in range(4):
         r2.next_u64()
     assert abs(Xoshiro256PP(42).next_double() - 0.8143051451229099) < 1e-16
+
+
+def _scalar_counts(seed: int, cum: list, total: int) -> list:
+    """Reference: the scalar stream, one bisect_right per draw."""
+    rng = Xoshiro256PP(seed)
+    tallies = [0] * len(cum)
+    for _ in range(total):
+        tallies[bisect.bisect_right(cum, rng.next_double())] += 1
+    return tallies
+
+
+@st.composite
+def cumulative_tables(draw):
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.3, 1.0, 2.5]) | st.floats(0.0, 1.0),
+                            min_size=1, max_size=12).filter(lambda w: sum(w) > 0))
+    cum = []
+    acc = 0.0
+    for w in weights:
+        acc += w / sum(weights)
+        cum.append(acc)
+    cum[-1] = 1.0
+    return cum
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_lane_counts_match_scalar_stream(data):
+    # the lane edges (1, 255, 256, 257, 513 draws) are in every example
+    totals = data.draw(st.permutations(
+        [1, 255, 256, 257, 513] + data.draw(st.lists(st.integers(1, 3 * 256 + 1), max_size=3))))
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=len(totals),
+                               max_size=len(totals)))
+    cums = [data.draw(cumulative_tables()) for _ in totals]
+    got = inverse_cdf_counts(seeds, cums, totals)
+    for seed, cum, total, counts in zip(seeds, cums, totals, got):
+        assert counts.tolist() == _scalar_counts(seed, cum, total)
+
+
+@pytest.mark.parametrize("lane", [0, 1, 2, 3, 397])
+def test_lane_starts_at_its_jump_ahead_draw(lane):
+    seed = setting_seed(2023, 5)
+    scalar = Xoshiro256PP(seed)
+    for _ in range(lane * 256):
+        scalar.next_u64()
+    state = np.array([Xoshiro256PP(seed).s], dtype=np.uint64)
+    for _ in range(lane):
+        state = _jump(state)
+    assert state[0].tolist() == scalar.s
+    assert int(_step(state.T.copy())[0]) == scalar.next_u64()
 
 
 def test_setting_seed_derivation():
@@ -137,6 +190,20 @@ def test_probabilities_rejects_bad_normalization():
     povm = {("h",): PovmElement(("h",), half, 0.0)}
     with pytest.raises(ValueError):
         probabilities(state, povm)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_probabilities_rejects_non_finite(bad):
+    setting = Setting(gamma=0.7, counter=CounterConfig(counters=2, N_c=3),
+                      partition=P1, N=3)
+    ctx = MeasurementContext.build([setting])
+    state = BlockOperator.maximally_mixed(3, 0, P1)
+    state.blocks[()][1, 1] = bad
+    with pytest.raises(ValueError):
+        probabilities(state, ctx.povms[0])
+    with pytest.raises(ValueError):
+        simulate_dataset(state, ctx, [10], seed=1)
 
 
 def test_born_oracle_vacuum_trivial():
@@ -289,6 +356,18 @@ def test_simulate_dataset_frozen_counts():
     assert top == (0, 0)
     again = simulate_dataset(state, ctx, [20, 20], seed=42)
     assert ds.counts == again.counts
+
+
+def test_simulate_dataset_settings_draw_independent_streams():
+    ctx = _small_context()
+    state = _small_state()
+    base = simulate_dataset(state, ctx, [500, 700], seed=99)
+    assert simulate_dataset(state, ctx, [500, 1300], seed=99).counts[0] == base.counts[0]
+    assert simulate_dataset(state, ctx, [9, 700], seed=99).counts[1] == base.counts[1]
+    wider = MeasurementContext.build(ctx.settings + [
+        Setting(gamma=-0.3j, counter=CounterConfig(counters=2, N_c=3), partition=P1, N=2)])
+    appended = simulate_dataset(state, wider, [500, 700, 300], seed=99)
+    assert appended.counts[:2] == base.counts
 
 
 def test_simulate_dataset_chi_squared():

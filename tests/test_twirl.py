@@ -79,6 +79,17 @@ def test_block_operator_algebra():
     assert block_maxdiff(a.dagger(), a) < 1e-12  # densities are Hermitian
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_validate_state_rejects_nan_in_any_block(block):
+    state = BlockOperator.maximally_mixed(2, 1)
+    state.validate_state()
+    key = list(state.blocks)[block]
+    state.blocks[key][0, -1] = math.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        state.validate_state()
+
+
 def test_twirl_vacuum():
     basis = OccupationBasis(2, 3)
     rho = np.zeros((basis.size, basis.size), dtype=complex)
