@@ -16,18 +16,16 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ._rng import setting_seed
 from .fock import StateSpec, fidelity, make_state
 from .mle import ReconstructionParams, reconstruct
 from .optics import PartitionSpec
 from .povm import DatasetMismatch, MeasurementContext, Setting, build_povm, ic_check
 from .probes import ProbeSet, design_gamma, feasibility
 from .sim import Dataset, simulate_dataset
-from .stats import parametric_bootstrap
+from .stats import parametric_bootstrap, refit_replicates
 from .twirl import BlockOperator, twirl_analytic, twirled_closed_form
 
 DEFAULT_SEED = 1905  # fixed default: reruns without --seed stay reproducible
@@ -124,6 +122,14 @@ def _write_json(path: str, payload: dict) -> None:
             os.unlink(tmp)
 
 
+def _check_at_least(args, **lows: int) -> None:
+    """Each named integer flag must be at least its bound."""
+    for name, low in lows.items():
+        value = getattr(args, name)
+        if value < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+
+
 def _m_list(args, n_settings: int) -> list[int]:
     if args.m_list is not None:
         try:
@@ -193,33 +199,21 @@ def _cmd_simulate(args) -> dict:
             "out": args.out}
 
 
-def _trial_worker(payload) -> dict:
-    context, truth, M_i, params, seed = payload
-    data = simulate_dataset(truth, context, M_i, seed)
-    report = reconstruct(context, data, params)
-    return {"seed": seed, "fidelity": fidelity(report.estimate, truth),
-            "termination": report.termination,
-            "iterations": report.iterations,
-            "loglik": report.loglik_trace[-1], "r_k": report.rk_trace[-1]}
-
-
 def _cmd_reconstruct(args) -> dict:
     context = _load("context", MeasurementContext.from_json, args.context)
     params = (_load("params", ReconstructionParams.from_json, args.params)
               if args.params else None)
     truth = _load_state("true state", args.true_state) if args.true_state else None
+    _check_at_least(args, trials=1, jobs=1)
 
     if args.trials > 1:
         if truth is None:
             raise ConfigError("--trials > 1 requires --true-state")
-        M_i = _m_list(args, len(context.settings))
-        tasks = [(context, truth, M_i, params, setting_seed(args.seed, j))
-                 for j in range(args.trials)]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                trials = list(pool.map(_trial_worker, tasks))
-        else:
-            trials = [_trial_worker(t) for t in tasks]
+        fits = refit_replicates(truth, context, _m_list(args, len(context.settings)),
+                                args.trials, params, args.seed, args.jobs)
+        trials = [{"seed": f.seed, "fidelity": fidelity(f.estimate, truth),
+                   "termination": f.termination, "iterations": f.iterations,
+                   "loglik": f.loglik, "r_k": f.r_k} for f in fits]
         fids = [t["fidelity"] for t in trials]
         payload = {"trials": trials,
                    "mean_fidelity": float(np.mean(fids)),
@@ -255,6 +249,7 @@ def _cmd_bootstrap(args) -> dict:
     data = _load("dataset", Dataset.from_json, args.data)
     params = (_load("params", ReconstructionParams.from_json, args.params)
               if args.params else None)
+    _check_at_least(args, n_boot=2, jobs=1)
     if args.m is not None or args.m_list is not None:
         M_i = _m_list(args, len(context.settings))
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -19,9 +19,6 @@ from scipy.linalg import block_diag
 from .povm import MeasurementContext, _split_dense, ic_check
 from .sim import Dataset
 from .twirl import BlockOperator
-
-_EPS_INF = math.inf
-
 
 @dataclass(frozen=True)
 class ReconstructionParams:
@@ -45,26 +42,23 @@ class ReconstructionParams:
             raise ValueError("max_iter must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "delta_L": self.delta_L,
-            "r_stop": self.r_stop,
-            "eps_start": self.eps_start,
-            "eps_floor": self.eps_floor,
-            "eps_decay": self.eps_decay,
-            "max_iter": self.max_iter,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "ReconstructionParams":
-        kwargs = {}
-        for name in ("delta_L", "r_stop", "eps_start", "eps_floor", "eps_decay"):
-            if name in d and d[name] is not None:
-                kwargs[name] = float(d[name])
-        if d.get("r_stop") is None and "r_stop" in d:
-            kwargs["r_stop"] = None
-        if "max_iter" in d:
-            kwargs["max_iter"] = int(d["max_iter"])
-        return cls(**kwargs)
+        if not isinstance(d, dict):
+            raise TypeError(f"params must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+        for name, v in d.items():
+            # bool is an int subclass, and 2.7 iterations are not 2
+            if name == "max_iter" and type(v) is not int:
+                raise ValueError(f"max_iter must be a JSON integer, got {v!r}")
+            if type(v) not in (int, float, type(None)):
+                raise ValueError(f"{name} must be a JSON number, got {v!r}")
+        return cls(**{name: v if name == "max_iter" else float(v)
+                      for name, v in d.items() if v is not None})
 
 
 @dataclass
@@ -85,33 +79,39 @@ class ReconstructionReport:
         }
 
 
-def _counted(context: MeasurementContext, dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Design-matrix rows and counts of the outcomes the dataset counts."""
+class _ZeroProbability(ValueError):
+    """A counted outcome whose probability is not positive."""
+
+
+def _likelihood(context: MeasurementContext, dataset):
+    """x -> (log-likelihood m . log p, dense R-hat with coordinates P^T (m/p) / M)
+    at a real state vector x, with p = P x over the outcomes the dataset counts."""
     m = context.compiled.counts(dataset)
-    counted = m > 0
-    return context.compiled.P[counted], m[counted]
+    P, m, M = context.compiled.P[m > 0], m[m > 0], float(dataset.total_shots())
+
+    def at(x: np.ndarray) -> tuple[float, np.ndarray]:
+        p = P @ x
+        if not np.all(p > 0.0):
+            raise _ZeroProbability("a counted outcome has zero probability")
+        return float(m @ np.log(p)), context.compiled.coords.unvec(P.T @ (m / p) / M)
+    return at
 
 
 def log_likelihood(state: BlockOperator, context: MeasurementContext,
                    dataset: Dataset) -> float:
     """sum_i m(i) log tr(E_i rho), natural log; -inf when a counted outcome
     has nonpositive probability."""
-    P, m = _counted(context, dataset)
-    p = P @ context.compiled.vec(state)
-    if not np.all(p > 0.0):
+    try:
+        return _likelihood(context, dataset)(context.compiled.vec(state))[0]
+    except _ZeroProbability:
         return -math.inf
-    return float(m @ np.log(p))
 
 
 def r_operator(state: BlockOperator, context: MeasurementContext,
                dataset: Dataset) -> BlockOperator:
     """R-hat = (1/M) sum_i m(i)/p(i) E_i over all settings and outcomes."""
     compiled = context.compiled
-    P, m = _counted(context, dataset)
-    p = P @ compiled.vec(state)
-    if not np.all(p > 0.0):
-        raise ValueError("a counted outcome has zero probability")
-    return compiled.operator(compiled.coords.unvec(P.T @ (m / p) / dataset.total_shots()))
+    return compiled.operator(_likelihood(context, dataset)(compiled.vec(state))[1])
 
 
 def _step(rho: np.ndarray, R: np.ndarray, eps: float) -> np.ndarray:
@@ -147,10 +147,9 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
     """
     if params is None:
         params = ReconstructionParams()
-    compiled = context.compiled
-    P, m = _counted(context, dataset)
-    M = float(dataset.total_shots())
-    r_stop = params.r_stop if params.r_stop is not None else 1.0 / M
+    coords = context.compiled.coords
+    likelihood = _likelihood(context, dataset)
+    r_stop = params.r_stop if params.r_stop is not None else 1.0 / dataset.total_shots()
 
     icr = ic_check(context)
     if not icr["is_ic"]:
@@ -160,19 +159,15 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
 
     def evaluate(rho: np.ndarray):
         """(log-likelihood, R-hat, r_k) at a dense state."""
-        p = P @ compiled.coords.vec(rho)
-        if not np.all(p > 0.0):
-            raise ValueError("a counted outcome has zero probability")
-        R = compiled.coords.unvec(P.T @ (m / p) / M)
-        return float(m @ np.log(p)), R, float(np.linalg.eigvalsh(R)[-1]) - 1.0
+        loglik, R = likelihood(coords.vec(rho))
+        return loglik, R, float(np.linalg.eigvalsh(R)[-1]) - 1.0
 
-    rho = np.eye(compiled.coords.D, dtype=np.complex128) / compiled.coords.D
+    rho = np.eye(coords.D, dtype=np.complex128) / coords.D
     loglik, R, r_k = evaluate(rho)
     loglik_trace, rk_trace = [loglik], [r_k]
 
-    eps = _EPS_INF
+    eps = math.inf
     iterations = 0
-    termination = None
     while True:
         if r_k <= r_stop:
             termination = "stopped_on_r"
@@ -198,6 +193,6 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
                     termination = "eps_exhausted"
                     break
 
-    return ReconstructionReport(estimate=compiled.operator(rho),
+    return ReconstructionReport(estimate=context.compiled.operator(rho),
                                 loglik_trace=loglik_trace, rk_trace=rk_trace,
                                 termination=termination, iterations=iterations)

@@ -14,7 +14,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import optimize, stats as sp_stats
@@ -22,13 +22,16 @@ from scipy import optimize, stats as sp_stats
 from .mle import ReconstructionParams, log_likelihood, reconstruct
 from .povm import MeasurementContext
 from .sim import Dataset, simulate_dataset
+from .twirl import BlockOperator
 from ._rng import setting_seed
 
 __all__ = [
     "BootstrapReport",
+    "Refit",
     "log_lr",
     "parametric_bootstrap",
     "poisson_mle",
+    "refit_replicates",
     "sinusoid_fit",
 ]
 
@@ -82,13 +85,38 @@ def log_lr(loglik: float, counts) -> float:
     return -2.0 * (loglik - l_u)
 
 
-def _replicate_lr(args) -> tuple[float, dict]:
-    context, estimate, M_i, params, seed = args
-    data = simulate_dataset(estimate, context, M_i, seed)
-    report = reconstruct(context, data, params)
-    fit = {"termination": report.termination, "iterations": int(report.iterations),
-           "r_k": float(report.rk_trace[-1])}
-    return log_lr(log_likelihood(report.estimate, context, data), data.counts), fit
+class Refit(NamedTuple):
+    """One replicate's fit without its traces or dataset; lr is its log LR."""
+
+    seed: int
+    estimate: BlockOperator
+    termination: str
+    iterations: int
+    loglik: float
+    r_k: float
+    lr: float
+
+
+def _refit(task) -> Refit:
+    context, state, M_i, params, seed = task
+    data = simulate_dataset(state, context, M_i, seed)
+    fit = reconstruct(context, data, params)
+    return Refit(seed, fit.estimate, fit.termination, fit.iterations, fit.loglik_trace[-1],
+                 fit.rk_trace[-1], log_lr(fit.loglik_trace[-1], data.counts))
+
+
+def refit_replicates(state: BlockOperator, context: MeasurementContext, M_i: Sequence[int],
+                     n: int, params: ReconstructionParams | None, seed: int,
+                     n_jobs: int = 1) -> list[Refit]:
+    """Simulate n datasets from ``state``, replicate j with seed
+    ``setting_seed(seed, j)``, and fit each: serially, or in n_jobs worker
+    processes with the same results. The bootstrap and trial sweeps share it."""
+    tasks = [(context, state, M_i, params, setting_seed(seed, j)) for j in range(n)]
+    workers = min(n_jobs, n)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_refit, tasks))
+    return [_refit(t) for t in tasks]
 
 
 def parametric_bootstrap(estimate, context: MeasurementContext,
@@ -105,18 +133,9 @@ def parametric_bootstrap(estimate, context: MeasurementContext,
     """
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
-    if params is None:
-        params = ReconstructionParams()
-    original = log_lr(log_likelihood(estimate, context, dataset),
-                      dataset.counts)
-    tasks = [(context, estimate, list(M_i), params, setting_seed(seed, j))
-             for j in range(n_boot)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_replicate_lr, tasks))
-    else:
-        results = [_replicate_lr(t) for t in tasks]
-    boot = [lr for lr, _ in results]
+    original = log_lr(log_likelihood(estimate, context, dataset), dataset.counts)
+    fits = refit_replicates(estimate, context, M_i, n_boot, params, seed, n_jobs)
+    boot = [f.lr for f in fits]
     spread = float(np.std(boot, ddof=1))
     if spread == 0.0:
         sigma = 0.0 if original == boot[0] else math.inf
@@ -124,7 +143,8 @@ def parametric_bootstrap(estimate, context: MeasurementContext,
         sigma = (original - float(np.mean(boot))) / spread
     return BootstrapReport(original_lr=original, boot_lrs=boot,
                            sigma_deviation=sigma,
-                           replicates=[fit for _, fit in results])
+                           replicates=[{"termination": f.termination,
+                                        "iterations": f.iterations, "r_k": f.r_k} for f in fits])
 
 
 def _poisson_pmf_matrix(mu: float, m_cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

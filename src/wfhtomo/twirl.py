@@ -28,28 +28,9 @@ __all__ = [
 ]
 
 
-def _tuples(total_max: int, length: int) -> list[tuple[int, ...]]:
-    if length == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            for v in range(remaining + 1):
-                out.append(prefix + (v,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), total_max, length)
-    # graded-lex order, same convention as OccupationBasis
-    out.sort(key=lambda t: (sum(t), t))
-    return out
-
-
 def block_tuples(N: int, length: int) -> list[tuple[int, ...]]:
     """All sector-photon tuples of the given length with sum <= N, graded-lex."""
-    return _tuples(N, length)
+    return list(OccupationBasis(length, N).states) if length else [()]
 
 
 @dataclass
@@ -87,7 +68,7 @@ class BlockOperator:
         # distinct non-negative tuples with sum <= N: a full count is the full set
         if (any(min(k, default=0) < 0 for k in norm)
                 or len(norm) != math.comb(self.N + length, length)):
-            expected = set(_tuples(self.N, length))
+            expected = set(block_tuples(self.N, length))
             raise ValueError(f"incomplete tuple set (missing {sorted(expected - set(norm))}, "
                              f"unexpected {sorted(set(norm) - expected)})")
         self.blocks = {k: norm[k] for k in sorted(norm, key=lambda t: (sum(t), t))}
@@ -172,12 +153,12 @@ class BlockOperator:
     @classmethod
     def zeros(cls, N: int, length: int, partition: PartitionSpec | None = None) -> "BlockOperator":
         return cls(N, {t: np.zeros((N - sum(t) + 1, N - sum(t) + 1), dtype=np.complex128)
-                       for t in _tuples(N, length)}, partition)
+                       for t in block_tuples(N, length)}, partition)
 
     @classmethod
     def identity(cls, N: int, length: int, partition: PartitionSpec | None = None) -> "BlockOperator":
         return cls(N, {t: np.eye(N - sum(t) + 1, dtype=np.complex128)
-                       for t in _tuples(N, length)}, partition)
+                       for t in block_tuples(N, length)}, partition)
 
     @classmethod
     def maximally_mixed(cls, N: int, length: int,

@@ -232,6 +232,50 @@ def test_reconstruct_trials_reports_nonconverged(capsys, workspace, tmp_path):
         ["max_iter"] * 3
 
 
+def test_reconstruct_trials_parallel_matches_serial(capsys, workspace, tmp_path):
+    root, _, _ = workspace
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"trials_{jobs}.json"
+        code, _ = run_cli(capsys, "reconstruct", "--context", str(root / "context.json"),
+                          "--true-state", str(root / "state.json"), "--trials", "3",
+                          "--m", "400", "--seed", "5", "--jobs", jobs, "--out", str(out))
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-3"), ("--trials", "0")])
+def test_reconstruct_replicate_flag_below_bound_exits_1(capsys, workspace, tmp_path,
+                                                        flag, value):
+    root, _, _ = workspace
+    data = _simulated(capsys, workspace, tmp_path)
+    code = cli.main(["reconstruct", "--context", str(root / "context.json"),
+                     "--data", str(data), "--true-state", str(root / "state.json"),
+                     "--trials", "2", "--m", "100", flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert flag in err
+
+
+@pytest.mark.parametrize("params, key", [({"max_iters": 5}, "'max_iters'"),
+                                         ({"max_iter": 2.7}, "max_iter"),
+                                         ({"max_iter": True}, "max_iter"),
+                                         ({"r_stop": "1e-3"}, "r_stop"),
+                                         ({"delta_L": True}, "delta_L"),
+                                         ([], "JSON object")])
+def test_reconstruct_bad_params_exits_1(capsys, workspace, tmp_path, params, key):
+    root, _, _ = workspace
+    data = _simulated(capsys, workspace, tmp_path)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    code = cli.main(["reconstruct", "--context", str(root / "context.json"),
+                     "--data", str(data), "--params", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert key in err and str(path) in err
+
+
 def test_reconstruct_trials_requires_truth(capsys, workspace):
     root, _, _ = workspace
     code = cli.main(["reconstruct", "--context", str(root / "context.json"),
@@ -308,6 +352,19 @@ def test_bootstrap_reports_nonconverged(capsys, workspace, tmp_path):
     assert summary["nonconverged"] == 2
     replicates = json.loads(boot.read_text())["replicates"]
     assert [r["termination"] for r in replicates] == ["max_iter", "max_iter"]
+
+
+@pytest.mark.parametrize("flag, value", [("--n-boot", "1"), ("--jobs", "0"), ("--jobs", "-3")])
+def test_bootstrap_replicate_flag_below_bound_exits_1(capsys, workspace, tmp_path,
+                                                      flag, value):
+    root, _, _ = workspace
+    data = _simulated(capsys, workspace, tmp_path)
+    code = cli.main(["bootstrap", "--estimate", str(root / "state.json"),
+                     "--context", str(root / "context.json"), "--data", str(data),
+                     "--n-boot", "2", flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert flag in err
 
 
 def _simulated(capsys, workspace, tmp_path):

@@ -392,6 +392,28 @@ def test_reconstruct_gap_bounded_by_m_rk(ctx, rho_true):
     assert gap <= data.total_shots() * loose.rk_trace[-1] + 1e-9
 
 
+@pytest.fixture(scope="module")
+def ctx_c4():
+    """A small IC context: N=2, N_c=4 and the 9 design_gamma(2, 3) probes."""
+    settings_ = [Setting(gamma=g, counter=CounterConfig(counters=2, N_c=4),
+                         partition=BAL, N=2) for g in design_gamma(2, seed=3).gammas]
+    return MeasurementContext.build(settings_)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shots=st.integers(20, 5000),
+       r_stop=st.sampled_from([None, 1e-10]))
+def test_certificate_bounds_every_accepted_iterate(ctx_c4, rho_true, seed, shots, r_stop):
+    # L* - L_k <= M r_k at every iterate (Glancy, Knill & Girard 2012) and
+    # L_final <= L*, whether the fit stops on r_k or exhausts its eps ladder
+    data = simulate_dataset(rho_true, ctx_c4, [shots] * len(ctx_c4.settings), seed)
+    report = reconstruct(ctx_c4, data, ReconstructionParams(r_stop=r_stop))
+    M = data.total_shots()
+    assert len(report.loglik_trace) == len(report.rk_trace)
+    for L_k, r_k in zip(report.loglik_trace, report.rk_trace):
+        assert report.loglik_trace[-1] - L_k <= M * r_k + 1e-9 * M
+
+
 def test_reconstruct_iterates_stay_physical(ctx, rho_true):
     data = simulate_dataset(rho_true, ctx, [800] * len(ctx.settings), seed=13)
     report = reconstruct(ctx, data, ReconstructionParams(r_stop=1e-7))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wfhtomo._rng import setting_seed
 from wfhtomo.fock import StateSpec, fidelity, make_state
 from wfhtomo.mle import ReconstructionParams, log_likelihood, reconstruct
 from wfhtomo.optics import PartitionSpec
@@ -293,3 +294,20 @@ def test_parametric_bootstrap_flags_nonconverged_replicates(small_problem):
         assert rep["termination"] == "max_iter"
         assert rep["iterations"] == 2
         assert rep["r_k"] > 1e-15
+
+
+@pytest.mark.parametrize("params", [None, ReconstructionParams(r_stop=1e-15, max_iter=2)])
+def test_parametric_bootstrap_lrs_score_each_refit(small_problem, params):
+    rho, ctx = small_problem
+    M_i = [200] * len(ctx.settings)
+    data = simulate_dataset(rho, ctx, M_i, seed=6)
+    estimate = reconstruct(ctx, data).estimate
+    report = parametric_bootstrap(estimate, ctx, M_i, 3, params, 4, data)
+    for j, lr in enumerate(report.boot_lrs):
+        data_j = simulate_dataset(estimate, ctx, M_i, setting_seed(4, j))
+        fit = reconstruct(ctx, data_j, params)
+        assert lr == log_lr(log_likelihood(fit.estimate, ctx, data_j), data_j.counts)
+        assert report.replicates[j] == {"termination": fit.termination,
+                                        "iterations": fit.iterations, "r_k": fit.rk_trace[-1]}
+    expected = "stopped_on_r" if params is None else "max_iter"
+    assert [r["termination"] for r in report.replicates] == [expected] * 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +37,13 @@ def test_block_tuples():
     assert block_tuples(2, 0) == [()]
     assert block_tuples(1, 2) == [(0, 0), (0, 1), (1, 0)]
     assert len(block_tuples(3, 1)) == 4
+
+
+def test_block_tuples_match_brute_force_graded_lex():
+    for N in range(6):
+        for length in range(4):
+            brute = [t for t in itertools.product(range(N + 1), repeat=length) if sum(t) <= N]
+            assert block_tuples(N, length) == sorted(brute, key=lambda t: (sum(t), t))
 
 
 def test_block_operator_structure_validation():
