@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -107,6 +108,15 @@ def _load_state(label: str, path: str) -> BlockOperator:
         state.validate_state()
         return state
     return _load(label, parse, path)
+
+
+def _load_params(args) -> ReconstructionParams:
+    """The --params file, if any; a fit uses APG unless the file names a method."""
+    def parse(payload):
+        params = ReconstructionParams.from_json(payload)
+        return params if "method" in payload else replace(params, method="apg")
+    return _load("params", parse, args.params) if args.params else \
+        ReconstructionParams(method="apg")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -201,8 +211,7 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_reconstruct(args) -> dict:
     context = _load("context", MeasurementContext.from_json, args.context)
-    params = (_load("params", ReconstructionParams.from_json, args.params)
-              if args.params else None)
+    params = _load_params(args)
     truth = _load_state("true state", args.true_state) if args.true_state else None
     _check_at_least(args, trials=1, jobs=1)
 
@@ -212,15 +221,15 @@ def _cmd_reconstruct(args) -> dict:
         fits = refit_replicates(truth, context, _m_list(args, len(context.settings)),
                                 args.trials, params, args.seed, args.jobs)
         trials = [{"seed": f.seed, "fidelity": fidelity(f.estimate, truth),
-                   "termination": f.termination, "iterations": f.iterations,
-                   "loglik": f.loglik, "r_k": f.r_k} for f in fits]
+                   "method": params.method, "termination": f.termination,
+                   "iterations": f.iterations, "loglik": f.loglik, "r_k": f.r_k} for f in fits]
         fids = [t["fidelity"] for t in trials]
         payload = {"trials": trials,
                    "mean_fidelity": float(np.mean(fids)),
                    "std_fidelity": float(np.std(fids, ddof=1))}
         if args.out:
             _write_json(args.out, payload)
-        return {"command": "reconstruct", "trials": args.trials,
+        return {"command": "reconstruct", "method": params.method, "trials": args.trials,
                 "mean_fidelity": payload["mean_fidelity"],
                 "std_fidelity": payload["std_fidelity"],
                 "nonconverged": sum(t["termination"] != "stopped_on_r" for t in trials),
@@ -231,7 +240,8 @@ def _cmd_reconstruct(args) -> dict:
     data = _load("dataset", Dataset.from_json, args.data)
     report = reconstruct(context, data, params)
     payload = report.to_json()
-    summary = {"command": "reconstruct", "termination": report.termination,
+    summary = {"command": "reconstruct", "method": params.method,
+               "termination": report.termination,
                "iterations": report.iterations,
                "loglik": report.loglik_trace[-1], "r_k": report.rk_trace[-1]}
     if truth is not None:
@@ -247,8 +257,7 @@ def _cmd_bootstrap(args) -> dict:
     estimate = _load_state("estimate", args.estimate)
     context = _load("context", MeasurementContext.from_json, args.context)
     data = _load("dataset", Dataset.from_json, args.data)
-    params = (_load("params", ReconstructionParams.from_json, args.params)
-              if args.params else None)
+    params = _load_params(args)
     _check_at_least(args, n_boot=2, jobs=1)
     if args.m is not None or args.m_list is not None:
         M_i = _m_list(args, len(context.settings))
@@ -355,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="maximum-likelihood estimate")
     p.add_argument("--context", required=True)
     p.add_argument("--data", help="dataset JSON (single-fit mode)")
-    p.add_argument("--params", help="ReconstructionParams JSON")
+    p.add_argument("--params", help="ReconstructionParams JSON; fits use method "
+                                    "apg unless it names one")
     p.add_argument("--true-state", help="block state JSON for fidelity")
     p.add_argument("--trials", type=int, default=1,
                    help="simulate-and-fit this many datasets from --true-state")
@@ -371,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--n-boot", type=int, required=True)
-    p.add_argument("--params")
+    p.add_argument("--params", help="ReconstructionParams JSON; refits use method "
+                                    "apg unless it names one")
     p.add_argument("--m", type=int, help="override shots per replicate")
     p.add_argument("--m-list")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

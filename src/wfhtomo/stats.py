@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize, stats as sp_stats
 
 from .mle import ReconstructionParams, log_likelihood, reconstruct
 from .povm import MeasurementContext
@@ -40,12 +39,15 @@ __all__ = [
 class BootstrapReport:
     """``replicates`` holds each refit's {termination, iterations, r_k}; a
     replicate that did not reach the certificate is flagged there and
-    counted by ``nonconverged``, not dropped from ``boot_lrs``."""
+    counted by ``nonconverged``, not dropped from ``boot_lrs``. ``method``
+    names the fit method of the refits; the JSON form writes it into every
+    replicate entry."""
 
     original_lr: float
     boot_lrs: list[float]
     sigma_deviation: float
     replicates: list[dict] = field(default_factory=list)
+    method: str = "diluted"
 
     def __post_init__(self):
         if not self.boot_lrs:
@@ -60,7 +62,7 @@ class BootstrapReport:
             "original_lr": float(self.original_lr),
             "boot_lrs": [float(v) for v in self.boot_lrs],
             "sigma_deviation": float(self.sigma_deviation),
-            "replicates": [dict(r) for r in self.replicates],
+            "replicates": [{"method": self.method, **r} for r in self.replicates],
         }
 
 
@@ -144,7 +146,8 @@ def parametric_bootstrap(estimate, context: MeasurementContext,
     return BootstrapReport(original_lr=original, boot_lrs=boot,
                            sigma_deviation=sigma,
                            replicates=[{"termination": f.termination,
-                                        "iterations": f.iterations, "r_k": f.r_k} for f in fits])
+                                        "iterations": f.iterations, "r_k": f.r_k} for f in fits],
+                           method=(params or ReconstructionParams()).method)
 
 
 def _poisson_pmf_matrix(mu: float, m_cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,6 +253,8 @@ def sinusoid_fit(v: Sequence[float], y: Sequence[float], w: Sequence[float],
     a > 0, c >= 0, b in [0, 2 pi). chi2_gate_p sets the tail probability of
     the chi-squared cutoff reported alongside the fit.
     """
+    from scipy import optimize, stats as sp_stats  # here: importing them costs 0.3 s
+
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)

@@ -263,7 +263,10 @@ def test_reconstruct_replicate_flag_below_bound_exits_1(capsys, workspace, tmp_p
                                          ({"max_iter": True}, "max_iter"),
                                          ({"r_stop": "1e-3"}, "r_stop"),
                                          ({"delta_L": True}, "delta_L"),
-                                         ([], "JSON object")])
+                                         ([], "JSON object"),
+                                         ({"method": "newton"}, "method"),
+                                         ({"method": 1}, "method"),
+                                         ({"method": None}, "method")])
 def test_reconstruct_bad_params_exits_1(capsys, workspace, tmp_path, params, key):
     root, _, _ = workspace
     data = _simulated(capsys, workspace, tmp_path)
@@ -274,6 +277,43 @@ def test_reconstruct_bad_params_exits_1(capsys, workspace, tmp_path, params, key
     err = capsys.readouterr().err
     assert code == 1
     assert key in err and str(path) in err
+
+
+@pytest.mark.parametrize("params, method", [(None, "apg"), ({"r_stop": 1e-6}, "apg"),
+                                            ({"method": "diluted"}, "diluted"),
+                                            ({"method": "apg"}, "apg")])
+def test_reconstruct_summary_names_method(capsys, workspace, tmp_path, params, method):
+    root, _, _ = workspace
+    data = _simulated(capsys, workspace, tmp_path)
+    argv = ["reconstruct", "--context", str(root / "context.json"), "--data", str(data)]
+    if params is not None:
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        argv += ["--params", str(tmp_path / "params.json")]
+    code, summary = run_cli(capsys, *argv)
+    assert code == 0
+    assert summary["method"] == method
+    assert summary["termination"] == "stopped_on_r"
+
+
+@pytest.mark.parametrize("params, method, termination",
+                         [(None, "apg", "stopped_on_r"),
+                          ({"method": "diluted"}, "diluted", "stopped_on_r"),
+                          ({"r_stop": 1e-300}, "apg", "stalled")])
+def test_reconstruct_trials_record_method(capsys, workspace, tmp_path, params, method,
+                                          termination):
+    # a stalled fit is not certified, so it counts as nonconverged
+    root, _, _ = workspace
+    argv = ["reconstruct", "--context", str(root / "context.json"),
+            "--true-state", str(root / "state.json"), "--trials", "3", "--m", "400",
+            "--seed", "5", "--out", str(tmp_path / "trials.json")]
+    if params is not None:
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        argv += ["--params", str(tmp_path / "params.json")]
+    code, summary = run_cli(capsys, *argv)
+    assert code == 0
+    trials = json.loads((tmp_path / "trials.json").read_text())["trials"]
+    assert [(t["method"], t["termination"]) for t in trials] == [(method, termination)] * 3
+    assert summary["nonconverged"] == (0 if termination == "stopped_on_r" else 3)
 
 
 def test_reconstruct_trials_requires_truth(capsys, workspace):
@@ -352,6 +392,41 @@ def test_bootstrap_reports_nonconverged(capsys, workspace, tmp_path):
     assert summary["nonconverged"] == 2
     replicates = json.loads(boot.read_text())["replicates"]
     assert [r["termination"] for r in replicates] == ["max_iter", "max_iter"]
+
+
+@pytest.mark.parametrize("params, method, termination",
+                         [(None, "apg", "stopped_on_r"),
+                          ({"method": "diluted"}, "diluted", "stopped_on_r"),
+                          ({"r_stop": 1e-300}, "apg", "stalled")])
+def test_bootstrap_replicates_record_method(capsys, workspace, tmp_path, params, method,
+                                            termination):
+    root, _, _ = workspace
+    data = _simulated(capsys, workspace, tmp_path)
+    argv = ["bootstrap", "--estimate", str(root / "state.json"),
+            "--context", str(root / "context.json"), "--data", str(data),
+            "--n-boot", "2", "--seed", "21", "--out", str(tmp_path / "boot.json")]
+    if params is not None:
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        argv += ["--params", str(tmp_path / "params.json")]
+    code, summary = run_cli(capsys, *argv)
+    assert code == 0
+    replicates = json.loads((tmp_path / "boot.json").read_text())["replicates"]
+    assert [(r["method"], r["termination"]) for r in replicates] == [(method, termination)] * 2
+    assert summary["nonconverged"] == (0 if termination == "stopped_on_r" else 2)
+
+
+def test_bootstrap_parallel_matches_serial(capsys, workspace, tmp_path):
+    root, _, _ = workspace
+    data = _simulated(capsys, workspace, tmp_path)
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"boot_{jobs}.json"
+        code, _ = run_cli(capsys, "bootstrap", "--estimate", str(root / "state.json"),
+                          "--context", str(root / "context.json"), "--data", str(data),
+                          "--n-boot", "3", "--seed", "21", "--jobs", jobs, "--out", str(out))
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("flag, value", [("--n-boot", "1"), ("--jobs", "0"), ("--jobs", "-3")])

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -88,6 +88,29 @@ def test_params_json_round_trip():
     assert q == p
     r = ReconstructionParams.from_json(ReconstructionParams().to_json())
     assert r.r_stop is None
+
+
+def test_params_method_defaults_to_diluted_and_round_trips():
+    assert ReconstructionParams().method == "diluted"
+    apg = ReconstructionParams(r_stop=1e-4, method="apg")
+    assert ReconstructionParams.from_json(apg.to_json()) == apg
+    assert ReconstructionParams.from_json({"method": "apg"}).method == "apg"
+
+
+@pytest.mark.parametrize("field, value", [("delta_L", math.nan), ("delta_L", math.inf),
+                                          ("r_stop", math.inf), ("eps_start", math.inf),
+                                          ("eps_floor", -math.inf), ("eps_floor", 0.0),
+                                          ("eps_floor", -1.0), ("max_iter", 2.5),
+                                          ("max_iter", True), ("method", "newton")])
+def test_params_reject_non_finite_and_non_integer(field, value):
+    with pytest.raises(ValueError, match=field):
+        ReconstructionParams(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["APG", "", None, 1, ["apg"]])
+def test_params_from_json_method_must_name_one(value):
+    with pytest.raises(ValueError, match="method"):
+        ReconstructionParams.from_json({"method": value})
 
 
 def one_outcome_context(op, n_outcomes=1):
@@ -412,6 +435,60 @@ def test_certificate_bounds_every_accepted_iterate(ctx_c4, rho_true, seed, shots
     assert len(report.loglik_trace) == len(report.rk_trace)
     for L_k, r_k in zip(report.loglik_trace, report.rk_trace):
         assert report.loglik_trace[-1] - L_k <= M * r_k + 1e-9 * M
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shots=st.integers(20, 5000),
+       r_stop=st.sampled_from([None, 1e-10]))
+def test_apg_certificate_bounds_every_accepted_iterate(ctx_c4, rho_true, seed, shots, r_stop):
+    # the same bound for the accelerated fit, which ends stopped_on_r or,
+    # once a restarted step no longer raises L, stalled
+    data = simulate_dataset(rho_true, ctx_c4, [shots] * len(ctx_c4.settings), seed)
+    report = reconstruct(ctx_c4, data, ReconstructionParams(r_stop=r_stop, method="apg"))
+    M = data.total_shots()
+    assert report.termination in ("stopped_on_r", "stalled")
+    assert len(report.loglik_trace) == len(report.rk_trace) == report.iterations + 1
+    assert all(np.diff(report.loglik_trace) > 0)
+    for L_k, r_k in zip(report.loglik_trace, report.rk_trace):
+        assert report.loglik_trace[-1] - L_k <= M * r_k + 1e-9 * M
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shots=st.integers(20, 5000),
+       r_stop=st.sampled_from([None, 1e-3, 1e-6]))
+def test_apg_and_diluted_certified_fits_agree(ctx_c4, rho_true, seed, shots, r_stop):
+    # both lie within M r_stop below the maximum, so within M r_stop of each other
+    data = simulate_dataset(rho_true, ctx_c4, [shots] * len(ctx_c4.settings), seed)
+    fits = [reconstruct(ctx_c4, data, ReconstructionParams(r_stop=r_stop, method=method))
+            for method in ("diluted", "apg")]
+    assume(all(f.termination == "stopped_on_r" for f in fits))
+    M = data.total_shots()
+    bound = M * (r_stop if r_stop is not None else 1.0 / M)
+    assert abs(fits[0].loglik_trace[-1] - fits[1].loglik_trace[-1]) <= bound
+
+
+def test_apg_counts_accepted_steps_and_honours_max_iter(ctx, rho_true):
+    data = simulate_dataset(rho_true, ctx, [500] * len(ctx.settings), seed=4)
+    capped = reconstruct(ctx, data, ReconstructionParams(r_stop=1e-15, max_iter=3,
+                                                         method="apg"))
+    assert capped.termination == "max_iter"
+    assert capped.iterations == 3 and len(capped.loglik_trace) == 4
+    for report in (capped, reconstruct(ctx, data, ReconstructionParams(method="apg"))):
+        # the last trace entries describe the returned estimate
+        report.estimate.validate_state()
+        R = r_operator(report.estimate, ctx, data)
+        assert report.rk_trace[-1] == pytest.approx(R.max_eigenvalue() - 1.0, abs=1e-12)
+        assert report.loglik_trace[-1] == pytest.approx(
+            log_likelihood(report.estimate, ctx, data), rel=1e-13)
+    assert report.termination == "stopped_on_r"
+    assert report.rk_trace[-1] <= 1.0 / data.total_shots()
+
+
+def test_apg_stalls_below_reachable_r_stop(ctx, rho_true):
+    data = simulate_dataset(rho_true, ctx, [500] * len(ctx.settings), seed=4)
+    report = reconstruct(ctx, data, ReconstructionParams(r_stop=1e-300, method="apg"))
+    assert report.termination == "stalled"
+    assert report.iterations == len(report.loglik_trace) - 1 < 10000
 
 
 def test_reconstruct_iterates_stay_physical(ctx, rho_true):

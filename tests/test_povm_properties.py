@@ -1,4 +1,5 @@
-"""Property tests of the closed-form POVM elements over random settings."""
+"""Property tests of the closed-form POVM elements, and of the probabilities
+they give, over random settings."""
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfhtomo.optics import PartitionSpec
-from wfhtomo.povm import CounterConfig, Setting, apply_loss, build_povm, pi_kl
+from wfhtomo.povm import (CounterConfig, MeasurementContext, Setting, apply_loss, build_povm,
+                          pi_kl)
+from wfhtomo.sim import probabilities
 from wfhtomo.twirl import BlockOperator
 
 unit = st.floats(0.0, 1.0)
@@ -66,3 +69,58 @@ def test_lossy_grid_is_thinned_ideal_rectangle(gamma, partition, N, n_c, loss):
         for l in range(n_c + 1):
             want, got = thinned[(k, l)].op.blocks, povm[(k, l)].op.blocks
             assert max(float(np.max(np.abs(want[key] - got[key]))) for key in got) < 1e-10
+
+
+M_CUT = 25  # photons a response matrix covers; the tail beyond is below 1e-15 here
+
+
+@st.composite
+def contexts(draw):
+    """1-3 probes of |gamma| <= 1.5 at N <= 3 on an ideal, lossy, response-matrix
+    or click counter; response columns are random distributions."""
+    kind = draw(st.sampled_from(["ideal", "lossy", "response", "click"]))
+    partition = draw(partitions())
+    if kind == "click":
+        partition = PartitionSpec(sectors=partition.sectors[:1], s1_multi=partition.s1_multi)
+    counters = 2 if kind == "click" else draw(st.sampled_from([1, 2]))
+    n_c = draw(st.integers(0, 5))
+    loss = draw(st.tuples(unit, unit))[:counters] if kind == "lossy" else None
+    response = None
+    if kind == "response":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        mats = rng.random((counters, n_c + 2, M_CUT + 1))
+        response = tuple(mats / mats.sum(axis=1, keepdims=True))
+    counter = CounterConfig(counters=counters, N_c=n_c, loss=loss, response=response)
+    N = draw(st.integers(0, 3))
+    gammas = draw(st.lists(probes(1.5), min_size=1, max_size=3))
+    return MeasurementContext.build([
+        Setting(gamma=g, counter=counter, partition=partition, N=N,
+                detector="click" if kind == "click" else "counting") for g in gammas])
+
+
+def random_state(template: BlockOperator, seed: int) -> BlockOperator:
+    """A PSD trace-1 state of the template's blocks, of random rank per block."""
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    for key, block in template.blocks.items():
+        d = len(block)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        g[:, rng.integers(1, d + 1):] = 0.0
+        blocks[key] = g @ g.conj().T
+    total = sum(np.trace(b).real for b in blocks.values())
+    return BlockOperator(template.N, {k: b / total for k, b in blocks.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(context=contexts(), seed=st.integers(0, 2 ** 32 - 1))
+def test_probabilities_sum_to_one_on_random_states(context, seed):
+    compiled = context.compiled
+    state = random_state(compiled.template, seed)
+    p = compiled.P @ compiled.vec(state)
+    for s, povm in enumerate(context.povms):
+        p_s = p[compiled.offsets[s]:compiled.offsets[s + 1]]
+        assert p_s.min() >= -1e-12
+        assert abs(p_s.sum() - 1.0) <= 1e-12
+        born = probabilities(state, povm)
+        assert list(born) == list(povm)
+        assert max(abs(b - q) for b, q in zip(born.values(), p_s)) <= 1e-12
