@@ -73,21 +73,23 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class ModeMatrix:
-    """Unitary matrix acting on the vector of mode operators."""
+    """Unitary matrix acting on the vector of mode operators, or a stack
+    (B, S, S) of them; every matrix must be unitary within 1e-10."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise ValueError("mode matrix must be square")
-        if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > 1e-10:
+        # written as "not within" so that a NaN fails
+        if not np.all(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])) <= 1e-10):
             raise ValueError("mode matrix is not unitary within 1e-10")
         object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 def standard_block(eta: float, zeta: float) -> np.ndarray:
@@ -131,7 +133,7 @@ def standardize_bs(blocks: Sequence[np.ndarray]) -> PartitionSpec:
     return PartitionSpec(sectors=sectors, s1_multi=counts[0] > 1)
 
 
-def plt_on_fock(U_M, basis: OccupationBasis) -> DenseOperator:
+def plt_on_fock(U_M, basis: OccupationBasis) -> DenseOperator | np.ndarray:
     """Fock-space unitary of a passive linear transformation.
 
     The transformation sends a_i^dag to sum_j U[j,i] a_j^dag (creation
@@ -140,42 +142,48 @@ def plt_on_fock(U_M, basis: OccupationBasis) -> DenseOperator:
     The image of |n> is the normalized product of transformed creation
     operators acting on vacuum. Columns are built recursively over the graded
     basis: the column for n equals (transformed creation op of the first
-    occupied mode) applied to the column for n - e_i, divided by sqrt(n_i).
-    The result is exactly block diagonal in total photon number.
+    occupied mode) applied to the column for n - e_i, divided by sqrt(n_i);
+    all columns of one total photon number are built at once. The result is
+    exactly block diagonal in total photon number.
+
+    One (S, S) matrix (or a ``ModeMatrix``) gives a ``DenseOperator``; a
+    stack (B, S, S) gives the (B, dim, dim) array of its unitaries, built by
+    one recursion over the whole stack.
     """
-    if not isinstance(U_M, ModeMatrix):
-        U_M = ModeMatrix(np.asarray(U_M))
-    U = U_M.entries
+    U = (U_M if isinstance(U_M, ModeMatrix) else ModeMatrix(U_M)).entries
+    single = U.ndim == 2
+    U = U[None] if single else U
     S = basis.num_modes
-    if U.shape != (S, S):
-        raise ValueError(f"mode matrix dimension {U.shape[0]} != num_modes {S}")
+    if U.shape[1] != S:
+        raise ValueError(f"mode matrix dimension {U.shape[1]} != num_modes {S}")
     dim = basis.size
-    # raising maps: applying a_j^dag to basis state b lands on raise_idx[j, b]
-    raise_idx = np.full((S, dim), -1, dtype=np.int64)
-    raise_amp = np.zeros((S, dim))
-    for b, occ in enumerate(basis.states):
-        if basis.totals[b] == basis.cutoff:
-            continue
+    # the graded order puts the states below the cutoff first; applying
+    # a_j^dag to one of them, b, lands on raise_idx[j, b] with amplitude
+    # raise_amp[j, b]. Distinct b land on distinct targets, so a plain
+    # fancy-index += accumulates each term once.
+    low = int(np.count_nonzero(basis.totals < basis.cutoff))
+    lower = basis.states[:low]
+    raise_idx = np.array([[basis.index(n[:j] + (n[j] + 1,) + n[j + 1:]) for n in lower]
+                          for j in range(S)], dtype=np.int64)
+    raise_amp = np.sqrt(np.array(lower, dtype=np.float64).reshape(low, S).T + 1.0)
+    # column t is a_i^dag on column prev[t] = t - e_i, over sqrt(t_i), for
+    # i = first[t] its first occupied mode: the smallest i is written last
+    first, prev, norm = np.zeros(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64), np.ones(dim)
+    for i in reversed(range(S)):
+        first[raise_idx[i]], prev[raise_idx[i]], norm[raise_idx[i]] = i, range(low), raise_amp[i]
+    # the columns of one photon-number shell [mid, hi) are built at once from
+    # the shell below, [lo, mid), the only rows their predecessors occupy
+    bounds = np.searchsorted(basis.totals, np.arange(basis.cutoff + 2))
+    out = np.zeros((len(U), dim, dim), dtype=np.complex128)
+    out[:, 0, 0] = 1.0
+    for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
+        w = out[:, lo:mid, prev[mid:hi]]
+        shell = out[:, mid:hi, mid:hi]
         for j in range(S):
-            target = list(occ)
-            target[j] += 1
-            raise_idx[j, b] = basis.index(target)
-            raise_amp[j, b] = math.sqrt(occ[j] + 1)
-    valid = [raise_idx[j] >= 0 for j in range(S)]
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[0, 0] = 1.0
-    for col in range(1, dim):
-        occ = basis.states[col]
-        i = next(m for m in range(S) if occ[m] > 0)
-        prev_occ = list(occ)
-        prev_occ[i] -= 1
-        w = out[:, basis.index(prev_occ)]
-        acc = np.zeros(dim, dtype=np.complex128)
-        for j in range(S):
-            v = valid[j]
-            np.add.at(acc, raise_idx[j, v], U[j, i] * raise_amp[j, v] * w[v])
-        out[:, col] = acc / math.sqrt(occ[i])
-    return DenseOperator(basis, out)
+            shell[:, raise_idx[j, lo:mid] - mid] += \
+                U[:, j, first[mid:hi]][:, None] * raise_amp[j, lo:mid, None] * w
+        shell /= norm[mid:hi]
+    return DenseOperator(basis, out[0]) if single else out
 
 
 def number_power_normal(k: int, basis: OccupationBasis) -> DenseOperator:

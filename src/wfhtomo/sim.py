@@ -1,9 +1,7 @@
 """Born probabilities, a dense brute-force oracle, and seeded dataset sampling."""
 from __future__ import annotations
 
-import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,17 +64,10 @@ def probabilities(state: BlockOperator, povm: dict) -> dict:
 def _pair_grid_unitary(block: np.ndarray, cutoff: int) -> np.ndarray:
     """Fock unitary of one signal/probe pair on the (cutoff+1)^2 occupation grid."""
     basis = OccupationBasis(2, cutoff)
-    u = plt_on_fock(block, basis).entries
+    a, b = np.array(basis.states).T
     g = np.zeros((cutoff + 1,) * 4, dtype=np.complex128)
-    for col, (na, nb) in enumerate(basis.states):
-        for row_idx in np.nonzero(u[:, col])[0]:
-            ma, mb = basis.states[row_idx]
-            g[ma, mb, na, nb] = u[row_idx, col]
+    g[a[:, None], b[:, None], a, b] = plt_on_fock(block, basis).entries
     return g
-
-
-_TABLE_CACHE: OrderedDict = OrderedDict()
-_TABLE_CACHE_MAX = 8
 
 
 def born_table(rho: DenseOperator, gamma: complex, bs_blocks, joint_cutoff: int | None = None
@@ -104,16 +95,6 @@ def born_table(rho: DenseOperator, gamma: complex, bs_blocks, joint_cutoff: int 
         raise ValueError(f"joint_cutoff {joint_cutoff} leaves probe weight {deficit:.3e} "
                          "above the truncation")
     blocks = [np.asarray(b, dtype=np.complex128) for b in bs_blocks]
-    key = hashlib.sha256(
-        rho.entries.tobytes()
-        + repr((S, n_in, gamma, joint_cutoff)).encode()
-        + b"".join(b.tobytes() for b in blocks)
-    ).hexdigest()
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        _TABLE_CACHE.move_to_end(key)
-        return hit
-
     probe = np.array([gamma ** n / math.sqrt(math.factorial(n)) for n in range(c_probe + 1)],
                      dtype=np.complex128) * math.exp(-ag2 / 2)
     pair_cuts = [joint_cutoff] + [n_in] * (S - 1)
@@ -153,15 +134,14 @@ def born_table(rho: DenseOperator, gamma: complex, bs_blocks, joint_cutoff: int 
             else:
                 l_tot = l_tot + ramp
         np.add.at(table, (k_tot, l_tot), lam * p)
-    _TABLE_CACHE[key] = table
-    if len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-        _TABLE_CACHE.popitem(last=False)
     return table
 
 
 def born_oracle(rho: DenseOperator, gamma: complex, bs_blocks, k: int, l: int,
                 joint_cutoff: int | None = None) -> float:
     """Probability of k counts at counter 1 and l at counter 2 (brute force)."""
+    if k < 0 or l < 0:
+        raise ValueError("counts must be >= 0")
     table = born_table(rho, gamma, bs_blocks, joint_cutoff)
     if k >= table.shape[0] or l >= table.shape[1]:
         return 0.0

@@ -241,9 +241,18 @@ def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
     return out
 
 
+# size of one stack of Fock unitaries in twirl_oracle_mc; a larger stack
+# gains little speed and raises peak memory
+_STACK_BYTES = 256 * 1024
+
+
 def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
                     partition: PartitionSpec, samples: int, seed: int) -> DenseOperator:
-    """Monte-Carlo Haar average of X rho X^dag over block PLTs fixing mode 1."""
+    """Monte-Carlo Haar average of X rho X^dag over block PLTs fixing mode 1.
+
+    The Haar blocks are drawn sample by sample, group by group, from one
+    generator; ``plt_on_fock`` maps the samples in stacks of ``_STACK_BYTES``.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     assign = _check_assignment(sector_assignment, partition)
@@ -252,18 +261,19 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     if len(assign) != S:
         raise ValueError("sector assignment length must equal mode count")
     # mode groups the Haar blocks act on: per sector, its modes minus mode 1
-    groups = [[m for m in range(S) if assign[m] == k and m != 0]
-              for k in range(partition.K)]
+    groups = [[m for m in range(1, S) if assign[m] == k] for k in range(partition.K)]
+    blocks = [(len(modes), np.ix_(modes, modes)) for modes in groups if modes]
     rng = np.random.default_rng(seed)
+    chunk = max(1, _STACK_BYTES // (16 * basis.size ** 2))
     acc = np.zeros_like(rho.entries)
-    for _ in range(samples):
-        X = np.eye(S, dtype=np.complex128)
-        for modes in groups:
-            if modes:
-                u = haar_unitary(len(modes), rng)
-                X[np.ix_(modes, modes)] = u
-        U = plt_on_fock(X, basis).entries
-        acc += U @ rho.entries @ U.conj().T
+    for start in range(0, samples, chunk):
+        X = np.tile(np.eye(S, dtype=np.complex128), (min(chunk, samples - start), 1, 1))
+        for x in X:
+            for size, block in blocks:
+                x[block] = haar_unitary(size, rng)
+        U = plt_on_fock(X, basis)
+        V = U @ rho.entries
+        acc += (V @ np.conj(U, out=U).transpose(0, 2, 1)).sum(0)  # U^dag, conjugated in place
     return DenseOperator(basis, acc / samples)
 
 

@@ -1,0 +1,128 @@
+"""Property tests of the JSON round trips: every field comes back exactly,
+through JSON text."""
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from wfhtomo.mle import METHODS, ReconstructionParams
+from wfhtomo.optics import PartitionSpec
+from wfhtomo.povm import CounterConfig, Setting
+from wfhtomo.sim import Dataset
+from wfhtomo.twirl import BlockOperator, block_tuples
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+complexes = st.builds(complex, finite, finite)
+
+
+def through_json(d: dict) -> dict:
+    return json.loads(json.dumps(d))
+
+
+@st.composite
+def block_operators(draw):
+    N = draw(st.integers(0, 3))
+    length = draw(st.integers(0, 2))
+    blocks = {}
+    for t in block_tuples(N, length):
+        d = N - sum(t) + 1
+        re, im = (draw(arrays(np.float64, (d, d), elements=finite)) for _ in range(2))
+        blocks[t] = re + 1j * im
+    return BlockOperator(N, blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=block_operators())
+def test_block_operator_round_trip(op):
+    back = BlockOperator.from_json(through_json(op.to_json()))
+    assert back.N == op.N
+    assert list(back.blocks) == list(op.blocks)
+    for key, m in op.blocks.items():
+        assert np.array_equal(back.blocks[key], m)
+
+
+outcomes = st.tuples(st.integers(0, 20) | st.just("I"), st.integers(0, 20) | st.just("I"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.dictionaries(outcomes, st.integers(0, 2**40), min_size=1,
+                                       max_size=6), min_size=1, max_size=4),
+       seed=st.integers(0, 2**64 - 1), with_gamma=st.booleans(), data=st.data())
+def test_dataset_round_trip(counts, seed, with_gamma, data):
+    gammas = data.draw(st.lists(complexes, min_size=len(counts), max_size=len(counts))
+                       ) if with_gamma else None
+    ds = Dataset(counts=counts, M_i=[sum(c.values()) for c in counts], seed=seed,
+                 gammas=gammas)
+    back = Dataset.from_json(through_json(ds.to_json()))
+    assert [list(c.items()) for c in back.counts] == [list(c.items()) for c in counts]
+    assert back.M_i == ds.M_i
+    assert back.seed == seed
+    assert back.gammas == gammas
+
+
+transmission = st.floats(0.01, 0.99)
+
+
+@st.composite
+def partitions(draw):
+    etas = draw(st.lists(transmission, min_size=1, max_size=3,
+                         unique_by=lambda t: round(t, 6)))
+    return PartitionSpec(sectors=tuple((math.sqrt(t), math.sqrt(1 - t)) for t in etas),
+                         s1_multi=draw(st.booleans()))
+
+
+@st.composite
+def responses(draw, counters, n_c):
+    cols = draw(st.integers(1, 6))
+    mats = []
+    for _ in range(counters):
+        raw = draw(arrays(np.float64, (n_c + 2, cols), elements=st.floats(0.0, 1.0)))
+        raw[0] += 1.0  # every column has a positive sum
+        mats.append(raw / raw.sum(axis=0))
+    return tuple(mats)
+
+
+@st.composite
+def lossy_or_smeared_settings(draw):
+    counters = draw(st.sampled_from((1, 2)))
+    n_c = draw(st.integers(0, 6))
+    loss = draw(st.none() | st.tuples(*[st.floats(0.0, 1.0)] * counters))
+    response = draw(st.none() | responses(counters, n_c))
+    counter = CounterConfig(counters=counters, N_c=n_c, loss=loss, response=response)
+    return Setting(gamma=draw(complexes), counter=counter, partition=draw(partitions()),
+                   N=draw(st.integers(0, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting=lossy_or_smeared_settings())
+def test_setting_round_trip(setting):
+    back = Setting.from_json(through_json(setting.to_json()))
+    assert (back.gamma, back.partition, back.N, back.detector) == \
+        (setting.gamma, setting.partition, setting.N, setting.detector)
+    a, b = setting.counter, back.counter
+    assert (b.counters, b.N_c, b.loss) == (a.counters, a.N_c, a.loss)
+    assert (b.response is None) == (a.response is None)
+    for m, m_back in zip(a.response or (), b.response or ()):
+        assert np.array_equal(m_back, m)
+
+
+@st.composite
+def params(draw):
+    eps_start = draw(st.floats(1e-300, 1e308))
+    return ReconstructionParams(
+        delta_L=draw(st.floats(0.0, 1e308)),
+        r_stop=draw(st.none() | st.floats(0.0, 1e308, exclude_min=True)),
+        eps_start=eps_start,
+        eps_floor=draw(st.floats(0.0, eps_start, exclude_min=True, exclude_max=True)),
+        eps_decay=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        max_iter=draw(st.integers(1, 2**63)),
+        method=draw(st.sampled_from(METHODS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=params())
+def test_reconstruction_params_round_trip(p):
+    assert ReconstructionParams.from_json(through_json(p.to_json())) == p

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfhtomo.fock import OccupationBasis, enumerate_basis
 from wfhtomo.optics import (
@@ -159,6 +161,37 @@ def test_plt_homomorphism():
         lhs = plt_on_fock(U, basis).entries @ plt_on_fock(W, basis).entries
         rhs = plt_on_fock(U @ W, basis).entries
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def _haar_stack(S: int, size: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.stack([haar_unitary(S, rng) for _ in range(size)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(S=st.integers(1, 3), cutoff=st.integers(0, 4), size=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_plt_stack_matches_single_calls_and_composes(S, cutoff, size, seed):
+    basis = enumerate_basis(S, cutoff)
+    U = _haar_stack(S, size, seed)
+    W = _haar_stack(S, size, seed + 1)
+    stacked = plt_on_fock(U, basis)
+    assert stacked.shape == (size, basis.size, basis.size)
+    single = np.stack([plt_on_fock(u, basis).entries for u in U])
+    assert np.max(np.abs(stacked - single)) <= 1e-13
+    composed = plt_on_fock(U @ W, basis)
+    assert np.max(np.abs(stacked @ plt_on_fock(W, basis) - composed)) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(S=st.integers(1, 3), size=st.integers(1, 4), data=st.data(),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-9, 1.0) | st.floats(-1.0, -1e-9) | st.just(math.nan))
+def test_plt_stack_rejects_one_non_unitary_matrix(S, size, data, seed, scale):
+    U = _haar_stack(S, size, seed)
+    U[data.draw(st.integers(0, size - 1))] *= 1.0 + scale
+    with pytest.raises(ValueError, match="not unitary"):
+        plt_on_fock(U, enumerate_basis(S, 2))
 
 
 def test_plt_coherent_transport():

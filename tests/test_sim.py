@@ -235,6 +235,13 @@ def test_born_oracle_rejects_small_cutoff():
         born_oracle(rho, 2.0, [blk], 0, 0, joint_cutoff=4)
 
 
+@pytest.mark.parametrize("k,l", [(-1, 0), (0, -1), (-3, -2)])
+def test_born_oracle_rejects_negative_counts(k, l):
+    rho = random_density(1, 2, seed=1)
+    with pytest.raises(ValueError, match="counts must be >= 0"):
+        born_oracle(rho, 0.5, [standard_block(0.6, 0.8)], k, l)
+
+
 def _full_joint_table(rho: DenseOperator, gamma: complex, blocks, cutoff: int):
     """Literal construction: one PLT on all 2S modes, probe in mode S."""
     S = rho.basis.num_modes

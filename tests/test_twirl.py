@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from wfhtomo.fock import DenseOperator, OccupationBasis, StateSpec, fidelity, make_state
-from wfhtomo.optics import PartitionSpec
+from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock
 from wfhtomo.twirl import (
+    _STACK_BYTES,
     BlockOperator,
     block_tuples,
     embed_full,
@@ -222,6 +223,25 @@ def test_oracle_deterministic():
     a = twirl_oracle_mc(rho, [0, 0], P1_MULTI, samples=50, seed=7)
     b = twirl_oracle_mc(rho, [0, 0], P1_MULTI, samples=50, seed=7)
     np.testing.assert_allclose(a.entries, b.entries, atol=0)
+
+
+# samples = stacks * chunk + extra: 1, chunk - 1, chunk, chunk + 1, 2 chunk + 3
+@pytest.mark.parametrize("stacks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_oracle_matches_per_sample_loop_across_stack_edges(stacks, extra):
+    # sector 1 holds modes 1-3, sector 2 modes 4-5: Haar groups [1, 2] and [3, 4]
+    basis = OccupationBasis(5, 2)
+    samples = stacks * (_STACK_BYTES // (16 * basis.size ** 2)) + extra
+    rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(16)))
+    rng = np.random.default_rng(99)
+    acc = np.zeros_like(rho.entries)
+    for _ in range(samples):
+        X = np.eye(5, dtype=np.complex128)
+        for modes in ([1, 2], [3, 4]):
+            X[np.ix_(modes, modes)] = haar_unitary(2, rng)
+        U = plt_on_fock(X, basis).entries
+        acc += U @ rho.entries @ U.conj().T
+    out = twirl_oracle_mc(rho, [0, 0, 0, 1, 1], P2, samples=samples, seed=99)
+    assert np.max(np.abs(out.entries - acc / samples)) <= 1e-13
 
 
 def test_oracle_converges_to_analytic():
