@@ -23,6 +23,8 @@ __all__ = [
     "fidelity",
     "complex_to_json",
     "complex_from_json",
+    "int_from_json",
+    "JsonFieldError",
 ]
 
 
@@ -33,6 +35,22 @@ def complex_to_json(z: complex) -> dict:
 
 def complex_from_json(d: dict) -> complex:
     return complex(float(d["re"]), float(d["im"]))
+
+
+class JsonFieldError(ValueError):
+    """A JSON field of the wrong type. The message starts with the field's
+    path, which each enclosing object extends: ``settings[0].counter.n_c``."""
+
+    def within(self, parent: str) -> "JsonFieldError":
+        return JsonFieldError(f"{parent}.{self}")
+
+
+def int_from_json(d: dict, key: str) -> int:
+    """d[key], which must be a JSON integer: a float or a bool is refused."""
+    v = d[key]
+    if type(v) is not int:
+        raise JsonFieldError(f"{key} must be a JSON integer, got {v!r}")
+    return v
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -176,10 +194,10 @@ class StateSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "StateSpec":
-        kind = d["kind"]
+        kind, N = d["kind"], int_from_json(d, "N")
         if kind in ("coherent", "cat"):
-            return cls(kind=kind, N=int(d["N"]), alpha=complex_from_json(d["alpha"]))
-        return cls(kind=kind, N=int(d["N"]), r=float(d["r"]), phi=float(d.get("phi", 0.0)))
+            return cls(kind=kind, N=N, alpha=complex_from_json(d["alpha"]))
+        return cls(kind=kind, N=N, r=float(d["r"]), phi=float(d.get("phi", 0.0)))
 
 
 @dataclass

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import complex_from_json, complex_to_json
+from .fock import JsonFieldError, complex_from_json, complex_to_json, int_from_json
 from .optics import PartitionSpec
 from .twirl import BlockOperator, block_tuples
 
@@ -96,21 +96,32 @@ class CounterConfig:
     def from_json(cls, d: dict) -> "CounterConfig":
         loss = d.get("loss")
         response = d.get("response")
+        if loss is not None and not (isinstance(loss, list) and all(map(_is_number, loss))):
+            raise JsonFieldError(f"loss must be a JSON array of numbers, got {loss!r}")
+        if response is not None and not (isinstance(response, list)
+                                         and all(map(_is_matrix, response))):
+            raise JsonFieldError("response must be a JSON array of matrices of numbers")
         return cls(
-            counters=int(d["counters"]),
-            N_c=int(d["n_c"]),
+            counters=int_from_json(d, "counters"),
+            N_c=int_from_json(d, "n_c"),
             loss=tuple(loss) if loss is not None else None,
             response=tuple(np.array(m, dtype=float) for m in response)
             if response is not None else None,
         )
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_matrix(m) -> bool:
+    """A JSON array of equally long arrays of numbers."""
+    return isinstance(m, list) and len(m) > 0 and all(
+        isinstance(r, list) and len(r) == len(m[0]) and all(map(_is_number, r)) for r in m)
+
+
 def _outcome_to_json(outcome: tuple) -> list:
     return [p if isinstance(p, str) else int(p) for p in outcome]
-
-
-def _outcome_from_json(parts) -> tuple:
-    return tuple(p if isinstance(p, str) else int(p) for p in parts)
 
 
 @dataclass
@@ -135,19 +146,20 @@ class PovmElement:
 
 def _slot_sectors(partition: PartitionSpec) -> list[int]:
     """Sector index backing each block-tuple slot."""
-    if partition.s1_multi:
-        return list(range(partition.K))
-    return list(range(1, partition.K))
+    return list(range(0 if partition.s1_multi else 1, partition.K))
 
 
 def _template(N: int, partition: PartitionSpec) -> BlockOperator:
     return BlockOperator.zeros(N, len(_slot_sectors(partition)), partition)
 
 
+def _identity_row(N: int, partition: PartitionSpec) -> np.ndarray:
+    return _stack_ops([BlockOperator.identity(N, len(_slot_sectors(partition)), partition)])[0]
+
+
 def _wrap(labels: list, rows: np.ndarray, template: BlockOperator, gamma: complex) -> dict:
     """One element per label from flattened block rows (the layout of _stack_ops),
     each kept as its Hermitian part (E + E^dag) / 2."""
-    rows = np.asarray(rows)
     at = 0
     mirror = []  # position of the transposed entry in a row, block by block
     for m in template.blocks.values():
@@ -289,8 +301,8 @@ def _with_overflow(gamma: complex, partition: PartitionSpec, N: int, nus: tuple,
         n = top + 1
         only1 = _counting_rows(gamma, partition, N, (nus[0], 0.0), (_counts(top), _counts(0)))
         only2 = _counting_rows(gamma, partition, N, (0.0, nus[1]), (_counts(0), _counts(top)))
-        ident = _stack_ops([_identity_like(_template(N, partition))])[0]
-        over_k, over_l, over_both = _complement(rows[:n, :n], only1[:, 0], only2[0], ident)
+        over_k, over_l, over_both = _complement(rows[:n, :n], only1[:, 0], only2[0],
+                                                _identity_row(N, partition))
         if big2:
             rows[:n, n] = over_k
         if big1:
@@ -324,10 +336,6 @@ def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
     return el
 
 
-def _identity_like(any_op: BlockOperator) -> BlockOperator:
-    return BlockOperator.identity(any_op.N, any_op.tuple_length, any_op.partition)
-
-
 def _complement(grid: np.ndarray, only1: np.ndarray, only2: np.ndarray,
                 ident: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Overflow rows (k, >), (>, l) and (>, >) as complements of the in-range
@@ -349,7 +357,7 @@ def overflow_elements(elements: dict, pi_row: list[PovmElement], pi_col: list[Po
     grid = _stack_ops([elements[(k, l)].op for k in range(N_c + 1) for l in range(N_c + 1)])
     over_k, over_l, over_both = _complement(
         grid.reshape(N_c + 1, N_c + 1, -1), _stack_ops([e.op for e in pi_row]),
-        _stack_ops([e.op for e in pi_col]), _stack_ops([_identity_like(template)])[0])
+        _stack_ops([e.op for e in pi_col]), _identity_row(template.N, template.partition))
     labels = ([(k, ">") for k in range(N_c + 1)] + [(">", l) for l in range(N_c + 1)]
               + [(">", ">")])
     out = _wrap(labels, np.vstack([over_k, over_l, over_both]), template, pi_row[0].gamma)
@@ -447,9 +455,7 @@ def compose_response(T: np.ndarray, nu: float) -> np.ndarray:
     """Fold a transmission nu into a detector response: T'[n,m] = sum_j T[n,j]
     C(m,j) nu^j (1-nu)^(m-j)."""
     T = np.asarray(T, dtype=float)
-    m_cut = T.shape[1] - 1
-    thin = _thinning_matrix(nu, m_cut)
-    return T @ thin
+    return T @ _thinning_matrix(nu, T.shape[1] - 1)
 
 
 def identity_response(N_c: int, M_cut: int) -> np.ndarray:
@@ -468,18 +474,17 @@ def _overflow_label(row: int, N_c: int):
     return row if row <= N_c else ">"
 
 
-def _respond(v: np.ndarray, config: CounterConfig, template: BlockOperator,
-             gamma: complex) -> dict:
-    """Outcome map from flattened ideal elements (photons present 0..M_cut,
-    row-major over counters) and the config's responses with loss folded in."""
+def _respond(v: np.ndarray, config: CounterConfig) -> tuple[list, np.ndarray]:
+    """Outcome labels and rows from flattened ideal elements (photons present
+    0..M_cut, row-major over counters) and the config's responses, loss folded in."""
     mats = config.response
     if config.loss is not None:
         mats = tuple(compose_response(t, nu) for t, nu in zip(mats, config.loss))
     labels = [_overflow_label(r, config.N_c) for r in range(config.N_c + 2)]
     if config.counters == 1:
-        return _wrap([(o,) for o in labels], mats[0] @ v, template, gamma)
+        return [(o,) for o in labels], mats[0] @ v
     weights = np.einsum("km,ln->klmn", *mats).reshape(len(labels) ** 2, -1)
-    return _wrap([(o1, o2) for o1 in labels for o2 in labels], weights @ v, template, gamma)
+    return [(o1, o2) for o1 in labels for o2 in labels], weights @ v
 
 
 def apply_detector_response(elements: dict, config: CounterConfig) -> dict:
@@ -499,8 +504,8 @@ def apply_detector_response(elements: dict, config: CounterConfig) -> dict:
         if key not in elements:
             raise ValueError(f"missing ideal element {key} for response convolution")
     first = elements[keys[0]]
-    return _respond(_stack_ops([elements[key].op for key in keys]), config, first.op,
-                    first.gamma)
+    return _wrap(*_respond(_stack_ops([elements[key].op for key in keys]), config), first.op,
+                 first.gamma)
 
 
 def click_povm(gamma: complex, partition: PartitionSpec, N: int) -> dict:
@@ -509,11 +514,8 @@ def click_povm(gamma: complex, partition: PartitionSpec, N: int) -> dict:
     Pi_00 = e^{-|gamma|^2} |vac><vac|; a click is the count set {n >= 1} of
     its counter, so every element comes straight from the counting kernel.
     """
-    if partition.K != 1:
-        raise ValueError("click POVM requires K = 1")
-    rows = _with_overflow(complex(gamma), partition, N, (1.0, 1.0), 0)  # a click overflows 0
-    return _wrap([(0, 0), ("I", 0), (0, "I"), ("I", "I")],
-                 [rows[0, 0], rows[1, 0], rows[0, 1], rows[1, 1]], _template(N, partition), gamma)
+    return build_povm(Setting(gamma, CounterConfig(counters=2, N_c=0), partition, N,
+                              detector="click"))
 
 
 @dataclass(frozen=True)
@@ -547,64 +549,86 @@ class Setting:
 
     @classmethod
     def from_json(cls, d: dict) -> "Setting":
+        try:
+            counter = CounterConfig.from_json(d["counter"])
+        except JsonFieldError as exc:
+            raise exc.within("counter") from exc
         return cls(
             gamma=complex_from_json(d["gamma"]),
-            counter=CounterConfig.from_json(d["counter"]),
+            counter=counter,
             partition=PartitionSpec.from_json(d["partition"]),
-            N=int(d["N"]),
+            N=int_from_json(d, "N"),
             detector=d.get("detector", "counting"),
         )
 
 
-def build_povm(setting: Setting) -> dict:
-    """Complete outcome map for one setting, in a fixed construction order."""
+def _setting_rows(setting: Setting) -> tuple[list, np.ndarray]:
+    """One setting's outcome labels and element rows (the layout of
+    _stack_ops, as the kernel computes them), in a fixed construction order."""
     gamma, cfg, part, N = setting.gamma, setting.counter, setting.partition, setting.N
     if setting.detector == "click":
-        return click_povm(gamma, part, N)
-    template = _template(N, part)
+        if part.K != 1:
+            raise ValueError("click POVM requires K = 1")
+        rows = _with_overflow(gamma, part, N, (1.0, 1.0), 0)  # a click overflows 0
+        return [(0, 0), ("I", 0), (0, "I"), ("I", "I")], rows[[0, 1, 0, 1], [0, 0, 1, 1]]
     if cfg.response is not None:  # ideal counts of every photon number the responses cover
         present = _counts(cfg.response[0].shape[1] - 1)
         if cfg.counters == 1:  # the absent counter reads nothing
             rows = _counting_rows(gamma, part, N, (1.0, 0.0), (present, _counts(0)))
         else:
             rows = _counting_rows(gamma, part, N, (1.0, 1.0), (present, present))
-        return _respond(rows.reshape(-1, rows.shape[-1]), cfg, template, gamma)
+        return _respond(rows.reshape(-1, rows.shape[-1]), cfg)
     nus = cfg.loss or (1.0, 1.0)
     labels = [_overflow_label(k, cfg.N_c) for k in range(cfg.N_c + 2)]
     if cfg.counters == 1:
         rows = _with_overflow(gamma, part, N, (nus[0], 0.0), cfg.N_c)
-        return _wrap([(o,) for o in labels], rows[:, 0], template, gamma)
+        return [(o,) for o in labels], rows[:, 0]
     rows = _with_overflow(gamma, part, N, nus, cfg.N_c)
     # counts in range first, then overflow at counter 2, at counter 1, at both
     n = cfg.N_c + 1
     order = ([(k, l) for k in range(n) for l in range(n)] + [(k, n) for k in range(n)]
              + [(n, l) for l in range(n)] + [(n, n)])
-    return _wrap([(labels[k], labels[l]) for k, l in order],
-                 [rows[k, l] for k, l in order], template, gamma)
+    k, l = np.array(order).T
+    return [(labels[k], labels[l]) for k, l in order], rows[k, l]
+
+
+def build_povm(setting: Setting) -> dict:
+    """Complete outcome map for one setting, in a fixed construction order."""
+    return _wrap(*_setting_rows(setting), _template(setting.N, setting.partition), setting.gamma)
 
 
 @dataclass
 class MeasurementContext:
-    """All probe settings of an experiment together with their POVMs."""
+    """All probe settings of an experiment; setting s has outcomes labels[s]
+    and their elements as the rows of rows[s] (the layout of _stack_ops)."""
 
     settings: list[Setting]
-    povms: list[dict]
+    labels: list[list]
+    rows: list[np.ndarray]
 
     @classmethod
     def build(cls, settings: list[Setting]) -> "MeasurementContext":
         if not settings:
             raise ValueError("context needs at least one setting")
-        povms = []
-        for s in settings:
-            povm = build_povm(s)
-            ops = [e.op for e in povm.values()]
-            total = _stack_ops(ops).sum(axis=0)
-            dev = float(np.max(np.abs(total - _stack_ops([_identity_like(ops[0])])[0])))
+        labels, rows = zip(*map(_setting_rows, settings))
+        for s, r in zip(settings, rows):
+            dev = float(np.max(np.abs(r.sum(axis=0) - _identity_row(s.N, s.partition))))
             if not dev <= 1e-8:
                 raise ValueError(f"POVM for gamma={s.gamma} sums to identity only "
                                  f"within {dev:.3e}")
-            povms.append(povm)
-        return cls(settings=list(settings), povms=povms)
+        return cls(list(settings), list(labels), list(rows))
+
+    @classmethod
+    def from_povms(cls, settings: list[Setting], povms: list[dict]) -> "MeasurementContext":
+        """A context from hand-made outcome maps, one per setting (unchecked)."""
+        return cls(list(settings), [list(povm) for povm in povms],
+                   [_stack_ops([e.op for e in povm.values()]) for povm in povms])
+
+    @cached_property
+    def povms(self) -> list[dict]:
+        """Each setting's outcome map of Hermitised elements, built on first use."""
+        return [_wrap(labels, rows, _template(s.N, s.partition), s.gamma)
+                for s, labels, rows in zip(self.settings, self.labels, self.rows)]
 
     @cached_property
     def compiled(self) -> "CompiledContext":
@@ -618,7 +642,13 @@ class MeasurementContext:
     def from_json(cls, d: dict) -> "MeasurementContext":
         # Older files carry "tail_tol" and "conv_cut"; the elements are exact,
         # so both are ignored.
-        return cls.build([Setting.from_json(s) for s in d["settings"]])
+        settings = []
+        for i, s in enumerate(d["settings"]):
+            try:
+                settings.append(Setting.from_json(s))
+            except JsonFieldError as exc:
+                raise exc.within(f"settings[{i}]") from exc
+        return cls.build(settings)
 
 
 class DatasetMismatch(ValueError):
@@ -660,10 +690,13 @@ class HermitianCoords:
         self._from = np.r_[np.arange(i.size), np.nonzero(off)[0]]
         self._coef = np.r_[1.0 / self.weight, self._sign[off] / math.sqrt(2.0)]
 
-    def rows(self, ops: list[BlockOperator]) -> np.ndarray:
-        """Coordinates of the Hermitian part of each block operator, one row
-        per operator: for a Hermitian X, rows(E) . vec(X) = Re tr(E X)."""
-        flat = _stack_ops(ops).view(np.float64)
+    def rows(self, stack) -> np.ndarray:
+        """Coordinates of the Hermitian part of each row of a stack of block
+        operators (the layout of _stack_ops; a list of block operators is
+        stacked first): for a Hermitian X, rows(E) . vec(X) = Re tr(E X)."""
+        if not isinstance(stack, np.ndarray):
+            stack = _stack_ops(stack)
+        flat = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
         return (flat[:, self._stack] + self._sign * flat[:, self._stack_mirror]) \
             * (self.weight / 2.0)
 
@@ -694,15 +727,12 @@ class CompiledContext:
     def __init__(self, context: MeasurementContext):
         if len({(s.partition, s.N) for s in context.settings}) != 1:
             raise ValueError("the context needs a single (partition, N) across settings")
-        first = next(iter(context.povms[0].values())).op
-        self.template = BlockOperator.zeros(first.N, first.tuple_length,
-                                            context.settings[0].partition)
-        self.coords = HermitianCoords([m.shape[0] for m in first.blocks.values()])
-        self.P = np.concatenate([self.coords.rows([e.op for e in povm.values()])
-                                 for povm in context.povms])
-        self.offsets = np.cumsum([0] + [len(povm) for povm in context.povms])
-        self.row_of = [dict(zip(povm, range(at, at + len(povm))))
-                       for povm, at in zip(context.povms, self.offsets)]
+        self.template = _template(context.settings[0].N, context.settings[0].partition)
+        self.coords = HermitianCoords([m.shape[0] for m in self.template.blocks.values()])
+        self.P = self.coords.rows(np.concatenate(context.rows))
+        self.offsets = np.cumsum([0] + [len(labels) for labels in context.labels])
+        self.row_of = [dict(zip(labels, range(at, at + len(labels))))
+                       for labels, at in zip(context.labels, self.offsets)]
         self.gammas = [s.gamma for s in context.settings]
         # singular values of the tall P come from its small R factor
         sv = np.linalg.svd(np.linalg.qr(self.P, mode="r"), compute_uv=False)

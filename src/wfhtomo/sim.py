@@ -214,17 +214,12 @@ def simulate_dataset(state: BlockOperator, context: MeasurementContext,
         raise ValueError("every M_i must be >= 1")
     compiled = context.compiled
     p_all = compiled.P @ compiled.vec(state)
-    outcomes, cums = [], []
-    for i, povm in enumerate(context.povms):
-        probs = _checked(povm, p_all[compiled.offsets[i]:compiled.offsets[i + 1]])
-        cum = []
-        acc = 0.0
-        for value in probs.values():
-            acc += value
-            cum.append(acc)
+    cums = []
+    for i, labels in enumerate(context.labels):
+        probs = _checked(labels, p_all[compiled.offsets[i]:compiled.offsets[i + 1]])
+        cum = np.cumsum(list(probs.values()))  # a running sum, in outcome order
         cum[-1] = 1.0  # guard against float shortfall; u < 1 always lands
-        outcomes.append(list(probs))
         cums.append(cum)
     tallies = inverse_cdf_counts([setting_seed(seed, i) for i in range(len(M_i))], cums, M_i)
-    return Dataset(counts=[dict(zip(o, t.tolist())) for o, t in zip(outcomes, tallies)],
+    return Dataset(counts=[dict(zip(o, t.tolist())) for o, t in zip(context.labels, tallies)],
                    M_i=M_i, seed=int(seed), gammas=[s.gamma for s in context.settings])

@@ -130,6 +130,77 @@ def test_ic_check_nan_response_exits_1(capsys, workspace, tmp_path):
     assert "response" in err
 
 
+@pytest.mark.parametrize("field, value", [(("N",), 2.7), (("N",), True),
+                                          (("counter", "n_c"), 2.5),
+                                          (("counter", "counters"), True)],
+                         ids=["N-float", "N-bool", "n_c-float", "counters-bool"])
+def test_ic_check_non_integer_field_exits_1(capsys, workspace, tmp_path, field, value):
+    def edit(setting):
+        (setting["counter"] if len(field) == 2 else setting)[field[-1]] = value
+    code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert f"settings[0].{'.'.join(field)} must be a JSON integer, got {value!r}" in err
+
+
+def test_ic_check_non_array_loss_exits_1(capsys, workspace, tmp_path):
+    def edit(setting):
+        setting["counter"]["loss"] = "0.9"
+    code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert "settings[0].counter.loss must be a JSON array" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s.update(N=2.7), "N must be a JSON integer, got 2.7"),
+    (lambda s: s["counter"].update(loss="0.9"), "counter.loss must be a JSON array")],
+    ids=["N-float", "loss-string"])
+def test_povm_dump_bad_setting_field_exits_1(capsys, workspace, tmp_path, edit, message):
+    root, _, _ = workspace
+    payload = json.loads((root / "setting.json").read_text())
+    edit(payload)
+    path = tmp_path / "setting.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "povm.json"
+    code = cli.main(["povm-dump", "--setting", str(path), "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_twirl_state_spec_non_integer_n_exits_1(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**StateSpec(kind="coherent", N=2, alpha=0.3).to_json(),
+                                "N": 2.7}))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(BAL.to_json()))
+    code = cli.main(["twirl", "--state", str(spec), "--partition", str(part),
+                     "--assignment", "0", "--n", "2", "--out", str(tmp_path / "twirled.json")])
+    assert code == 1
+    assert "N must be a JSON integer, got 2.7" in capsys.readouterr().err
+
+
+def test_load_path_builds_no_per_outcome_elements(capsys, monkeypatch, workspace, tmp_path):
+    # the commands that load a context read its kernel rows; none of them
+    # wraps a row into a per-outcome PovmElement
+    import wfhtomo.povm as povm_module
+
+    def refuse(*args):
+        raise AssertionError("a per-outcome element was built")
+    monkeypatch.setattr(povm_module, "_wrap", refuse)
+    root, _, _ = workspace
+    ctx, state = str(root / "context.json"), str(root / "state.json")
+    data, report, est = (tmp_path / n for n in ("data.json", "report.json", "est.json"))
+    assert cli.main(["ic-check", "--context", ctx]) == 0
+    assert cli.main(["simulate", "--state", state, "--context", ctx, "--m", "300",
+                     "--seed", "5", "--out", str(data)]) == 0
+    assert cli.main(["reconstruct", "--context", ctx, "--data", str(data),
+                     "--out", str(report)]) == 0
+    est.write_text(json.dumps(json.loads(report.read_text())["estimate"]))
+    assert cli.main(["bootstrap", "--estimate", str(est), "--context", ctx,
+                     "--data", str(data), "--n-boot", "2", "--seed", "21",
+                     "--out", str(tmp_path / "boot.json")]) == 0
+
+
 def test_povm_dump(capsys, workspace, tmp_path):
     root, _, _ = workspace
     out = tmp_path / "povm.json"

@@ -120,7 +120,7 @@ def one_outcome_context(op, n_outcomes=1):
     scale = 1.0 / n_outcomes
     povm = {(j,): PovmElement((j,), BlockOperator.identity(N, L).scale(scale), 0.5)
             for j in range(n_outcomes)}
-    return MeasurementContext(settings=[setting], povms=[povm])
+    return MeasurementContext.from_povms([setting], [povm])
 
 
 def test_log_likelihood_identity_povm(rho_true):
@@ -142,9 +142,9 @@ def test_log_likelihood_minus_inf():
     rest = BlockOperator.identity(N, 0) - proj
     setting = Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=5),
                       partition=BAL, N=N)
-    ctx1 = MeasurementContext(settings=[setting],
-                              povms=[{(0,): PovmElement((0,), proj, 0.5),
-                                      (1,): PovmElement((1,), rest, 0.5)}])
+    ctx1 = MeasurementContext.from_povms([setting],
+                                         [{(0,): PovmElement((0,), proj, 0.5),
+                                           (1,): PovmElement((1,), rest, 0.5)}])
     vac = BlockOperator.zeros(N, 0)
     vac.blocks[()][0, 0] = 1.0
     data = Dataset(counts=[{(0,): 1, (1,): 1}], M_i=[2], seed=0)
@@ -164,8 +164,8 @@ def test_log_likelihood_bounded_by_saturated(ctx, rho_true):
 def test_log_likelihood_rejects_misaligned(ctx, rho_true):
     data = Dataset(counts=[{("nope",): 1}], M_i=[1], seed=0)
     with pytest.raises(ValueError):
-        log_likelihood(rho_true, MeasurementContext(settings=ctx.settings[:1],
-                                                    povms=ctx.povms[:1]), data)
+        log_likelihood(rho_true, MeasurementContext.from_povms(ctx.settings[:1],
+                                                               ctx.povms[:1]), data)
     with pytest.raises(ValueError):
         log_likelihood(rho_true, ctx, Dataset(counts=[{}], M_i=[0], seed=0))
 

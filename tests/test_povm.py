@@ -581,9 +581,9 @@ def test_context_build_rejects_nan_completeness(monkeypatch):
     import wfhtomo.povm as povm_module
 
     setting = Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=1), partition=P1, N=2)
-    povm = build_povm(setting)
-    povm[(0, 0)].op.blocks[()][0, 0] = math.nan
-    monkeypatch.setattr(povm_module, "build_povm", lambda s: povm)
+    labels, rows = povm_module._setting_rows(setting)
+    rows[labels.index((0, 0)), 0] = math.nan  # element (0, 0), vacuum entry
+    monkeypatch.setattr(povm_module, "_setting_rows", lambda s: (labels, rows))
     with pytest.raises(ValueError, match="sums to identity"):
         MeasurementContext.build([setting])
 

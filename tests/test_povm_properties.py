@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfhtomo.optics import PartitionSpec
-from wfhtomo.povm import (CounterConfig, MeasurementContext, Setting, apply_loss, build_povm,
-                          pi_kl)
+from wfhtomo.povm import (CounterConfig, HermitianCoords, MeasurementContext, Setting,
+                          _stack_ops, apply_loss, build_povm, pi_kl)
 from wfhtomo.sim import probabilities
 from wfhtomo.twirl import BlockOperator
 
@@ -124,3 +124,17 @@ def test_probabilities_sum_to_one_on_random_states(context, seed):
         born = probabilities(state, povm)
         assert list(born) == list(povm)
         assert max(abs(b - q) for b, q in zip(born.values(), p_s)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(context=contexts())
+def test_design_matrix_matches_the_povm_view(context):
+    # P is compiled from the stored kernel rows; the per-outcome view built
+    # from them gives the same P bit for bit, over the same outcome order
+    first = next(iter(context.povms[0].values())).op
+    coords = HermitianCoords([len(m) for m in first.blocks.values()])
+    rebuilt = np.concatenate([coords.rows(_stack_ops([e.op for e in povm.values()]))
+                              for povm in context.povms])
+    assert rebuilt.tobytes() == context.compiled.P.tobytes()
+    for labels, povm in zip(context.labels, context.povms):
+        assert labels == list(povm)
