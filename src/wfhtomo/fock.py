@@ -24,6 +24,9 @@ __all__ = [
     "complex_to_json",
     "complex_from_json",
     "int_from_json",
+    "field_from_json",
+    "is_json_number",
+    "is_json_matrix",
     "JsonFieldError",
 ]
 
@@ -45,12 +48,31 @@ class JsonFieldError(ValueError):
         return JsonFieldError(f"{parent}.{self}")
 
 
+def field_from_json(d: dict, key: str, parse):
+    """parse(d[key]), where a JsonFieldError gets key prepended to its path."""
+    try:
+        return parse(d[key])
+    except JsonFieldError as exc:
+        raise exc.within(key) from exc
+
+
 def int_from_json(d: dict, key: str) -> int:
     """d[key], which must be a JSON integer: a float or a bool is refused."""
     v = d[key]
     if type(v) is not int:
         raise JsonFieldError(f"{key} must be a JSON integer, got {v!r}")
     return v
+
+
+def is_json_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_json_matrix(m) -> bool:
+    """A JSON array of equally long arrays of numbers."""
+    return isinstance(m, list) and len(m) > 0 and all(
+        isinstance(r, list) and len(r) == len(m[0]) and all(map(is_json_number, r)) for r in m)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

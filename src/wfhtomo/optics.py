@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import DenseOperator, OccupationBasis
+from .fock import DenseOperator, JsonFieldError, OccupationBasis
 
 __all__ = [
     "PartitionSpec",
@@ -19,6 +19,7 @@ __all__ = [
     "number_power_antinormal",
     "standard_block",
     "haar_unitary",
+    "haar_from_normals",
 ]
 
 _GROUP_TOL = 1e-9
@@ -65,9 +66,12 @@ class PartitionSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "PartitionSpec":
+        s1_multi = d["s1_multi"]
+        if not isinstance(s1_multi, bool):
+            raise JsonFieldError(f"s1_multi must be a JSON boolean, got {s1_multi!r}")
         return cls(
             sectors=tuple((float(s["eta"]), float(s["zeta"])) for s in d["sectors"]),
-            s1_multi=bool(d["s1_multi"]),
+            s1_multi=s1_multi,
         )
 
 
@@ -218,7 +222,14 @@ def number_power_antinormal(k: int, basis: OccupationBasis) -> DenseOperator:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary via phase-fixed QR of a Ginibre matrix."""
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+    return haar_from_normals(rng.standard_normal((2, dim, dim)))
+
+
+def haar_from_normals(normals: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normals of shape (..., 2, dim, dim): the
+    real then the imaginary parts of Ginibre matrices, whose QR factors are
+    phase-fixed by the diagonal of R; one stacked QR serves the whole stack."""
+    g = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

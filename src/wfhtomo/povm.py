@@ -9,35 +9,27 @@ partition, truncated at max photon number N.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .fock import JsonFieldError, complex_from_json, complex_to_json, int_from_json
+from .fock import (JsonFieldError, complex_from_json, complex_to_json, field_from_json,
+                   int_from_json, is_json_matrix, is_json_number)
 from .optics import PartitionSpec
 from .twirl import BlockOperator, block_tuples
 
 __all__ = [
-    "CounterConfig",
-    "PovmElement",
-    "Setting",
-    "MeasurementContext",
-    "CompiledContext",
-    "HermitianCoords",
-    "DatasetMismatch",
-    "pi_kl",
-    "pi_k",
-    "overflow_elements",
-    "apply_loss",
-    "apply_detector_response",
-    "compose_response",
-    "identity_response",
-    "click_povm",
-    "build_povm",
-    "ic_check",
+    "CounterConfig", "PovmElement", "Setting", "MeasurementContext", "CompiledContext",
+    "HermitianCoords", "DatasetMismatch", "pi_kl", "pi_k", "overflow_elements", "apply_loss",
+    "apply_detector_response", "compose_response", "identity_response", "click_povm",
+    "build_povm", "ic_check",
 ]
+
+# settings per kernel call; past eight, a load's peak RSS rises more than its time falls
+_GROUP_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -64,14 +56,15 @@ class CounterConfig:
             nus = tuple(float(v) for v in self.loss)
             if len(nus) != self.counters:
                 raise ValueError("loss must give one transmission per counter")
-            for nu in nus:
-                if not (0.0 <= nu <= 1.0):
-                    raise ValueError("transmission nu must lie in [0,1]")
+            if not all(0.0 <= nu <= 1.0 for nu in nus):
+                raise ValueError("transmission nu must lie in [0,1]")
             object.__setattr__(self, "loss", nus)
         if self.response is not None:
             mats = tuple(np.asarray(t, dtype=float) for t in self.response)
             if len(mats) != self.counters:
                 raise ValueError("response must give one matrix per counter")
+            if any(m.ndim != 2 for m in mats):
+                raise ValueError("response must give 2-D matrices (outcomes x photons)")
             cols = {m.shape[1] for m in mats}
             if len(cols) != 1:
                 raise ValueError("response matrices must share a column count")
@@ -96,10 +89,10 @@ class CounterConfig:
     def from_json(cls, d: dict) -> "CounterConfig":
         loss = d.get("loss")
         response = d.get("response")
-        if loss is not None and not (isinstance(loss, list) and all(map(_is_number, loss))):
+        if loss is not None and not (isinstance(loss, list) and all(map(is_json_number, loss))):
             raise JsonFieldError(f"loss must be a JSON array of numbers, got {loss!r}")
         if response is not None and not (isinstance(response, list)
-                                         and all(map(_is_matrix, response))):
+                                         and all(map(is_json_matrix, response))):
             raise JsonFieldError("response must be a JSON array of matrices of numbers")
         return cls(
             counters=int_from_json(d, "counters"),
@@ -108,20 +101,6 @@ class CounterConfig:
             response=tuple(np.array(m, dtype=float) for m in response)
             if response is not None else None,
         )
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_matrix(m) -> bool:
-    """A JSON array of equally long arrays of numbers."""
-    return isinstance(m, list) and len(m) > 0 and all(
-        isinstance(r, list) and len(r) == len(m[0]) and all(map(_is_number, r)) for r in m)
-
-
-def _outcome_to_json(outcome: tuple) -> list:
-    return [p if isinstance(p, str) else int(p) for p in outcome]
 
 
 @dataclass
@@ -137,7 +116,7 @@ class PovmElement:
 
     def to_json(self) -> dict:
         return {
-            "outcome": _outcome_to_json(self.outcome),
+            "outcome": [p if isinstance(p, str) else int(p) for p in self.outcome],
             "gamma": complex_to_json(self.gamma),
             "op": self.op.to_json(),
             "meta": dict(self.meta),
@@ -177,24 +156,32 @@ def _counts(top: int, overflow: bool = False, first: int = 0) -> tuple[np.ndarra
     return start, start > top
 
 
-def _poisson_mass(mu: float, start: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """P(X = start), or P(X >= start) where tail, for X ~ Poisson(mu).
+def _poisson_mass(mu, start: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """P(X = start), or P(X >= start) where tail, for X ~ Poisson(mu), indexed
+    [g, *shape] over the means mu[g] (start and tail broadcast to shape).
 
     Both are evaluated directly rather than as complements, so small masses
-    keep their relative precision.
+    keep their relative precision; each only where it is not 0 or 1.
     """
     from scipy.special import gammainc, gammaln
 
-    if mu == 0.0:
-        return np.where(tail, start <= 0, start == 0).astype(float)
-    k = np.maximum(start, 0)
-    pmf = np.where(start >= 0, np.exp(k * math.log(mu) - mu - gammaln(k + 1)), 0.0)
-    return np.where(tail, np.where(start > 0, gammainc(np.maximum(start, 1), mu), 1.0), pmf)
+    start, tail = np.broadcast_arrays(start, tail)
+    shape, start, tail = start.shape, start.ravel(), tail.ravel()
+    mu = np.asarray(mu, dtype=float)
+    out = np.tile(np.where(tail, start <= 0, start == 0).astype(float), (len(mu), 1))
+    g = np.flatnonzero(mu > 0.0)[:, None]  # at mu = 0 the masses above are exact
+    pmf, upper = np.flatnonzero(~tail & (start >= 0)), np.flatnonzero(tail & (start > 0))
+    # a scalar log per mean, as exp(k log mu - mu) is sensitive to its last bit
+    log_mu = np.array([math.log(m) for m in mu[g[:, 0]]])[:, None]
+    out[g, pmf] = np.exp(start[pmf] * log_mu - mu[g] - gammaln(start[pmf] + 1))
+    out[g, upper] = gammainc(start[upper], mu[g])
+    return out.reshape(len(mu), *shape)
 
 
-def _count_weights(e: float, alpha: complex, nu: float, start: np.ndarray,
+def _count_weights(e: float, alpha: np.ndarray, nu: float, start: np.ndarray,
                    tail: np.ndarray, dim: int) -> np.ndarray:
-    """W[s, i, j]: one counter's factor of the element, summed over count set s.
+    """W[g, s, i, j]: one counter's factor of the element for the amplitude
+    alpha[g, 0], summed over count set s.
 
     A counter mode e a + alpha read with transmission nu contributes
     sum_{n in s} nu^n e^{-mu} (e a^dag + alpha*)^n ... (e a + alpha)^n / n!
@@ -209,27 +196,32 @@ def _count_weights(e: float, alpha: complex, nu: float, start: np.ndarray,
     fact = np.cumprod(np.r_[1.0, np.arange(1.0, dim)])
     coef = (e ** (i + j) * nu ** r * np.conj(alpha) ** (j - t) * alpha ** (i - t)
             / (fact[i - t] * fact[j - t] * fact[t]))
-    weights = np.zeros((len(start), dim * dim), dtype=np.complex128)
-    np.add.at(weights, (slice(None), i * dim + j),
-              coef * _poisson_mass(nu * abs(alpha) ** 2, start[:, None] - r, tail[:, None]))
-    return weights.reshape(-1, dim, dim)
+    mu = [nu * abs(complex(v)) ** 2 for v in alpha[:, 0]]
+    weights = np.zeros((len(alpha), len(start), dim * dim), dtype=np.complex128)
+    np.add.at(weights, (slice(None), slice(None), i * dim + j),
+              coef[:, None] * _poisson_mass(mu, start[:, None] - r, tail[:, None]))
+    return weights.reshape(len(alpha), -1, dim, dim)
 
 
-def _counting_rows(gamma: complex, partition: PartitionSpec, N: int, nus: tuple,
+def _counting_rows(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
                    sets: tuple) -> np.ndarray:
-    """Every counting element for the count sets sets[0] x sets[1] (see _counts).
+    """Every counting element for the count sets sets[0] x sets[1] (see _counts),
+    at each probe amplitude of gammas.
 
-    Entry [s1, s2] holds the element's blocks flattened as by _stack_ops. With
-    counter modes A = eta a + zeta gamma and B = zeta a - eta gamma read with
-    transmissions nu1, nu2, the mode-1 element for counts (k, l) is the normally
-    ordered :(nu1 A^dag A)^k (nu2 B^dag B)^l e^{-nu1 A^dag A - nu2 B^dag B}:/(k! l!)
+    Entry [g, s1, s2] holds the element for gammas[g], its blocks flattened as
+    by _stack_ops. With counter modes A = eta a + zeta gamma and B = zeta a -
+    eta gamma read with transmissions nu1, nu2, the mode-1 element for counts
+    (k, l) is the normally ordered
+    :(nu1 A^dag A)^k (nu2 B^dag B)^l e^{-nu1 A^dag A - nu2 B^dag B}:/(k! l!)
     = nu1^k nu2^l e^{-(nu1 zeta^2 + nu2 eta^2)|gamma|^2} G^dag diag(x^n) G/(k! l!),
     G = e^{-s* a} A^k B^l, s = eta zeta gamma (nu1 - nu2), x = 1 - nu1 eta^2 - nu2 zeta^2,
     exact on the truncated space as only lowering operators act on the right.
     Sums over count sets are closed-form (_count_weights); a marginal sets the
     other counter's nu to 0. Auxiliary-sector photons split trinomially between
     counter 1, counter 2 and loss (nu1 eta_s^2, nu2 zeta_s^2, the rest), which
-    shifts the count sets the mode-1 pair must supply.
+    shifts the count sets the mode-1 pair must supply. All but the counter
+    factors, e^{-s* a} and the sandwich is built once for all gammas; each
+    gamma's rows come out bit for bit as they would alone.
     """
     if partition.K > 2:
         raise ValueError("analytic elements support K <= 2 only; use the dense oracle")
@@ -239,40 +231,58 @@ def _counting_rows(gamma: complex, partition: PartitionSpec, N: int, nus: tuple,
     slots = _slot_sectors(partition)
     shifts = np.arange(N + 1 if slots else 1)[:, None]
     factors, index = [], []
-    for (start, tail), e, alpha, nu in zip(sets, (eta, zeta), (zeta * gamma, -eta * gamma), nus):
-        # the sets the mode-1 pair must supply once 0..N auxiliary photons are counted
-        needed = np.stack([(start - shifts).ravel(), np.tile(tail, len(shifts))])
-        pairs, inv = np.unique(needed, axis=1, return_inverse=True)
-        factors.append(_count_weights(e, alpha, nu, pairs[0], pairs[1].astype(bool), dim))
+    for (start, tail), e, c, nu in zip(sets, (eta, zeta), (zeta, -eta), nus):
+        # the sets the mode-1 pair supplies once 0..N auxiliary photons are counted
+        # (a set below 0 is empty, one reaching down to 0 holds every count)
+        starts, tails = (start - shifts).ravel(), np.tile(tail, len(shifts))
+        code = 2 * np.where(tails, np.maximum(starts, 0), np.maximum(starts, -1)) + tails
+        code, inv = np.unique(code, return_inverse=True)  # sorted by (start, tail)
+        alpha = np.array([[c * g] for g in gammas], dtype=np.complex128)
+        factors.append(_count_weights(e, alpha, nu, code // 2, code % 2 == 1, dim))
         index.append(inv.reshape(len(shifts), -1))
-    w1, w2 = factors
+    w1, w2 = factors[0][:, :, None], factors[1][:, None]  # [g, s1, s2, i, j]
     # coefficient of (a^dag)^p ... a^q: the product of the two counters' factors
-    coef = np.zeros((len(w1), len(w2), dim, dim), dtype=np.complex128)
+    coef = np.zeros(np.broadcast_shapes(w1.shape, w2.shape), dtype=np.complex128)
     for i in range(dim):
         for j in range(dim):
-            coef[:, :, i:, j:] += w1[:, None, i, j, None, None] * w2[None, :, :dim - i, :dim - j]
+            coef[..., i:, j:] += w1[..., i, j, None, None] * w2[..., :dim - i, :dim - j]
+    # a^p is nonzero only at (m, n = m + p), where it is ladder = sqrt(n!/m!); each
+    # product of ladder operators below is written out entry by entry
+    m, n = np.triu_indices(dim)
     lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    powers = np.stack([np.linalg.matrix_power(lower, p) for p in range(dim)])
-    s = eta * zeta * gamma * (nu1 - nu2)
-    shift_op = np.einsum("p,pij->ij", (-np.conj(s)) ** np.arange(dim)
-                         / np.cumprod(np.r_[1.0, np.arange(1.0, dim)]), powers)  # e^{-s* a}
+    ladder = np.stack([np.linalg.matrix_power(lower, p) for p in range(dim)])[n - m, m, n]
+    fact = np.cumprod(np.r_[1.0, np.arange(1.0, dim)])
+    s = np.array([eta * zeta * g * (nu1 - nu2) for g in gammas], dtype=np.complex128)
+    shift_op = np.zeros((len(gammas), dim, dim), dtype=np.complex128)  # e^{-s* a}
+    shift_op[:, m, n] = (-np.conj(s[:, None])) ** (n - m) / fact[n - m] * ladder
     x = (1 - nu1) * eta ** 2 + (1 - nu2) * zeta ** 2  # 1 - nu1 eta^2 - nu2 zeta^2
-    middle = shift_op.conj().T @ (x ** np.arange(dim)[:, None] * shift_op)
-    sandwich = np.einsum("pmi,mn,qnj->pqij", powers, middle, powers).reshape(dim * dim, -1)
-    mode1 = (coef.reshape(-1, dim * dim) @ sandwich).reshape(len(w1), len(w2), dim, dim)
+    middle = np.conj(shift_op).transpose(0, 2, 1) @ (x ** np.arange(dim)[:, None] * shift_op)
+    sandwich = np.zeros((len(gammas), dim, dim, dim, dim), dtype=np.complex128)
+    sandwich[:, (n - m)[:, None], n - m, n[:, None], n] = (  # (a^p)^T middle a^q at [p, q]
+        ladder[:, None] * middle[:, m[:, None], m]) * ladder
+    mode1 = (coef.reshape(len(gammas), -1, dim * dim)
+             @ sandwich.reshape(len(gammas), dim * dim, -1)).reshape(coef.shape)
+    del coef
     shares = [(nu1 * e ** 2, nu2 * z ** 2, (1 - nu1) * e ** 2 + (1 - nu2) * z ** 2)
               for e, z in (partition.sectors[slot] for slot in slots)]
-    # [x, s1, y, s2]: the mode-1 element for sets s1, s2 less x and y auxiliary photons
-    shifted = mode1[index[0][:, :, None, None], index[1][None, None]]
-    out = []
-    for key in block_tuples(N, len(slots)):
-        d = N - sum(key) + 1
-        w = np.zeros((len(shifts), len(shifts)))  # x auxiliary photons at counter 1, y at 2
+    keys = block_tuples(N, len(slots))
+    w = np.zeros((len(keys), len(shifts), len(shifts)))  # x aux photons at counter 1, y at 2
+    for b, key in enumerate(keys):
         for parts in itertools.product(*(_splits(i, *sh) for i, sh in zip(key, shares))):
-            w[sum(p[0] for p in parts), sum(p[1] for p in parts)] += math.prod(p[2] for p in parts)
-        block = np.einsum("xy,xayb...->ab...", w, shifted[..., :d, :d])
-        out.append(block.reshape(*block.shape[:2], d * d))
-    return np.concatenate(out, axis=2)
+            x, y = sum(p[0] for p in parts), sum(p[1] for p in parts)
+            w[b, x, y] += math.prod(p[2] for p in parts)
+    # block b = sum over x, y (x-major) of w[b, x, y] times the mode-1 element for
+    # s1, s2 less x and y auxiliary photons, one (x, y) gather at a time
+    dims = [N - sum(key) + 1 for key in keys]
+    at = np.cumsum([0] + [d * d for d in dims])
+    out = np.zeros((len(gammas), index[0].shape[1], index[1].shape[1], at[-1]), dtype=np.complex128)
+    blocks = [out[..., a:a + d * d].reshape(*out.shape[:3], d, d) for a, d in zip(at, dims)]
+    for x, y in np.argwhere(w.any(axis=0)):
+        term = mode1[:, index[0][x][:, None], index[1][y]]
+        for block, w_key, d in zip(blocks, w, dims):
+            if w_key[x, y]:
+                block += w_key[x, y] * term[..., :d, :d]
+    return out
 
 
 def _splits(i: int, p1: float, p2: float, p0: float) -> list[tuple[int, int, float]]:
@@ -281,34 +291,39 @@ def _splits(i: int, p1: float, p2: float, p0: float) -> list[tuple[int, int, flo
             for x in range(i + 1) for y in range(i + 1 - x)]
 
 
-def _with_overflow(gamma: complex, partition: PartitionSpec, N: int, nus: tuple,
+def _with_overflow(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
                    top: int) -> np.ndarray:
     """Elements for counts 0..top and the overflow {> top} at each counter,
-    indexed [s1, s2] as by _counting_rows.
+    indexed [g, s1, s2] as by _counting_rows.
 
     A counter's overflow is the complement of its in-range counts, exact to
     rounding in absolute terms. When the probe alone overflows that counter
     with probability below 1e-6 the complement would keep few significant
-    digits, so the closed-form sum over the overflow set stays.
+    digits, so the closed-form sum over the overflow set stays. The rule holds
+    per gamma; the marginals are built once, for the gammas that take it.
     """
     counts = _counts(top, overflow=True)
-    rows = _counting_rows(gamma, partition, N, nus, (counts, counts))
+    rows = _counting_rows(gammas, partition, N, nus, (counts, counts))
     eta, zeta = partition.sectors[0]
     overflow = (np.array([top + 1]), np.array([True]))
-    big1, big2 = (_poisson_mass(nu * abs(e * gamma) ** 2, *overflow)[0] >= 1e-6
+    big1, big2 = (_poisson_mass([nu * abs(e * g) ** 2 for g in gammas], *overflow)[:, 0] >= 1e-6
                   for nu, e in zip(nus, (zeta, eta)))
-    if big1 or big2:
+    big = np.flatnonzero(big1 | big2)
+    if big.size:
         n = top + 1
-        only1 = _counting_rows(gamma, partition, N, (nus[0], 0.0), (_counts(top), _counts(0)))
-        only2 = _counting_rows(gamma, partition, N, (0.0, nus[1]), (_counts(0), _counts(top)))
-        over_k, over_l, over_both = _complement(rows[:n, :n], only1[:, 0], only2[0],
-                                                _identity_row(N, partition))
-        if big2:
-            rows[:n, n] = over_k
-        if big1:
-            rows[n, :n] = over_l
-        if big1 and big2:
-            rows[n, n] = over_both
+        sub = [gammas[b] for b in big]
+        only1 = _counting_rows(sub, partition, N, (nus[0], 0.0), (_counts(top), _counts(0)))
+        only2 = _counting_rows(sub, partition, N, (0.0, nus[1]), (_counts(0), _counts(top)))
+        ident = _identity_row(N, partition)
+        for b, marginal1, marginal2 in zip(big, only1[:, :, 0], only2[:, 0]):
+            # summed gamma by gamma: numpy's summation order follows the array's layout
+            over_k, over_l, over_both = _complement(rows[b, :n, :n], marginal1, marginal2, ident)
+            if big2[b]:
+                rows[b, :n, n] = over_k
+            if big1[b]:
+                rows[b, n, :n] = over_l
+            if big1[b] and big2[b]:
+                rows[b, n, n] = over_both
     return rows
 
 
@@ -317,8 +332,8 @@ def pi_kl(gamma: complex, k: int, l: int, partition: PartitionSpec, N: int) -> P
     if k < 0 or l < 0:
         raise ValueError("counts must be >= 0")
     sets = (_counts(k, first=k), _counts(l, first=l))
-    rows = _counting_rows(complex(gamma), partition, N, (1.0, 1.0), sets)
-    return _wrap([(k, l)], rows[0], _template(N, partition), gamma)[(k, l)]
+    rows = _counting_rows([complex(gamma)], partition, N, (1.0, 1.0), sets)
+    return _wrap([(k, l)], rows[0, 0], _template(N, partition), gamma)[(k, l)]
 
 
 def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
@@ -330,8 +345,8 @@ def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
         raise ValueError("counts must be >= 0")
     read, unread = _counts(k, first=k), _counts(0)
     nus, sets = ((1.0, 0.0), (read, unread)) if counter == 1 else ((0.0, 1.0), (unread, read))
-    rows = _counting_rows(complex(gamma), partition, N, nus, sets)
-    el = _wrap([(k,)], rows[0], _template(N, partition), gamma)[(k,)]
+    rows = _counting_rows([complex(gamma)], partition, N, nus, sets)
+    el = _wrap([(k,)], rows[0, 0], _template(N, partition), gamma)[(k,)]
     el.meta = {"counter": counter, "tail_bound": 0.0}
     return el
 
@@ -364,19 +379,15 @@ def overflow_elements(elements: dict, pi_row: list[PovmElement], pi_col: list[Po
     for e in out.values():
         low = e.op.min_eigenvalue()
         if low < -1e-6:
-            raise ValueError(
-                f"overflow element {e.outcome} has eigenvalue {low:.3e}; "
-                "inconsistent truncation of the inputs")
+            raise ValueError(f"overflow element {e.outcome} has eigenvalue {low:.3e}; "
+                             "inconsistent truncation of the inputs")
     return out
 
 
 def _thinning_matrix(nu: float, cut: int) -> np.ndarray:
     """w[k, m] = P(k photons survive | m present) under transmission nu."""
-    w = np.zeros((cut + 1, cut + 1))
-    for m in range(cut + 1):
-        for k in range(m + 1):
-            w[k, m] = math.comb(m, k) * nu ** k * (1 - nu) ** (m - k)
-    return w
+    return np.array([[math.comb(m, k) * nu ** k * (1 - nu) ** (m - k) if k <= m else 0.0
+                       for m in range(cut + 1)] for k in range(cut + 1)])
 
 
 def _stack_ops(ops: list[BlockOperator]) -> np.ndarray:
@@ -386,24 +397,16 @@ def _stack_ops(ops: list[BlockOperator]) -> np.ndarray:
 
 
 def _unstack_op(row: np.ndarray, template: BlockOperator) -> BlockOperator:
-    blocks = {}
-    pos = 0
-    for key, m in template.blocks.items():
-        n = m.size
-        blocks[key] = row[pos:pos + n].reshape(m.shape)
-        pos += n
-    return BlockOperator(template.N, blocks, template.partition)
+    parts = np.split(row, np.cumsum([m.size for m in template.blocks.values()])[:-1])
+    return BlockOperator(template.N, {key: part.reshape(m.shape) for (key, m), part
+                                      in zip(template.blocks.items(), parts)}, template.partition)
 
 
 def _split_dense(mat: np.ndarray, like: BlockOperator) -> BlockOperator:
     """The diagonal blocks of a dense block-diagonal matrix, in like's structure."""
-    blocks = {}
-    at = 0
-    for key, m in like.blocks.items():
-        d = m.shape[0]
-        blocks[key] = mat[at:at + d, at:at + d].copy()
-        at += d
-    return BlockOperator(like.N, blocks, like.partition)
+    at = np.cumsum([0] + [m.shape[0] for m in like.blocks.values()])
+    return BlockOperator(like.N, {key: mat[a:b, a:b].copy() for key, a, b
+                                  in zip(like.blocks, at, at[1:])}, like.partition)
 
 
 def apply_loss(elements: dict, nu_1: float, nu_2: float, conv_cut: int = 25) -> dict:
@@ -415,40 +418,24 @@ def apply_loss(elements: dict, nu_1: float, nu_2: float, conv_cut: int = 25) -> 
     POVM build sums loss in closed form, so this serves as the reference for
     that sum.
     """
-    for nu in (nu_1, nu_2):
-        if not (0.0 <= nu <= 1.0):
-            raise ValueError("transmission nu must lie in [0,1]")
+    if not (0.0 <= nu_1 <= 1.0 and 0.0 <= nu_2 <= 1.0):
+        raise ValueError("transmission nu must lie in [0,1]")
     keys = list(elements)
     if len(keys[0]) != 2:
         raise ValueError("apply_loss takes two-counter (m, n) elements")
-    template = elements[keys[0]].op
-    gamma = elements[keys[0]].gamma
-    if template.N > conv_cut:
+    first = elements[keys[0]]
+    if first.op.N > conv_cut:
         raise ValueError("conv_cut must be at least the photon cutoff N")
-    max_m = max(k[0] for k in keys)
-    max_n = max(k[1] for k in keys)
-    cut_m = min(conv_cut, max_m)
-    cut_n = min(conv_cut, max_n)
-    for m in range(cut_m + 1):
-        for n in range(cut_n + 1):
-            if (m, n) not in elements:
-                raise ValueError(f"missing input element {(m, n)}")
-    w1 = _thinning_matrix(nu_1, cut_m)
-    w2 = _thinning_matrix(nu_2, cut_n)
-    v = _stack_ops([elements[(m, n)].op
-                    for m in range(cut_m + 1) for n in range(cut_n + 1)])
-    weights = np.einsum("km,ln->klmn", w1, w2).reshape(
-        (cut_m + 1) * (cut_n + 1), (cut_m + 1) * (cut_n + 1))
-    rows = weights @ v
-    out = {}
-    for key in keys:
-        m, n = key
-        if m <= cut_m and n <= cut_n:
-            op = _unstack_op(rows[m * (cut_n + 1) + n], template)
-        else:
-            op = BlockOperator.zeros(template.N, template.tuple_length, template.partition)
-        out[key] = PovmElement(key, op, gamma)
-    return out
+    cut_m, cut_n = (min(conv_cut, max(key[c] for key in keys)) for c in (0, 1))
+    grid = list(itertools.product(range(cut_m + 1), range(cut_n + 1)))
+    for key in grid:
+        if key not in elements:
+            raise ValueError(f"missing input element {key}")
+    rows = (np.kron(_thinning_matrix(nu_1, cut_m), _thinning_matrix(nu_2, cut_n))
+            @ _stack_ops([elements[key].op for key in grid]))
+    return {(m, n): PovmElement((m, n), _unstack_op(
+        rows[m * (cut_n + 1) + n] if m <= cut_m and n <= cut_n else np.zeros_like(rows[0]),
+        first.op), first.gamma) for m, n in keys}
 
 
 def compose_response(T: np.ndarray, nu: float) -> np.ndarray:
@@ -462,11 +449,7 @@ def identity_response(N_c: int, M_cut: int) -> np.ndarray:
     """Ideal counter as a response matrix: counts reported faithfully up to N_c,
     anything above lands in the overflow row."""
     T = np.zeros((N_c + 2, M_cut + 1))
-    for m in range(M_cut + 1):
-        if m <= N_c:
-            T[m, m] = 1.0
-        else:
-            T[N_c + 1, m] = 1.0
+    T[np.minimum(np.arange(M_cut + 1), N_c + 1), np.arange(M_cut + 1)] = 1.0
     return T
 
 
@@ -549,52 +532,57 @@ class Setting:
 
     @classmethod
     def from_json(cls, d: dict) -> "Setting":
-        try:
-            counter = CounterConfig.from_json(d["counter"])
-        except JsonFieldError as exc:
-            raise exc.within("counter") from exc
+        counter = field_from_json(d, "counter", CounterConfig.from_json)
         return cls(
             gamma=complex_from_json(d["gamma"]),
             counter=counter,
-            partition=PartitionSpec.from_json(d["partition"]),
+            partition=field_from_json(d, "partition", PartitionSpec.from_json),
             N=int_from_json(d, "N"),
             detector=d.get("detector", "counting"),
         )
 
 
-def _setting_rows(setting: Setting) -> tuple[list, np.ndarray]:
-    """One setting's outcome labels and element rows (the layout of
-    _stack_ops, as the kernel computes them), in a fixed construction order."""
-    gamma, cfg, part, N = setting.gamma, setting.counter, setting.partition, setting.N
-    if setting.detector == "click":
+def _group_rows(settings: list[Setting]) -> list[tuple[list, np.ndarray]]:
+    """Outcome labels and element rows (the layout of _stack_ops, as the kernel
+    computes them, in a fixed construction order) of each of settings, which
+    differ only in gamma and are built by one kernel call per _GROUP_SIZE gammas."""
+    if len(settings) > _GROUP_SIZE:
+        return _group_rows(settings[:_GROUP_SIZE]) + _group_rows(settings[_GROUP_SIZE:])
+    first = settings[0]
+    gammas = [s.gamma for s in settings]
+    cfg, part, N = first.counter, first.partition, first.N
+    if first.detector == "click":
         if part.K != 1:
             raise ValueError("click POVM requires K = 1")
-        rows = _with_overflow(gamma, part, N, (1.0, 1.0), 0)  # a click overflows 0
-        return [(0, 0), ("I", 0), (0, "I"), ("I", "I")], rows[[0, 1, 0, 1], [0, 0, 1, 1]]
-    if cfg.response is not None:  # ideal counts of every photon number the responses cover
+        rows = _with_overflow(gammas, part, N, (1.0, 1.0), 0)  # a click overflows 0
+        labels, rows = [(0, 0), ("I", 0), (0, "I"), ("I", "I")], rows[:, [0, 1, 0, 1], [0, 0, 1, 1]]
+    elif cfg.response is not None:  # ideal counts of every photon number the responses cover
         present = _counts(cfg.response[0].shape[1] - 1)
-        if cfg.counters == 1:  # the absent counter reads nothing
-            rows = _counting_rows(gamma, part, N, (1.0, 0.0), (present, _counts(0)))
+        # a single counter's absent partner reads nothing
+        nus, other = ((1.0, 0.0), _counts(0)) if cfg.counters == 1 else ((1.0, 1.0), present)
+        rows = _counting_rows(gammas, part, N, nus, (present, other))
+        labels, rows = _respond(rows.reshape(len(gammas), -1, rows.shape[-1]), cfg)
+    else:
+        nus = cfg.loss or (1.0, 1.0)
+        names = [_overflow_label(k, cfg.N_c) for k in range(cfg.N_c + 2)]
+        if cfg.counters == 1:
+            rows = _with_overflow(gammas, part, N, (nus[0], 0.0), cfg.N_c)
+            labels, rows = [(o,) for o in names], rows[:, :, 0]
         else:
-            rows = _counting_rows(gamma, part, N, (1.0, 1.0), (present, present))
-        return _respond(rows.reshape(-1, rows.shape[-1]), cfg)
-    nus = cfg.loss or (1.0, 1.0)
-    labels = [_overflow_label(k, cfg.N_c) for k in range(cfg.N_c + 2)]
-    if cfg.counters == 1:
-        rows = _with_overflow(gamma, part, N, (nus[0], 0.0), cfg.N_c)
-        return [(o,) for o in labels], rows[:, 0]
-    rows = _with_overflow(gamma, part, N, nus, cfg.N_c)
-    # counts in range first, then overflow at counter 2, at counter 1, at both
-    n = cfg.N_c + 1
-    order = ([(k, l) for k in range(n) for l in range(n)] + [(k, n) for k in range(n)]
-             + [(n, l) for l in range(n)] + [(n, n)])
-    k, l = np.array(order).T
-    return [(labels[k], labels[l]) for k, l in order], rows[k, l]
+            rows = _with_overflow(gammas, part, N, nus, cfg.N_c)
+            # counts in range first, then overflow at counter 2, at counter 1, at both
+            n = cfg.N_c + 1
+            order = ([(k, l) for k in range(n) for l in range(n)] + [(k, n) for k in range(n)]
+                     + [(n, l) for l in range(n)] + [(n, n)])
+            k, l = np.array(order).T
+            labels, rows = [(names[k], names[l]) for k, l in order], rows[:, k, l]
+    return [(labels, r) for r in rows]
 
 
 def build_povm(setting: Setting) -> dict:
     """Complete outcome map for one setting, in a fixed construction order."""
-    return _wrap(*_setting_rows(setting), _template(setting.N, setting.partition), setting.gamma)
+    return _wrap(*_group_rows([setting])[0], _template(setting.N, setting.partition),
+                 setting.gamma)
 
 
 @dataclass
@@ -608,15 +596,25 @@ class MeasurementContext:
 
     @classmethod
     def build(cls, settings: list[Setting]) -> "MeasurementContext":
+        """The context of settings; those that differ only in gamma are built
+        together (_group_rows), and every setting's POVM must sum to identity."""
         if not settings:
             raise ValueError("context needs at least one setting")
-        labels, rows = zip(*map(_setting_rows, settings))
-        for s, r in zip(settings, rows):
-            dev = float(np.max(np.abs(r.sum(axis=0) - _identity_row(s.N, s.partition))))
-            if not dev <= 1e-8:
-                raise ValueError(f"POVM for gamma={s.gamma} sums to identity only "
-                                 f"within {dev:.3e}")
-        return cls(list(settings), list(labels), list(rows))
+        groups: dict[tuple, list[int]] = {}
+        for s, setting in enumerate(settings):  # alike but for gamma; counters compared as JSON
+            groups.setdefault((setting.partition, setting.N, setting.detector,
+                               json.dumps(setting.counter.to_json())), []).append(s)
+        labels, rows, dev = ([None] * len(settings) for _ in range(3))
+        for members in groups.values():
+            ident = _identity_row(settings[members[0]].N, settings[members[0]].partition)
+            group = _group_rows([settings[s] for s in members])
+            for s, (labels[s], rows[s]) in zip(members, group):
+                dev[s] = float(np.max(np.abs(rows[s].sum(axis=0) - ident)))
+        for s, setting in enumerate(settings):
+            if not dev[s] <= 1e-8:
+                raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
+                                 f"within {dev[s]:.3e}")
+        return cls(list(settings), labels, rows)
 
     @classmethod
     def from_povms(cls, settings: list[Setting], povms: list[dict]) -> "MeasurementContext":
@@ -697,8 +695,10 @@ class HermitianCoords:
         if not isinstance(stack, np.ndarray):
             stack = _stack_ops(stack)
         flat = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
-        return (flat[:, self._stack] + self._sign * flat[:, self._stack_mirror]) \
-            * (self.weight / 2.0)
+        # halved before the weight, so that a row and its Hermitian part give the
+        # same coordinates bit for bit, subnormal entries included
+        return (flat[:, self._stack] + self._sign * flat[:, self._stack_mirror]) / 2.0 \
+            * self.weight
 
     def vec(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of a dense block-diagonal Hermitian matrix."""

@@ -14,7 +14,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .fock import DenseOperator, OccupationBasis
-from .optics import PartitionSpec, haar_unitary, plt_on_fock
+from .optics import PartitionSpec, haar_from_normals, plt_on_fock
+from .optics import haar_unitary  # noqa: F401  (bench/tracing.py wraps it under this name)
 
 __all__ = [
     "BlockOperator",
@@ -251,7 +252,9 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     """Monte-Carlo Haar average of X rho X^dag over block PLTs fixing mode 1.
 
     The Haar blocks are drawn sample by sample, group by group, from one
-    generator; ``plt_on_fock`` maps the samples in stacks of ``_STACK_BYTES``.
+    generator, as ``haar_unitary`` would draw them one at a time: one normal
+    draw per stack of samples, one stacked QR per group. ``plt_on_fock`` maps
+    the samples in stacks of ``_STACK_BYTES``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -263,14 +266,16 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     # mode groups the Haar blocks act on: per sector, its modes minus mode 1
     groups = [[m for m in range(1, S) if assign[m] == k] for k in range(partition.K)]
     blocks = [(len(modes), np.ix_(modes, modes)) for modes in groups if modes]
+    width = [2 * size * size for size, _ in blocks]  # normals per sample and group
     rng = np.random.default_rng(seed)
     chunk = max(1, _STACK_BYTES // (16 * basis.size ** 2))
     acc = np.zeros_like(rho.entries)
     for start in range(0, samples, chunk):
-        X = np.tile(np.eye(S, dtype=np.complex128), (min(chunk, samples - start), 1, 1))
-        for x in X:
-            for size, block in blocks:
-                x[block] = haar_unitary(size, rng)
+        count = min(chunk, samples - start)
+        X = np.tile(np.eye(S, dtype=np.complex128), (count, 1, 1))
+        normals = np.split(rng.standard_normal((count, sum(width))), np.cumsum(width)[:-1], axis=1)
+        for (size, block), z in zip(blocks, normals):
+            X[(slice(None),) + block] = haar_from_normals(z.reshape(count, 2, size, size))
         U = plt_on_fock(X, basis)
         V = U @ rho.entries
         acc += (V @ np.conj(U, out=U).transpose(0, 2, 1)).sum(0)  # U^dag, conjugated in place

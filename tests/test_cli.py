@@ -142,6 +142,15 @@ def test_ic_check_non_integer_field_exits_1(capsys, workspace, tmp_path, field, 
     assert f"settings[0].{'.'.join(field)} must be a JSON integer, got {value!r}" in err
 
 
+@pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "integer", "null"])
+def test_ic_check_non_boolean_s1_multi_exits_1(capsys, workspace, tmp_path, value):
+    def edit(setting):
+        setting["partition"]["s1_multi"] = value
+    code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert f"settings[0].partition.s1_multi must be a JSON boolean, got {value!r}" in err
+
+
 def test_ic_check_non_array_loss_exits_1(capsys, workspace, tmp_path):
     def edit(setting):
         setting["counter"]["loss"] = "0.9"

@@ -521,6 +521,11 @@ def test_counter_config_validation():
         CounterConfig(counters=1, N_c=2, response=(bad,))
 
 
+def test_counter_config_rejects_non_matrix_response():
+    with pytest.raises(ValueError, match="response"):
+        CounterConfig(counters=1, N_c=0, response=(np.array([0.5, 0.5]),))
+
+
 def test_setting_json_roundtrip():
     T = identity_response(2, 10)
     cfg = CounterConfig(counters=2, N_c=2, loss=(0.9, 0.8), response=(T, T))
@@ -581,9 +586,9 @@ def test_context_build_rejects_nan_completeness(monkeypatch):
     import wfhtomo.povm as povm_module
 
     setting = Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=1), partition=P1, N=2)
-    labels, rows = povm_module._setting_rows(setting)
+    [(labels, rows)] = povm_module._group_rows([setting])
     rows[labels.index((0, 0)), 0] = math.nan  # element (0, 0), vacuum entry
-    monkeypatch.setattr(povm_module, "_setting_rows", lambda s: (labels, rows))
+    monkeypatch.setattr(povm_module, "_group_rows", lambda settings: [(labels, rows)])
     with pytest.raises(ValueError, match="sums to identity"):
         MeasurementContext.build([setting])
 

@@ -1,14 +1,16 @@
 """Property tests of the closed-form POVM elements, and of the probabilities
 they give, over random settings."""
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfhtomo.optics import PartitionSpec
 from wfhtomo.povm import (CounterConfig, HermitianCoords, MeasurementContext, Setting,
-                          _stack_ops, apply_loss, build_povm, pi_kl)
+                          _stack_ops, apply_loss, build_povm, identity_response, pi_kl)
 from wfhtomo.sim import probabilities
 from wfhtomo.twirl import BlockOperator
 
@@ -138,3 +140,69 @@ def test_design_matrix_matches_the_povm_view(context):
     assert rebuilt.tobytes() == context.compiled.P.tobytes()
     for labels, povm in zip(context.labels, context.povms):
         assert labels == list(povm)
+
+
+@st.composite
+def mixed_settings(draw):
+    """Two to five counters shuffled into one list of settings: ideal, lossy and
+    single-counter counting, response matrices and click detectors, with up to
+    nine probes each, so that one counter's settings can span two kernel calls.
+    Each counting counter without responses has the probes 0 and 3 e^{i phi}: at
+    0 no counter overflows (the overflow rows stay closed-form sums), at
+    |gamma| = 3 (n_c <= 3, transmissions >= 0.5) one of them overflows with
+    probability above 1e-6 (its overflow rows are complements)."""
+    partition = draw(partitions())
+    k1 = PartitionSpec(sectors=partition.sectors[:1], s1_multi=partition.s1_multi)
+    N, n_c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    loss = st.floats(0.5, 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = rng.random((2, n_c + 2, M_CUT + 1))
+    mats /= mats.sum(axis=1, keepdims=True)
+    kinds = {
+        "ideal": (CounterConfig(counters=2, N_c=n_c), partition, "counting"),
+        "lossy": (CounterConfig(counters=2, N_c=n_c, loss=(draw(loss), draw(loss))),
+                  partition, "counting"),
+        "single": (CounterConfig(counters=1, N_c=n_c, loss=(draw(loss),)), partition,
+                   "counting"),
+        "response": (CounterConfig(counters=2, N_c=n_c, response=tuple(mats)), partition,
+                     "counting"),
+        "click": (CounterConfig(counters=2, N_c=0), k1, "click"),
+    }
+    chosen = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=2, max_size=5, unique=True))
+    out = []
+    for kind in chosen:
+        counter, part, detector = kinds[kind]
+        gammas = draw(st.lists(probes(1.5), min_size=0, max_size=7))
+        if kind != "response":
+            gammas += [0.0, 3.0 * complex(math.cos(phi := draw(st.floats(0, 2 * math.pi))),
+                                          math.sin(phi))]
+        out += [Setting(gamma=g, counter=counter, partition=part, N=N, detector=detector)
+                for g in gammas]
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=30, deadline=None)
+@given(settings_=mixed_settings())
+def test_context_rows_match_each_setting_built_alone(settings_):
+    # settings that differ only in gamma are built in one kernel call; each
+    # keeps the labels and, bit for bit, the rows it has built alone
+    context = MeasurementContext.build(settings_)
+    for setting, labels, rows in zip(settings_, context.labels, context.rows):
+        alone = MeasurementContext.build([setting])
+        assert labels == alone.labels[0]
+        assert rows.tobytes() == alone.rows[0].tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(settings_=mixed_settings(), at=st.tuples(st.integers(0, 20), st.integers(0, 20)))
+def test_completeness_error_names_the_first_bad_setting(settings_, at):
+    # responses that cover 3 photons leave most of a |gamma| >= 2 probe out
+    first = settings_[0]
+    short = CounterConfig(counters=2, N_c=1, response=(identity_response(1, 3),) * 2)
+    bad = [Setting(gamma=g, counter=short, partition=first.partition, N=first.N,
+                   detector="counting") for g in (2.0, 2.5j)]
+    mixed = list(settings_)
+    for shift, (setting, i) in enumerate(zip(bad, sorted(at))):
+        mixed.insert(min(i + shift, len(mixed)), setting)  # bad[1] after bad[0]
+    with pytest.raises(ValueError, match=re.escape(f"POVM for gamma={bad[0].gamma} ")):
+        MeasurementContext.build(mixed)

@@ -244,6 +244,32 @@ def test_oracle_matches_per_sample_loop_across_stack_edges(stacks, extra):
     assert np.max(np.abs(out.entries - acc / samples)) <= 1e-13
 
 
+@pytest.mark.parametrize("num_modes,assignment,partition", [
+    (3, [0, 0, 0], P1_MULTI),  # one Haar group, modes [1, 2]
+    (5, [0, 0, 0, 1, 1], P2),  # two groups, [1, 2] and [3, 4]
+])
+def test_oracle_draws_are_bitwise_per_sample_haar(num_modes, assignment, partition):
+    # the oracle's stacked draws and QR against haar_unitary sample by sample,
+    # group by group, mapped and summed in the oracle's own stacks
+    basis = OccupationBasis(num_modes, 2)
+    rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(17)))
+    groups = [[m for m in range(1, num_modes) if assignment[m] == k]
+              for k in range(partition.K)]
+    chunk = _STACK_BYTES // (16 * basis.size ** 2)
+    samples = 2 * chunk + 3
+    rng = np.random.default_rng(5)
+    acc = np.zeros_like(rho.entries)
+    for start in range(0, samples, chunk):
+        X = np.tile(np.eye(num_modes, dtype=np.complex128), (min(chunk, samples - start), 1, 1))
+        for x in X:
+            for modes in groups:
+                x[np.ix_(modes, modes)] = haar_unitary(len(modes), rng)
+        U = plt_on_fock(X, basis)
+        acc += (U @ rho.entries @ U.conj().transpose(0, 2, 1)).sum(0)
+    out = twirl_oracle_mc(rho, assignment, partition, samples=samples, seed=5)
+    assert out.entries.tobytes() == (acc / samples).tobytes()
+
+
 def test_oracle_converges_to_analytic():
     rng = np.random.default_rng(14)
     basis = OccupationBasis(3, 3)
