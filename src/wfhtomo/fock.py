@@ -20,6 +20,7 @@ __all__ = [
     "enumerate_basis",
     "make_state",
     "truncation_fidelity",
+    "poisson_table",
     "fidelity",
     "complex_to_json",
     "complex_from_json",
@@ -285,22 +286,38 @@ def make_state(spec: StateSpec) -> StateVector:
 def truncation_fidelity(spec: StateSpec) -> float:
     """Overlap-squared between the exact state and its truncated, renormalized version."""
     if spec.kind == "coherent":
-        x = abs(spec.alpha) ** 2
-        s = math.fsum(x ** n / math.factorial(n) for n in range(spec.N + 1))
-        return math.exp(-x) * s
+        return math.fsum(poisson_table([abs(spec.alpha) ** 2], spec.N)[0][0])
     if spec.kind == "tmsv":
         t2 = math.tanh(spec.r) ** 2
         s = math.fsum(t2 ** n for n in range(spec.N + 1))
         return s / math.cosh(spec.r) ** 2
-    # cat: weight of the total-photon-number <= N part of the exact state
+    # cat: weight of the total-photon-number <= N part of the exact state, whose
+    # total is odd and, but for that, Poisson(2 |alpha|^2)
     x = abs(spec.alpha) ** 2
-    num = math.fsum(
-        x ** (n + m) / (math.factorial(n) * math.factorial(m))
-        for n in range(spec.N + 1)
-        for m in range(spec.N + 1 - n)
-        if (n + m) % 2 == 1
-    )
-    return 2.0 * num / (math.exp(2 * x) - math.exp(-2 * x))
+    return 2.0 * math.fsum(poisson_table([2 * x], spec.N)[0][0, 1::2]) / -math.expm1(-4 * x)
+
+
+def poisson_table(mu, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """pmf[g, n] = P(X = n) and tail[g, s] = P(X >= s), n, s = 0..top, for
+    X ~ Poisson(mu[g]): exp(n log mu - lgamma(n + 1) - mu), exact at mu = 0.
+
+    A tail below 1/2 is summed from the far end down, so that it keeps its
+    relative precision; a larger one is 1 less the masses below it, so that
+    one within rounding of 1 is 1. Each row depends on its own mean alone.
+    """
+    mu = np.asarray(mu, dtype=float)[:, None]
+    # a scalar log per mean, as exp(n log mu - mu) is sensitive to its last bit
+    log_mu = np.array([[math.log(m) if m > 0 else 0.0] for m in mu[:, 0].tolist()])
+    n = np.arange(top + 1)
+    pmf = np.exp(n * log_mu - np.array([math.lgamma(k + 1.0) for k in range(top + 1)]) - mu)
+    pmf[mu[:, 0] == 0] = n == 0
+    below = np.cumsum(np.hstack([0.0 * mu, pmf[:, :-1]]), axis=1)  # P(X < s)
+    # a row with P(X < top) > 1/2 has mu < top, so its masses past top (each mu/(n + 1)
+    # times the one before) halve at least 64 times by 2 top + 64: the rest is below rounding
+    seed = np.where(below[:, -1:] > 0.5, pmf[:, -1:], 0.0)
+    far = seed * np.cumprod(mu / np.arange(top + 1, 2 * top + 65), axis=1)
+    above = np.cumsum(np.hstack([pmf, far])[:, ::-1], axis=1)[:, ::-1]
+    return pmf, np.where(below > 0.5, above[:, :top + 1], 1.0 - below)
 
 
 def _tr_sqrt_sandwich(a: np.ndarray, b: np.ndarray) -> float:

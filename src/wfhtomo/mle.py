@@ -25,7 +25,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .povm import MeasurementContext, _split_dense, ic_check
+from .povm import MeasurementContext, _join_dense, _split_dense, ic_check
 from .sim import Dataset
 from .twirl import BlockOperator
 
@@ -167,8 +167,7 @@ def diluted_step(state: BlockOperator, R: BlockOperator, eps: float) -> BlockOpe
         raise ValueError("eps must be positive (math.inf selects the R rho R map)")
     if state.N != R.N or state.blocks.keys() != R.blocks.keys():
         raise ValueError("block structure mismatch")
-    from scipy.linalg import block_diag  # here: importing it costs 0.3 s, and fits never need it
-    new = _step(block_diag(*state.blocks.values()), block_diag(*R.blocks.values()), eps)
+    new = _step(_join_dense(state), _join_dense(R), eps)
     return _split_dense(new, R if R.partition is not None else state)
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .fock import (JsonFieldError, complex_from_json, complex_to_json, field_from_json,
-                   int_from_json, is_json_matrix, is_json_number)
+                   int_from_json, is_json_matrix, is_json_number, poisson_table)
 from .optics import PartitionSpec
 from .twirl import BlockOperator, block_tuples
 
@@ -158,24 +158,11 @@ def _counts(top: int, overflow: bool = False, first: int = 0) -> tuple[np.ndarra
 
 def _poisson_mass(mu, start: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """P(X = start), or P(X >= start) where tail, for X ~ Poisson(mu), indexed
-    [g, *shape] over the means mu[g] (start and tail broadcast to shape).
-
-    Both are evaluated directly rather than as complements, so small masses
-    keep their relative precision; each only where it is not 0 or 1.
-    """
-    from scipy.special import gammainc, gammaln
-
-    start, tail = np.broadcast_arrays(start, tail)
-    shape, start, tail = start.shape, start.ravel(), tail.ravel()
-    mu = np.asarray(mu, dtype=float)
-    out = np.tile(np.where(tail, start <= 0, start == 0).astype(float), (len(mu), 1))
-    g = np.flatnonzero(mu > 0.0)[:, None]  # at mu = 0 the masses above are exact
-    pmf, upper = np.flatnonzero(~tail & (start >= 0)), np.flatnonzero(tail & (start > 0))
-    # a scalar log per mean, as exp(k log mu - mu) is sensitive to its last bit
-    log_mu = np.array([math.log(m) for m in mu[g[:, 0]]])[:, None]
-    out[g, pmf] = np.exp(start[pmf] * log_mu - mu[g] - gammaln(start[pmf] + 1))
-    out[g, upper] = gammainc(start[upper], mu[g])
-    return out.reshape(len(mu), *shape)
+    [g, *shape] over the means mu[g] (start and tail broadcast to shape),
+    gathered from one poisson_table."""
+    pmf, upper = poisson_table(mu, max(int(np.max(start)), 0))
+    at = np.maximum(start, 0)
+    return np.where(tail, upper[:, at], np.where(start < 0, 0.0, pmf[:, at]))
 
 
 def _count_weights(e: float, alpha: np.ndarray, nu: float, start: np.ndarray,
@@ -305,8 +292,7 @@ def _with_overflow(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
     counts = _counts(top, overflow=True)
     rows = _counting_rows(gammas, partition, N, nus, (counts, counts))
     eta, zeta = partition.sectors[0]
-    overflow = (np.array([top + 1]), np.array([True]))
-    big1, big2 = (_poisson_mass([nu * abs(e * g) ** 2 for g in gammas], *overflow)[:, 0] >= 1e-6
+    big1, big2 = (poisson_table([nu * abs(e * g) ** 2 for g in gammas], top + 1)[1][:, -1] >= 1e-6
                   for nu, e in zip(nus, (zeta, eta)))
     big = np.flatnonzero(big1 | big2)
     if big.size:
@@ -407,6 +393,14 @@ def _split_dense(mat: np.ndarray, like: BlockOperator) -> BlockOperator:
     at = np.cumsum([0] + [m.shape[0] for m in like.blocks.values()])
     return BlockOperator(like.N, {key: mat[a:b, a:b].copy() for key, a, b
                                   in zip(like.blocks, at, at[1:])}, like.partition)
+
+
+def _join_dense(op: BlockOperator) -> np.ndarray:
+    """The dense block-diagonal matrix of op's blocks (the inverse of _split_dense)."""
+    out, at = np.zeros((op.total_dim,) * 2, dtype=np.complex128), 0
+    for m in op.blocks.values():
+        out[at:at + len(m), at:at + len(m)], at = m, at + len(m)
+    return out
 
 
 def apply_loss(elements: dict, nu_1: float, nu_2: float, conv_cut: int = 25) -> dict:

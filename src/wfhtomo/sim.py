@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import inverse_cdf_counts, setting_seed
-from .fock import DenseOperator, OccupationBasis, complex_from_json, complex_to_json
+from .fock import (DenseOperator, OccupationBasis, complex_from_json, complex_to_json,
+                   poisson_table)
 from .optics import plt_on_fock
 from .povm import HermitianCoords, MeasurementContext
 from .twirl import BlockOperator
@@ -89,8 +90,7 @@ def born_table(rho: DenseOperator, gamma: complex, bs_blocks, joint_cutoff: int 
         joint_cutoff = n_in + math.ceil(ag * ag + 6 * ag + 6)
     c_probe = joint_cutoff - n_in
     ag2 = abs(gamma) ** 2
-    deficit = 1.0 - math.exp(-ag2) * math.fsum(ag2 ** n / math.factorial(n)
-                                               for n in range(c_probe + 1))
+    deficit = poisson_table([ag2], c_probe + 1)[1][0, -1]
     if deficit > 1e-10:
         raise ValueError(f"joint_cutoff {joint_cutoff} leaves probe weight {deficit:.3e} "
                          "above the truncation")

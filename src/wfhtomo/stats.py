@@ -18,6 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .fock import poisson_table
 from .mle import ReconstructionParams, log_likelihood, reconstruct
 from .povm import MeasurementContext
 from .sim import Dataset, simulate_dataset
@@ -150,19 +151,6 @@ def parametric_bootstrap(estimate, context: MeasurementContext,
                            method=(params or ReconstructionParams()).method)
 
 
-def _poisson_pmf_matrix(mu: float, m_cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """pi_m(mu) for m = 0..m_cut plus first and second mu-derivatives."""
-    pi = np.zeros(m_cut + 1)
-    pi[0] = math.exp(-mu)
-    for m in range(1, m_cut + 1):
-        pi[m] = pi[m - 1] * mu / m
-    shifted = np.concatenate([[0.0], pi[:-1]])
-    shifted2 = np.concatenate([[0.0, 0.0], pi[:-2]])
-    d1 = shifted - pi
-    d2 = shifted2 - 2.0 * shifted + pi
-    return pi, d1, d2
-
-
 def _counts_vector(counts: Mapping, n_rows: int) -> np.ndarray:
     vec = np.zeros(n_rows)
     for key, m in counts.items():
@@ -195,11 +183,15 @@ def poisson_mle(counts: Mapping, response: np.ndarray) -> dict:
         raise ValueError("all counts are zero")
     m_cut = T.shape[1] - 1
 
+    def response_moments(mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """T pi(mu) and T times the first and second mu-derivatives of pi(mu),
+        pi_m(mu) = e^(-mu) mu^m / m! for m = 0..m_cut."""
+        pi = poisson_table([mu], m_cut)[0][0]
+        shifted = np.r_[0.0, pi[:-1]]
+        return T @ pi, T @ (shifted - pi), T @ (np.r_[0.0, shifted[:-1]] - 2.0 * shifted + pi)
+
     def grad_curv(mu: float) -> tuple[float, float]:
-        pi, d1, d2 = _poisson_pmf_matrix(mu, m_cut)
-        q = T @ pi
-        q1 = T @ d1
-        q2 = T @ d2
+        q, q1, q2 = response_moments(mu)
         obs = m_vec > 0
         if np.any(q[obs] <= 0.0):
             return math.inf, -math.inf  # push away from vanishing support
@@ -232,9 +224,7 @@ def poisson_mle(counts: Mapping, response: np.ndarray) -> dict:
             mu = nxt if step_ok and lo < nxt < hi else 0.5 * (lo + hi)
         mu_hat = mu
 
-    pi, d1, _ = _poisson_pmf_matrix(mu_hat, m_cut)
-    q = T @ pi
-    q1 = T @ d1
+    q, q1, _ = response_moments(mu_hat)
     pos = q > 0.0
     fisher = float(np.sum(q1[pos] ** 2 / q[pos]))
     return {"mu_hat": float(mu_hat), "fisher_info": fisher}
