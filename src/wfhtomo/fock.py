@@ -25,6 +25,8 @@ __all__ = [
     "complex_to_json",
     "complex_from_json",
     "int_from_json",
+    "float_from_json",
+    "list_from_json",
     "field_from_json",
     "is_json_number",
     "is_json_matrix",
@@ -38,7 +40,7 @@ def complex_to_json(z: complex) -> dict:
 
 
 def complex_from_json(d: dict) -> complex:
-    return complex(float(d["re"]), float(d["im"]))
+    return complex(float_from_json(d, "re"), float_from_json(d, "im"))
 
 
 class JsonFieldError(ValueError):
@@ -63,6 +65,25 @@ def int_from_json(d: dict, key: str) -> int:
     if type(v) is not int:
         raise JsonFieldError(f"{key} must be a JSON integer, got {v!r}")
     return v
+
+
+def float_from_json(d: dict, key: str) -> float:
+    """d[key], which must be a JSON number: a string or a bool is refused."""
+    v = d[key]
+    if not is_json_number(v):
+        raise JsonFieldError(f"{key} must be a JSON number, got {v!r}")
+    return float(v)
+
+
+def list_from_json(d: dict, key: str, parse) -> list:
+    """[parse(v) for v in d[key]], where a JsonFieldError gets key[i] prepended."""
+    out = []
+    for i, v in enumerate(d[key]):
+        try:
+            out.append(parse(v))
+        except JsonFieldError as exc:
+            raise exc.within(f"{key}[{i}]") from exc
+    return out
 
 
 def is_json_number(v) -> bool:
@@ -219,8 +240,9 @@ class StateSpec:
     def from_json(cls, d: dict) -> "StateSpec":
         kind, N = d["kind"], int_from_json(d, "N")
         if kind in ("coherent", "cat"):
-            return cls(kind=kind, N=N, alpha=complex_from_json(d["alpha"]))
-        return cls(kind=kind, N=N, r=float(d["r"]), phi=float(d.get("phi", 0.0)))
+            return cls(kind=kind, N=N, alpha=field_from_json(d, "alpha", complex_from_json))
+        return cls(kind=kind, N=N, r=float_from_json(d, "r"),
+                   phi=float_from_json(d, "phi") if "phi" in d else 0.0)
 
 
 @dataclass

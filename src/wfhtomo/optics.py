@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import DenseOperator, JsonFieldError, OccupationBasis
+from .fock import (DenseOperator, JsonFieldError, OccupationBasis, float_from_json,
+                   list_from_json)
 
 __all__ = [
     "PartitionSpec",
@@ -69,10 +70,9 @@ class PartitionSpec:
         s1_multi = d["s1_multi"]
         if not isinstance(s1_multi, bool):
             raise JsonFieldError(f"s1_multi must be a JSON boolean, got {s1_multi!r}")
-        return cls(
-            sectors=tuple((float(s["eta"]), float(s["zeta"])) for s in d["sectors"]),
-            s1_multi=s1_multi,
-        )
+        def sector(s: dict) -> tuple[float, float]:
+            return float_from_json(s, "eta"), float_from_json(s, "zeta")
+        return cls(sectors=tuple(list_from_json(d, "sectors", sector)), s1_multi=s1_multi)
 
 
 @dataclass(frozen=True)

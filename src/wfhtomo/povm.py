@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .fock import (JsonFieldError, complex_from_json, complex_to_json, field_from_json,
-                   int_from_json, is_json_matrix, is_json_number, poisson_table)
+                   int_from_json, is_json_matrix, is_json_number, list_from_json,
+                   poisson_table)
 from .optics import PartitionSpec
 from .twirl import BlockOperator, block_tuples
 
@@ -528,7 +529,7 @@ class Setting:
     def from_json(cls, d: dict) -> "Setting":
         counter = field_from_json(d, "counter", CounterConfig.from_json)
         return cls(
-            gamma=complex_from_json(d["gamma"]),
+            gamma=field_from_json(d, "gamma", complex_from_json),
             counter=counter,
             partition=field_from_json(d, "partition", PartitionSpec.from_json),
             N=int_from_json(d, "N"),
@@ -634,13 +635,7 @@ class MeasurementContext:
     def from_json(cls, d: dict) -> "MeasurementContext":
         # Older files carry "tail_tol" and "conv_cut"; the elements are exact,
         # so both are ignored.
-        settings = []
-        for i, s in enumerate(d["settings"]):
-            try:
-                settings.append(Setting.from_json(s))
-            except JsonFieldError as exc:
-                raise exc.within(f"settings[{i}]") from exc
-        return cls.build(settings)
+        return cls.build(list_from_json(d, "settings", Setting.from_json))
 
 
 class DatasetMismatch(ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import complex_from_json, complex_to_json
+from .fock import complex_from_json, complex_to_json, int_from_json, list_from_json
 
 __all__ = [
     "ProbeSet",
@@ -55,8 +55,8 @@ class ProbeSet:
 
     @classmethod
     def from_json(cls, d: dict) -> "ProbeSet":
-        return cls(gammas=tuple(complex_from_json(g) for g in d["gammas"]),
-                   N=int(d["N"]))
+        return cls(gammas=tuple(list_from_json(d, "gammas", complex_from_json)),
+                   N=int_from_json(d, "N"))
 
 
 def interpolation_matrix(probe_set: ProbeSet, form: str = "complex") -> np.ndarray:

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import inverse_cdf_counts, setting_seed
-from .fock import (DenseOperator, OccupationBasis, complex_from_json, complex_to_json,
+from .fock import (DenseOperator, JsonFieldError, OccupationBasis, complex_from_json,
+                   complex_to_json, field_from_json, int_from_json, list_from_json,
                    poisson_table)
 from .optics import plt_on_fock
 from .povm import HermitianCoords, MeasurementContext
@@ -179,23 +180,19 @@ class Dataset:
 
     @classmethod
     def from_json(cls, d: dict) -> "Dataset":
-        counts = []
-        gammas = []
-        have_gamma = True
-        for i, s in enumerate(d["settings"]):
+        def setting(s: dict) -> tuple[dict, complex | None]:
             for k, v in s["counts"].items():
                 if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise ValueError(f'settings[{i}].counts["{k}"] must be a '
-                                     f"non-negative integer, got {v!r}")
-            counts.append({parse_outcome(k): v for k, v in s["counts"].items()})
-            if "gamma" in s:
-                gammas.append(complex_from_json(s["gamma"]))
-            else:
-                have_gamma = False
-        return cls(counts=counts,
-                   M_i=[sum(c.values()) for c in counts],
-                   seed=int(d.get("seed", 0)),
-                   gammas=gammas if have_gamma else None)
+                    raise JsonFieldError(f'counts["{k}"] must be a non-negative integer, '
+                                         f"got {v!r}")
+            gamma = field_from_json(s, "gamma", complex_from_json) if "gamma" in s else None
+            return {parse_outcome(k): v for k, v in s["counts"].items()}, gamma
+        parsed = list_from_json(d, "settings", setting)
+        gammas = [g for _, g in parsed]
+        return cls(counts=[c for c, _ in parsed],
+                   M_i=[sum(c.values()) for c, _ in parsed],
+                   seed=int_from_json(d, "seed") if "seed" in d else 0,
+                   gammas=None if None in gammas else gammas)
 
 
 def simulate_dataset(state: BlockOperator, context: MeasurementContext,

@@ -13,7 +13,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .fock import DenseOperator, OccupationBasis
+from .fock import (DenseOperator, JsonFieldError, OccupationBasis, int_from_json, is_json_matrix,
+                   list_from_json)
 from .optics import PartitionSpec, haar_from_normals, plt_on_fock
 from .optics import haar_unitary  # noqa: F401  (bench/tracing.py wraps it under this name)
 
@@ -179,11 +180,15 @@ class BlockOperator:
 
     @classmethod
     def from_json(cls, d: dict, partition: PartitionSpec | None = None) -> "BlockOperator":
-        blocks = {}
-        for item in d["tuples"]:
-            key = tuple(int(v) for v in item["i"])
-            blocks[key] = np.array(item["re"], dtype=float) + 1j * np.array(item["im"], dtype=float)
-        return cls(int(d["N"]), blocks, partition)
+        def block(item):
+            if not (isinstance(item["i"], list) and all(type(v) is int for v in item["i"])):
+                raise JsonFieldError(f"i must be a JSON array of integers, got {item['i']!r}")
+            for part in ("re", "im"):
+                if not is_json_matrix(item[part]):
+                    raise JsonFieldError(f"{part} must be a JSON matrix of numbers")
+            return tuple(item["i"]), (np.array(item["re"], dtype=float)
+                                      + 1j * np.array(item["im"], dtype=float))
+        return cls(int_from_json(d, "N"), dict(list_from_json(d, "tuples", block)), partition)
 
 
 def _check_assignment(sector_assignment: Sequence[int], partition: PartitionSpec) -> list[int]:

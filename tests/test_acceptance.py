@@ -42,7 +42,7 @@ from wfhtomo.povm import (
     pi_kl,
 )
 from wfhtomo.probes import design_gamma, feasibility, interpolation_matrix
-from wfhtomo.sim import born_oracle, born_table, probabilities, simulate_dataset
+from wfhtomo.sim import born_table, probabilities, simulate_dataset
 from wfhtomo.stats import parametric_bootstrap
 from wfhtomo.twirl import BlockOperator, embed_full, twirl_analytic, twirl_oracle_mc
 
@@ -181,10 +181,10 @@ def test_criterion_03_analytic_probabilities_match_dense_oracle():
                      partition=part, N=N)])
         probs = probabilities(chi, ctx.povms[0])
         blocks = [standard_block(*part.sectors[s]) for s in assign]
+        table = born_table(rho, g, blocks)
         for k in range(9):
             for l in range(9 - k):
-                worst = max(worst, abs(probs[(k, l)]
-                                       - born_oracle(rho, g, blocks, k, l)))
+                worst = max(worst, abs(probs[(k, l)] - float(table[k, l])))
     ok = worst < 1e-8
     _report(3, "analytic probabilities match dense oracle", ok,
             f"worst |dp|={worst:.2e}")
@@ -303,8 +303,8 @@ def test_criterion_05_twirl_correctness():
                  partition=P2, N=3)])
     probs = probabilities(chi, ctx.povms[0])
     blocks = [standard_block(*P2.sectors[0]), standard_block(*P2.sectors[1])]
-    born_dev = max(abs(probs[(k, l)] - born_oracle(rho, 0.8 - 0.35j, blocks, k, l))
-                   for k in range(5) for l in range(5))
+    table = born_table(rho, 0.8 - 0.35j, blocks)
+    born_dev = max(abs(probs[(k, l)] - float(table[k, l])) for k in range(5) for l in range(5))
     ok = ok and born_dev < 1e-9
 
     # conjugating by any mode transformation that fixes mode 1 and respects

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wfhtomo
 from wfhtomo import cli
 from wfhtomo.fock import StateSpec, make_state
 from wfhtomo.optics import PartitionSpec
@@ -149,6 +152,22 @@ def test_ic_check_non_boolean_s1_multi_exits_1(capsys, workspace, tmp_path, valu
     code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
     assert code == 1
     assert f"settings[0].partition.s1_multi must be a JSON boolean, got {value!r}" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    (("gamma", "re"), "0.5"), (("gamma", "im"), True),
+    (("partition", "sectors", 0, "eta"), "0.7071067811865476")],
+    ids=["gamma-re-string", "gamma-im-bool", "eta-string"])
+def test_ic_check_non_number_field_exits_1(capsys, workspace, tmp_path, field, value):
+    def edit(setting):
+        node = setting
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+    code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    path = ".".join(str(k) for k in field).replace(".0.", "[0].")
+    assert f"settings[0].{path} must be a JSON number, got {value!r}" in err
 
 
 def test_ic_check_non_array_loss_exits_1(capsys, workspace, tmp_path):
@@ -560,6 +579,22 @@ def test_reconstruct_bad_count_exits_1(capsys, workspace, tmp_path, bad):
     assert 'settings[0].counts["(1,2)"]' in err
 
 
+@pytest.mark.parametrize("seed", [5.0, "5", True])
+def test_reconstruct_non_integer_dataset_seed_exits_1(capsys, workspace, tmp_path, seed):
+    code, err = _reconstruct_edited(capsys, workspace, tmp_path,
+                                    lambda payload: payload.update(seed=seed))
+    assert code == 1
+    assert f"seed must be a JSON integer, got {seed!r}" in err
+
+
+def test_reconstruct_string_dataset_gamma_exits_1(capsys, workspace, tmp_path):
+    def edit(payload):
+        payload["settings"][1]["gamma"]["re"] = "0.5"
+    code, err = _reconstruct_edited(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert "settings[1].gamma.re must be a JSON number, got '0.5'" in err
+
+
 def test_twirl_closed_form(capsys, tmp_path):
     out = tmp_path / "tmsv.json"
     code, summary = run_cli(capsys, "twirl", "--closed-form", "tmsv",
@@ -644,6 +679,61 @@ def test_non_finite_json_number_exits_1(capsys, workspace, tmp_path, literal):
     code = cli.main(["ic-check", "--context", str(path)])
     assert code == 1
     assert "settings[1].gamma.im is not a finite number" in capsys.readouterr().err
+
+
+def _set_entry(payload, value):
+    payload["tuples"][0]["re"][0][0] = value
+
+
+def _set_index(payload, value):
+    payload["tuples"][0]["i"] = [value]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.update(N=float(p["N"])), "N must be a JSON integer, got 1.0"),
+    (lambda p: _set_entry(p, "0.5"), "tuples[0].re must be a JSON matrix of numbers"),
+    (lambda p: _set_entry(p, None), "tuples[0].re must be a JSON matrix of numbers"),
+    (lambda p: _set_index(p, 1.0), "tuples[0].i must be a JSON array of integers, got [1.0]")],
+    ids=["N-float", "entry-string", "entry-null", "index-float"])
+def test_fidelity_malformed_state_field_exits_1(capsys, workspace, tmp_path, edit, message):
+    root, _, _ = workspace
+    path = _edited_state(workspace, tmp_path, edit)
+    code = cli.main(["fidelity", "--a", str(path), "--b", str(root / "state.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err and str(path) in err
+
+
+_CONTEXT_COMMANDS = """
+import json, pathlib, sys
+from wfhtomo import cli
+ctx, state, work = sys.argv[1], sys.argv[2], pathlib.Path(sys.argv[3])
+data, report, est = (str(work / name) for name in ("data.json", "report.json", "est.json"))
+codes = [cli.main(["ic-check", "--context", ctx]),
+         cli.main(["simulate", "--state", state, "--context", ctx, "--m", "300",
+                   "--out", data]),
+         cli.main(["reconstruct", "--context", ctx, "--data", data, "--out", report])]
+pathlib.Path(est).write_text(json.dumps(json.loads(pathlib.Path(report).read_text())["estimate"]))
+codes.append(cli.main(["bootstrap", "--estimate", est, "--context", ctx, "--data", data,
+                       "--n-boot", "2", "--out", str(work / "boot.json")]))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_context_commands_import_no_scipy(workspace, tmp_path):
+    # only stats.sinusoid_fit imports scipy: ic-check, simulate, reconstruct and
+    # bootstrap run without it (in a fresh interpreter, as imports persist)
+    root, _, _ = workspace
+    src = str(Path(wfhtomo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", _CONTEXT_COMMANDS, str(root / "context.json"),
+                           str(root / "state.json"), str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 def _not_psd(payload):

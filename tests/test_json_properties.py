@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from wfhtomo.mle import METHODS, ReconstructionParams
 from wfhtomo.optics import PartitionSpec
-from wfhtomo.povm import CounterConfig, Setting
+from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
+from wfhtomo.probes import ProbeSet
 from wfhtomo.sim import Dataset
 from wfhtomo.twirl import BlockOperator, block_tuples
 
@@ -126,3 +127,58 @@ def params(draw):
 @given(p=params())
 def test_reconstruction_params_round_trip(p):
     assert ReconstructionParams.from_json(through_json(p.to_json())) == p
+
+
+@st.composite
+def context_settings(draw):
+    """Ideal, lossy, single-counter, response-matrix and click settings of one
+    partition (K <= 2) and N, with probes of |gamma| <= 2, shuffled together;
+    the responses cover 25 photons, so every POVM is complete."""
+    partition = draw(partitions())
+    partition = PartitionSpec(sectors=partition.sectors[:2], s1_multi=partition.s1_multi)
+    k1 = PartitionSpec(sectors=partition.sectors[:1], s1_multi=partition.s1_multi)
+    N, n_c = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = rng.random((2, n_c + 2, 26))
+    kinds = {
+        "ideal": (CounterConfig(counters=2, N_c=n_c), partition, "counting"),
+        "lossy": (CounterConfig(counters=2, N_c=n_c, loss=(draw(transmission),
+                                                           draw(transmission))),
+                  partition, "counting"),
+        "single": (CounterConfig(counters=1, N_c=n_c, loss=(draw(transmission),)), partition,
+                   "counting"),
+        "response": (CounterConfig(counters=2, N_c=n_c,
+                                   response=tuple(mats / mats.sum(axis=1, keepdims=True))),
+                     partition, "counting"),
+        "click": (CounterConfig(counters=2, N_c=0), k1, "click"),
+    }
+    probe = st.builds(lambda r, phi: r * complex(math.cos(phi), math.sin(phi)),
+                      st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi))
+    settings_ = [Setting(gamma=g, counter=counter, partition=part, N=N, detector=detector)
+                 for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                                           max_size=5, unique=True))
+                 for counter, part, detector in [kinds[kind]]
+                 for g in draw(st.lists(probe, min_size=1, max_size=3))]
+    return draw(st.permutations(settings_))
+
+
+@settings(max_examples=25, deadline=None)
+@given(settings_=context_settings())
+def test_measurement_context_round_trip(settings_):
+    context = MeasurementContext.build(settings_)
+    back = MeasurementContext.from_json(through_json(context.to_json()))
+    assert [s.to_json() for s in back.settings] == [s.to_json() for s in context.settings]
+    assert back.labels == context.labels
+    assert [r.tobytes() for r in back.rows] == [r.tobytes() for r in context.rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gammas=st.lists(st.builds(complex, st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)),
+                      min_size=1, max_size=8).filter(
+           lambda gs: all(abs(a - b) > 1e-9 for i, a in enumerate(gs) for b in gs[i + 1:])),
+       N=st.integers(0, 2 ** 40))
+def test_probe_set_round_trip(gammas, N):
+    probes = ProbeSet(gammas=tuple(gammas), N=N)
+    back = ProbeSet.from_json(through_json(probes.to_json()))
+    assert back.gammas == probes.gammas
+    assert back.N == N

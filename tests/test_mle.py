@@ -19,7 +19,7 @@ from wfhtomo.mle import (
 )
 from wfhtomo.optics import PartitionSpec
 from wfhtomo.povm import (CounterConfig, HermitianCoords, MeasurementContext, PovmElement,
-                          Setting)
+                          Setting, _join_dense, _split_dense)
 from wfhtomo.probes import design_gamma
 from wfhtomo.sim import Dataset, probabilities, simulate_dataset
 from wfhtomo.twirl import BlockOperator, reduced_assignment, twirl_analytic
@@ -208,6 +208,17 @@ def test_diluted_step_inf_is_rrr(ctx, rho_true):
     new.validate_state()
     with pytest.raises(ValueError):
         diluted_step(rho_true, R, -1.0)
+
+
+def test_join_dense_is_block_diag_and_split_dense_inverts_it():
+    # diluted_step stacks its blocks with povm._join_dense in place of scipy's block_diag
+    rng = np.random.default_rng(8)
+    op = BlockOperator(2, {key: rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+                           for key, m in BlockOperator.zeros(2, 2).blocks.items()})
+    dense = _join_dense(op)
+    assert dense.tobytes() == block_diag(*op.blocks.values()).tobytes()
+    back = _split_dense(dense, op)
+    assert all(np.array_equal(back.blocks[k], m) for k, m in op.blocks.items())
 
 
 def test_small_eps_never_decreases_loglik(ctx, rho_true):

@@ -225,6 +225,16 @@ def test_born_oracle_table_normalization():
     assert table.min() > -1e-14
 
 
+def test_born_oracle_reads_one_table_entry():
+    # the loops over (k, l) elsewhere index born_table once per case instead
+    rho = random_density(2, 2, seed=3)
+    blocks = [standard_block(0.6, 0.8), standard_block(math.sqrt(0.3), math.sqrt(0.7))]
+    table = born_table(rho, 0.5 - 0.2j, blocks)
+    for k, l in [(0, 0), (2, 1), (1, 3), (table.shape[0] - 1, 0)]:
+        assert born_oracle(rho, 0.5 - 0.2j, blocks, k, l) == float(table[k, l])
+    assert born_oracle(rho, 0.5 - 0.2j, blocks, table.shape[0], 0) == 0.0
+
+
 def test_born_oracle_rejects_small_cutoff():
     basis = OccupationBasis(1, 2)
     vac = np.zeros((3, 3), dtype=np.complex128)
@@ -287,10 +297,10 @@ def test_born_oracle_matches_literal_joint_construction(num_modes, cutoff, gamma
               standard_block(math.sqrt(0.35), math.sqrt(0.65))][:num_modes]
     joint_cutoff = cutoff + 10
     lit = _full_joint_table(rho, gamma, blocks, joint_cutoff)
+    table = born_table(rho, gamma, blocks, joint_cutoff=joint_cutoff)
     for k in range(joint_cutoff + 1):
         for l in range(joint_cutoff + 1 - k):
-            got = born_oracle(rho, gamma, blocks, k, l, joint_cutoff=joint_cutoff)
-            assert abs(got - lit[k, l]) < 1e-11
+            assert abs(float(table[k, l]) - lit[k, l]) < 1e-11
 
 
 def test_born_oracle_plt_invariance():
@@ -321,9 +331,10 @@ def test_born_oracle_twirl_indistinguishability():
                       partition=part, N=3)
     ctx = MeasurementContext.build([setting])
     probs = probabilities(chi, ctx.povms[0])
+    table = born_table(rho, g, blocks)
     for k in range(5):
         for l in range(5):
-            assert abs(probs[(k, l)] - born_oracle(rho, g, blocks, k, l)) < 1e-9
+            assert abs(probs[(k, l)] - float(table[k, l])) < 1e-9
 
 
 def _small_context():
