@@ -19,7 +19,16 @@ Doubles are (x >> 11) * 2**-53, uniform on [0, 1).
 ``inverse_cdf_counts`` draws the same streams in numpy ``uint64`` lanes. The
 xoshiro256++ state update T is linear over GF(2), so J = T^_LANE is a
 256 x 256 bit matrix, and lane k of a stream starts at J^k applied to its
-seed state: the lanes together produce the stream's draws in order.
+seed state: the lanes together produce the stream's draws in order. J s is
+the XOR of 64 entries of a table indexed by the 4-bit digits of s; the
+entries are XORs of J's columns.
+
+A draw u = k * 2**-53, k = x >> 11, counts in bin bisect_right(cum, u).
+Since c * 2**53 is exact, that is the number of integer thresholds
+ceil(cum_j * 2**53) that are <= k. A guide table (Chen & Asau, AIIE Trans. 6,
+163 (1974)) gives that number for every k of a bucket k >> _SHIFT that holds
+no threshold inside it; a draw in any other bucket is searched exactly among
+the thresholds. So the counts are those of the scalar loop.
 """
 from __future__ import annotations
 
@@ -28,9 +37,11 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _LANE = 256  # draws per lane; lane k of a stream starts after k * _LANE steps
 _CHUNK = 8  # steps drawn per pass over the lanes (8 words of working set per lane)
+_G = 10  # guide-table bits: a draw k < 2**53 is in bucket k >> _SHIFT
+_SHIFT = 53 - _G
 _U = np.uint64
-_BITS = np.arange(64, dtype=np.uint64)
-_jump_rows = None  # J as 4 x 256 words, built on first use
+_NIBBLES = np.arange(0, 64, 4, dtype=np.uint64)
+_jump_digits = None  # J by 4-bit digits, 64 x 16 x 4 words, built on first use
 
 
 class SplitMix64:
@@ -100,38 +111,63 @@ def _step(s: np.ndarray) -> np.ndarray:
     return result
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Bits (..., 256) of 0 and 1 as words (..., 4), bit 64 w + b in word w."""
-    return np.bitwise_or.reduce(bits.reshape(*bits.shape[:-1], 4, 64) << _BITS, axis=-1)
-
-
 def _jump_table() -> np.ndarray:
-    """J = T^_LANE by rows: word w of row i is rows[w, i], and bit i of J s
-    is the parity of the AND of row i with s."""
-    global _jump_rows
-    if _jump_rows is None:
+    """J = T^_LANE by 4-bit digits: table[p, v] is J applied to the state whose
+    bits 4 p .. 4 p + 3 hold v and whose other bits are 0 (4 words)."""
+    global _jump_digits
+    if _jump_digits is None:
         bit = np.arange(256)
         cols = np.zeros((4, 256), dtype=np.uint64)  # column j: the unit state e_j
         cols[bit // 64, bit] = _U(1) << (bit % 64).astype(np.uint64)
         for _ in range(_LANE):
             _step(cols)
-        # cols[:, j] = J e_j; bit b of word w of every column is row 64 w + b
-        rows = [_pack((cols[w] >> b) & _U(1)) for w in range(4) for b in _BITS]
-        _jump_rows = np.ascontiguousarray(np.array(rows).T)
-    return _jump_rows
+        cols = cols.T.reshape(64, 4, 4)  # cols[p, b] = J e_(4 p + b)
+        table = np.zeros((64, 16, 4), dtype=np.uint64)
+        for b in range(4):
+            table[:, 2 ** b:2 ** (b + 1)] = table[:, :2 ** b] ^ cols[:, b, None]
+        _jump_digits = table
+    return _jump_digits
 
 
 def _jump(states: np.ndarray) -> np.ndarray:
     """J s for every state of states (streams x 4 words): each state advanced
-    by _LANE steps."""
-    rows = _jump_table()
-    x = rows[0] & states[:, 0, None]
-    for w in range(1, 4):
-        x ^= rows[w] & states[:, w, None]
-    for k in (32, 16, 8, 4, 2, 1):  # parity of each word lands in its bit 0
-        x ^= x >> _U(k)
-    x &= _U(1)
-    return _pack(x)
+    by _LANE steps, as the XOR of one table entry per 4-bit digit of s."""
+    digits = ((states[:, :, None] >> _NIBBLES) & _U(15)).reshape(len(states), 64).T
+    return np.bitwise_xor.reduce(_jump_table()[np.arange(64)[:, None], digits], axis=0)
+
+
+def _guide(cums: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Guide table and sorted keys s * 2**53 + ceil(cums[s][j] * 2**53) of settings s.
+
+    Setting s's bin j is global bin j + s + (the number of keys of settings
+    before s). table[s, b] is the global bin of every k of bucket b = k >> _SHIFT,
+    or -1 when a threshold falls inside the bucket (past its first k)."""
+    # clipping keeps the keys of setting s within [s, s + 1] * 2**53 and moves no
+    # count: every k is below 2**53 and at least 0
+    thr = [np.ceil(np.ldexp(np.clip(c, 0.0, 1.0), 53)).astype(np.int64) for c in cums]
+    row = np.arange(len(cums))
+    keys = np.concatenate(thr) + (np.repeat(row, [len(t) for t in thr]) << 53)
+    starts = np.arange(2 ** _G) << _SHIFT  # each bucket's first k
+    table = np.empty((len(cums), 2 ** _G), dtype=np.int32)
+    for s in row:
+        table[s] = np.searchsorted(keys, (s << 53) + starts, "right") + s
+    inside = keys[keys & (2 ** _SHIFT - 1) != 0]
+    table.reshape(-1)[inside >> _SHIFT] = -1
+    return table, keys
+
+
+def _bins(table: np.ndarray, keys: np.ndarray, owner: np.ndarray, k: np.ndarray):
+    """Global bins (see _guide) of draws k < 2**53 (int64) of settings owner, which
+    broadcasts against k; a draw in an ambiguous bucket is searched among the keys."""
+    index = k >> _SHIFT
+    index += owner << _G
+    bins = table.reshape(-1)[index].reshape(-1)
+    amb = np.flatnonzero(bins < 0)
+    if amb.size:
+        at = np.unravel_index(amb, k.shape)
+        s = np.broadcast_to(owner, k.shape)[at]
+        bins[amb] = np.searchsorted(keys, (s << 53) + k[at], "right") + s
+    return bins.reshape(k.shape)
 
 
 def inverse_cdf_counts(seeds: list[int], cums: list[list[float]], totals: list[int]
@@ -139,10 +175,14 @@ def inverse_cdf_counts(seeds: list[int], cums: list[list[float]], totals: list[i
     """Outcome counts of totals[i] inverse-CDF draws from Xoshiro256PP(seeds[i]).
 
     Each draw u = next_double() of stream i counts in bin
-    bisect_right(cums[i], u); cums[i] must end at 1.0. The result equals the
-    scalar loop over the streams, but every stream is cut into lanes of
-    _LANE draws and all lanes of all streams step together.
+    bisect_right(cums[i], u); cums[i] must be non-decreasing and end at 1.0.
+    The result equals the scalar loop over the streams, but every stream is
+    cut into lanes of _LANE draws, all lanes of all streams step together,
+    and the draws are binned through one guide table (_guide, _bins).
     """
+    if len(seeds) > 1023:  # _guide's keys s * 2**53 + threshold must fit in int64
+        return (inverse_cdf_counts(seeds[:1023], cums[:1023], totals[:1023])
+                + inverse_cdf_counts(seeds[1023:], cums[1023:], totals[1023:]))
     totals = np.asarray(totals, dtype=np.int64)
     lanes = -(-totals // _LANE)
     first = np.cumsum(lanes) - lanes
@@ -151,23 +191,22 @@ def inverse_cdf_counts(seeds: list[int], cums: list[list[float]], totals: list[i
     short = np.nonzero(left < _LANE)[0]  # each stream's last lane, unless it is full
     state = np.empty((4, int(lanes.sum())), dtype=np.uint64)
     start = np.array([Xoshiro256PP(seed).s for seed in seeds], dtype=np.uint64)
-    for k in range(int(lanes.max())):
-        if k:
+    for lane in range(int(lanes.max())):
+        if lane:
             start = _jump(start)
-        live = lanes > k
-        state[:, first[live] + k] = start[live].T
-    cums = [np.asarray(c, dtype=np.float64) for c in cums]
-    tallies = [np.zeros(len(c) + 1, dtype=np.int64) for c in cums]  # last bin: no draw
+        live = lanes > lane
+        state[:, first[live] + lane] = start[live].T
+    table, keys = _guide([np.asarray(c, dtype=np.float64) for c in cums])
+    spare = np.cumsum([len(c) for c in cums]) + np.arange(len(cums))  # "no draw" bins
+    tally = np.zeros(spare[-1] + 1, dtype=np.int64)
     steps = int(min(_LANE, totals.max()))
-    chunk = np.empty((state.shape[1], _CHUNK))
+    chunk = np.empty((state.shape[1], _CHUNK), dtype=np.int64)
     for j0 in range(0, steps, _CHUNK):
-        u = chunk[:, :min(_CHUNK, steps - j0)]
-        for j in range(u.shape[1]):
-            u[:, j] = _step(state) >> _U(11)
-        u *= 2.0 ** -53
-        past = j0 + np.arange(u.shape[1]) >= left[short, None]  # steps after a stream's end
-        u[short] = np.where(past, 2.0, u[short])
-        for i, (a, b) in enumerate(zip(first, first + lanes)):
-            tallies[i] += np.bincount(np.searchsorted(cums[i], u[a:b].ravel(), "right"),
-                                      minlength=len(tallies[i]))
-    return [t[:-1] for t in tallies]
+        k = chunk[:, :min(_CHUNK, steps - j0)]
+        for j in range(k.shape[1]):
+            k[:, j] = _step(state) >> _U(11)
+        bins = _bins(table, keys, owner[:, None], k)
+        past = j0 + np.arange(k.shape[1]) >= left[short, None]  # steps after a stream's end
+        bins[short] = np.where(past, spare[owner[short], None], bins[short])
+        tally += np.bincount(bins.ravel(), minlength=len(tally))
+    return [tally[b - len(c):b] for b, c in zip(spare, cums)]

@@ -209,6 +209,14 @@ def _cmd_simulate(args) -> dict:
             "out": args.out}
 
 
+def _trial_records(fits, truth: BlockOperator, method: str) -> list[dict]:
+    """The ``reconstruct --trials`` record of each refit: its seed, fidelity to
+    the truth, fit method, termination, iterations, final log-likelihood and r_k."""
+    return [{"seed": f.seed, "fidelity": fidelity(f.estimate, truth), "method": method,
+             "termination": f.termination, "iterations": f.iterations, "loglik": f.loglik,
+             "r_k": f.r_k} for f in fits]
+
+
 def _cmd_reconstruct(args) -> dict:
     context = _load("context", MeasurementContext.from_json, args.context)
     params = _load_params(args)
@@ -220,9 +228,7 @@ def _cmd_reconstruct(args) -> dict:
             raise ConfigError("--trials > 1 requires --true-state")
         fits = refit_replicates(truth, context, _m_list(args, len(context.settings)),
                                 args.trials, params, args.seed, args.jobs)
-        trials = [{"seed": f.seed, "fidelity": fidelity(f.estimate, truth),
-                   "method": params.method, "termination": f.termination,
-                   "iterations": f.iterations, "loglik": f.loglik, "r_k": f.r_k} for f in fits]
+        trials = _trial_records(fits, truth, params.method)
         fids = [t["fidelity"] for t in trials]
         payload = {"trials": trials,
                    "mean_fidelity": float(np.mean(fids)),

@@ -41,9 +41,16 @@ class ProbeSet:
             raise ValueError("probe set must be nonempty")
         if self.N < 0:
             raise ValueError("N must be >= 0")
+        for i, g in enumerate(gammas):
+            if not (math.isfinite(g.real) and math.isfinite(g.imag)):
+                raise ValueError(f"amplitude {i} is not finite: {g!r}")
         for i in range(len(gammas)):
             for j in range(i + 1, len(gammas)):
-                if abs(gammas[i] - gammas[j]) <= _DISTINCT_TOL:
+                d = gammas[i] - gammas[j]
+                distance = math.hypot(d.real, d.imag)  # abs(d) raises on overflow
+                if not math.isfinite(distance):
+                    raise ValueError(f"amplitudes {i} and {j} differ by more than a float holds")
+                if distance <= _DISTINCT_TOL:
                     raise ValueError(f"amplitudes {i} and {j} coincide")
         object.__setattr__(self, "gammas", gammas)
 

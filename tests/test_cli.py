@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -261,6 +262,26 @@ def test_simulate_deterministic(capsys, workspace, tmp_path):
             "--context", str(root / "context.json"),
             "--m", "500", "--seed", "8", "--out", str(other))
     assert other.read_bytes() != d1.read_bytes()
+
+
+def test_readme_quick_start_dataset_is_byte_identical(capsys, tmp_path):
+    # the README quick-start up to `simulate`: its data.json is pinned byte for byte
+    def run(*argv):
+        assert run_cli(capsys, *argv)[0] == 0
+
+    run("design-gamma", "--n", "3", "--seed", "7", "--out", str(tmp_path / "probes.json"))
+    probes = ProbeSet.from_json(json.loads((tmp_path / "probes.json").read_text()))
+    partition = PartitionSpec(sectors=((0.5 ** 0.5, 0.5 ** 0.5),), s1_multi=True)
+    counter = CounterConfig(counters=2, N_c=6)
+    context = MeasurementContext.build([Setting(gamma=g, counter=counter, partition=partition,
+                                                N=probes.N) for g in probes.gammas])
+    (tmp_path / "context.json").write_text(json.dumps(context.to_json()))
+    run("twirl", "--closed-form", "cat", "--alpha-re", "0.5", "--n", "3",
+        "--out", str(tmp_path / "truth.json"))
+    run("simulate", "--state", str(tmp_path / "truth.json"), "--context",
+        str(tmp_path / "context.json"), "--m", "20000", "--out", str(tmp_path / "data.json"))
+    assert hashlib.sha256((tmp_path / "data.json").read_bytes()).hexdigest() == \
+        "3493f80b7224ffbb8de27f699de7bf12cd236f3a108c98e28f0900603d258053"
 
 
 def test_simulate_m_list_validation(capsys, workspace, tmp_path):

@@ -4,16 +4,20 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wfhtomo.mle import METHODS, ReconstructionParams
+from wfhtomo import cli
+from wfhtomo.fock import StateSpec, make_state
+from wfhtomo.mle import METHODS, ReconstructionParams, reconstruct
 from wfhtomo.optics import PartitionSpec
 from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
-from wfhtomo.probes import ProbeSet
-from wfhtomo.sim import Dataset
-from wfhtomo.twirl import BlockOperator, block_tuples
+from wfhtomo.probes import ProbeSet, design_gamma
+from wfhtomo.sim import Dataset, simulate_dataset
+from wfhtomo.stats import parametric_bootstrap, refit_replicates
+from wfhtomo.twirl import BlockOperator, block_tuples, reduced_assignment, twirl_analytic
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 complexes = st.builds(complex, finite, finite)
@@ -173,12 +177,64 @@ def test_measurement_context_round_trip(settings_):
 
 
 @settings(max_examples=40, deadline=None)
-@given(gammas=st.lists(st.builds(complex, st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)),
-                      min_size=1, max_size=8).filter(
-           lambda gs: all(abs(a - b) > 1e-9 for i, a in enumerate(gs) for b in gs[i + 1:])),
+@given(gammas=st.lists(complexes, min_size=1, max_size=8).filter(
+           lambda gs: all(1e-9 < math.hypot((a - b).real, (a - b).imag) < math.inf
+                          for i, a in enumerate(gs) for b in gs[i + 1:])),
        N=st.integers(0, 2 ** 40))
 def test_probe_set_round_trip(gammas, N):
     probes = ProbeSet(gammas=tuple(gammas), N=N)
     back = ProbeSet.from_json(through_json(probes.to_json()))
     assert back.gammas == probes.gammas
     assert back.N == N
+
+
+# Reports: a fit's report, a bootstrap report and the `reconstruct --trials`
+# records are plain JSON (no NaN, infinities, tuples or numpy scalars), so
+# they come back equal through strict JSON text, however the fits end. With
+# r_stop = 1e-300 an APG fit stalls unless rounding puts r_k at or below 0.
+REPORT_PARAMS = {
+    "stopped_on_r": [ReconstructionParams(method="apg"), ReconstructionParams()],
+    "max_iter": [ReconstructionParams(r_stop=1e-15, max_iter=3, method="apg"),
+                 ReconstructionParams(r_stop=1e-15, max_iter=3)],
+    "stalled": [ReconstructionParams(r_stop=1e-300, method="apg")],
+}
+BAL = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=False)
+REPORT_CONTEXT = MeasurementContext.build(
+    [Setting(gamma=g, counter=CounterConfig(counters=2, N_c=4), partition=BAL, N=1)
+     for g in design_gamma(1, seed=3).gammas])
+REPORT_TRUTH = twirl_analytic(make_state(StateSpec(kind="coherent", N=1, alpha=0.3)).density(),
+                              reduced_assignment(BAL), BAL, 1)
+
+
+def fit_reports(params, seed, shots):
+    """A fit's report, a 2-replicate bootstrap of it and 2 `--trials` records."""
+    M_i = [shots] * len(REPORT_CONTEXT.settings)
+    dataset = simulate_dataset(REPORT_TRUTH, REPORT_CONTEXT, M_i, seed)
+    report = reconstruct(REPORT_CONTEXT, dataset, params)
+    boot = parametric_bootstrap(report.estimate, REPORT_CONTEXT, M_i, 2, params, seed, dataset)
+    fits = refit_replicates(REPORT_TRUTH, REPORT_CONTEXT, M_i, 2, params, seed)
+    records = cli._trial_records(fits, REPORT_TRUTH, params.method)
+    return report, boot, records
+
+
+def assert_strict_json_round_trips(report, boot, records):
+    for x in (report.to_json(), boot.to_json(), records):
+        assert json.loads(json.dumps(x, allow_nan=False)) == x
+
+
+@settings(max_examples=15, deadline=None)
+@given(params=st.sampled_from([p for ps in REPORT_PARAMS.values() for p in ps]),
+       seed=st.integers(0, 2 ** 63 - 1), shots=st.integers(50, 2000))
+def test_report_round_trips(params, seed, shots):
+    assert_strict_json_round_trips(*fit_reports(params, seed, shots))
+
+
+# seeds at which the fit and its 4 refits all end the same way
+@pytest.mark.parametrize("termination, seed", [("stopped_on_r", 1), ("max_iter", 1),
+                                               ("stalled", 2)])
+def test_report_round_trips_of_each_termination(termination, seed):
+    for params in REPORT_PARAMS[termination]:
+        report, boot, records = fit_reports(params, seed, 500)
+        assert [report.termination] + [r["termination"] for r in boot.replicates + records] \
+            == [termination] * 5
+        assert_strict_json_round_trips(report, boot, records)

@@ -36,6 +36,23 @@ def test_probe_set_validation():
     assert ps2.N == 1
 
 
+@pytest.mark.parametrize("gammas, message", [
+    ((math.nan, 1), "amplitude 0 is not finite"),
+    ((0.5, complex(1, math.inf)), "amplitude 1 is not finite"),
+    ((1.5e308 + 1.5e308j, 0), "amplitudes 0 and 1 differ by more than a float holds"),
+    ((0, 1.5e308, -1.5e308), "amplitudes 1 and 2 differ by more than a float holds"),
+])
+def test_probe_set_rejects_non_finite_amplitudes_and_distances(gammas, message):
+    with pytest.raises(ValueError, match=message):
+        ProbeSet(gammas=gammas, N=1)
+
+
+def test_probe_set_from_json_rejects_nan_amplitude():
+    d = json.loads('{"gammas": [{"re": 0.5, "im": 0}, {"re": NaN, "im": 0}], "N": 1}')
+    with pytest.raises(ValueError, match="amplitude 1 is not finite"):
+        ProbeSet.from_json(d)
+
+
 def test_interpolation_matrix_n0():
     m = interpolation_matrix(ProbeSet(gammas=(0.7 + 0.2j,), N=0))
     assert m.shape == (1, 1)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from wfhtomo._rng import (SplitMix64, Xoshiro256PP, _jump, _step, inverse_cdf_counts,
-                          setting_seed)
+from wfhtomo._rng import (_G, _SHIFT, SplitMix64, Xoshiro256PP, _bins, _guide, _jump, _step,
+                          inverse_cdf_counts, setting_seed)
 from wfhtomo.fock import DenseOperator, OccupationBasis, StateSpec, make_state
 from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock, standard_block
 from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
@@ -92,6 +92,72 @@ def test_lane_counts_match_scalar_stream(data):
     got = inverse_cdf_counts(seeds, cums, totals)
     for seed, cum, total, counts in zip(seeds, cums, totals, got):
         assert counts.tolist() == _scalar_counts(seed, cum, total)
+
+
+GRID = 2.0 ** -53  # spacing of the draws u = k * 2**-53
+BUCKET = 2.0 ** (_SHIFT - 53)  # width of a guide bucket in u
+
+# cumulative tables at the guide table's edge cases
+TALLY_TABLES = [
+    [BUCKET * 256, BUCKET * 512, BUCKET * 513, 1.0],  # thresholds on bucket edges
+    [0.25 + j * GRID for j in range(1, 6)] + [1.0],  # consecutive 2**-53 grid points
+    [BUCKET - GRID, BUCKET, BUCKET + GRID, 1 - GRID, 1.0],  # either side of an edge
+    [(2 ** 40 + 0.5) * GRID, 0.1 + 0.5 * GRID, 1.0],  # between grid points
+    [0.0, 0.0, 0.1, 0.1, 0.1, 1.0, 1.0],  # zero-probability outcomes
+    [0.1 + j * 1e-6 for j in range(5)] + [1.0],  # several thresholds in one bucket
+    [0.5, 1.0 + 2 * GRID, 1.0],  # a running sum past 1 before the last entry is set
+    [1.0],
+]
+
+
+def test_guide_bins_match_bisect_at_chosen_draws():
+    table, keys = _guide([np.array(c) for c in TALLY_TABLES])
+    base = 0
+    for s, cum in enumerate(TALLY_TABLES):
+        ks = {0, 2 ** 53 - 1}
+        for c in cum:
+            t = math.ceil(c * 2 ** 53)  # c * 2**53 is exact
+            edge = t >> _SHIFT << _SHIFT
+            ks |= {t - 1, t, t + 1, edge - 1, edge, edge + 2 ** _SHIFT - 1}
+        k = np.array(sorted(x for x in ks if 0 <= x < 2 ** 53), dtype=np.int64)
+        got = _bins(table, keys, np.full_like(k, s), k)
+        want = [base + s + bisect.bisect_right(cum, x * GRID) for x in k.tolist()]
+        assert got.tolist() == want
+        assert (table[s] >= 0).sum() >= 2 ** _G - len(cum)  # at most one -1 per threshold
+        base += len(cum)
+
+
+@st.composite
+def snapped_tables(draw):
+    """Cumulative tables whose entries sit on guide-bucket edges or a few 2**-53
+    steps off them, so that draws land in buckets that need the exact search."""
+    entries = draw(st.lists(st.tuples(st.integers(0, 2 ** _G), st.integers(-3, 3)),
+                            min_size=1, max_size=12))
+    cum = sorted(min(max(b * BUCKET + j * GRID, 0.0), 1.0) for b, j in entries)
+    cum[-1] = 1.0
+    return cum
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_lane_counts_match_scalar_stream_at_bucket_edges(data):
+    totals = data.draw(st.lists(st.integers(1, 3 * 256 + 1), min_size=1, max_size=4))
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=len(totals),
+                               max_size=len(totals)))
+    cums = [data.draw(snapped_tables()) for _ in totals]
+    got = inverse_cdf_counts(seeds, cums, totals)
+    for seed, cum, total, counts in zip(seeds, cums, totals, got):
+        assert counts.tolist() == _scalar_counts(seed, cum, total)
+
+
+def test_lane_counts_match_scalar_stream_past_1023_streams():
+    # one guide table holds at most 1023 settings; more are binned in turn
+    n = 1030
+    cums = [[0.25, 0.5 + i * GRID, 1.0] for i in range(n)]
+    totals = [1 + i % 3 for i in range(n)]
+    got = inverse_cdf_counts(list(range(n)), cums, totals)
+    assert [c.tolist() for c in got] == [_scalar_counts(i, cums[i], totals[i])
+                                         for i in range(n)]
 
 
 @pytest.mark.parametrize("lane", [0, 1, 2, 3, 397])
@@ -370,8 +436,10 @@ def test_simulate_dataset_frozen_counts():
     ctx = _small_context()
     state = _small_state()
     ds = simulate_dataset(state, ctx, [20, 20], seed=42)
-    top = max(ds.counts[0], key=ds.counts[0].get)
-    assert top == (0, 0)
+    assert [len(c) for c in ds.counts] == [25, 25]
+    assert [{o: n for o, n in c.items() if n} for c in ds.counts] == [
+        {(0, 0): 13, (0, 1): 1, (1, 0): 4, (2, 0): 2},
+        {(0, 0): 6, (0, 1): 2, (1, 0): 5, (1, 1): 2, (2, 0): 2, (2, 1): 2, (2, 2): 1}]
     again = simulate_dataset(state, ctx, [20, 20], seed=42)
     assert ds.counts == again.counts
 
