@@ -142,8 +142,7 @@ def _guide(cums: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     Setting s's bin j is global bin j + s + (the number of keys of settings
     before s). table[s, b] is the global bin of every k of bucket b = k >> _SHIFT,
     or -1 when a threshold falls inside the bucket (past its first k)."""
-    # clipping keeps the keys of setting s within [s, s + 1] * 2**53 and moves no
-    # count: every k is below 2**53 and at least 0
+    # clipped, setting s's keys stay in [s, s + 1] * 2**53; no count moves, as 0 <= k < 2**53
     thr = [np.ceil(np.ldexp(np.clip(c, 0.0, 1.0), 53)).astype(np.int64) for c in cums]
     row = np.arange(len(cums))
     keys = np.concatenate(thr) + (np.repeat(row, [len(t) for t in thr]) << 53)
