@@ -12,8 +12,8 @@ below the requested threshold.
 - ``"apg"``, the default of the CLI's ``reconstruct``, ``--trials`` and
   ``bootstrap``: accelerated projected gradient (FISTA) on -L/M with
   backtracking and a monotone restart; each step projects onto the density
-  matrices through the spectrum of every block (Shang, Zhang & Ng, PRA 95,
-  062336 (2017); Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
+  matrices through one spectrum of the block-diagonal iterate (Shang, Zhang &
+  Ng, PRA 95, 062336 (2017); Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
-from itertools import pairwise
 
 import numpy as np
 
@@ -264,6 +263,15 @@ def _simplex(u: np.ndarray) -> np.ndarray:
     return np.maximum(u - excess[k] / (k + 1), 0.0)
 
 
+def _project(coords, v: np.ndarray) -> np.ndarray:
+    """The density matrix nearest in Frobenius norm to the Hermitian matrix
+    with coordinates v: its spectrum goes onto the simplex (Smolin, Gambetta &
+    Smith 2012). That map is block diagonal on a block-diagonal matrix, so one
+    eigh of the dense matrix serves; coords.vec drops rounding off the blocks."""
+    w, V = np.linalg.eigh(coords.unvec(v))
+    return coords.vec((V * _simplex(w)) @ V.conj().T)
+
+
 def _momentum(theta: float) -> float:
     """FISTA's next theta (Beck & Teboulle 2009)."""
     return (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
@@ -280,27 +288,13 @@ def _apg(compiled, likelihood, M, r_stop, params):
     L either, the fit ends ``stalled``. ``iterations`` counts accepted steps.
     """
     coords = compiled.coords
-    starts = np.cumsum([0] + [len(b) for b in compiled.template.blocks.values()])
-    blocks = [slice(a, b) for a, b in pairwise(starts)]
-
-    def project(v: np.ndarray) -> np.ndarray:
-        """The density matrix nearest in Frobenius norm to the Hermitian
-        matrix with coordinates v: every block's spectrum goes onto one
-        simplex (Smolin, Gambetta & Smith 2012)."""
-        A = coords.unvec(v)
-        eig = [np.linalg.eigh(A[b, b]) for b in blocks]
-        lam = _simplex(np.concatenate([w for w, _ in eig]))
-        out = np.zeros_like(A)
-        for b, (_, V) in zip(blocks, eig):
-            out[b, b] = (V * lam[b]) @ V.conj().T
-        return coords.vec(out)
 
     def descend(y, L_y, g_y, t):
         """Backtrack from y: (x+, L(x+), g(x+), t) for the first step size t
         whose x+ satisfies L(x+)/M >= L(y)/M + g.d - |d|^2 / 2t, d = x+ - y;
         None when every trial fails."""
         for _ in range(_APG_BACKTRACKS):
-            x = project(y + t * g_y)
+            x = _project(coords, y + t * g_y)
             d = x - y
             try:
                 L_x, g_x = likelihood(x)

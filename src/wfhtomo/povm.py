@@ -24,9 +24,8 @@ from .twirl import BlockOperator, block_tuples
 
 __all__ = [
     "CounterConfig", "PovmElement", "Setting", "MeasurementContext", "CompiledContext",
-    "HermitianCoords", "DatasetMismatch", "pi_kl", "pi_k", "overflow_elements", "apply_loss",
-    "apply_detector_response", "compose_response", "identity_response", "click_povm",
-    "build_povm", "ic_check",
+    "HermitianCoords", "DatasetMismatch", "pi_kl", "pi_k", "apply_loss", "compose_response",
+    "identity_response", "click_povm", "build_povm", "ic_check",
 ]
 
 # settings per kernel call; past eight, a load's peak RSS rises more than its time falls
@@ -346,31 +345,6 @@ def _complement(grid: np.ndarray, only1: np.ndarray, only2: np.ndarray,
             ident - only1.sum(axis=0) - only2.sum(axis=0) + grid.sum(axis=(0, 1)))
 
 
-def overflow_elements(elements: dict, pi_row: list[PovmElement], pi_col: list[PovmElement],
-                      N_c: int) -> dict:
-    """Overflow outcomes by complement.
-
-    Pi_{k,>} = Pi_k - sum_{l<=N_c} Pi_{kl}; Pi_{>,l} symmetrically;
-    Pi_{>,>} = I - sum_k Pi_k - sum_l Pi_{.,l} + sum_{kl} Pi_{kl}.
-    """
-    if len(pi_row) != N_c + 1 or len(pi_col) != N_c + 1:
-        raise ValueError("need single-counter elements for every count <= N_c")
-    template = pi_row[0].op
-    grid = _stack_ops([elements[(k, l)].op for k in range(N_c + 1) for l in range(N_c + 1)])
-    over_k, over_l, over_both = _complement(
-        grid.reshape(N_c + 1, N_c + 1, -1), _stack_ops([e.op for e in pi_row]),
-        _stack_ops([e.op for e in pi_col]), _identity_row(template.N, template.partition))
-    labels = ([(k, ">") for k in range(N_c + 1)] + [(">", l) for l in range(N_c + 1)]
-              + [(">", ">")])
-    out = _wrap(labels, np.vstack([over_k, over_l, over_both]), template, pi_row[0].gamma)
-    for e in out.values():
-        low = e.op.min_eigenvalue()
-        if low < -1e-6:
-            raise ValueError(f"overflow element {e.outcome} has eigenvalue {low:.3e}; "
-                             "inconsistent truncation of the inputs")
-    return out
-
-
 def _thinning_matrix(nu: float, cut: int) -> np.ndarray:
     """w[k, m] = P(k photons survive | m present) under transmission nu."""
     return np.array([[math.comb(m, k) * nu ** k * (1 - nu) ** (m - k) if k <= m else 0.0
@@ -463,27 +437,6 @@ def _respond(v: np.ndarray, config: CounterConfig) -> tuple[list, np.ndarray]:
         return [(o,) for o in labels], mats[0] @ v
     weights = np.einsum("km,ln->klmn", *mats).reshape(len(labels) ** 2, -1)
     return [(o1, o2) for o1 in labels for o2 in labels], weights @ v
-
-
-def apply_detector_response(elements: dict, config: CounterConfig) -> dict:
-    """Convolve ideal counting elements with measured detector responses.
-
-    Pi''_{o1,o2} = sum_{m,n} T'_1[o1,m] T'_2[o2,n] Pi_{mn}. Output outcomes
-    are (0..N_c and ">") per counter, so the overflow rows replace a separate
-    complement step.
-    """
-    if config.response is None:
-        raise ValueError("counter config carries no response matrices")
-    if len(next(iter(elements))) != config.counters:
-        raise ValueError("element outcome arity does not match counter count")
-    present = range(config.response[0].shape[1])
-    keys = list(itertools.product(present, repeat=config.counters))
-    for key in keys:
-        if key not in elements:
-            raise ValueError(f"missing ideal element {key} for response convolution")
-    first = elements[keys[0]]
-    return _wrap(*_respond(_stack_ops([elements[key].op for key in keys]), config), first.op,
-                 first.gamma)
 
 
 def click_povm(gamma: complex, partition: PartitionSpec, N: int) -> dict:

@@ -12,12 +12,14 @@ from wfhtomo.fock import OccupationBasis, StateSpec, StateVector, fidelity, make
 from wfhtomo.mle import (
     ReconstructionParams,
     ReconstructionReport,
+    _project,
+    _simplex,
     diluted_step,
     log_likelihood,
     r_operator,
     reconstruct,
 )
-from wfhtomo.optics import PartitionSpec
+from wfhtomo.optics import PartitionSpec, haar_unitary
 from wfhtomo.povm import (CounterConfig, HermitianCoords, MeasurementContext, PovmElement,
                           Setting, _join_dense, _split_dense)
 from wfhtomo.probes import design_gamma
@@ -255,6 +257,53 @@ def test_herm_vec_isometry():
     assert np.allclose(coords.unvec(coords.vec(dense)), dense, atol=1e-12)
     assert np.trace(dense @ dense).real == pytest.approx(
         float(coords.vec(dense) @ coords.vec(dense)), abs=1e-10)
+
+
+def per_block_projection(coords, dims, v):
+    """Projection onto the density matrices block by block: every block's
+    spectrum goes onto one simplex, and each block is rebuilt on its own."""
+    A = coords.unvec(v)
+    at = np.cumsum([0] + list(dims))
+    blocks = [slice(a, b) for a, b in zip(at, at[1:])]
+    eig = [np.linalg.eigh(A[b, b]) for b in blocks]
+    lam = _simplex(np.concatenate([w for w, _ in eig]))
+    out = np.zeros_like(A)
+    for b, (_, V) in zip(blocks, eig):
+        out[b, b] = (V * lam[b]) @ V.conj().T
+    return coords.vec(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 8), min_size=1, max_size=6).filter(lambda d: sum(d) <= 21),
+       kind=st.sampled_from(["random", "mixed", "repeated"]),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_project_matches_per_block_projection(dims, kind, scale, seed):
+    # the projection of a block-diagonal matrix is block diagonal, so one eigh
+    # of the dense matrix gives each block's projection (D <= 21 covers every fit
+    # the tests and the bench run); degenerate spectra test its eigenvectors
+    rng = np.random.default_rng(seed)
+    coords = HermitianCoords(dims)
+    if kind == "mixed":  # the fit's start, itself a state
+        dense = np.eye(coords.D, dtype=np.complex128) / coords.D
+    else:
+        pool = rng.normal(size=3) * scale  # shared by every block: repeated across blocks
+        parts = []
+        for d in dims:
+            if kind == "random":
+                a = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * scale
+                parts.append((a + a.conj().T) / 2)
+            else:
+                U = haar_unitary(d, rng)
+                parts.append((U * rng.choice(pool, size=d)) @ U.conj().T)
+        dense = block_diag(*parts)
+    v = coords.vec(dense)
+    got = _project(coords, v)
+    assert np.max(np.abs(got - per_block_projection(coords, dims, v))) <= 1e-12
+    rho = coords.unvec(got)
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    assert abs(np.trace(rho).real - 1.0) <= 1e-12
+    if kind == "mixed":
+        assert np.max(np.abs(got - v)) <= 1e-12
 
 
 def reference_loglik_and_r(state, context, counts, M):

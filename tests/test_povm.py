@@ -11,14 +11,12 @@ from wfhtomo.povm import (
     MeasurementContext,
     PovmElement,
     Setting,
-    apply_detector_response,
     apply_loss,
     build_povm,
     click_povm,
     compose_response,
     ic_check,
     identity_response,
-    overflow_elements,
     pi_k,
     pi_kl,
 )

@@ -61,8 +61,15 @@ def test_build_povm_complete_and_psd(gamma, partition, N, n_c, loss):
        n_c=st.integers(0, 8), loss=st.tuples(unit, unit))
 def test_lossy_grid_is_thinned_ideal_rectangle(gamma, partition, N, n_c, loss):
     cut = 25
-    rect = {(m, n): pi_kl(gamma, m, n, partition, N)
-            for m in range(cut + 1) for n in range(cut + 1)}
+    # the ideal rectangle is the in-range grid of one ideal POVM with N_c = cut,
+    # bit for bit the pi_kl elements, checked here at a few entries
+    ideal = build_povm(Setting(gamma=gamma, counter=CounterConfig(counters=2, N_c=cut),
+                               partition=partition, N=N))
+    rect = {(m, n): ideal[(m, n)] for m in range(cut + 1) for n in range(cut + 1)}
+    for m, n in {(0, 0), (n_c, N), (cut, n_c)}:
+        want, got = pi_kl(gamma, m, n, partition, N).op.blocks, rect[(m, n)].op.blocks
+        assert want.keys() == got.keys()
+        assert all(np.array_equal(want[key], got[key]) for key in want)
     thinned = apply_loss(rect, *loss, conv_cut=cut)
     povm = build_povm(Setting(gamma=gamma,
                               counter=CounterConfig(counters=2, N_c=n_c, loss=loss),
