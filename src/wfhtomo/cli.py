@@ -24,7 +24,7 @@ from .fock import StateSpec, fidelity, make_state
 from .mle import ReconstructionParams, reconstruct
 from .optics import PartitionSpec
 from .povm import DatasetMismatch, MeasurementContext, Setting, build_povm, ic_check
-from .probes import ProbeSet, design_gamma, feasibility
+from .probes import design_gamma, feasibility
 from .sim import Dataset, simulate_dataset
 from .stats import parametric_bootstrap, refit_replicates
 from .twirl import BlockOperator, twirl_analytic, twirled_closed_form

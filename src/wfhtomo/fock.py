@@ -7,7 +7,7 @@ occupation tuples once and for all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -17,7 +17,6 @@ __all__ = [
     "DenseOperator",
     "StateSpec",
     "StateVector",
-    "enumerate_basis",
     "make_state",
     "truncation_fidelity",
     "poisson_table",
@@ -52,9 +51,13 @@ class JsonFieldError(ValueError):
 
 
 def field_from_json(d: dict, key: str, parse):
-    """parse(d[key]), where a JsonFieldError gets key prepended to its path."""
+    """parse(d[key]), where d[key] must be a JSON object and a JsonFieldError
+    from parse gets key prepended to its path."""
+    v = d[key]
+    if not isinstance(v, dict):
+        raise JsonFieldError(f"{key} must be a JSON object, got {v!r}")
     try:
-        return parse(d[key])
+        return parse(v)
     except JsonFieldError as exc:
         raise exc.within(key) from exc
 
@@ -159,11 +162,6 @@ class OccupationBasis:
         return f"OccupationBasis(num_modes={self.num_modes}, cutoff={self.cutoff})"
 
 
-def enumerate_basis(S: int, N_tot: int) -> OccupationBasis:
-    """Graded-lex basis of S-mode occupations with total photon number <= N_tot."""
-    return OccupationBasis(S, N_tot)
-
-
 @dataclass
 class DenseOperator:
     """Dense complex matrix indexed by an OccupationBasis (both rows and columns)."""
@@ -177,20 +175,8 @@ class DenseOperator:
             raise ValueError(
                 f"entries shape {self.entries.shape} does not match basis size {self.basis.size}")
 
-    @property
-    def dim(self) -> int:
-        return self.basis.size
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
-
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.basis, self.entries.conj().T)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch")
-        return DenseOperator(self.basis, self.entries @ other.entries)
 
 
 _KINDS = ("coherent", "tmsv", "cat")
@@ -274,8 +260,8 @@ def _coherent_amps(alpha: complex, N: int) -> np.ndarray:
 def make_state(spec: StateSpec) -> StateVector:
     """Truncated, renormalized amplitude vector for the canonical state kinds.
 
-    coherent lives on enumerate_basis(1, N); tmsv on enumerate_basis(2, 2N)
-    (the largest kept component is |N,N>); cat on enumerate_basis(2, N)
+    coherent lives on OccupationBasis(1, N); tmsv on OccupationBasis(2, 2N)
+    (the largest kept component is |N,N>); cat on OccupationBasis(2, N)
     (truncation by total photon number).
     """
     if spec.kind == "coherent":

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .povm import MeasurementContext, _join_dense, _split_dense, ic_check
+from .povm import MeasurementContext, ic_check
 from .sim import Dataset
 from .twirl import BlockOperator
 
@@ -158,16 +158,6 @@ def _step(rho: np.ndarray, R: np.ndarray, eps: float) -> np.ndarray:
     if tr < 1e-300:
         raise ValueError("iterate trace collapsed")
     return new / tr
-
-
-def diluted_step(state: BlockOperator, R: BlockOperator, eps: float) -> BlockOperator:
-    """rho -> A rho A with A = (I + eps R)/(1 + eps); eps = inf gives A = R."""
-    if not (eps > 0):
-        raise ValueError("eps must be positive (math.inf selects the R rho R map)")
-    if state.N != R.N or state.blocks.keys() != R.blocks.keys():
-        raise ValueError("block structure mismatch")
-    new = _step(_join_dense(state), _join_dense(R), eps)
-    return _split_dense(new, R if R.partition is not None else state)
 
 
 def reconstruct(context: MeasurementContext, dataset: Dataset,

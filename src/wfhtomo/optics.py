@@ -91,10 +91,6 @@ class ModeMatrix:
             raise ValueError("mode matrix is not unitary within 1e-10")
         object.__setattr__(self, "entries", m)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[-1]
-
 
 def standard_block(eta: float, zeta: float) -> np.ndarray:
     """Standardized real 2x2 beam-splitter block [[eta, zeta], [zeta, -eta]]."""

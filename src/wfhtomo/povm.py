@@ -25,7 +25,7 @@ from .twirl import BlockOperator, block_tuples
 __all__ = [
     "CounterConfig", "PovmElement", "Setting", "MeasurementContext", "CompiledContext",
     "HermitianCoords", "DatasetMismatch", "pi_kl", "pi_k", "apply_loss", "compose_response",
-    "identity_response", "click_povm", "build_povm", "ic_check",
+    "identity_response", "build_povm", "ic_check",
 ]
 
 # settings per kernel call; past eight, a load's peak RSS rises more than its time falls
@@ -109,10 +109,6 @@ class PovmElement:
     op: BlockOperator
     gamma: complex
     meta: dict = field(default_factory=dict)
-
-    def validate_psd(self, tol: float = -1e-9) -> None:
-        if self.op.min_eigenvalue() < tol:
-            raise ValueError(f"element {self.outcome} is not PSD within {tol}")
 
     def to_json(self) -> dict:
         return {
@@ -292,8 +288,8 @@ def _with_overflow(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
     counts = _counts(top, overflow=True)
     rows = _counting_rows(gammas, partition, N, nus, (counts, counts))
     eta, zeta = partition.sectors[0]
-    big1, big2 = (poisson_table([nu * abs(e * g) ** 2 for g in gammas], top + 1)[1][:, -1] >= 1e-6
-                  for nu, e in zip(nus, (zeta, eta)))
+    big1, big2 = (poisson_table([nu * abs(e * g) ** 2 for nu, e in zip(nus, (zeta, eta))
+                                 for g in gammas], top + 1)[1][:, -1] >= 1e-6).reshape(2, -1)
     big = np.flatnonzero(big1 | big2)
     if big.size:
         n = top + 1
@@ -333,7 +329,7 @@ def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
     nus, sets = ((1.0, 0.0), (read, unread)) if counter == 1 else ((0.0, 1.0), (unread, read))
     rows = _counting_rows([complex(gamma)], partition, N, nus, sets)
     el = _wrap([(k,)], rows[0, 0], _template(N, partition), gamma)[(k,)]
-    el.meta = {"counter": counter, "tail_bound": 0.0}
+    el.meta = {"counter": counter}
     return el
 
 
@@ -368,14 +364,6 @@ def _split_dense(mat: np.ndarray, like: BlockOperator) -> BlockOperator:
     at = np.cumsum([0] + [m.shape[0] for m in like.blocks.values()])
     return BlockOperator(like.N, {key: mat[a:b, a:b].copy() for key, a, b
                                   in zip(like.blocks, at, at[1:])}, like.partition)
-
-
-def _join_dense(op: BlockOperator) -> np.ndarray:
-    """The dense block-diagonal matrix of op's blocks (the inverse of _split_dense)."""
-    out, at = np.zeros((op.total_dim,) * 2, dtype=np.complex128), 0
-    for m in op.blocks.values():
-        out[at:at + len(m), at:at + len(m)], at = m, at + len(m)
-    return out
 
 
 def apply_loss(elements: dict, nu_1: float, nu_2: float, conv_cut: int = 25) -> dict:
@@ -437,16 +425,6 @@ def _respond(v: np.ndarray, config: CounterConfig) -> tuple[list, np.ndarray]:
         return [(o,) for o in labels], mats[0] @ v
     weights = np.einsum("km,ln->klmn", *mats).reshape(len(labels) ** 2, -1)
     return [(o1, o2) for o1 in labels for o2 in labels], weights @ v
-
-
-def click_povm(gamma: complex, partition: PartitionSpec, N: int) -> dict:
-    """Four-outcome click/no-click POVM for a K=1 partition.
-
-    Pi_00 = e^{-|gamma|^2} |vac><vac|; a click is the count set {n >= 1} of
-    its counter, so every element comes straight from the counting kernel.
-    """
-    return build_povm(Setting(gamma, CounterConfig(counters=2, N_c=0), partition, N,
-                              detector="click"))
 
 
 @dataclass(frozen=True)

@@ -109,12 +109,10 @@ def design_gamma(N: int, seed: int, max_tries: int = 20) -> ProbeSet:
     for _ in range(max_tries):
         mags = rng.uniform(0.3, 3.0, size=size)
         phases = rng.uniform(0.0, np.pi, size=size)
-        gammas = tuple(mags * np.exp(1j * phases))
-        ok = all(abs(gammas[i] - gammas[j]) > _DISTINCT_TOL
-                 for i in range(size) for j in range(i + 1, size))
-        if not ok:
+        try:
+            ps = ProbeSet(gammas=tuple(mags * np.exp(1j * phases)), N=N)
+        except ValueError:  # two amplitudes coincide
             continue
-        ps = ProbeSet(gammas=gammas, N=N)
         if _matrix_rank(interpolation_matrix(ps)) == size:
             return ps
     raise ValueError(f"no full-rank probe set of size {size} found "

@@ -17,7 +17,6 @@ from .twirl import BlockOperator
 __all__ = [
     "Dataset",
     "probabilities",
-    "born_oracle",
     "born_table",
     "simulate_dataset",
     "format_outcome",
@@ -138,17 +137,6 @@ def born_table(rho: DenseOperator, gamma: complex, bs_blocks, joint_cutoff: int 
     return table
 
 
-def born_oracle(rho: DenseOperator, gamma: complex, bs_blocks, k: int, l: int,
-                joint_cutoff: int | None = None) -> float:
-    """Probability of k counts at counter 1 and l at counter 2 (brute force)."""
-    if k < 0 or l < 0:
-        raise ValueError("counts must be >= 0")
-    table = born_table(rho, gamma, bs_blocks, joint_cutoff)
-    if k >= table.shape[0] or l >= table.shape[1]:
-        return 0.0
-    return float(table[k, l])
-
-
 @dataclass
 class Dataset:
     """Per-setting outcome counts from a simulated or real experiment."""
@@ -181,12 +169,13 @@ class Dataset:
     @classmethod
     def from_json(cls, d: dict) -> "Dataset":
         def setting(s: dict) -> tuple[dict, complex | None]:
-            for k, v in s["counts"].items():
+            counts = field_from_json(s, "counts", dict)
+            for k, v in counts.items():
                 if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                     raise JsonFieldError(f'counts["{k}"] must be a non-negative integer, '
                                          f"got {v!r}")
             gamma = field_from_json(s, "gamma", complex_from_json) if "gamma" in s else None
-            return {parse_outcome(k): v for k, v in s["counts"].items()}, gamma
+            return {parse_outcome(k): v for k, v in counts.items()}, gamma
         parsed = list_from_json(d, "settings", setting)
         gammas = [g for _, g in parsed]
         return cls(counts=[c for c, _ in parsed],

@@ -8,8 +8,8 @@ and every operator the reconstruction touches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class BlockOperator:
     @property
     def total_dim(self) -> int:
         return sum(m.shape[0] for m in self.blocks.values())
-
-    def keys(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.blocks)
 
     # block algebra -------------------------------------------------------
     def _zip(self, other: "BlockOperator"):

@@ -18,7 +18,6 @@ from wfhtomo.fock import (
     OccupationBasis,
     StateSpec,
     StateVector,
-    enumerate_basis,
     fidelity,
     make_state,
     truncation_fidelity,
@@ -390,7 +389,7 @@ def _ordered_power(k: int, S: int, N_tot: int, anti: bool) -> np.ndarray:
     under them; anti-normal terms create first and need headroom k above the
     cutoff before restricting back to totals <= N_tot.
     """
-    basis = enumerate_basis(S, N_tot + k if anti else N_tot)
+    basis = OccupationBasis(S, N_tot + k if anti else N_tot)
     low = _lowering_ops(basis)
     total = np.zeros((basis.size, basis.size))
 
@@ -403,7 +402,7 @@ def _ordered_power(k: int, S: int, N_tot: int, anti: bool) -> np.ndarray:
             descend(chain @ A, depth + 1)
 
     descend(np.eye(basis.size), 0)
-    d = enumerate_basis(S, N_tot).size
+    d = OccupationBasis(S, N_tot).size
     return total[:d, :d]
 
 
@@ -412,7 +411,7 @@ def test_criterion_07_ordered_number_power_identities():
     for S in (1, 2, 3):
         for k in range(5):
             for N_tot in (4, 8):
-                basis = enumerate_basis(S, N_tot)
+                basis = OccupationBasis(S, N_tot)
                 worst = max(worst, float(np.max(np.abs(
                     number_power_normal(k, basis).entries
                     - _ordered_power(k, S, N_tot, anti=False)))))

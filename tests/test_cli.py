@@ -179,10 +179,21 @@ def test_ic_check_non_array_loss_exits_1(capsys, workspace, tmp_path):
     assert "settings[0].counter.loss must be a JSON array" in err
 
 
+@pytest.mark.parametrize("value", [5, None, [2, 6]], ids=["integer", "null", "array"])
+def test_ic_check_non_object_counter_exits_1(capsys, workspace, tmp_path, value):
+    def edit(setting):
+        setting["counter"] = value
+    code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"settings[0].counter must be a JSON object, got {value!r}" in err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda s: s.update(N=2.7), "N must be a JSON integer, got 2.7"),
-    (lambda s: s["counter"].update(loss="0.9"), "counter.loss must be a JSON array")],
-    ids=["N-float", "loss-string"])
+    (lambda s: s["counter"].update(loss="0.9"), "counter.loss must be a JSON array"),
+    (lambda s: s.update(counter=5), ": counter must be a JSON object, got 5")],
+    ids=["N-float", "loss-string", "counter-integer"])
 def test_povm_dump_bad_setting_field_exits_1(capsys, workspace, tmp_path, edit, message):
     root, _, _ = workspace
     payload = json.loads((root / "setting.json").read_text())
@@ -606,6 +617,16 @@ def test_reconstruct_non_integer_dataset_seed_exits_1(capsys, workspace, tmp_pat
                                     lambda payload: payload.update(seed=seed))
     assert code == 1
     assert f"seed must be a JSON integer, got {seed!r}" in err
+
+
+@pytest.mark.parametrize("value", ["abc", 7, [1, 2]], ids=["string", "integer", "array"])
+def test_reconstruct_non_object_counts_exits_1(capsys, workspace, tmp_path, value):
+    def edit(payload):
+        payload["settings"][0]["counts"] = value
+    code, err = _reconstruct_edited(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"settings[0].counts must be a JSON object, got {value!r}" in err
 
 
 def test_reconstruct_string_dataset_gamma_exits_1(capsys, workspace, tmp_path):

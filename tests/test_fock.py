@@ -7,7 +7,6 @@ from wfhtomo.fock import (
     DenseOperator,
     OccupationBasis,
     StateSpec,
-    enumerate_basis,
     fidelity,
     make_state,
     truncation_fidelity,
@@ -15,25 +14,25 @@ from wfhtomo.fock import (
 
 
 def test_basis_single_mode():
-    b = enumerate_basis(1, 2)
+    b = OccupationBasis(1, 2)
     assert list(b) == [(0,), (1,), (2,)]
 
 
 def test_basis_graded_lex_two_modes():
-    b = enumerate_basis(2, 1)
+    b = OccupationBasis(2, 1)
     assert list(b) == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_basis_sizes_match_binomial():
     for S in range(1, 6):
         for N in range(0, 9):
-            b = enumerate_basis(S, N)
+            b = OccupationBasis(S, N)
             assert b.size == math.comb(N + S, S)
             assert len(set(b.states)) == b.size  # duplicate-free
 
 
 def test_basis_graded_then_lex():
-    b = enumerate_basis(3, 4)
+    b = OccupationBasis(3, 4)
     totals = [sum(s) for s in b.states]
     assert totals == sorted(totals)
     for t in range(5):
@@ -42,7 +41,7 @@ def test_basis_graded_then_lex():
 
 
 def test_basis_index_roundtrip():
-    b = enumerate_basis(3, 3)
+    b = OccupationBasis(3, 3)
     for i, s in enumerate(b):
         assert b.index(s) == i
     with pytest.raises(ValueError):

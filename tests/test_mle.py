@@ -14,14 +14,14 @@ from wfhtomo.mle import (
     ReconstructionReport,
     _project,
     _simplex,
-    diluted_step,
+    _step,
     log_likelihood,
     r_operator,
     reconstruct,
 )
 from wfhtomo.optics import PartitionSpec, haar_unitary
 from wfhtomo.povm import (CounterConfig, HermitianCoords, MeasurementContext, PovmElement,
-                          Setting, _join_dense, _split_dense)
+                          Setting, _split_dense)
 from wfhtomo.probes import design_gamma
 from wfhtomo.sim import Dataset, probabilities, simulate_dataset
 from wfhtomo.twirl import BlockOperator, reduced_assignment, twirl_analytic
@@ -192,7 +192,8 @@ def test_r_operator_invariants(ctx, rho_true):
 def test_diluted_step_fixed_point(ctx, rho_true):
     ident = BlockOperator.identity(2, 0)
     for eps in (0.5, 1e3, math.inf):
-        new = diluted_step(rho_true, ident, eps)
+        new = ctx.compiled.operator(_step(block_diag(*rho_true.blocks.values()),
+                                          block_diag(*ident.blocks.values()), eps))
         diff = max(float(np.max(np.abs(a - b)))
                    for a, b in zip(new.blocks.values(), rho_true.blocks.values()))
         assert diff <= 1e-10
@@ -201,24 +202,22 @@ def test_diluted_step_fixed_point(ctx, rho_true):
 def test_diluted_step_inf_is_rrr(ctx, rho_true):
     data = simulate_dataset(rho_true, ctx, [400] * len(ctx.settings), seed=9)
     R = r_operator(rho_true, ctx, data)
-    new = diluted_step(rho_true, R, math.inf)
+    new = ctx.compiled.operator(_step(block_diag(*rho_true.blocks.values()),
+                                      block_diag(*R.blocks.values()), math.inf))
     raw = R @ rho_true @ R
     scaled = raw.scale(1.0 / raw.trace().real)
     diff = max(float(np.max(np.abs(a - b)))
                for a, b in zip(new.blocks.values(), scaled.blocks.values()))
     assert diff <= 1e-12
     new.validate_state()
-    with pytest.raises(ValueError):
-        diluted_step(rho_true, R, -1.0)
 
 
 def test_join_dense_is_block_diag_and_split_dense_inverts_it():
-    # diluted_step stacks its blocks with povm._join_dense in place of scipy's block_diag
+    # compiled.operator reads a block_diag matrix back through povm._split_dense
     rng = np.random.default_rng(8)
     op = BlockOperator(2, {key: rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
                            for key, m in BlockOperator.zeros(2, 2).blocks.items()})
-    dense = _join_dense(op)
-    assert dense.tobytes() == block_diag(*op.blocks.values()).tobytes()
+    dense = block_diag(*op.blocks.values())
     back = _split_dense(dense, op)
     assert all(np.array_equal(back.blocks[k], m) for k, m in op.blocks.items())
 
@@ -232,7 +231,8 @@ def test_small_eps_never_decreases_loglik(ctx, rho_true):
         raw = g @ g.conj().T + 1e-3 * np.eye(3)
         state = BlockOperator(2, {(): raw / np.trace(raw).real}, BAL)
         R = r_operator(state, ctx, data)
-        stepped = diluted_step(state, R, 1e-3)
+        stepped = ctx.compiled.operator(_step(block_diag(*state.blocks.values()),
+                                              block_diag(*R.blocks.values()), 1e-3))
         assert log_likelihood(stepped, ctx, data) >= \
             log_likelihood(state, ctx, data) - 1e-10
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfhtomo.fock import OccupationBasis, enumerate_basis
+from wfhtomo.fock import OccupationBasis
 from wfhtomo.optics import (
     ModeMatrix,
     PartitionSpec,
@@ -84,7 +84,7 @@ def test_partition_spec_validation():
 
 
 def test_plt_identity_and_swap():
-    basis = enumerate_basis(2, 2)
+    basis = OccupationBasis(2, 2)
     ident = plt_on_fock(np.eye(2), basis)
     np.testing.assert_allclose(ident.entries, np.eye(basis.size), atol=1e-14)
     swap = plt_on_fock(np.array([[0, 1], [1, 0]]), basis)
@@ -95,7 +95,7 @@ def test_plt_identity_and_swap():
 
 
 def test_plt_balanced_single_photon():
-    basis = enumerate_basis(2, 1)
+    basis = OccupationBasis(2, 1)
     s = 1 / math.sqrt(2)
     u = plt_on_fock(standard_block(s, s), basis)
     col = u.entries[:, basis.index((1, 0))]
@@ -134,7 +134,7 @@ def _brute_force_plt(U: np.ndarray, basis: OccupationBasis) -> np.ndarray:
 def test_plt_matches_brute_force():
     rng = np.random.default_rng(11)
     for S, N in [(2, 3), (3, 2)]:
-        basis = enumerate_basis(S, N)
+        basis = OccupationBasis(S, N)
         U = haar_unitary(S, rng)
         fast = plt_on_fock(U, basis).entries
         slow = _brute_force_plt(U, basis)
@@ -144,7 +144,7 @@ def test_plt_matches_brute_force():
 def test_plt_unitary_and_number_conserving():
     rng = np.random.default_rng(5)
     for S, N in [(2, 6), (3, 4)]:
-        basis = enumerate_basis(S, N)
+        basis = OccupationBasis(S, N)
         U = haar_unitary(S, rng)
         V = plt_on_fock(U, basis).entries
         np.testing.assert_allclose(V.conj().T @ V, np.eye(basis.size), atol=1e-10)
@@ -155,7 +155,7 @@ def test_plt_unitary_and_number_conserving():
 def test_plt_homomorphism():
     rng = np.random.default_rng(29)
     for S, N in [(2, 5), (3, 6)]:
-        basis = enumerate_basis(S, N)
+        basis = OccupationBasis(S, N)
         U = haar_unitary(S, rng)
         W = haar_unitary(S, rng)
         lhs = plt_on_fock(U, basis).entries @ plt_on_fock(W, basis).entries
@@ -172,7 +172,7 @@ def _haar_stack(S: int, size: int, seed: int) -> np.ndarray:
 @given(S=st.integers(1, 3), cutoff=st.integers(0, 4), size=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_plt_stack_matches_single_calls_and_composes(S, cutoff, size, seed):
-    basis = enumerate_basis(S, cutoff)
+    basis = OccupationBasis(S, cutoff)
     U = _haar_stack(S, size, seed)
     W = _haar_stack(S, size, seed + 1)
     stacked = plt_on_fock(U, basis)
@@ -191,12 +191,12 @@ def test_plt_stack_rejects_one_non_unitary_matrix(S, size, data, seed, scale):
     U = _haar_stack(S, size, seed)
     U[data.draw(st.integers(0, size - 1))] *= 1.0 + scale
     with pytest.raises(ValueError, match="not unitary"):
-        plt_on_fock(U, enumerate_basis(S, 2))
+        plt_on_fock(U, OccupationBasis(S, 2))
 
 
 def test_plt_coherent_transport():
     # U|v> is coherent with amplitude vector U v
-    basis = enumerate_basis(2, 12)
+    basis = OccupationBasis(2, 12)
     B = _phased_block(0.6, 0.5, 1.1, 0.3)
     v_in = np.array([0.2, 0.4], dtype=complex)
     v_out = B @ v_in
@@ -215,7 +215,7 @@ def test_plt_coherent_transport():
 
 def test_plt_dimension_mismatch():
     with pytest.raises(ValueError):
-        plt_on_fock(np.eye(3), enumerate_basis(2, 2))
+        plt_on_fock(np.eye(3), OccupationBasis(2, 2))
     with pytest.raises(ValueError):
         ModeMatrix(np.array([[1, 1], [0, 1]], dtype=complex))
 
@@ -270,18 +270,18 @@ def _brute_antinormal(k: int, basis: OccupationBasis) -> np.ndarray:
 
 
 def test_number_power_examples():
-    b1 = enumerate_basis(1, 4)
+    b1 = OccupationBasis(1, 4)
     assert np.allclose(number_power_normal(0, b1).entries, np.eye(5))
     assert abs(number_power_normal(2, b1).entries[3, 3] - 6.0) < 1e-12
     assert abs(number_power_antinormal(1, b1).entries[2, 2] - 3.0) < 1e-12  # m+1 at m=2
-    b2 = enumerate_basis(2, 3)
+    b2 = OccupationBasis(2, 3)
     assert abs(number_power_antinormal(1, b2).entries[0, 0] - 2.0) < 1e-12
     assert np.allclose(number_power_antinormal(0, b2).entries, np.eye(b2.size))
 
 
 def test_number_power_brute_force():
     for S, N in [(1, 8), (2, 5), (3, 4)]:
-        basis = enumerate_basis(S, N)
+        basis = OccupationBasis(S, N)
         for k in range(0, 5):
             np.testing.assert_allclose(
                 number_power_normal(k, basis).entries.real,
@@ -293,7 +293,7 @@ def test_number_power_brute_force():
 
 def test_number_power_coherent_expectation():
     # <alpha| (n)_k |alpha> = |alpha|^(2k)
-    basis = enumerate_basis(1, 40)
+    basis = OccupationBasis(1, 40)
     alpha = 0.8
     probs = np.array([math.exp(-alpha ** 2) * alpha ** (2 * n) / math.factorial(n)
                       for n in range(41)])

@@ -53,7 +53,7 @@ def test_build_povm_complete_and_psd(gamma, partition, N, n_c, loss):
     assert len(povm) == (n_c + 2) ** 2
     assert identity_dev(povm, N, partition) < 1e-8
     for el in povm.values():
-        el.validate_psd(-1e-9)
+        assert el.op.min_eigenvalue() >= -1e-9
 
 
 @settings(max_examples=12, deadline=None)

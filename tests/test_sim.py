@@ -15,7 +15,6 @@ from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock, standard_bl
 from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
 from wfhtomo.sim import (
     Dataset,
-    born_oracle,
     born_table,
     format_outcome,
     parse_outcome,
@@ -278,8 +277,9 @@ def test_born_oracle_vacuum_trivial():
     vac[0, 0] = 1.0
     rho = DenseOperator(basis, vac)
     blk = standard_block(1 / math.sqrt(2), 1 / math.sqrt(2))
-    assert abs(born_oracle(rho, 0.0, [blk], 0, 0) - 1.0) < 1e-14
-    assert born_oracle(rho, 0.0, [blk], 1, 0) == 0.0
+    table = born_table(rho, 0.0, [blk])
+    assert abs(table[0, 0] - 1.0) < 1e-14
+    assert table[1, 0] == 0.0
 
 
 def test_born_oracle_table_normalization():
@@ -291,16 +291,6 @@ def test_born_oracle_table_normalization():
     assert table.min() > -1e-14
 
 
-def test_born_oracle_reads_one_table_entry():
-    # the loops over (k, l) elsewhere index born_table once per case instead
-    rho = random_density(2, 2, seed=3)
-    blocks = [standard_block(0.6, 0.8), standard_block(math.sqrt(0.3), math.sqrt(0.7))]
-    table = born_table(rho, 0.5 - 0.2j, blocks)
-    for k, l in [(0, 0), (2, 1), (1, 3), (table.shape[0] - 1, 0)]:
-        assert born_oracle(rho, 0.5 - 0.2j, blocks, k, l) == float(table[k, l])
-    assert born_oracle(rho, 0.5 - 0.2j, blocks, table.shape[0], 0) == 0.0
-
-
 def test_born_oracle_rejects_small_cutoff():
     basis = OccupationBasis(1, 2)
     vac = np.zeros((3, 3), dtype=np.complex128)
@@ -308,14 +298,7 @@ def test_born_oracle_rejects_small_cutoff():
     rho = DenseOperator(basis, vac)
     blk = standard_block(0.6, 0.8)
     with pytest.raises(ValueError):
-        born_oracle(rho, 2.0, [blk], 0, 0, joint_cutoff=4)
-
-
-@pytest.mark.parametrize("k,l", [(-1, 0), (0, -1), (-3, -2)])
-def test_born_oracle_rejects_negative_counts(k, l):
-    rho = random_density(1, 2, seed=1)
-    with pytest.raises(ValueError, match="counts must be >= 0"):
-        born_oracle(rho, 0.5, [standard_block(0.6, 0.8)], k, l)
+        born_table(rho, 2.0, [blk], joint_cutoff=4)
 
 
 def _full_joint_table(rho: DenseOperator, gamma: complex, blocks, cutoff: int):
