@@ -90,15 +90,15 @@ def _load_json(path: str):
     return payload
 
 
-def _parse_as(label: str, parser, payload):
+def _load(label: str, parser, path: str):
+    """parser(the file's content), which must be a JSON object."""
+    payload = _load_json(path)
     try:
+        if not isinstance(payload, dict):
+            raise TypeError(f"the file must hold a JSON object, got {type(payload).__name__}")
         return parser(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {label}: {exc}") from exc
-
-
-def _load(label: str, parser, path: str):
-    return _parse_as(f"{label} ({path})", parser, _load_json(path))
+        raise ConfigError(f"invalid {label} ({path}): {exc}") from exc
 
 
 def _load_state(label: str, path: str) -> BlockOperator:

@@ -79,14 +79,14 @@ def float_from_json(d: dict, key: str) -> float:
 
 
 def list_from_json(d: dict, key: str, parse) -> list:
-    """[parse(v) for v in d[key]], where a JsonFieldError gets key[i] prepended."""
-    out = []
-    for i, v in enumerate(d[key]):
-        try:
-            out.append(parse(v))
-        except JsonFieldError as exc:
-            raise exc.within(f"{key}[{i}]") from exc
-    return out
+    """[parse(v) for v in d[key]], where d[key] must be a JSON array of JSON
+    objects (every list in the formats holds objects) and a JsonFieldError
+    from parse gets key[i] prepended to its path."""
+    v = d[key]
+    if not isinstance(v, list):
+        raise JsonFieldError(f"{key} must be a JSON array, got {v!r}")
+    return [field_from_json({f"{key}[{i}]": item}, f"{key}[{i}]", parse)
+            for i, item in enumerate(v)]
 
 
 def is_json_number(v) -> bool:

@@ -8,7 +8,7 @@ below the requested threshold.
 - ``"diluted"``, the paper's estimator and the default of
   ``ReconstructionParams``: the R-rho-R fixed-point map, falling back to
   diluted steps (I + eps R)/(1 + eps) on stagnation or non-monotone behavior,
-  with eps reduced geometrically down a ladder.
+  with eps halved down a fixed ladder from 1e30 to 1e-30.
 - ``"apg"``, the default of the CLI's ``reconstruct``, ``--trials`` and
   ``bootstrap``: accelerated projected gradient (FISTA) on -L/M with
   backtracking and a monotone restart; each step projects onto the density
@@ -30,22 +30,24 @@ from .twirl import BlockOperator
 
 METHODS = ("diluted", "apg")
 
+# the diluted fit's eps ladder: the first eps, the factor each further
+# stagnation applies, and the floor at which the fit ends eps_exhausted
+_EPS_START = 1e30
+_EPS_DECAY = 0.5
+_EPS_FLOOR = 1e-30
+
 
 @dataclass(frozen=True)
 class ReconstructionParams:
-    """Stop rule and budget of a fit; delta_L and the eps fields tune only
-    the diluted ladder."""
+    """Stop rule and budget of a fit; delta_L tunes only the diluted fit."""
 
     delta_L: float = 1e-12
     r_stop: float | None = None  # None: 1 / total shots, chosen at run time
-    eps_start: float = 1e30
-    eps_floor: float = 1e-30
-    eps_decay: float = 0.5
     max_iter: int = 500000
     method: str = "diluted"
 
     def __post_init__(self):
-        for name in ("delta_L", "r_stop", "eps_start", "eps_floor", "eps_decay"):
+        for name in ("delta_L", "r_stop"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -53,10 +55,6 @@ class ReconstructionParams:
             raise ValueError("delta_L must be >= 0")
         if self.r_stop is not None and not self.r_stop > 0:
             raise ValueError("r_stop must be > 0")
-        if not 0 < self.eps_floor < self.eps_start:  # at <= 0 the ladder never ends
-            raise ValueError("eps_floor must lie in (0, eps_start)")
-        if not 0 < self.eps_decay < 1:
-            raise ValueError("eps_decay must lie in (0, 1)")
         if not isinstance(self.max_iter, (int, np.integer)) or isinstance(self.max_iter, bool):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
@@ -190,10 +188,11 @@ def _diluted(compiled, likelihood, M, r_stop, params):
 
     Phase 1 applies the R rho R map; the first stagnation (delta log-lik
     below delta_L) or likelihood decrease switches to the eps ladder, which
-    keeps stepping with (I + eps R)/(1 + eps) and shrinks eps on further
-    stagnation until r_k <= r_stop, eps reaches its floor, or the iteration
-    budget runs out. Likelihood-decreasing candidates are discarded;
-    ``iterations`` counts every candidate.
+    keeps stepping with (I + eps R)/(1 + eps) from eps = _EPS_START and
+    multiplies eps by _EPS_DECAY on further stagnation until r_k <= r_stop,
+    eps reaches _EPS_FLOOR, or the iteration budget runs out.
+    Likelihood-decreasing candidates are discarded; ``iterations`` counts
+    every candidate.
     """
     coords = compiled.coords
 
@@ -227,10 +226,10 @@ def _diluted(compiled, likelihood, M, r_stop, params):
             rk_trace.append(r_k)
         if not accepted or stagnant:
             if math.isinf(eps):
-                eps = params.eps_start
+                eps = _EPS_START
             else:
-                eps *= params.eps_decay
-                if eps <= params.eps_floor:
+                eps *= _EPS_DECAY
+                if eps <= _EPS_FLOOR:
                     termination = "eps_exhausted"
                     break
     return rho, loglik_trace, rk_trace, termination, iterations

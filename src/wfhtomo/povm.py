@@ -125,11 +125,11 @@ def _slot_sectors(partition: PartitionSpec) -> list[int]:
 
 
 def _template(N: int, partition: PartitionSpec) -> BlockOperator:
-    return BlockOperator.zeros(N, len(_slot_sectors(partition)), partition)
+    return BlockOperator.zeros(N, len(_slot_sectors(partition)))
 
 
 def _identity_row(N: int, partition: PartitionSpec) -> np.ndarray:
-    return _stack_ops([BlockOperator.identity(N, len(_slot_sectors(partition)), partition)])[0]
+    return _stack_ops([BlockOperator.identity(N, len(_slot_sectors(partition)))])[0]
 
 
 def _wrap(labels: list, rows: np.ndarray, template: BlockOperator, gamma: complex) -> dict:
@@ -356,14 +356,14 @@ def _stack_ops(ops: list[BlockOperator]) -> np.ndarray:
 def _unstack_op(row: np.ndarray, template: BlockOperator) -> BlockOperator:
     parts = np.split(row, np.cumsum([m.size for m in template.blocks.values()])[:-1])
     return BlockOperator(template.N, {key: part.reshape(m.shape) for (key, m), part
-                                      in zip(template.blocks.items(), parts)}, template.partition)
+                                      in zip(template.blocks.items(), parts)})
 
 
 def _split_dense(mat: np.ndarray, like: BlockOperator) -> BlockOperator:
     """The diagonal blocks of a dense block-diagonal matrix, in like's structure."""
     at = np.cumsum([0] + [m.shape[0] for m in like.blocks.values()])
     return BlockOperator(like.N, {key: mat[a:b, a:b].copy() for key, a, b
-                                  in zip(like.blocks, at, at[1:])}, like.partition)
+                                  in zip(like.blocks, at, at[1:])})
 
 
 def apply_loss(elements: dict, nu_1: float, nu_2: float, conv_cut: int = 25) -> dict:

@@ -74,14 +74,12 @@ def _saturated(counts: Mapping) -> float:
     return sum(m * math.log(m / M) for m in counts.values() if m > 0)
 
 
-def log_lr(loglik: float, counts) -> float:
+def log_lr(loglik: float, counts: Sequence[Mapping]) -> float:
     """-2 (loglik - L_u) against the saturated per-setting frequency model.
 
-    ``counts`` is one outcome->count map or a sequence of them (one per
-    setting); L_u sums m(o) log(m(o)/M_s) over nonzero counts.
+    ``counts`` holds one outcome->count map per setting; L_u sums
+    m(o) log(m(o)/M_s) over nonzero counts.
     """
-    if isinstance(counts, Mapping):
-        counts = [counts]
     if not counts:
         raise ValueError("counts must be nonempty")
     l_u = sum(_saturated(c) for c in counts)
@@ -234,14 +232,13 @@ def _sin_model(v, a, b, c, d):
     return c * np.sin(a * v + b) + d
 
 
-def sinusoid_fit(v: Sequence[float], y: Sequence[float], w: Sequence[float],
-                 chi2_gate_p: float = 0.001) -> dict:
+def sinusoid_fit(v: Sequence[float], y: Sequence[float], w: Sequence[float]) -> dict:
     """Weighted least-squares fit of c sin(a v + b) + d.
 
     Multi-starts the phase over {0, pi/2, pi, 3pi/2} (and a small frequency
     grid), keeps the lowest chi-squared solution, and canonicalizes it to
-    a > 0, c >= 0, b in [0, 2 pi). chi2_gate_p sets the tail probability of
-    the chi-squared cutoff reported alongside the fit.
+    a > 0, c >= 0, b in [0, 2 pi). The chi-squared cutoff reported alongside
+    the fit has tail probability 0.001.
     """
     from scipy import optimize, stats as sp_stats  # here: importing them costs 0.3 s
 
@@ -296,9 +293,9 @@ def sinusoid_fit(v: Sequence[float], y: Sequence[float], w: Sequence[float],
     scale = max(spread, abs(d0), 1e-30)
     if abs(c) <= 1e-8 * scale:
         notes.append("amplitude is consistent with zero; a and b are unidentifiable")
-    cutoff = float(sp_stats.chi2.isf(chi2_gate_p, dof)) if dof > 0 else math.inf
+    cutoff = float(sp_stats.chi2.isf(0.001, dof)) if dof > 0 else math.inf
     if chi2 > cutoff:
-        notes.append(f"chi2 {chi2:.6g} exceeds the p={chi2_gate_p:g} cutoff {cutoff:.6g}")
+        notes.append(f"chi2 {chi2:.6g} exceeds the p=0.001 cutoff {cutoff:.6g}")
     return {"a": float(a), "b": float(b), "c": float(c), "d": float(d),
             "chi2": chi2, "dof": dof, "chi2_cutoff": cutoff,
             "notes": "; ".join(notes)}

@@ -42,13 +42,12 @@ class BlockOperator:
     ``blocks[i_tuple]`` is a complex matrix of dimension N - sum(i_tuple) + 1
     acting on the mode-1 Fock amplitudes; every tuple with sum <= N is
     present. Tuple length is K when sector 1 holds more than one mode, K - 1
-    otherwise. ``partition`` is an optional annotation (the block algebra
-    never needs it, and the JSON form omits it).
+    otherwise; the operator does not record which, and ``embed_full`` reads
+    it from a sector assignment.
     """
 
     N: int
     blocks: dict[tuple[int, ...], np.ndarray]
-    partition: PartitionSpec | None = None
 
     def __post_init__(self):
         self.N = int(self.N)
@@ -93,24 +92,19 @@ class BlockOperator:
             yield k, self.blocks[k], other.blocks[k]
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.N, {k: a + b for k, a, b in self._zip(other)},
-                             self.partition or other.partition)
+        return BlockOperator(self.N, {k: a + b for k, a, b in self._zip(other)})
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.N, {k: a - b for k, a, b in self._zip(other)},
-                             self.partition or other.partition)
+        return BlockOperator(self.N, {k: a - b for k, a, b in self._zip(other)})
 
     def scale(self, c: complex) -> "BlockOperator":
-        return BlockOperator(self.N, {k: c * m for k, m in self.blocks.items()},
-                             self.partition)
+        return BlockOperator(self.N, {k: c * m for k, m in self.blocks.items()})
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.N, {k: a @ b for k, a, b in self._zip(other)},
-                             self.partition or other.partition)
+        return BlockOperator(self.N, {k: a @ b for k, a, b in self._zip(other)})
 
     def dagger(self) -> "BlockOperator":
-        return BlockOperator(self.N, {k: m.conj().T for k, m in self.blocks.items()},
-                             self.partition)
+        return BlockOperator(self.N, {k: m.conj().T for k, m in self.blocks.items()})
 
     def trace(self) -> complex:
         return complex(sum(np.trace(m) for m in self.blocks.values()))
@@ -120,8 +114,7 @@ class BlockOperator:
         return complex(sum(np.sum(a.T * b) for _, a, b in self._zip(other)))
 
     def hermitize(self) -> "BlockOperator":
-        return BlockOperator(self.N, {k: (m + m.conj().T) / 2 for k, m in self.blocks.items()},
-                             self.partition)
+        return BlockOperator(self.N, {k: (m + m.conj().T) / 2 for k, m in self.blocks.items()})
 
     # np.max/np.min over the blocks, so that a NaN in any block propagates
     def max_abs_dev_from_hermitian(self) -> float:
@@ -135,34 +128,34 @@ class BlockOperator:
         return max(float(np.max(np.linalg.eigvalsh((m + m.conj().T) / 2)))
                    for m in self.blocks.values())
 
-    def validate_state(self, herm_tol: float = 1e-10, psd_tol: float = -1e-9,
-                       trace_tol: float = 1e-9) -> None:
+    def validate_state(self) -> None:
+        """Raise ValueError unless the blocks are Hermitian within 1e-10, have
+        no eigenvalue below -1e-9, and have a trace within 1e-9 of 1."""
         # written as "not within" so that a NaN fails every check
         dev = self.max_abs_dev_from_hermitian()
-        if not dev <= herm_tol:
+        if not dev <= 1e-10:
             raise ValueError(f"state blocks are not Hermitian (deviation {dev:.3e})")
         low = self.min_eigenvalue()
-        if not low >= psd_tol:
+        if not low >= -1e-9:
             raise ValueError(f"state blocks are not PSD (minimum eigenvalue {low:.3e})")
         tr = self.trace()
-        if not (abs(tr.real - 1.0) <= trace_tol and abs(tr.imag) <= trace_tol):
+        if not (abs(tr.real - 1.0) <= 1e-9 and abs(tr.imag) <= 1e-9):
             raise ValueError(f"state trace is not 1 (trace {tr:.6g})")
 
     # constructors --------------------------------------------------------
     @classmethod
-    def zeros(cls, N: int, length: int, partition: PartitionSpec | None = None) -> "BlockOperator":
+    def zeros(cls, N: int, length: int) -> "BlockOperator":
         return cls(N, {t: np.zeros((N - sum(t) + 1, N - sum(t) + 1), dtype=np.complex128)
-                       for t in block_tuples(N, length)}, partition)
+                       for t in block_tuples(N, length)})
 
     @classmethod
-    def identity(cls, N: int, length: int, partition: PartitionSpec | None = None) -> "BlockOperator":
+    def identity(cls, N: int, length: int) -> "BlockOperator":
         return cls(N, {t: np.eye(N - sum(t) + 1, dtype=np.complex128)
-                       for t in block_tuples(N, length)}, partition)
+                       for t in block_tuples(N, length)})
 
     @classmethod
-    def maximally_mixed(cls, N: int, length: int,
-                        partition: PartitionSpec | None = None) -> "BlockOperator":
-        ident = cls.identity(N, length, partition)
+    def maximally_mixed(cls, N: int, length: int) -> "BlockOperator":
+        ident = cls.identity(N, length)
         return ident.scale(1.0 / ident.total_dim)
 
     # JSON ------------------------------------------------------------------
@@ -176,7 +169,7 @@ class BlockOperator:
         }
 
     @classmethod
-    def from_json(cls, d: dict, partition: PartitionSpec | None = None) -> "BlockOperator":
+    def from_json(cls, d: dict) -> "BlockOperator":
         def block(item):
             if not (isinstance(item["i"], list) and all(type(v) is int for v in item["i"])):
                 raise JsonFieldError(f"i must be a JSON array of integers, got {item['i']!r}")
@@ -185,12 +178,12 @@ class BlockOperator:
                     raise JsonFieldError(f"{part} must be a JSON matrix of numbers")
             return tuple(item["i"]), (np.array(item["re"], dtype=float)
                                       + 1j * np.array(item["im"], dtype=float))
-        return cls(int_from_json(d, "N"), dict(list_from_json(d, "tuples", block)), partition)
+        return cls(int_from_json(d, "N"), dict(list_from_json(d, "tuples", block)))
 
 
-def _check_assignment(sector_assignment: Sequence[int], partition: PartitionSpec) -> list[int]:
+def _check_assignment(sector_assignment: Sequence[int], K: int, s1_multi: bool) -> list[int]:
+    """The assignment as a list of ints, checked against K sectors and s1_multi."""
     assign = [int(s) for s in sector_assignment]
-    K = partition.K
     if any(s < 0 or s >= K for s in assign):
         raise ValueError("sector assignment index out of range")
     if assign[0] != 0:
@@ -198,18 +191,17 @@ def _check_assignment(sector_assignment: Sequence[int], partition: PartitionSpec
     if set(assign) != set(range(K)):
         raise ValueError("every sector must contain at least one mode")
     s1_count = sum(1 for s in assign if s == 0)
-    if (s1_count > 1) != partition.s1_multi:
+    if (s1_count > 1) != s1_multi:
         raise ValueError("sector assignment inconsistent with partition.s1_multi")
     return assign
 
 
-def _aux_tuple(occ: tuple[int, ...], assign: list[int], partition: PartitionSpec) -> tuple[int, ...]:
+def _aux_tuple(occ: tuple[int, ...], assign: list[int], K: int, s1_multi: bool) -> tuple[int, ...]:
     """Sector photon totals of the non-mode-1 modes, in the block-key convention."""
-    K = partition.K
     totals = [0] * K
     for mode in range(1, len(occ)):
         totals[assign[mode]] += occ[mode]
-    return tuple(totals) if partition.s1_multi else tuple(totals[1:])
+    return tuple(totals) if s1_multi else tuple(totals[1:])
 
 
 def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
@@ -220,7 +212,7 @@ def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
     totals i of <x, n'| rho |y, n'>.
     """
     basis = rho.basis
-    assign = _check_assignment(sector_assignment, partition)
+    assign = _check_assignment(sector_assignment, partition.K, partition.s1_multi)
     if len(assign) != basis.num_modes:
         raise ValueError("sector assignment length must equal mode count")
     leak = sum(rho.entries[i, i].real for i in range(basis.size)
@@ -228,7 +220,7 @@ def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
     if leak > 1e-9:
         raise ValueError(f"state has weight {leak:.3e} above photon cutoff N={N}")
     length = partition.K if partition.s1_multi else partition.K - 1
-    out = BlockOperator.zeros(N, length, partition)
+    out = BlockOperator.zeros(N, length)
     # group basis indices by the non-mode-1 occupation pattern
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for idx, occ in enumerate(basis.states):
@@ -236,7 +228,7 @@ def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
             continue
         groups.setdefault(occ[1:], []).append((occ[0], idx))
     for rest, members in groups.items():
-        key = _aux_tuple((0,) + rest, assign, partition)
+        key = _aux_tuple((0,) + rest, assign, partition.K, partition.s1_multi)
         block = out.blocks[key]
         for x, i in members:
             for y, j in members:
@@ -260,7 +252,7 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    assign = _check_assignment(sector_assignment, partition)
+    assign = _check_assignment(sector_assignment, partition.K, partition.s1_multi)
     basis = rho.basis
     S = basis.num_modes
     if len(assign) != S:
@@ -355,13 +347,17 @@ def embed_full(op: BlockOperator, sector_assignment: Sequence[int],
 
     For each tuple i the multiplicity space (all non-mode-1 occupation
     patterns with those sector totals) carries chi_i / d_i on each pattern.
-    Requires op.partition to resolve the sector structure.
+    The assignment gives the sector structure: K = max(assignment) + 1
+    sectors, and s1_multi when sector 1 holds more than one mode.
     """
-    if op.partition is None:
-        raise ValueError("embed_full requires a BlockOperator with a partition")
-    assign = _check_assignment(sector_assignment, op.partition)
+    assign = [int(s) for s in sector_assignment]
     if len(assign) != basis.num_modes:
         raise ValueError("sector assignment length must equal mode count")
+    K, s1_multi = max(assign) + 1, assign.count(0) > 1
+    _check_assignment(assign, K, s1_multi)
+    if op.tuple_length != (K if s1_multi else K - 1):
+        raise ValueError(f"block tuple length {op.tuple_length} does not fit an assignment "
+                         f"of {K} sector(s) with s1_multi={s1_multi}")
     if basis.cutoff < op.N:
         raise ValueError("embedding basis cutoff must be at least the block cutoff")
     patterns: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -371,7 +367,7 @@ def embed_full(op: BlockOperator, sector_assignment: Sequence[int],
         if rest in seen:
             continue
         seen.add(rest)
-        key = _aux_tuple((0,) + rest, assign, op.partition)
+        key = _aux_tuple((0,) + rest, assign, K, s1_multi)
         if key in op.blocks:
             patterns.setdefault(key, []).append(rest)
     dense = np.zeros((basis.size, basis.size), dtype=np.complex128)

@@ -356,7 +356,7 @@ def test_criterion_06_mle_fixed_point():
     r_k = R.max_eigenvalue() - 1.0
     ok = r_dev <= 1e-10 and abs(r_k) <= 1e-9
 
-    mixed = BlockOperator.maximally_mixed(N, 0, BAL_SINGLE)
+    mixed = BlockOperator.maximally_mixed(N, 0)
     report = reconstruct(ctx, _expected_counts(mixed, ctx),
                          ReconstructionParams(r_stop=1e-9))
     fid = fidelity(report.estimate, mixed)

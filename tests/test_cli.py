@@ -189,6 +189,29 @@ def test_ic_check_non_object_counter_exits_1(capsys, workspace, tmp_path, value)
     assert f"settings[0].counter must be a JSON object, got {value!r}" in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"settings": [5]}, "settings[0] must be a JSON object, got 5"),
+    ({"settings": 5}, "settings must be a JSON array, got 5"),
+    ([1], "must hold a JSON object, got list")],
+    ids=["setting-integer", "settings-integer", "top-level-array"])
+def test_ic_check_non_object_context_exits_1(capsys, tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["ic-check", "--context", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_ic_check_non_object_sector_exits_1(capsys, workspace, tmp_path):
+    def edit(setting):
+        setting["partition"]["sectors"][0] = 0.5
+    code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert "settings[0].partition.sectors[0] must be a JSON object, got 0.5" in err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda s: s.update(N=2.7), "N must be a JSON integer, got 2.7"),
     (lambda s: s["counter"].update(loss="0.9"), "counter.loss must be a JSON array"),
@@ -397,7 +420,8 @@ def test_reconstruct_replicate_flag_below_bound_exits_1(capsys, workspace, tmp_p
                                          ([], "JSON object"),
                                          ({"method": "newton"}, "method"),
                                          ({"method": 1}, "method"),
-                                         ({"method": None}, "method")])
+                                         ({"method": None}, "method"),
+                                         ({"eps_start": 1e20}, "'eps_start'")])
 def test_reconstruct_bad_params_exits_1(capsys, workspace, tmp_path, params, key):
     root, _, _ = workspace
     data = _simulated(capsys, workspace, tmp_path)

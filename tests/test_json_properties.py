@@ -116,13 +116,9 @@ def test_setting_round_trip(setting):
 
 @st.composite
 def params(draw):
-    eps_start = draw(st.floats(1e-300, 1e308))
     return ReconstructionParams(
         delta_L=draw(st.floats(0.0, 1e308)),
         r_stop=draw(st.none() | st.floats(0.0, 1e308, exclude_min=True)),
-        eps_start=eps_start,
-        eps_floor=draw(st.floats(0.0, eps_start, exclude_min=True, exclude_max=True)),
-        eps_decay=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         max_iter=draw(st.integers(1, 2**63)),
         method=draw(st.sampled_from(METHODS)))
 

@@ -43,7 +43,7 @@ def povm_sum(povm):
 
 
 def identity_dev(povm, N, partition):
-    ident = BlockOperator.identity(N, tuple_length(partition), partition)
+    ident = BlockOperator.identity(N, tuple_length(partition))
     total = povm_sum(povm)
     return max(float(np.max(np.abs(total.blocks[k] - ident.blocks[k])))
                for k in total.blocks)
@@ -51,7 +51,7 @@ def identity_dev(povm, N, partition):
 
 def test_pi_kl_gamma_zero_vacuum():
     el = pi_kl(0.0, 0, 0, P1, 3)
-    vac = BlockOperator.zeros(3, 0, P1)
+    vac = BlockOperator.zeros(3, 0)
     vac.blocks[()][0, 0] = 1.0
     assert abs(vac.pair_trace(el.op).real - 1.0) < 1e-14
 
@@ -68,7 +68,7 @@ def test_pi_kl_gamma_zero_one_photon_projector():
 
 
 def test_pi_kl_vacuum_product_poisson():
-    vac = BlockOperator.zeros(6, 0, BAL)
+    vac = BlockOperator.zeros(6, 0)
     vac.blocks[()][0, 0] = 1.0
     for k in range(4):
         for l in range(4):
@@ -140,7 +140,7 @@ def test_pi_k_counter_two_vacuum_expectation():
 def test_pi_k_completeness():
     g = 1.3 + 0.2j
     N = 4
-    total = BlockOperator.zeros(N, 0, P1)
+    total = BlockOperator.zeros(N, 0)
     k = 0
     while True:
         el = pi_k(g, k, P1, N)
@@ -148,7 +148,7 @@ def test_pi_k_completeness():
         if k > 5 and float(np.max(np.abs(el.op.blocks[()]))) < 1e-13:
             break
         k += 1
-    ident = BlockOperator.identity(N, 0, P1)
+    ident = BlockOperator.identity(N, 0)
     assert float(np.max(np.abs(total.blocks[()] - ident.blocks[()]))) < 1e-8
 
 
@@ -229,7 +229,7 @@ def test_apply_loss_nu_zero_sends_everything_to_zero_counts():
     rect = {(m, n): pi_kl(g, m, n, P1, N) for m in range(cut + 1)
             for n in range(cut + 1)}
     out = apply_loss(rect, 0.0, 0.0, conv_cut=cut)
-    ident = BlockOperator.identity(N, 0, P1)
+    ident = BlockOperator.identity(N, 0)
     assert float(np.max(np.abs(out[(0, 0)].op.blocks[()] - ident.blocks[()]))) < 1e-10
     assert out[(2, 1)].op.max_eigenvalue() < 1e-14
 
@@ -397,7 +397,7 @@ def test_click_povm_identity_and_vacuum():
     povm = build_povm(Setting(g, CLICK, P1, 4, detector="click"))
     assert set(povm) == {(0, 0), ("I", 0), (0, "I"), ("I", "I")}
     assert identity_dev(povm, 4, P1) < 1e-10
-    vac = BlockOperator.zeros(4, 0, P1)
+    vac = BlockOperator.zeros(4, 0)
     vac.blocks[()][0, 0] = 1.0
     p00 = vac.pair_trace(povm[(0, 0)].op).real
     assert abs(p00 - math.exp(-abs(g) ** 2)) < 1e-12

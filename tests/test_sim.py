@@ -195,7 +195,7 @@ def test_probabilities_identity_povm():
 
 
 def test_probabilities_vacuum_product_poisson():
-    vac = BlockOperator.zeros(6, 0, BAL)
+    vac = BlockOperator.zeros(6, 0)
     vac.blocks[()][0, 0] = 1.0
     setting = Setting(gamma=1.0, counter=CounterConfig(counters=2, N_c=5),
                       partition=BAL, N=6)
@@ -236,7 +236,7 @@ def test_probabilities_linear_in_state():
     def rand_state():
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = g @ g.conj().T
-        return BlockOperator(3, {(): m / np.trace(m).real}, P1)
+        return BlockOperator(3, {(): m / np.trace(m).real})
 
     a, b = rand_state(), rand_state()
     w = 0.3
@@ -250,8 +250,8 @@ def test_probabilities_linear_in_state():
 
 def test_probabilities_rejects_bad_normalization():
     from wfhtomo.povm import PovmElement
-    state = BlockOperator.maximally_mixed(2, 0, P1)
-    half = BlockOperator.identity(2, 0, P1).scale(0.5)
+    state = BlockOperator.maximally_mixed(2, 0)
+    half = BlockOperator.identity(2, 0).scale(0.5)
     povm = {("h",): PovmElement(("h",), half, 0.0)}
     with pytest.raises(ValueError):
         probabilities(state, povm)
@@ -263,7 +263,7 @@ def test_probabilities_rejects_non_finite(bad):
     setting = Setting(gamma=0.7, counter=CounterConfig(counters=2, N_c=3),
                       partition=P1, N=3)
     ctx = MeasurementContext.build([setting])
-    state = BlockOperator.maximally_mixed(3, 0, P1)
+    state = BlockOperator.maximally_mixed(3, 0)
     state.blocks[()][1, 1] = bad
     with pytest.raises(ValueError):
         probabilities(state, ctx.povms[0])

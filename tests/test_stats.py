@@ -43,13 +43,13 @@ def small_problem():
 def test_log_lr_zero_at_saturation():
     counts = {(0,): 3, (1,): 1}
     loglik = 3 * math.log(0.75) + 1 * math.log(0.25)
-    assert log_lr(loglik, counts) == pytest.approx(0.0, abs=1e-12)
+    assert log_lr(loglik, [counts]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_lr_even_counts_half_half():
     counts = {(0,): 1, (1,): 1}
     loglik = 2 * math.log(0.5)
-    assert log_lr(loglik, counts) == pytest.approx(0.0, abs=1e-12)
+    assert log_lr(loglik, [counts]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_lr_multi_setting_nonnegative(small_problem):

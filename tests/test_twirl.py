@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -152,6 +153,27 @@ def test_twirl_idempotent_via_full_embedding():
     assert abs(np.trace(dense.entries) - 1.0) < 1e-12
     twice = twirl_analytic(dense, [0, 0, 1], P2, 4)
     assert block_maxdiff(once, twice) < 1e-10
+
+
+@pytest.mark.parametrize("part, assign", [
+    (P1_MULTI, [0, 0, 0]), (P2, [0, 0, 1]),
+    (PartitionSpec(sectors=P2.sectors, s1_multi=False), [0, 1, 1])])
+def test_embed_full_of_json_read_block_is_bitwise_equal(part, assign):
+    # the JSON form carries no partition: embed_full reads it from the assignment
+    rng = np.random.default_rng(16)
+    basis = OccupationBasis(3, 3)
+    block = twirl_analytic(DenseOperator(basis, _random_density(basis.size, rng)),
+                           assign, part, 3)
+    back = BlockOperator.from_json(json.loads(json.dumps(block.to_json())))
+    assert embed_full(back, assign, basis).entries.tobytes() == \
+        embed_full(block, assign, basis).entries.tobytes()
+
+
+@pytest.mark.parametrize("assign", [[0, 0, 1], [0, 1, 2]])
+def test_embed_full_rejects_assignment_of_other_sector_count(assign):
+    # tuple length 1 fits 1 sector with s1_multi or 2 sectors without it
+    with pytest.raises(ValueError, match="tuple length 1"):
+        embed_full(BlockOperator.maximally_mixed(2, 1), assign, OccupationBasis(3, 2))
 
 
 def test_twirl_idempotent_via_reduced_embedding():
