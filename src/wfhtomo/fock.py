@@ -349,26 +349,22 @@ def fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2.
 
     Accepts two DenseOperators on the same basis or two block operators with
-    matching cutoff (anything exposing a ``blocks`` dict of tuple-indexed
-    matrices). For block-diagonal states the multiplicity factors cancel, so
-    the fidelity is the squared sum of per-block contributions.
+    matching cutoff and tuple set (anything exposing a ``blocks`` dict of
+    tuple-indexed matrices). For block-diagonal states the multiplicity
+    factors cancel, so the fidelity is the squared sum of per-block
+    contributions.
     """
     if hasattr(rho1, "blocks") and hasattr(rho2, "blocks"):
         if rho1.N != rho2.N:
             raise ValueError("block operator cutoff mismatch")
+        if set(rho1.blocks) != set(rho2.blocks):
+            raise ValueError("block structure mismatch")
         tr1 = sum(np.trace(b).real for b in rho1.blocks.values())
         tr2 = sum(np.trace(b).real for b in rho2.blocks.values())
         if abs(tr1 - 1.0) > 1e-9 or abs(tr2 - 1.0) > 1e-9:
             raise ValueError("block operators must be trace-1 states")
-        total = 0.0
-        for key in sorted(set(rho1.blocks) | set(rho2.blocks)):
-            a = rho1.blocks.get(key)
-            b = rho2.blocks.get(key)
-            if a is None or b is None:
-                continue  # missing block = zero block, contributes nothing
-            if a.shape != b.shape:
-                raise ValueError(f"block {key} dimension mismatch")
-            total += _tr_sqrt_sandwich(a, b)
+        total = sum(_tr_sqrt_sandwich(rho1.blocks[k], rho2.blocks[k])
+                    for k in sorted(rho1.blocks))
         return min(1.0, total ** 2)
     if isinstance(rho1, DenseOperator) and isinstance(rho2, DenseOperator):
         if rho1.basis != rho2.basis:

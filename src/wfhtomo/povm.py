@@ -20,7 +20,7 @@ from .fock import (JsonFieldError, complex_from_json, complex_to_json, field_fro
                    int_from_json, is_json_matrix, is_json_number, list_from_json,
                    poisson_table)
 from .optics import PartitionSpec
-from .twirl import BlockOperator, block_tuples
+from .twirl import BlockOperator, block_tuples, slot_sectors
 
 __all__ = [
     "CounterConfig", "PovmElement", "Setting", "MeasurementContext", "CompiledContext",
@@ -119,17 +119,13 @@ class PovmElement:
         }
 
 
-def _slot_sectors(partition: PartitionSpec) -> list[int]:
-    """Sector index backing each block-tuple slot."""
-    return list(range(0 if partition.s1_multi else 1, partition.K))
-
-
 def _template(N: int, partition: PartitionSpec) -> BlockOperator:
-    return BlockOperator.zeros(N, len(_slot_sectors(partition)))
+    return BlockOperator.zeros(N, len(slot_sectors(partition.K, partition.s1_multi)))
 
 
 def _identity_row(N: int, partition: PartitionSpec) -> np.ndarray:
-    return _stack_ops([BlockOperator.identity(N, len(_slot_sectors(partition)))])[0]
+    return _stack_ops([BlockOperator.identity(
+        N, len(slot_sectors(partition.K, partition.s1_multi)))])[0]
 
 
 def _wrap(labels: list, rows: np.ndarray, template: BlockOperator, gamma: complex) -> dict:
@@ -211,7 +207,7 @@ def _counting_rows(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
     eta, zeta = partition.sectors[0]
     nu1, nu2 = nus
     dim = N + 1
-    slots = _slot_sectors(partition)
+    slots = slot_sectors(partition.K, partition.s1_multi)
     shifts = np.arange(N + 1 if slots else 1)[:, None]
     factors, index = [], []
     for (start, tail), e, c, nu in zip(sets, (eta, zeta), (zeta, -eta), nus):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import complex_from_json, complex_to_json, int_from_json, list_from_json
+from .twirl import slot_sectors
 
 __all__ = [
     "ProbeSet",
@@ -164,8 +165,7 @@ def feasibility(K: int, s1_multi: bool, counters: int, probe_freedom: str,
     if N < 0:
         raise ValueError("N must be >= 0")
 
-    L = K if s1_multi else K - 1
-    params = block_parameter_count(L, N)
+    params = block_parameter_count(len(slot_sectors(K, s1_multi)), N)
     uncovered = ("no invertibility result covers this configuration; the "
                  "table reports sufficient conditions only")
 

@@ -2,8 +2,10 @@
 
 A twirled state is block diagonal: one matrix chi_i per tuple of sector photon
 totals (sectors counted over the non-mode-1 modes). :class:`BlockOperator`
-holds that representation; it is also the natural container for POVM elements
-and every operator the reconstruction touches.
+holds that representation for states and POVM elements at the JSON and API
+boundary; fits run on dense block-diagonal matrices and the real coordinates
+of ``povm.CompiledContext``. ``slot_sectors`` says which sectors back a
+tuple's slots.
 """
 from __future__ import annotations
 
@@ -24,9 +26,9 @@ __all__ = [
     "twirl_analytic",
     "twirl_oracle_mc",
     "twirled_closed_form",
-    "embed_reduced",
     "embed_full",
     "reduced_assignment",
+    "slot_sectors",
 ]
 
 
@@ -41,9 +43,9 @@ class BlockOperator:
 
     ``blocks[i_tuple]`` is a complex matrix of dimension N - sum(i_tuple) + 1
     acting on the mode-1 Fock amplitudes; every tuple with sum <= N is
-    present. Tuple length is K when sector 1 holds more than one mode, K - 1
-    otherwise; the operator does not record which, and ``embed_full`` reads
-    it from a sector assignment.
+    present. The tuple length is ``len(slot_sectors(K, s1_multi))``; the
+    operator records neither, and ``embed_full`` reads both from a sector
+    assignment.
     """
 
     N: int
@@ -181,27 +183,44 @@ class BlockOperator:
         return cls(int_from_json(d, "N"), dict(list_from_json(d, "tuples", block)))
 
 
-def _check_assignment(sector_assignment: Sequence[int], K: int, s1_multi: bool) -> list[int]:
-    """The assignment as a list of ints, checked against K sectors and s1_multi."""
+def slot_sectors(K: int, s1_multi: bool) -> range:
+    """Sector index backing each block-tuple slot: every sector when sector 1
+    holds several modes, else sectors 2..K. Its length is the tuple length."""
+    return range(0 if s1_multi else 1, K)
+
+
+def _check_assignment(sector_assignment: Sequence[int], num_modes: int, K: int,
+                      s1_multi: bool) -> list[int]:
+    """The assignment as a list of ints, checked against the mode count, K
+    sectors and s1_multi."""
     assign = [int(s) for s in sector_assignment]
+    if len(assign) != num_modes:
+        raise ValueError("sector assignment length must equal mode count")
     if any(s < 0 or s >= K for s in assign):
         raise ValueError("sector assignment index out of range")
     if assign[0] != 0:
         raise ValueError("mode 1 must be assigned to sector 1")
     if set(assign) != set(range(K)):
         raise ValueError("every sector must contain at least one mode")
-    s1_count = sum(1 for s in assign if s == 0)
-    if (s1_count > 1) != s1_multi:
+    if (assign.count(0) > 1) != s1_multi:
         raise ValueError("sector assignment inconsistent with partition.s1_multi")
     return assign
 
 
-def _aux_tuple(occ: tuple[int, ...], assign: list[int], K: int, s1_multi: bool) -> tuple[int, ...]:
-    """Sector photon totals of the non-mode-1 modes, in the block-key convention."""
-    totals = [0] * K
-    for mode in range(1, len(occ)):
-        totals[assign[mode]] += occ[mode]
-    return tuple(totals) if s1_multi else tuple(totals[1:])
+def _patterns(basis: OccupationBasis, assign: list[int], slots: range,
+              N: int) -> dict[tuple[int, ...], list[list[int]]]:
+    """Block key -> one index list per non-mode-1 occupation pattern n' whose
+    slot totals are the key: the basis indices of (x, n'), x = 0, 1, ..., over
+    the states with at most N photons."""
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for idx, occ in enumerate(basis.states):
+        if basis.totals[idx] <= N:
+            rows.setdefault(occ[1:], []).append(idx)
+    out: dict[tuple[int, ...], list[list[int]]] = {}
+    for rest, idxs in rows.items():
+        key = tuple(sum(n for n, s in zip(rest, assign[1:]) if s == k) for k in slots)
+        out.setdefault(key, []).append(idxs)
+    return out
 
 
 def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
@@ -212,27 +231,19 @@ def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
     totals i of <x, n'| rho |y, n'>.
     """
     basis = rho.basis
-    assign = _check_assignment(sector_assignment, partition.K, partition.s1_multi)
-    if len(assign) != basis.num_modes:
-        raise ValueError("sector assignment length must equal mode count")
+    assign = _check_assignment(sector_assignment, basis.num_modes, partition.K,
+                               partition.s1_multi)
     leak = sum(rho.entries[i, i].real for i in range(basis.size)
                if basis.totals[i] > N)
     if leak > 1e-9:
         raise ValueError(f"state has weight {leak:.3e} above photon cutoff N={N}")
-    length = partition.K if partition.s1_multi else partition.K - 1
-    out = BlockOperator.zeros(N, length)
-    # group basis indices by the non-mode-1 occupation pattern
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for idx, occ in enumerate(basis.states):
-        if basis.totals[idx] > N:
-            continue
-        groups.setdefault(occ[1:], []).append((occ[0], idx))
-    for rest, members in groups.items():
-        key = _aux_tuple((0,) + rest, assign, partition.K, partition.s1_multi)
+    slots = slot_sectors(partition.K, partition.s1_multi)
+    out = BlockOperator.zeros(N, len(slots))
+    for key, rows in _patterns(basis, assign, slots, N).items():
         block = out.blocks[key]
-        for x, i in members:
-            for y, j in members:
-                block[x, y] += rho.entries[i, j]
+        for idxs in rows:
+            d = len(idxs)
+            block[:d, :d] += rho.entries[np.ix_(idxs, idxs)]
     return out
 
 
@@ -252,11 +263,9 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    assign = _check_assignment(sector_assignment, partition.K, partition.s1_multi)
     basis = rho.basis
     S = basis.num_modes
-    if len(assign) != S:
-        raise ValueError("sector assignment length must equal mode count")
+    assign = _check_assignment(sector_assignment, S, partition.K, partition.s1_multi)
     # mode groups the Haar blocks act on: per sector, its modes minus mode 1
     groups = [[m for m in range(1, S) if assign[m] == k] for k in range(partition.K)]
     blocks = [(len(modes), np.ix_(modes, modes)) for modes in groups if modes]
@@ -318,27 +327,9 @@ def twirled_closed_form(kind: str, params: Mapping, N: int) -> BlockOperator:
 
 def reduced_assignment(partition: PartitionSpec) -> list[int]:
     """Mode-to-sector map of the reduced representative (mode 1 plus one
-    auxiliary mode per tuple slot)."""
-    if partition.s1_multi:
-        return [0] + list(range(partition.K))
-    return [0] + list(range(1, partition.K))
-
-
-def embed_reduced(op: BlockOperator) -> DenseOperator:
-    """Dense embedding on mode 1 plus one auxiliary mode per tuple slot.
-
-    Sector k's photons are placed in the sector's auxiliary mode, so the
-    result is sum_i chi_i (x,y) |x, i><y, i| on a (1 + tuple_length)-mode
-    basis with cutoff N.
-    """
-    L = op.tuple_length
-    basis = OccupationBasis(1 + L, op.N)
-    dense = np.zeros((basis.size, basis.size), dtype=np.complex128)
-    for key, block in op.blocks.items():
-        d = block.shape[0]
-        idxs = [basis.index((x,) + key) for x in range(d)]
-        dense[np.ix_(idxs, idxs)] = block
-    return DenseOperator(basis, dense)
+    auxiliary mode per tuple slot): ``embed_full`` with it on a
+    (1 + tuple_length)-mode basis puts chi_i at |x, i><y, i|."""
+    return [0] + list(slot_sectors(partition.K, partition.s1_multi))
 
 
 def embed_full(op: BlockOperator, sector_assignment: Sequence[int],
@@ -351,30 +342,17 @@ def embed_full(op: BlockOperator, sector_assignment: Sequence[int],
     sectors, and s1_multi when sector 1 holds more than one mode.
     """
     assign = [int(s) for s in sector_assignment]
-    if len(assign) != basis.num_modes:
-        raise ValueError("sector assignment length must equal mode count")
-    K, s1_multi = max(assign) + 1, assign.count(0) > 1
-    _check_assignment(assign, K, s1_multi)
-    if op.tuple_length != (K if s1_multi else K - 1):
+    K, s1_multi = max(assign, default=0) + 1, assign.count(0) > 1
+    _check_assignment(assign, basis.num_modes, K, s1_multi)
+    slots = slot_sectors(K, s1_multi)
+    if op.tuple_length != len(slots):
         raise ValueError(f"block tuple length {op.tuple_length} does not fit an assignment "
                          f"of {K} sector(s) with s1_multi={s1_multi}")
     if basis.cutoff < op.N:
         raise ValueError("embedding basis cutoff must be at least the block cutoff")
-    patterns: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    seen = set()
-    for occ in basis.states:
-        rest = occ[1:]
-        if rest in seen:
-            continue
-        seen.add(rest)
-        key = _aux_tuple((0,) + rest, assign, K, s1_multi)
-        if key in op.blocks:
-            patterns.setdefault(key, []).append(rest)
     dense = np.zeros((basis.size, basis.size), dtype=np.complex128)
-    for key, rests in patterns.items():
-        block = op.blocks[key]
-        mult = len(rests)
-        for rest in rests:
-            idxs = [basis.index((x,) + rest) for x in range(block.shape[0])]
-            dense[np.ix_(idxs, idxs)] += block / mult
+    for key, rows in _patterns(basis, assign, slots, op.N).items():
+        block = op.blocks[key] / len(rows)
+        for idxs in rows:
+            dense[np.ix_(idxs, idxs)] += block
     return DenseOperator(basis, dense)

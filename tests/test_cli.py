@@ -489,6 +489,15 @@ def test_domain_error_exits_2(capsys, workspace, tmp_path):
     assert code == 2
 
 
+def test_fidelity_of_other_tuple_sets_exits_2(capsys, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(BlockOperator.maximally_mixed(2, 0).to_json()))
+    b.write_text(json.dumps(BlockOperator.maximally_mixed(2, 1).to_json()))
+    code = cli.main(["fidelity", "--a", str(a), "--b", str(b)])
+    assert code == 2
+    assert "block structure" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(capsys, monkeypatch):
     def boom(n, seed):
         raise np.linalg.LinAlgError("synthetic")

@@ -11,6 +11,7 @@ from wfhtomo.fock import (
     make_state,
     truncation_fidelity,
 )
+from wfhtomo.twirl import BlockOperator
 
 
 def test_basis_single_mode():
@@ -224,3 +225,6 @@ def test_fidelity_errors():
         fidelity(rho2, rho3)
     with pytest.raises(ValueError):
         fidelity(rho2, DenseOperator(b2, np.eye(3)))  # trace 3, not a state
+    # same cutoff, different tuple sets: no block of one state pairs with the other's
+    with pytest.raises(ValueError, match="block structure mismatch"):
+        fidelity(BlockOperator.maximally_mixed(2, 0), BlockOperator.maximally_mixed(2, 1))

@@ -567,6 +567,8 @@ def test_reconstruct_eps_exhausted(ctx, rho_true):
     params = ReconstructionParams(delta_L=1e9, r_stop=1e-15)
     report = reconstruct(ctx, data, params)
     assert report.termination == "eps_exhausted"
+    # one R rho R step, then the ladder 1e30, 5e29, ... down to the first value <= 1e-30
+    assert report.iterations == 201
 
 
 def test_reconstruct_warns_on_deficient_context(rho_true):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -12,8 +13,8 @@ from wfhtomo.twirl import (
     BlockOperator,
     block_tuples,
     embed_full,
-    embed_reduced,
     reduced_assignment,
+    slot_sectors,
     twirl_analytic,
     twirl_oracle_mc,
     twirled_closed_form,
@@ -22,6 +23,7 @@ from wfhtomo.twirl import (
 P1_MULTI = PartitionSpec(sectors=((1 / math.sqrt(2), 1 / math.sqrt(2)),), s1_multi=True)
 P1_SINGLE = PartitionSpec(sectors=((0.6, 0.8),), s1_multi=False)
 P2 = PartitionSpec(sectors=((0.6, 0.8), (0.5, math.sqrt(0.75))), s1_multi=True)
+P2_SINGLE = PartitionSpec(sectors=P2.sectors, s1_multi=False)
 
 
 def block_maxdiff(a: BlockOperator, b: BlockOperator) -> float:
@@ -183,7 +185,8 @@ def test_twirl_idempotent_via_reduced_embedding():
         basis = OccupationBasis(S, 3)
         rho = DenseOperator(basis, _random_density(basis.size, rng))
         once = twirl_analytic(rho, assign, part, 3)
-        red = embed_reduced(once)
+        red = embed_full(once, reduced_assignment(part),
+                         OccupationBasis(1 + once.tuple_length, once.N))
         twice = twirl_analytic(red, reduced_assignment(part), part, 3)
         assert block_maxdiff(once, twice) < 1e-10
 
@@ -312,7 +315,8 @@ def test_block_fidelity_matches_dense_embedding():
     b = twirl_analytic(DenseOperator(basis, _random_density(basis.size, rng)),
                        [0, 0], P1_MULTI, 3)
     f_block = fidelity(a, b)
-    f_dense = fidelity(embed_reduced(a), embed_reduced(b))
+    reduced = reduced_assignment(P1_MULTI), OccupationBasis(1 + a.tuple_length, a.N)
+    f_dense = fidelity(embed_full(a, *reduced), embed_full(b, *reduced))
     assert abs(f_block - f_dense) < 1e-9
 
 
@@ -325,3 +329,33 @@ def test_assignment_validation():
         twirl_analytic(rho, [0, 0], P2, 2)  # sector 2 empty
     with pytest.raises(ValueError):
         twirl_analytic(rho, [0, 1], P2, 2)  # s1_multi mismatch (P2 says multi)
+    for call in (lambda: twirl_analytic(rho, [0, 0, 1], P2, 2),
+                 lambda: twirl_oracle_mc(rho, [0, 0, 1], P2, samples=1, seed=0),
+                 lambda: embed_full(BlockOperator.maximally_mixed(2, 2), [0, 0, 1], basis)):
+        with pytest.raises(ValueError, match="mode count"):
+            call()
+
+
+@pytest.mark.parametrize("K, s1_multi, slots", [
+    (1, True, [0]), (1, False, []), (2, True, [0, 1]), (2, False, [1]), (3, False, [1, 2])])
+def test_slot_sectors_and_reduced_assignment(K, s1_multi, slots):
+    part = PartitionSpec(sectors=((0.6, 0.8), (0.5, math.sqrt(0.75)), (0.8, 0.6))[:K],
+                         s1_multi=s1_multi)
+    assert list(slot_sectors(K, s1_multi)) == slots
+    assert reduced_assignment(part) == [0] + slots
+
+
+@pytest.mark.parametrize("part, assign, twirled, embedded", [
+    (P2_SINGLE, [0, 1], "a321da4c1d78a6ba466526e4c10d8d2899effdce251434e8802ed0faddc6c785",
+     "c044d7b86bffd43f6c14e37a9d16c24d25fd08d023bae2e3bb5b2239b73a4780"),
+    (P2, [0, 0, 1], "bf297f447be136d1936beb463fae8e9fd8882a7120e46c4b35d7a92fb997126b",
+     "302bd4e323161356a427ecf93a78c9015a1f6dc000072e908bf0761d28125671")])
+def test_twirl_and_embedding_bytes_are_pinned(part, assign, twirled, embedded):
+    # a Hermitian matrix from literal numbers (no RNG, no BLAS) at cutoff 3
+    basis = OccupationBasis(len(assign), 3)
+    n = basis.size
+    rho = DenseOperator(basis, np.array([[complex(1 + i + j, i - j) / (3 + 5 * i * j)
+                                          for j in range(n)] for i in range(n)]))
+    op = twirl_analytic(rho, assign, part, 3)
+    assert hashlib.sha256(b"".join(m.tobytes() for m in op.blocks.values())).hexdigest() == twirled
+    assert hashlib.sha256(embed_full(op, assign, basis).entries.tobytes()).hexdigest() == embedded
