@@ -175,9 +175,6 @@ class DenseOperator:
             raise ValueError(
                 f"entries shape {self.entries.shape} does not match basis size {self.basis.size}")
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
 
 _KINDS = ("coherent", "tmsv", "cat")
 

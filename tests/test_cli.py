@@ -779,36 +779,67 @@ def test_fidelity_malformed_state_field_exits_1(capsys, workspace, tmp_path, edi
     assert message in err and str(path) in err
 
 
-_CONTEXT_COMMANDS = """
-import json, pathlib, sys
+_ALL_COMMANDS_WITHOUT_SCIPY = """
+import importlib.abc, json, pathlib, sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy  # noqa: F401
+    raise SystemExit("the scipy block did not take effect")
+except ImportError:
+    pass
+
 from wfhtomo import cli
-ctx, state, work = sys.argv[1], sys.argv[2], pathlib.Path(sys.argv[3])
-data, report, est = (str(work / name) for name in ("data.json", "report.json", "est.json"))
-codes = [cli.main(["ic-check", "--context", ctx]),
+
+ctx, setting, state, work = sys.argv[1], sys.argv[2], sys.argv[3], pathlib.Path(sys.argv[4])
+path = {name: str(work / name) for name in
+        ("spec.json", "part.json", "twirled.json", "probes.json", "povm.json",
+         "data.json", "report.json", "est.json", "boot.json", "verdict.json")}
+codes = [cli.main(["feasibility", "--k", "1", "--out", path["verdict.json"]]),
+         cli.main(["design-gamma", "--n", "1", "--out", path["probes.json"]]),
+         cli.main(["ic-check", "--context", ctx]),
+         cli.main(["povm-dump", "--setting", setting, "--out", path["povm.json"]]),
+         cli.main(["twirl", "--state", path["spec.json"], "--partition", path["part.json"],
+                   "--assignment", "0", "--n", "1", "--out", path["twirled.json"]]),
          cli.main(["simulate", "--state", state, "--context", ctx, "--m", "300",
-                   "--out", data]),
-         cli.main(["reconstruct", "--context", ctx, "--data", data, "--out", report])]
-pathlib.Path(est).write_text(json.dumps(json.loads(pathlib.Path(report).read_text())["estimate"]))
-codes.append(cli.main(["bootstrap", "--estimate", est, "--context", ctx, "--data", data,
-                       "--n-boot", "2", "--out", str(work / "boot.json")]))
-print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                   "--out", path["data.json"]]),
+         cli.main(["reconstruct", "--context", ctx, "--data", path["data.json"],
+                   "--out", path["report.json"]])]
+report = json.loads(pathlib.Path(path["report.json"]).read_text())
+pathlib.Path(path["est.json"]).write_text(json.dumps(report["estimate"]))
+codes += [cli.main(["bootstrap", "--estimate", path["est.json"], "--context", ctx,
+                    "--data", path["data.json"], "--n-boot", "2", "--out", path["boot.json"]]),
+          cli.main(["fidelity", "--a", path["est.json"], "--b", state])]
+print(json.dumps({"codes": codes}))
 """
 
 
-def test_context_commands_import_no_scipy(workspace, tmp_path):
-    # only stats.sinusoid_fit imports scipy: ic-check, simulate, reconstruct and
-    # bootstrap run without it (in a fresh interpreter, as imports persist)
+def test_every_command_runs_with_scipy_blocked(workspace, tmp_path):
+    # numpy is the only runtime dependency: all nine subcommands run in a fresh
+    # interpreter (this one may hold scipy from other tests) that refuses every
+    # scipy import
     root, _, _ = workspace
+    (tmp_path / "spec.json").write_text(json.dumps(
+        StateSpec(kind="coherent", N=N, alpha=0.3).to_json()))
+    (tmp_path / "part.json").write_text(json.dumps(BAL.to_json()))
     src = str(Path(wfhtomo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run([sys.executable, "-c", _CONTEXT_COMMANDS, str(root / "context.json"),
+    proc = subprocess.run([sys.executable, "-c", _ALL_COMMANDS_WITHOUT_SCIPY,
+                           str(root / "context.json"), str(root / "setting.json"),
                            str(root / "state.json"), str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert result == {"codes": [0] * 9}
 
 
 def _not_psd(payload):
