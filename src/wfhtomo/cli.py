@@ -221,6 +221,8 @@ def _cmd_reconstruct(args) -> dict:
     context = _load("context", MeasurementContext.from_json, args.context)
     params = _load_params(args)
     truth = _load_state("true state", args.true_state) if args.true_state else None
+    if truth is not None:
+        context.vec(truth)  # a truth of another block structure fails here, before any fit
     _check_at_least(args, trials=1, jobs=1)
 
     if args.trials > 1:

@@ -113,8 +113,8 @@ def _likelihood(context: MeasurementContext, dataset):
     at a real state vector x, with p = P x over the outcomes the dataset
     counts. In these orthonormal coordinates P^T (m/p) / M is also the
     gradient of L / M."""
-    m = context.compiled.counts(dataset)
-    P, m, M = context.compiled.P[m > 0], m[m > 0], float(dataset.total_shots())
+    m = context.counts(dataset)
+    P, m, M = context.P[m > 0], m[m > 0], float(dataset.total_shots())
 
     def at(x: np.ndarray) -> tuple[float, np.ndarray]:
         p = P @ x
@@ -129,7 +129,7 @@ def log_likelihood(state: BlockOperator, context: MeasurementContext,
     """sum_i m(i) log tr(E_i rho), natural log; -inf when a counted outcome
     has nonpositive probability."""
     try:
-        return _likelihood(context, dataset)(context.compiled.vec(state))[0]
+        return _likelihood(context, dataset)(context.vec(state))[0]
     except _ZeroProbability:
         return -math.inf
 
@@ -137,9 +137,8 @@ def log_likelihood(state: BlockOperator, context: MeasurementContext,
 def r_operator(state: BlockOperator, context: MeasurementContext,
                dataset: Dataset) -> BlockOperator:
     """R-hat = (1/M) sum_i m(i)/p(i) E_i over all settings and outcomes."""
-    compiled = context.compiled
-    g = _likelihood(context, dataset)(compiled.vec(state))[1]
-    return compiled.operator(compiled.coords.unvec(g))
+    g = _likelihood(context, dataset)(context.vec(state))[1]
+    return context.coords.split(context.coords.unvec(g))
 
 
 def _r_k(R: np.ndarray) -> float:
@@ -165,7 +164,6 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
     r_k <= r_stop."""
     if params is None:
         params = ReconstructionParams()
-    compiled = context.compiled
     likelihood = _likelihood(context, dataset)
     r_stop = params.r_stop if params.r_stop is not None else 1.0 / dataset.total_shots()
 
@@ -177,13 +175,13 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
 
     fit = _apg if params.method == "apg" else _diluted
     rho, loglik_trace, rk_trace, termination, iterations = fit(
-        compiled, likelihood, float(dataset.total_shots()), r_stop, params)
-    return ReconstructionReport(estimate=compiled.operator(rho),
+        context.coords, likelihood, float(dataset.total_shots()), r_stop, params)
+    return ReconstructionReport(estimate=context.coords.split(rho),
                                 loglik_trace=loglik_trace, rk_trace=rk_trace,
                                 termination=termination, iterations=iterations)
 
 
-def _diluted(compiled, likelihood, M, r_stop, params):
+def _diluted(coords, likelihood, M, r_stop, params):
     """Diluted iterative maximum likelihood.
 
     Phase 1 applies the R rho R map; the first stagnation (delta log-lik
@@ -194,7 +192,6 @@ def _diluted(compiled, likelihood, M, r_stop, params):
     Likelihood-decreasing candidates are discarded; ``iterations`` counts
     every candidate.
     """
-    coords = compiled.coords
 
     def evaluate(rho: np.ndarray):
         """(log-likelihood, R-hat, r_k) at a dense state."""
@@ -266,7 +263,7 @@ def _momentum(theta: float) -> float:
     return (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
 
 
-def _apg(compiled, likelihood, M, r_stop, params):
+def _apg(coords, likelihood, M, r_stop, params):
     """Accelerated projected gradient (FISTA) on -L/M over density matrices.
 
     Each trial step x+ = proj(y + t g(y)) from the extrapolated point y is
@@ -276,7 +273,6 @@ def _apg(compiled, likelihood, M, r_stop, params):
     momentum and steps again from the iterate; when that step does not raise
     L either, the fit ends ``stalled``. ``iterations`` counts accepted steps.
     """
-    coords = compiled.coords
 
     def descend(y, L_y, g_y, t):
         """Backtrack from y: (x+, L(x+), g(x+), t) for the first step size t

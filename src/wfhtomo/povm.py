@@ -23,9 +23,9 @@ from .optics import PartitionSpec
 from .twirl import BlockOperator, block_tuples, slot_sectors
 
 __all__ = [
-    "CounterConfig", "PovmElement", "Setting", "MeasurementContext", "CompiledContext",
-    "HermitianCoords", "DatasetMismatch", "pi_kl", "pi_k", "apply_loss", "compose_response",
-    "identity_response", "build_povm", "ic_check",
+    "CounterConfig", "PovmElement", "Setting", "MeasurementContext", "HermitianCoords",
+    "DatasetMismatch", "pi_kl", "pi_k", "apply_loss", "compose_response", "identity_response",
+    "build_povm", "ic_check",
 ]
 
 # settings per kernel call; past eight, a load's peak RSS rises more than its time falls
@@ -119,25 +119,105 @@ class PovmElement:
         }
 
 
-def _template(N: int, partition: PartitionSpec) -> BlockOperator:
-    return BlockOperator.zeros(N, len(slot_sectors(partition.K, partition.s1_multi)))
+class HermitianCoords:
+    """The flat layout of block operators, and the real coordinates of
+    Hermitian block-diagonal matrices.
+
+    A stack row holds an operator's blocks raveled and concatenated; the dense
+    form puts them on the diagonal of one D x D matrix. Only a layout from
+    ``of(N, length)``, over the tuples ``twirl.block_tuples(N, length)``, knows
+    its N and block keys, and so stacks block operators and builds them back.
+    Coordinates run block by block: the diagonal, then sqrt(2) Re and sqrt(2)
+    Im of the upper triangle, so tr(X Y) = vec(X) . vec(Y) for Hermitian X, Y.
+    """
+
+    def __init__(self, dims: list[int]):
+        self.N = self.keys = None  # the cutoff and block keys, which of() sets
+        self.dims = dims = np.array(dims, dtype=np.int64)
+        self.D = int(dims.sum())
+        self.start = np.cumsum(dims) - dims  # block offsets along the diagonal
+        self.at = np.cumsum(np.r_[0, dims ** 2])  # block offsets in a stack row, then its length
+        flat = self.at[:-1]
+        # each entry's transpose in a stack row; the identity is 1 where the two coincide
+        self.mirror = np.concatenate([a + np.arange(d * d).reshape(d, d).T.ravel()
+                                      for a, d in zip(self.at, self.dims)])
+        self.identity = (self.mirror == np.arange(self.at[-1])).astype(np.complex128)
+        parts = []
+        for b, d in enumerate(dims):
+            iu, ju = np.triu_indices(d, 1)
+            diag = np.arange(d)
+            parts.append((np.full(d + 2 * iu.size, b), np.r_[diag, iu, iu], np.r_[diag, ju, ju],
+                          np.r_[np.zeros(d + iu.size, np.int64), np.ones(iu.size, np.int64)]))
+        block, i, j, imag = (np.concatenate(a) for a in zip(*parts))
+        off = i != j
+        self.weight = np.where(off, math.sqrt(2.0), 1.0)
+        # positions in the float64 views of a stack row and of a raveled D x D
+        # matrix; a stack row is read at (i, j) and (j, i), for its Hermitian part
+        self._stack = 2 * (flat[block] + i * dims[block] + j) + imag
+        self._stack_mirror = 2 * (flat[block] + j * dims[block] + i) + imag
+        self._sign = np.where(imag == 1, -1.0, 1.0)
+        row, col = self.start[block] + i, self.start[block] + j
+        self._dense = 2 * (row * self.D + col) + imag
+        # unvec writes each coordinate at (row, col), and its conjugate at (col, row)
+        self._to = np.r_[self._dense, (2 * (col * self.D + row) + imag)[off]]
+        self._from = np.r_[np.arange(i.size), np.nonzero(off)[0]]
+        self._coef = np.r_[1.0 / self.weight, self._sign[off] / math.sqrt(2.0)]
+
+    @classmethod
+    def of(cls, N: int, length: int) -> "HermitianCoords":
+        """The layout of the block operators at cutoff N over tuples of the given length."""
+        keys = block_tuples(N, length)
+        layout = cls([N - sum(key) + 1 for key in keys])
+        layout.N, layout.keys = N, keys
+        return layout
+
+    def stack(self, ops: list[BlockOperator]) -> np.ndarray:
+        """One stack row per operator; each must have the layout's N and block keys."""
+        if any(op.N != self.N or list(op.blocks) != self.keys for op in ops):
+            raise ValueError("block structure mismatch")
+        return np.concatenate([m for op in ops for m in op.blocks.values()],
+                              axis=None).reshape(len(ops), -1)
+
+    def unstack(self, row: np.ndarray) -> BlockOperator:
+        """The block operator of a stack row."""
+        return BlockOperator(self.N, {key: row[a:a + d * d].reshape(d, d)
+                                      for key, a, d in zip(self.keys, self.at, self.dims)})
+
+    def split(self, mat: np.ndarray) -> BlockOperator:
+        """The block operator on the diagonal of a dense block-diagonal matrix."""
+        return BlockOperator(self.N, {key: mat[a:a + d, a:a + d].copy()
+                                      for key, a, d in zip(self.keys, self.start, self.dims)})
+
+    def rows(self, stack: np.ndarray) -> np.ndarray:
+        """Coordinates of the Hermitian part of each row of a stack: for a
+        Hermitian X, rows(E) . vec(X) = Re tr(E X)."""
+        flat = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
+        # halved before the weight, so that a row and its Hermitian part give the
+        # same coordinates bit for bit, subnormal entries included
+        return (flat[:, self._stack] + self._sign * flat[:, self._stack_mirror]) / 2.0 \
+            * self.weight
+
+    def vec(self, mat: np.ndarray) -> np.ndarray:
+        """Coordinates of a dense block-diagonal Hermitian matrix."""
+        flat = np.ascontiguousarray(mat, dtype=np.complex128).reshape(-1).view(np.float64)
+        return flat[self._dense] * self.weight
+
+    def unvec(self, x: np.ndarray) -> np.ndarray:
+        """The dense block-diagonal Hermitian matrix with coordinates x."""
+        out = np.zeros(2 * self.D * self.D)
+        out[self._to] = x[self._from] * self._coef
+        return out.view(np.complex128).reshape(self.D, self.D)
 
 
-def _identity_row(N: int, partition: PartitionSpec) -> np.ndarray:
-    return _stack_ops([BlockOperator.identity(
-        N, len(slot_sectors(partition.K, partition.s1_multi)))])[0]
+def _layout(partition: PartitionSpec, N: int) -> HermitianCoords:
+    """The layout of the elements over partition at cutoff N."""
+    return HermitianCoords.of(N, len(slot_sectors(partition.K, partition.s1_multi)))
 
 
-def _wrap(labels: list, rows: np.ndarray, template: BlockOperator, gamma: complex) -> dict:
-    """One element per label from flattened block rows (the layout of _stack_ops),
-    each kept as its Hermitian part (E + E^dag) / 2."""
-    at = 0
-    mirror = []  # position of the transposed entry in a row, block by block
-    for m in template.blocks.values():
-        mirror.append(at + np.arange(m.size).reshape(m.shape).T.ravel())
-        at += m.size
-    rows = (rows + rows[:, np.concatenate(mirror)].conj()) / 2
-    return {label: PovmElement(label, _unstack_op(row, template), complex(gamma))
+def _wrap(labels: list, rows: np.ndarray, layout: HermitianCoords, gamma: complex) -> dict:
+    """One element per label from the layout's stack rows, kept as (E + E^dag) / 2."""
+    rows = (rows + rows[:, layout.mirror].conj()) / 2
+    return {label: PovmElement(label, layout.unstack(row), complex(gamma))
             for label, row in zip(labels, rows)}
 
 
@@ -182,13 +262,13 @@ def _count_weights(e: float, alpha: np.ndarray, nu: float, start: np.ndarray,
     return weights.reshape(len(alpha), -1, dim, dim)
 
 
-def _counting_rows(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
-                   sets: tuple) -> np.ndarray:
+def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoords,
+                   nus: tuple, sets: tuple) -> np.ndarray:
     """Every counting element for the count sets sets[0] x sets[1] (see _counts),
-    at each probe amplitude of gammas.
+    at each probe amplitude of gammas, at the layout's cutoff.
 
-    Entry [g, s1, s2] holds the element for gammas[g], its blocks flattened as
-    by _stack_ops. With counter modes A = eta a + zeta gamma and B = zeta a -
+    Entry [g, s1, s2] holds the element for gammas[g] as a stack row of the
+    layout. With counter modes A = eta a + zeta gamma and B = zeta a -
     eta gamma read with transmissions nu1, nu2, the mode-1 element for counts
     (k, l) is the normally ordered
     :(nu1 A^dag A)^k (nu2 B^dag B)^l e^{-nu1 A^dag A - nu2 B^dag B}:/(k! l!)
@@ -206,9 +286,9 @@ def _counting_rows(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
         raise ValueError("analytic elements support K <= 2 only; use the dense oracle")
     eta, zeta = partition.sectors[0]
     nu1, nu2 = nus
-    dim = N + 1
+    dim = layout.N + 1
     slots = slot_sectors(partition.K, partition.s1_multi)
-    shifts = np.arange(N + 1 if slots else 1)[:, None]
+    shifts = np.arange(dim if slots else 1)[:, None]
     factors, index = [], []
     for (start, tail), e, c, nu in zip(sets, (eta, zeta), (zeta, -eta), nus):
         # the sets the mode-1 pair supplies once 0..N auxiliary photons are counted
@@ -244,16 +324,14 @@ def _counting_rows(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
     del coef
     shares = [(nu1 * e ** 2, nu2 * z ** 2, (1 - nu1) * e ** 2 + (1 - nu2) * z ** 2)
               for e, z in (partition.sectors[slot] for slot in slots)]
-    keys = block_tuples(N, len(slots))
-    w = np.zeros((len(keys), len(shifts), len(shifts)))  # x aux photons at counter 1, y at 2
-    for b, key in enumerate(keys):
+    w = np.zeros((len(layout.keys), len(shifts), len(shifts)))  # x aux photons at counter 1, y at 2
+    for b, key in enumerate(layout.keys):
         for parts in itertools.product(*(_splits(i, *sh) for i, sh in zip(key, shares))):
             x, y = sum(p[0] for p in parts), sum(p[1] for p in parts)
             w[b, x, y] += math.prod(p[2] for p in parts)
     # block b = sum over x, y (x-major) of w[b, x, y] times the mode-1 element for
     # s1, s2 less x and y auxiliary photons, one (x, y) gather at a time
-    dims = [N - sum(key) + 1 for key in keys]
-    at = np.cumsum([0] + [d * d for d in dims])
+    dims, at = layout.dims, layout.at
     out = np.zeros((len(gammas), index[0].shape[1], index[1].shape[1], at[-1]), dtype=np.complex128)
     blocks = [out[..., a:a + d * d].reshape(*out.shape[:3], d, d) for a, d in zip(at, dims)]
     for x, y in np.argwhere(w.any(axis=0)):
@@ -270,8 +348,8 @@ def _splits(i: int, p1: float, p2: float, p0: float) -> list[tuple[int, int, flo
             for x in range(i + 1) for y in range(i + 1 - x)]
 
 
-def _with_overflow(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
-                   top: int) -> np.ndarray:
+def _with_overflow(gammas: list, partition: PartitionSpec, layout: HermitianCoords,
+                   nus: tuple, top: int) -> np.ndarray:
     """Elements for counts 0..top and the overflow {> top} at each counter,
     indexed [g, s1, s2] as by _counting_rows.
 
@@ -282,7 +360,7 @@ def _with_overflow(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
     per gamma; the marginals are built once, for the gammas that take it.
     """
     counts = _counts(top, overflow=True)
-    rows = _counting_rows(gammas, partition, N, nus, (counts, counts))
+    rows = _counting_rows(gammas, partition, layout, nus, (counts, counts))
     eta, zeta = partition.sectors[0]
     big1, big2 = (poisson_table([nu * abs(e * g) ** 2 for nu, e in zip(nus, (zeta, eta))
                                  for g in gammas], top + 1)[1][:, -1] >= 1e-6).reshape(2, -1)
@@ -290,12 +368,11 @@ def _with_overflow(gammas: list, partition: PartitionSpec, N: int, nus: tuple,
     if big.size:
         n = top + 1
         sub = [gammas[b] for b in big]
-        only1 = _counting_rows(sub, partition, N, (nus[0], 0.0), (_counts(top), _counts(0)))
-        only2 = _counting_rows(sub, partition, N, (0.0, nus[1]), (_counts(0), _counts(top)))
-        ident = _identity_row(N, partition)
-        for b, marginal1, marginal2 in zip(big, only1[:, :, 0], only2[:, 0]):
+        only1 = _counting_rows(sub, partition, layout, (nus[0], 0.0), (_counts(top), _counts(0)))
+        only2 = _counting_rows(sub, partition, layout, (0.0, nus[1]), (_counts(0), _counts(top)))
+        for b, m1, m2 in zip(big, only1[:, :, 0], only2[:, 0]):
             # summed gamma by gamma: numpy's summation order follows the array's layout
-            over_k, over_l, over_both = _complement(rows[b, :n, :n], marginal1, marginal2, ident)
+            over_k, over_l, over_both = _complement(rows[b, :n, :n], m1, m2, layout.identity)
             if big2[b]:
                 rows[b, :n, n] = over_k
             if big1[b]:
@@ -310,8 +387,9 @@ def pi_kl(gamma: complex, k: int, l: int, partition: PartitionSpec, N: int) -> P
     if k < 0 or l < 0:
         raise ValueError("counts must be >= 0")
     sets = (_counts(k, first=k), _counts(l, first=l))
-    rows = _counting_rows([complex(gamma)], partition, N, (1.0, 1.0), sets)
-    return _wrap([(k, l)], rows[0, 0], _template(N, partition), gamma)[(k, l)]
+    layout = _layout(partition, N)
+    rows = _counting_rows([complex(gamma)], partition, layout, (1.0, 1.0), sets)
+    return _wrap([(k, l)], rows[0, 0], layout, gamma)[(k, l)]
 
 
 def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
@@ -323,8 +401,9 @@ def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
         raise ValueError("counts must be >= 0")
     read, unread = _counts(k, first=k), _counts(0)
     nus, sets = ((1.0, 0.0), (read, unread)) if counter == 1 else ((0.0, 1.0), (unread, read))
-    rows = _counting_rows([complex(gamma)], partition, N, nus, sets)
-    el = _wrap([(k,)], rows[0, 0], _template(N, partition), gamma)[(k,)]
+    layout = _layout(partition, N)
+    rows = _counting_rows([complex(gamma)], partition, layout, nus, sets)
+    el = _wrap([(k,)], rows[0, 0], layout, gamma)[(k,)]
     el.meta = {"counter": counter}
     return el
 
@@ -341,25 +420,6 @@ def _thinning_matrix(nu: float, cut: int) -> np.ndarray:
     """w[k, m] = P(k photons survive | m present) under transmission nu."""
     return np.array([[math.comb(m, k) * nu ** k * (1 - nu) ** (m - k) if k <= m else 0.0
                        for m in range(cut + 1)] for k in range(cut + 1)])
-
-
-def _stack_ops(ops: list[BlockOperator]) -> np.ndarray:
-    """One row per operator: its blocks raveled and concatenated."""
-    return np.concatenate([m for op in ops for m in op.blocks.values()],
-                          axis=None).reshape(len(ops), -1)
-
-
-def _unstack_op(row: np.ndarray, template: BlockOperator) -> BlockOperator:
-    parts = np.split(row, np.cumsum([m.size for m in template.blocks.values()])[:-1])
-    return BlockOperator(template.N, {key: part.reshape(m.shape) for (key, m), part
-                                      in zip(template.blocks.items(), parts)})
-
-
-def _split_dense(mat: np.ndarray, like: BlockOperator) -> BlockOperator:
-    """The diagonal blocks of a dense block-diagonal matrix, in like's structure."""
-    at = np.cumsum([0] + [m.shape[0] for m in like.blocks.values()])
-    return BlockOperator(like.N, {key: mat[a:b, a:b].copy() for key, a, b
-                                  in zip(like.blocks, at, at[1:])})
 
 
 def apply_loss(elements: dict, nu_1: float, nu_2: float, conv_cut: int = 25) -> dict:
@@ -384,11 +444,12 @@ def apply_loss(elements: dict, nu_1: float, nu_2: float, conv_cut: int = 25) -> 
     for key in grid:
         if key not in elements:
             raise ValueError(f"missing input element {key}")
+    layout = HermitianCoords.of(first.op.N, first.op.tuple_length)
     rows = (np.kron(_thinning_matrix(nu_1, cut_m), _thinning_matrix(nu_2, cut_n))
-            @ _stack_ops([elements[key].op for key in grid]))
-    return {(m, n): PovmElement((m, n), _unstack_op(
-        rows[m * (cut_n + 1) + n] if m <= cut_m and n <= cut_n else np.zeros_like(rows[0]),
-        first.op), first.gamma) for m, n in keys}
+            @ layout.stack([elements[key].op for key in grid]))
+    return {(m, n): PovmElement((m, n), layout.unstack(
+        rows[m * (cut_n + 1) + n] if m <= cut_m and n <= cut_n else np.zeros_like(rows[0])),
+        first.gamma) for m, n in keys}
 
 
 def compose_response(T: np.ndarray, nu: float) -> np.ndarray:
@@ -464,34 +525,35 @@ class Setting:
         )
 
 
-def _group_rows(settings: list[Setting]) -> list[tuple[list, np.ndarray]]:
-    """Outcome labels and element rows (the layout of _stack_ops, as the kernel
+def _group_rows(settings: list[Setting], layout: HermitianCoords) -> list[tuple]:
+    """Outcome labels and element rows (stack rows of the layout, as the kernel
     computes them, in a fixed construction order) of each of settings, which
     differ only in gamma and are built by one kernel call per _GROUP_SIZE gammas."""
     if len(settings) > _GROUP_SIZE:
-        return _group_rows(settings[:_GROUP_SIZE]) + _group_rows(settings[_GROUP_SIZE:])
+        return (_group_rows(settings[:_GROUP_SIZE], layout)
+                + _group_rows(settings[_GROUP_SIZE:], layout))
     first = settings[0]
     gammas = [s.gamma for s in settings]
-    cfg, part, N = first.counter, first.partition, first.N
+    cfg, part = first.counter, first.partition
     if first.detector == "click":
         if part.K != 1:
             raise ValueError("click POVM requires K = 1")
-        rows = _with_overflow(gammas, part, N, (1.0, 1.0), 0)  # a click overflows 0
+        rows = _with_overflow(gammas, part, layout, (1.0, 1.0), 0)  # a click overflows 0
         labels, rows = [(0, 0), ("I", 0), (0, "I"), ("I", "I")], rows[:, [0, 1, 0, 1], [0, 0, 1, 1]]
     elif cfg.response is not None:  # ideal counts of every photon number the responses cover
         present = _counts(cfg.response[0].shape[1] - 1)
         # a single counter's absent partner reads nothing
         nus, other = ((1.0, 0.0), _counts(0)) if cfg.counters == 1 else ((1.0, 1.0), present)
-        rows = _counting_rows(gammas, part, N, nus, (present, other))
+        rows = _counting_rows(gammas, part, layout, nus, (present, other))
         labels, rows = _respond(rows.reshape(len(gammas), -1, rows.shape[-1]), cfg)
     else:
         nus = cfg.loss or (1.0, 1.0)
         names = [_overflow_label(k, cfg.N_c) for k in range(cfg.N_c + 2)]
         if cfg.counters == 1:
-            rows = _with_overflow(gammas, part, N, (nus[0], 0.0), cfg.N_c)
+            rows = _with_overflow(gammas, part, layout, (nus[0], 0.0), cfg.N_c)
             labels, rows = [(o,) for o in names], rows[:, :, 0]
         else:
-            rows = _with_overflow(gammas, part, N, nus, cfg.N_c)
+            rows = _with_overflow(gammas, part, layout, nus, cfg.N_c)
             # counts in range first, then overflow at counter 2, at counter 1, at both
             n = cfg.N_c + 1
             order = ([(k, l) for k in range(n) for l in range(n)] + [(k, n) for k in range(n)]
@@ -503,166 +565,77 @@ def _group_rows(settings: list[Setting]) -> list[tuple[list, np.ndarray]]:
 
 def build_povm(setting: Setting) -> dict:
     """Complete outcome map for one setting, in a fixed construction order."""
-    return _wrap(*_group_rows([setting])[0], _template(setting.N, setting.partition),
-                 setting.gamma)
-
-
-@dataclass
-class MeasurementContext:
-    """All probe settings of an experiment; setting s has outcomes labels[s]
-    and their elements as the rows of rows[s] (the layout of _stack_ops)."""
-
-    settings: list[Setting]
-    labels: list[list]
-    rows: list[np.ndarray]
-
-    @classmethod
-    def build(cls, settings: list[Setting]) -> "MeasurementContext":
-        """The context of settings; those that differ only in gamma are built
-        together (_group_rows), and every setting's POVM must sum to identity."""
-        if not settings:
-            raise ValueError("context needs at least one setting")
-        groups: dict[tuple, list[int]] = {}
-        for s, setting in enumerate(settings):  # alike but for gamma; counters compared as JSON
-            groups.setdefault((setting.partition, setting.N, setting.detector,
-                               json.dumps(setting.counter.to_json())), []).append(s)
-        labels, rows, dev = ([None] * len(settings) for _ in range(3))
-        for members in groups.values():
-            ident = _identity_row(settings[members[0]].N, settings[members[0]].partition)
-            group = _group_rows([settings[s] for s in members])
-            for s, (labels[s], rows[s]) in zip(members, group):
-                dev[s] = float(np.max(np.abs(rows[s].sum(axis=0) - ident)))
-        for s, setting in enumerate(settings):
-            if not dev[s] <= 1e-8:
-                raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
-                                 f"within {dev[s]:.3e}")
-        return cls(list(settings), labels, rows)
-
-    @classmethod
-    def from_povms(cls, settings: list[Setting], povms: list[dict]) -> "MeasurementContext":
-        """A context from hand-made outcome maps, one per setting (unchecked)."""
-        return cls(list(settings), [list(povm) for povm in povms],
-                   [_stack_ops([e.op for e in povm.values()]) for povm in povms])
-
-    @cached_property
-    def povms(self) -> list[dict]:
-        """Each setting's outcome map of Hermitised elements, built on first use."""
-        return [_wrap(labels, rows, _template(s.N, s.partition), s.gamma)
-                for s, labels, rows in zip(self.settings, self.labels, self.rows)]
-
-    @cached_property
-    def compiled(self) -> "CompiledContext":
-        """The context's design matrix, index maps and rank, built on first use."""
-        return CompiledContext(self)
-
-    def to_json(self) -> dict:
-        return {"settings": [s.to_json() for s in self.settings]}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "MeasurementContext":
-        # Older files carry "tail_tol" and "conv_cut"; the elements are exact,
-        # so both are ignored.
-        return cls.build(list_from_json(d, "settings", Setting.from_json))
+    layout = _layout(setting.partition, setting.N)
+    return _wrap(*_group_rows([setting], layout)[0], layout, setting.gamma)
 
 
 class DatasetMismatch(ValueError):
     """A dataset that does not fit the measurement context it is fitted in."""
 
 
-class HermitianCoords:
-    """Index maps between Hermitian block-diagonal matrices and real vectors.
+@dataclass
+class MeasurementContext:
+    """All probe settings of an experiment at one partition and cutoff N, and
+    their real design matrix, built once with the context.
 
-    Coordinates run block by block: the diagonal, then sqrt(2) Re and
-    sqrt(2) Im of the upper triangle, so tr(X Y) = vec(X) . vec(Y) for
-    Hermitian X and Y. A state is one dense block-diagonal D x D matrix;
-    block operators enter as the flattened block rows of _stack_ops.
+    Setting s has outcomes labels[s], their elements the stack rows rows[s]
+    of ``coords``; they own rows ``offsets[s]:offsets[s + 1]`` of ``P``, in
+    that order (``row_of[s]`` maps each outcome to its row), so a state with
+    coordinates x has Born probabilities ``P @ x``. ``rank`` is the rank of
+    ``P``, and ``P.shape[1]`` the number of real parameters of a state.
     """
 
-    def __init__(self, dims: list[int]):
-        dims = np.array(dims, dtype=np.int64)
-        self.D = int(dims.sum())
-        start = np.cumsum(dims) - dims  # block offsets along the diagonal
-        flat = np.cumsum(dims ** 2) - dims ** 2  # block offsets in a stack row
-        parts = []
-        for b, d in enumerate(dims):
-            iu, ju = np.triu_indices(d, 1)
-            diag = np.arange(d)
-            parts.append((np.full(d + 2 * iu.size, b), np.r_[diag, iu, iu], np.r_[diag, ju, ju],
-                          np.r_[np.zeros(d + iu.size, np.int64), np.ones(iu.size, np.int64)]))
-        block, i, j, imag = (np.concatenate(a) for a in zip(*parts))
-        off = i != j
-        self.weight = np.where(off, math.sqrt(2.0), 1.0)
-        # positions in the float64 views of a stack row and of a raveled D x D
-        # matrix; a stack row is read at (i, j) and (j, i), for its Hermitian part
-        self._stack = 2 * (flat[block] + i * dims[block] + j) + imag
-        self._stack_mirror = 2 * (flat[block] + j * dims[block] + i) + imag
-        self._sign = np.where(imag == 1, -1.0, 1.0)
-        row, col = start[block] + i, start[block] + j
-        self._dense = 2 * (row * self.D + col) + imag
-        # unvec writes each coordinate at (row, col), and its conjugate at (col, row)
-        self._to = np.r_[self._dense, (2 * (col * self.D + row) + imag)[off]]
-        self._from = np.r_[np.arange(i.size), np.nonzero(off)[0]]
-        self._coef = np.r_[1.0 / self.weight, self._sign[off] / math.sqrt(2.0)]
+    settings: list[Setting]
+    labels: list[list]
+    rows: list[np.ndarray]
+    coords: HermitianCoords
 
-    def rows(self, stack) -> np.ndarray:
-        """Coordinates of the Hermitian part of each row of a stack of block
-        operators (the layout of _stack_ops; a list of block operators is
-        stacked first): for a Hermitian X, rows(E) . vec(X) = Re tr(E X)."""
-        if not isinstance(stack, np.ndarray):
-            stack = _stack_ops(stack)
-        flat = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
-        # halved before the weight, so that a row and its Hermitian part give the
-        # same coordinates bit for bit, subnormal entries included
-        return (flat[:, self._stack] + self._sign * flat[:, self._stack_mirror]) / 2.0 \
-            * self.weight
-
-    def vec(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of a dense block-diagonal Hermitian matrix."""
-        flat = np.ascontiguousarray(mat, dtype=np.complex128).reshape(-1).view(np.float64)
-        return flat[self._dense] * self.weight
-
-    def unvec(self, x: np.ndarray) -> np.ndarray:
-        """The dense block-diagonal Hermitian matrix with coordinates x."""
-        out = np.zeros(2 * self.D * self.D)
-        out[self._to] = x[self._from] * self._coef
-        return out.view(np.complex128).reshape(self.D, self.D)
-
-
-class CompiledContext:
-    """A measurement context compiled once into one real design matrix.
-
-    Row r of ``P`` holds the coordinates (HermitianCoords) of one element,
-    so the Born probabilities of a state with coordinates x are ``P @ x``.
-    Rows run over the settings in order, setting s owning rows
-    ``offsets[s]:offsets[s + 1]`` in its outcome construction order;
-    ``row_of[s]`` maps each of its outcomes to its row.
-    ``rank`` is the rank of ``P``; ``P.shape[1]`` is the number of real
-    parameters of a state.
-    """
-
-    def __init__(self, context: MeasurementContext):
-        if len({(s.partition, s.N) for s in context.settings}) != 1:
-            raise ValueError("the context needs a single (partition, N) across settings")
-        self.template = _template(context.settings[0].N, context.settings[0].partition)
-        self.coords = HermitianCoords([m.shape[0] for m in self.template.blocks.values()])
-        self.P = self.coords.rows(np.concatenate(context.rows))
-        self.offsets = np.cumsum([0] + [len(labels) for labels in context.labels])
+    def __post_init__(self):
+        self.P = self.coords.rows(np.concatenate(self.rows))
+        self.offsets = np.cumsum([0] + [len(labels) for labels in self.labels])
         self.row_of = [dict(zip(labels, range(at, at + len(labels))))
-                       for labels, at in zip(context.labels, self.offsets)]
-        self.gammas = [s.gamma for s in context.settings]
+                       for labels, at in zip(self.labels, self.offsets)]
         # singular values of the tall P come from its small R factor
         sv = np.linalg.svd(np.linalg.qr(self.P, mode="r"), compute_uv=False)
         self.rank = int(np.sum(sv >= 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
 
+    @classmethod
+    def build(cls, settings: list[Setting]) -> "MeasurementContext":
+        """The context of settings, which must share one partition and N;
+        those that differ only in gamma are built together (_group_rows), and
+        every setting's POVM must sum to identity."""
+        if not settings:
+            raise ValueError("context needs at least one setting")
+        first = settings[0]
+        for s, name in itertools.product(range(len(settings)), ("partition", "N")):
+            if getattr(settings[s], name) != getattr(first, name):
+                raise ValueError(f"settings[{s}].{name} differs from settings[0].{name}: "
+                                 "a context holds one partition and one N")
+        layout = _layout(first.partition, first.N)
+        groups: dict[tuple, list[int]] = {}
+        for s, setting in enumerate(settings):  # alike but for gamma; counters compared as JSON
+            groups.setdefault((setting.detector, json.dumps(setting.counter.to_json())),
+                              []).append(s)
+        labels, rows, dev = ([None] * len(settings) for _ in range(3))
+        for members in groups.values():
+            group = _group_rows([settings[s] for s in members], layout)
+            for s, (labels[s], rows[s]) in zip(members, group):
+                dev[s] = float(np.max(np.abs(rows[s].sum(axis=0) - layout.identity)))
+        for s, setting in enumerate(settings):
+            if not dev[s] <= 1e-8:
+                raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
+                                 f"within {dev[s]:.3e}")
+        return cls(list(settings), labels, rows, layout)
+
+    @cached_property
+    def povms(self) -> list[dict]:
+        """Each setting's outcome map of Hermitised elements, built on first use."""
+        return [_wrap(labels, rows, self.coords, s.gamma)
+                for s, labels, rows in zip(self.settings, self.labels, self.rows)]
+
     def vec(self, op: BlockOperator) -> np.ndarray:
         """Coordinates of a block operator of the context's structure."""
-        if op.N != self.template.N or op.blocks.keys() != self.template.blocks.keys():
-            raise ValueError("block structure mismatch")
-        return self.coords.rows([op])[0]
-
-    def operator(self, mat: np.ndarray) -> BlockOperator:
-        """A dense block-diagonal matrix as a block operator."""
-        return _split_dense(mat, self.template)
+        return self.coords.rows(self.coords.stack([op]))[0]
 
     def counts(self, dataset) -> np.ndarray:
         """The dataset's counts as one vector over the rows of P.
@@ -676,10 +649,11 @@ class CompiledContext:
                                   f"context has {len(self.row_of)}")
         gammas = getattr(dataset, "gammas", None)
         m = np.zeros(len(self.P))
-        for s, (row_of, counts) in enumerate(zip(self.row_of, dataset.counts)):
-            if gammas is not None and not abs(complex(gammas[s]) - self.gammas[s]) <= 1e-12:
+        for s, (setting, row_of, counts) in enumerate(zip(self.settings, self.row_of,
+                                                          dataset.counts)):
+            if gammas is not None and not abs(complex(gammas[s]) - setting.gamma) <= 1e-12:
                 raise DatasetMismatch(f"settings[{s}].gamma is {complex(gammas[s])}, "
-                                      f"but the context probe is {self.gammas[s]}")
+                                      f"but the context probe is {setting.gamma}")
             unknown = counts.keys() - row_of.keys()
             if unknown:
                 raise DatasetMismatch(f"settings[{s}].counts has outcomes absent from "
@@ -687,16 +661,23 @@ class CompiledContext:
             m[[row_of[o] for o in counts]] = list(counts.values())
         return m
 
+    def to_json(self) -> dict:
+        return {"settings": [s.to_json() for s in self.settings]}
+
+    @classmethod
+    def from_json(cls, d: dict) -> "MeasurementContext":
+        # Older files carry "tail_tol" and "conv_cut"; the elements are exact,
+        # so both are ignored.
+        return cls.build(list_from_json(d, "settings", Setting.from_json))
+
 
 def ic_check(context: MeasurementContext) -> dict:
     """Rank test for informational completeness of a context.
 
-    The context is IC when its design matrix (CompiledContext.P) has full
-    column rank, one column per real parameter of a block operator. For
-    Hermitian elements this is the rank over the complex block entries: both
-    spans have the Gram matrix tr(E_a E_b). The rank is computed once per
-    context.
+    The context is IC when its design matrix P, whose rank it computes once,
+    has full column rank, one column per real parameter of a block operator.
+    For Hermitian elements this is the rank over the complex block entries:
+    both spans have the Gram matrix tr(E_a E_b).
     """
-    compiled = context.compiled
-    required = compiled.P.shape[1]
-    return {"rank": compiled.rank, "required": required, "is_ic": compiled.rank == required}
+    required = context.P.shape[1]
+    return {"rank": context.rank, "required": required, "is_ic": context.rank == required}

@@ -55,11 +55,9 @@ def _checked(outcomes, p: np.ndarray) -> dict:
 
 def probabilities(state: BlockOperator, povm: dict) -> dict:
     """Born probabilities p(o) = sum_blocks tr(chi Pi-block) for every outcome."""
-    ops = [e.op for e in povm.values()]
-    if any(op.N != state.N or op.blocks.keys() != state.blocks.keys() for op in ops):
-        raise ValueError("block structure mismatch")
-    coords = HermitianCoords([m.shape[0] for m in state.blocks.values()])
-    return _checked(povm, coords.rows(ops) @ coords.rows([state])[0])
+    coords = HermitianCoords.of(state.N, state.tuple_length)
+    return _checked(povm, coords.rows(coords.stack([e.op for e in povm.values()]))
+                    @ coords.rows(coords.stack([state]))[0])
 
 
 def _pair_grid_unitary(block: np.ndarray, cutoff: int) -> np.ndarray:
@@ -198,11 +196,10 @@ def simulate_dataset(state: BlockOperator, context: MeasurementContext,
         raise ValueError("M_i must give one total per setting")
     if any(m < 1 for m in M_i):
         raise ValueError("every M_i must be >= 1")
-    compiled = context.compiled
-    p_all = compiled.P @ compiled.vec(state)
+    p_all = context.P @ context.vec(state)
     cums = []
     for i, labels in enumerate(context.labels):
-        probs = _checked(labels, p_all[compiled.offsets[i]:compiled.offsets[i + 1]])
+        probs = _checked(labels, p_all[context.offsets[i]:context.offsets[i + 1]])
         cum = np.cumsum(list(probs.values()))  # a running sum, in outcome order
         cum[-1] = 1.0  # guard against float shortfall; u < 1 always lands
         cums.append(cum)

@@ -4,8 +4,8 @@ A twirled state is block diagonal: one matrix chi_i per tuple of sector photon
 totals (sectors counted over the non-mode-1 modes). :class:`BlockOperator`
 holds that representation for states and POVM elements at the JSON and API
 boundary; fits run on dense block-diagonal matrices and the real coordinates
-of ``povm.CompiledContext``. ``slot_sectors`` says which sectors back a
-tuple's slots.
+of ``povm.HermitianCoords``, the owner of the blocks' flat layout.
+``slot_sectors`` says which sectors back a tuple's slots.
 """
 from __future__ import annotations
 
@@ -96,27 +96,11 @@ class BlockOperator:
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return BlockOperator(self.N, {k: a + b for k, a, b in self._zip(other)})
 
-    def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.N, {k: a - b for k, a, b in self._zip(other)})
-
     def scale(self, c: complex) -> "BlockOperator":
         return BlockOperator(self.N, {k: c * m for k, m in self.blocks.items()})
 
-    def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.N, {k: a @ b for k, a, b in self._zip(other)})
-
-    def dagger(self) -> "BlockOperator":
-        return BlockOperator(self.N, {k: m.conj().T for k, m in self.blocks.items()})
-
     def trace(self) -> complex:
         return complex(sum(np.trace(m) for m in self.blocks.values()))
-
-    def pair_trace(self, other: "BlockOperator") -> complex:
-        """sum_i tr(A_i B_i): the Hilbert-Schmidt-style pairing used by Born probabilities."""
-        return complex(sum(np.sum(a.T * b) for _, a, b in self._zip(other)))
-
-    def hermitize(self) -> "BlockOperator":
-        return BlockOperator(self.N, {k: (m + m.conj().T) / 2 for k, m in self.blocks.items()})
 
     # np.max/np.min over the blocks, so that a NaN in any block propagates
     def max_abs_dev_from_hermitian(self) -> float:

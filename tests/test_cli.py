@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 import wfhtomo
-from wfhtomo import cli
+from wfhtomo import cli, sim, stats
 from wfhtomo.fock import StateSpec, make_state
 from wfhtomo.optics import PartitionSpec
 from wfhtomo.povm import (CounterConfig, MeasurementContext, PovmElement, Setting,
                           identity_response)
 from wfhtomo.probes import ProbeSet, design_gamma, interpolation_matrix
-from wfhtomo.sim import Dataset
-from wfhtomo.twirl import BlockOperator, reduced_assignment, twirl_analytic
+from wfhtomo.sim import Dataset, simulate_dataset
+from wfhtomo.twirl import BlockOperator, reduced_assignment, twirl_analytic, twirled_closed_form
 
 BAL = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=False)
 N = 1
@@ -282,20 +282,25 @@ def test_povm_dump(capsys, workspace, tmp_path):
 
 def test_simulate_deterministic(capsys, workspace, tmp_path):
     root, _, _ = workspace
-    d1, d2 = tmp_path / "d1.json", tmp_path / "d2.json"
-    for out in (d1, d2):
-        code, summary = run_cli(capsys, "simulate",
-                                "--state", str(root / "state.json"),
-                                "--context", str(root / "context.json"),
-                                "--m", "500", "--seed", "7", "--out", str(out))
-        assert code == 0
-        assert summary["total_shots"] == 2000
-    assert d1.read_bytes() == d2.read_bytes()
+    for seed in (7, -3):  # any JSON integer is a seed, a negative one too
+        d1, d2 = tmp_path / f"d1_{seed}.json", tmp_path / f"d2_{seed}.json"
+        for out in (d1, d2):
+            code, summary = run_cli(capsys, "simulate",
+                                    "--state", str(root / "state.json"),
+                                    "--context", str(root / "context.json"),
+                                    "--m", "500", "--seed", str(seed), "--out", str(out))
+            assert code == 0
+            assert summary["total_shots"] == 2000
+        assert d1.read_bytes() == d2.read_bytes()
+        # the dataset records its seed, and reconstruct reads it back
+        assert json.loads(d1.read_text())["seed"] == seed
+        assert run_cli(capsys, "reconstruct", "--context", str(root / "context.json"),
+                       "--data", str(d1))[0] == 0
     other = tmp_path / "d3.json"
     run_cli(capsys, "simulate", "--state", str(root / "state.json"),
             "--context", str(root / "context.json"),
             "--m", "500", "--seed", "8", "--out", str(other))
-    assert other.read_bytes() != d1.read_bytes()
+    assert other.read_bytes() != (tmp_path / "d1_7.json").read_bytes()
 
 
 def test_readme_quick_start_dataset_is_byte_identical(capsys, tmp_path):
@@ -625,6 +630,77 @@ def _reconstruct_edited(capsys, workspace, tmp_path, edit):
     code = cli.main(["reconstruct", "--context", str(root / "context.json"),
                      "--data", str(data)])
     return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("settings[2].N", lambda setting: setting.update(N=N + 1)),
+    ("settings[2].partition", lambda setting: setting["partition"].update(s1_multi=True))],
+    ids=["N", "partition"])
+@pytest.mark.parametrize("command", ["ic-check", "simulate", "reconstruct", "bootstrap"])
+def test_mixed_context_exits_1_at_load(capsys, workspace, tmp_path, command, field, edit):
+    # a context holds one partition and one N; a file that mixes them fails
+    # as it loads, naming the first setting that differs
+    root, _, _ = workspace
+    data = _simulated(capsys, workspace, tmp_path)
+    payload = json.loads((root / "context.json").read_text())
+    edit(payload["settings"][2])
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(payload))
+    state, ctx = str(root / "state.json"), str(mixed)
+    argv = {"ic-check": ["ic-check", "--context", ctx],
+            "simulate": ["simulate", "--state", state, "--context", ctx, "--m", "10",
+                         "--out", str(tmp_path / "x.json")],
+            "reconstruct": ["reconstruct", "--context", ctx, "--data", str(data)],
+            "bootstrap": ["bootstrap", "--estimate", state, "--context", ctx,
+                          "--data", str(data), "--n-boot", "2"]}[command]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{field} differs from settings[0]" in err
+
+
+@pytest.fixture(scope="module")
+def quick_start(tmp_path_factory):
+    """The README quick-start context and truth, and a small dataset of it."""
+    root = tmp_path_factory.mktemp("quick_start")
+    partition = PartitionSpec(sectors=((0.5 ** 0.5, 0.5 ** 0.5),), s1_multi=True)
+    context = MeasurementContext.build([
+        Setting(gamma=g, counter=CounterConfig(counters=2, N_c=6), partition=partition, N=3)
+        for g in design_gamma(3, seed=7).gammas])
+    (root / "context.json").write_text(json.dumps(context.to_json()))
+    truth = twirled_closed_form("cat", {"alpha": 0.5}, 3)
+    (root / "truth.json").write_text(json.dumps(truth.to_json()))
+    data = simulate_dataset(truth, context, [200] * len(context.settings), seed=5)
+    (root / "data.json").write_text(json.dumps(data.to_json()))
+    return root
+
+
+@pytest.mark.parametrize("state", [BlockOperator.maximally_mixed(2, 1),
+                                   BlockOperator.maximally_mixed(3, 0)],
+                         ids=["other-cutoff", "other-tuple-length"])
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "trials", "bootstrap"])
+def test_state_of_another_structure_exits_2_before_any_fit(capsys, monkeypatch, quick_start,
+                                                           tmp_path, command, state):
+    def never(*args, **kwargs):
+        raise AssertionError("a fit or a draw started")
+    monkeypatch.setattr(cli, "reconstruct", never)
+    monkeypatch.setattr(stats, "reconstruct", never)
+    monkeypatch.setattr(sim, "inverse_cdf_counts", never)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(state.to_json()))
+    ctx, data, truth = (str(quick_start / name)
+                        for name in ("context.json", "data.json", "truth.json"))
+    argv = {"simulate": ["simulate", "--state", str(other), "--context", ctx, "--m", "10",
+                         "--out", str(tmp_path / "x.json")],
+            "reconstruct": ["reconstruct", "--context", ctx, "--data", data,
+                            "--true-state", str(other)],
+            "trials": ["reconstruct", "--context", ctx, "--true-state", str(other),
+                       "--trials", "2", "--m", "10"],
+            "bootstrap": ["bootstrap", "--estimate", str(other), "--context", ctx,
+                          "--data", data, "--n-boot", "2"]}[command]
+    code = cli.main(argv)
+    assert code == 2
+    assert "block structure mismatch" in capsys.readouterr().err
 
 
 def test_reconstruct_reversed_settings_exits_1(capsys, workspace, tmp_path):

@@ -162,14 +162,24 @@ def context_settings(draw):
     return draw(st.permutations(settings_))
 
 
+def by_layout(settings_: list) -> list[list]:
+    """The settings grouped by (partition, N), in order of first appearance;
+    a context holds a single group."""
+    groups: dict[tuple, list] = {}
+    for setting in settings_:
+        groups.setdefault((setting.partition, setting.N), []).append(setting)
+    return list(groups.values())
+
+
 @settings(max_examples=25, deadline=None)
 @given(settings_=context_settings())
 def test_measurement_context_round_trip(settings_):
-    context = MeasurementContext.build(settings_)
-    back = MeasurementContext.from_json(through_json(context.to_json()))
-    assert [s.to_json() for s in back.settings] == [s.to_json() for s in context.settings]
-    assert back.labels == context.labels
-    assert [r.tobytes() for r in back.rows] == [r.tobytes() for r in context.rows]
+    for group in by_layout(settings_):
+        context = MeasurementContext.build(group)
+        back = MeasurementContext.from_json(through_json(context.to_json()))
+        assert [s.to_json() for s in back.settings] == [s.to_json() for s in context.settings]
+        assert back.labels == context.labels
+        assert [r.tobytes() for r in back.rows] == [r.tobytes() for r in context.rows]
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,11 +23,12 @@ from wfhtomo.mle import (
     reconstruct,
 )
 from wfhtomo.optics import PartitionSpec, haar_unitary
-from wfhtomo.povm import (CounterConfig, HermitianCoords, MeasurementContext, PovmElement,
-                          Setting, _split_dense)
+from wfhtomo.povm import CounterConfig, HermitianCoords, MeasurementContext, Setting
 from wfhtomo.probes import design_gamma
 from wfhtomo.sim import Dataset, probabilities, simulate_dataset
 from wfhtomo.twirl import BlockOperator, reduced_assignment, twirl_analytic
+
+from block_reference import hermitize, matmul, pair_trace
 
 BAL = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=False)
 BAL_MULTI = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=True)
@@ -112,14 +113,20 @@ def test_params_from_json_method_must_name_one(value):
         ReconstructionParams.from_json({"method": value})
 
 
+def hand_made_context(setting, povm):
+    """A one-setting context of a hand-made outcome -> element map (unchecked)."""
+    coords = HermitianCoords.of(setting.N, next(iter(povm.values())).tuple_length)
+    return MeasurementContext([setting], [list(povm)], [coords.stack(list(povm.values()))],
+                              coords)
+
+
 def one_outcome_context(op, n_outcomes=1):
     N, L = op.N, op.tuple_length
     setting = Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=5),
                       partition=BAL, N=N)
     scale = 1.0 / n_outcomes
-    povm = {(j,): PovmElement((j,), BlockOperator.identity(N, L).scale(scale), 0.5)
-            for j in range(n_outcomes)}
-    return MeasurementContext.from_povms([setting], [povm])
+    return hand_made_context(setting, {(j,): BlockOperator.identity(N, L).scale(scale)
+                                       for j in range(n_outcomes)})
 
 
 def test_log_likelihood_identity_povm(rho_true):
@@ -138,12 +145,11 @@ def test_log_likelihood_minus_inf():
     N = 2
     proj = BlockOperator.zeros(N, 0)
     proj.blocks[()][0, 0] = 1.0
-    rest = BlockOperator.identity(N, 0) - proj
+    rest = BlockOperator.identity(N, 0)
+    rest.blocks[()][0, 0] = 0.0
     setting = Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=5),
                       partition=BAL, N=N)
-    ctx1 = MeasurementContext.from_povms([setting],
-                                         [{(0,): PovmElement((0,), proj, 0.5),
-                                           (1,): PovmElement((1,), rest, 0.5)}])
+    ctx1 = hand_made_context(setting, {(0,): proj, (1,): rest})
     vac = BlockOperator.zeros(N, 0)
     vac.blocks[()][0, 0] = 1.0
     data = Dataset(counts=[{(0,): 1, (1,): 1}], M_i=[2], seed=0)
@@ -163,8 +169,8 @@ def test_log_likelihood_bounded_by_saturated(ctx, rho_true):
 def test_log_likelihood_rejects_misaligned(ctx, rho_true):
     data = Dataset(counts=[{("nope",): 1}], M_i=[1], seed=0)
     with pytest.raises(ValueError):
-        log_likelihood(rho_true, MeasurementContext.from_povms(ctx.settings[:1],
-                                                               ctx.povms[:1]), data)
+        log_likelihood(rho_true, MeasurementContext(ctx.settings[:1], ctx.labels[:1],
+                                                    ctx.rows[:1], ctx.coords), data)
     with pytest.raises(ValueError):
         log_likelihood(rho_true, ctx, Dataset(counts=[{}], M_i=[0], seed=0))
 
@@ -182,15 +188,15 @@ def test_r_operator_invariants(ctx, rho_true):
     R = r_operator(rho_true, ctx, data)
     assert R.max_abs_dev_from_hermitian() <= 1e-12
     assert R.min_eigenvalue() >= -1e-12
-    assert rho_true.pair_trace(R).real == pytest.approx(1.0, abs=1e-10)
+    assert pair_trace(rho_true, R).real == pytest.approx(1.0, abs=1e-10)
     assert R.max_eigenvalue() - 1.0 >= -1e-12
 
 
 def test_diluted_step_fixed_point(ctx, rho_true):
     ident = BlockOperator.identity(2, 0)
     for eps in (0.5, 1e3, math.inf):
-        new = ctx.compiled.operator(_step(block_diag(*rho_true.blocks.values()),
-                                          block_diag(*ident.blocks.values()), eps))
+        new = ctx.coords.split(_step(block_diag(*rho_true.blocks.values()),
+                                     block_diag(*ident.blocks.values()), eps))
         diff = max(float(np.max(np.abs(a - b)))
                    for a, b in zip(new.blocks.values(), rho_true.blocks.values()))
         assert diff <= 1e-10
@@ -199,9 +205,9 @@ def test_diluted_step_fixed_point(ctx, rho_true):
 def test_diluted_step_inf_is_rrr(ctx, rho_true):
     data = simulate_dataset(rho_true, ctx, [400] * len(ctx.settings), seed=9)
     R = r_operator(rho_true, ctx, data)
-    new = ctx.compiled.operator(_step(block_diag(*rho_true.blocks.values()),
-                                      block_diag(*R.blocks.values()), math.inf))
-    raw = R @ rho_true @ R
+    new = ctx.coords.split(_step(block_diag(*rho_true.blocks.values()),
+                                 block_diag(*R.blocks.values()), math.inf))
+    raw = matmul(matmul(R, rho_true), R)
     scaled = raw.scale(1.0 / raw.trace().real)
     diff = max(float(np.max(np.abs(a - b)))
                for a, b in zip(new.blocks.values(), scaled.blocks.values()))
@@ -210,12 +216,12 @@ def test_diluted_step_inf_is_rrr(ctx, rho_true):
 
 
 def test_join_dense_is_block_diag_and_split_dense_inverts_it():
-    # compiled.operator reads a block_diag matrix back through povm._split_dense
+    # the fit's estimate and R-hat are read back from a block_diag matrix by coords.split
     rng = np.random.default_rng(8)
     op = BlockOperator(2, {key: rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
                            for key, m in BlockOperator.zeros(2, 2).blocks.items()})
     dense = block_diag(*op.blocks.values())
-    back = _split_dense(dense, op)
+    back = HermitianCoords.of(2, 2).split(dense)
     assert all(np.array_equal(back.blocks[k], m) for k, m in op.blocks.items())
 
 
@@ -228,8 +234,8 @@ def test_small_eps_never_decreases_loglik(ctx, rho_true):
         raw = g @ g.conj().T + 1e-3 * np.eye(3)
         state = BlockOperator(2, {(): raw / np.trace(raw).real})
         R = r_operator(state, ctx, data)
-        stepped = ctx.compiled.operator(_step(block_diag(*state.blocks.values()),
-                                              block_diag(*R.blocks.values()), 1e-3))
+        stepped = ctx.coords.split(_step(block_diag(*state.blocks.values()),
+                                         block_diag(*R.blocks.values()), 1e-3))
         assert log_likelihood(stepped, ctx, data) >= \
             log_likelihood(state, ctx, data) - 1e-10
 
@@ -242,12 +248,13 @@ def test_herm_vec_isometry():
         x = (a + a.conj().T) / 2
         b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         y = (b + b.conj().T) / 2
-        coords = HermitianCoords([d])
+        coords = HermitianCoords.of(d - 1, 0)  # one block of dimension d
         vx, vy = coords.vec(x), coords.vec(y)
         assert np.trace(x @ y).real == pytest.approx(float(vx @ vy), abs=1e-10)
         assert np.allclose(coords.unvec(vx), x, atol=1e-12)
         # block operators enter through the same coordinates
-        assert np.array_equal(coords.rows([BlockOperator(d - 1, {(): x})])[0], vx)
+        assert np.array_equal(coords.rows(coords.stack([BlockOperator(d - 1, {(): x})]))[0],
+                              vx)
         xs.append(x)
     coords = HermitianCoords([1, 3, 6])
     dense = block_diag(*xs)
@@ -312,7 +319,7 @@ def reference_loglik_and_r(state, context, counts, M):
             if m == 0:
                 continue
             element = povm[outcome].op
-            p = state.pair_trace(element).real
+            p = pair_trace(state, element).real
             loglik += m * math.log(p)
             R = R + element.scale(m / (M * p))
     return loglik, R
@@ -334,7 +341,7 @@ def reference_fit(context, data, params):
     eps, iterations = math.inf, 0
     while r_k > r_stop and iterations < params.max_iter:
         A = R if math.isinf(eps) else (ident + R.scale(eps)).scale(1.0 / (1.0 + eps))
-        candidate = (A @ rho @ A).hermitize()
+        candidate = hermitize(matmul(matmul(A, rho), A))
         candidate = candidate.scale(1.0 / candidate.trace().real)
         iterations += 1
         new_loglik, new_R, new_r_k = evaluate(candidate)
@@ -393,14 +400,14 @@ def test_compiled_forms_match_pair_trace(ctx, ctx_multi, seed, multi):
     assert log_likelihood(state, context, data) == pytest.approx(ll, rel=1e-12)
     # R-hat is Hermitian; the sum above also carries the elements' rounding-level
     # anti-Hermitian parts, weighted by m/p
-    R, R_ref = r_operator(state, context, data), R_ref.hermitize()
+    R, R_ref = r_operator(state, context, data), hermitize(R_ref)
     scale = max(float(np.max(np.abs(b))) for b in R_ref.blocks.values())
     for k in R_ref.blocks:
         assert np.max(np.abs(R.blocks[k] - R_ref.blocks[k])) <= 1e-12 * scale
     for povm in context.povms:
         probs = probabilities(state, povm)
         for outcome, element in povm.items():
-            assert probs[outcome] == pytest.approx(state.pair_trace(element.op).real,
+            assert probs[outcome] == pytest.approx(pair_trace(state, element.op).real,
                                                    rel=1e-12)
         assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -440,7 +447,7 @@ def test_reconstruct_exact_frequencies_recovers_truth(ctx, rho_true):
     assert fidelity(report.estimate, rho_true) >= 1 - 1e-4
     # at the returned estimate the fixed-point equation holds
     R = r_operator(report.estimate, ctx, data)
-    fp = R @ report.estimate @ R
+    fp = matmul(matmul(R, report.estimate), R)
     fp = fp.scale(1.0 / fp.trace().real)
     diff = max(float(np.max(np.abs(a - b)))
                for a, b in zip(fp.blocks.values(), report.estimate.blocks.values()))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wfhtomo.optics import PartitionSpec
 from wfhtomo.povm import (CounterConfig, HermitianCoords, MeasurementContext, Setting,
-                          _stack_ops, apply_loss, build_povm, identity_response, pi_kl)
+                          apply_loss, build_povm, identity_response, pi_kl)
 from wfhtomo.sim import probabilities
 from wfhtomo.twirl import BlockOperator
 
@@ -107,27 +107,25 @@ def contexts(draw):
                 detector="click" if kind == "click" else "counting") for g in gammas])
 
 
-def random_state(template: BlockOperator, seed: int) -> BlockOperator:
-    """A PSD trace-1 state of the template's blocks, of random rank per block."""
+def random_state(coords: HermitianCoords, seed: int) -> BlockOperator:
+    """A PSD trace-1 state of the layout's blocks, of random rank per block."""
     rng = np.random.default_rng(seed)
     blocks = {}
-    for key, block in template.blocks.items():
-        d = len(block)
+    for key, d in zip(coords.keys, coords.dims):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         g[:, rng.integers(1, d + 1):] = 0.0
         blocks[key] = g @ g.conj().T
     total = sum(np.trace(b).real for b in blocks.values())
-    return BlockOperator(template.N, {k: b / total for k, b in blocks.items()})
+    return BlockOperator(coords.N, {k: b / total for k, b in blocks.items()})
 
 
 @settings(max_examples=40, deadline=None)
 @given(context=contexts(), seed=st.integers(0, 2 ** 32 - 1))
 def test_probabilities_sum_to_one_on_random_states(context, seed):
-    compiled = context.compiled
-    state = random_state(compiled.template, seed)
-    p = compiled.P @ compiled.vec(state)
+    state = random_state(context.coords, seed)
+    p = context.P @ context.vec(state)
     for s, povm in enumerate(context.povms):
-        p_s = p[compiled.offsets[s]:compiled.offsets[s + 1]]
+        p_s = p[context.offsets[s]:context.offsets[s + 1]]
         assert p_s.min() >= -1e-12
         assert abs(p_s.sum() - 1.0) <= 1e-12
         born = probabilities(state, povm)
@@ -141,10 +139,10 @@ def test_design_matrix_matches_the_povm_view(context):
     # P is compiled from the stored kernel rows; the per-outcome view built
     # from them gives the same P bit for bit, over the same outcome order
     first = next(iter(context.povms[0].values())).op
-    coords = HermitianCoords([len(m) for m in first.blocks.values()])
-    rebuilt = np.concatenate([coords.rows(_stack_ops([e.op for e in povm.values()]))
+    coords = HermitianCoords.of(first.N, first.tuple_length)
+    rebuilt = np.concatenate([coords.rows(coords.stack([e.op for e in povm.values()]))
                               for povm in context.povms])
-    assert rebuilt.tobytes() == context.compiled.P.tobytes()
+    assert rebuilt.tobytes() == context.P.tobytes()
     for labels, povm in zip(context.labels, context.povms):
         assert labels == list(povm)
 
@@ -188,16 +186,26 @@ def mixed_settings(draw):
     return draw(st.permutations(out))
 
 
+def by_layout(settings_: list) -> list[list]:
+    """The settings grouped by (partition, N), in order of first appearance;
+    a context holds a single group."""
+    groups: dict[tuple, list] = {}
+    for setting in settings_:
+        groups.setdefault((setting.partition, setting.N), []).append(setting)
+    return list(groups.values())
+
+
 @settings(max_examples=30, deadline=None)
 @given(settings_=mixed_settings())
 def test_context_rows_match_each_setting_built_alone(settings_):
     # settings that differ only in gamma are built in one kernel call; each
     # keeps the labels and, bit for bit, the rows it has built alone
-    context = MeasurementContext.build(settings_)
-    for setting, labels, rows in zip(settings_, context.labels, context.rows):
-        alone = MeasurementContext.build([setting])
-        assert labels == alone.labels[0]
-        assert rows.tobytes() == alone.rows[0].tobytes()
+    for group in by_layout(settings_):
+        context = MeasurementContext.build(group)
+        for setting, labels, rows in zip(group, context.labels, context.rows):
+            alone = MeasurementContext.build([setting])
+            assert labels == alone.labels[0]
+            assert rows.tobytes() == alone.rows[0].tobytes()
 
 
 @settings(max_examples=15, deadline=None)
@@ -211,5 +219,7 @@ def test_completeness_error_names_the_first_bad_setting(settings_, at):
     mixed = list(settings_)
     for shift, (setting, i) in enumerate(zip(bad, sorted(at))):
         mixed.insert(min(i + shift, len(mixed)), setting)  # bad[1] after bad[0]
+    # the bad settings share the first setting's (partition, N), and so its context
+    [group] = [g for g in by_layout(mixed) if any(s is first for s in g)]
     with pytest.raises(ValueError, match=re.escape(f"POVM for gamma={bad[0].gamma} ")):
-        MeasurementContext.build(mixed)
+        MeasurementContext.build(group)

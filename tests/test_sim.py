@@ -257,6 +257,17 @@ def test_probabilities_rejects_bad_normalization():
         probabilities(state, povm)
 
 
+@pytest.mark.parametrize("state", [BlockOperator.maximally_mixed(2, 1),
+                                   BlockOperator.maximally_mixed(3, 0)],
+                         ids=["other-cutoff", "other-tuple-length"])
+def test_probabilities_rejects_a_state_of_another_structure(state):
+    setting = Setting(gamma=0.7, counter=CounterConfig(counters=2, N_c=3),
+                      partition=PartitionSpec(sectors=P1.sectors, s1_multi=True), N=3)
+    povm = MeasurementContext.build([setting]).povms[0]
+    with pytest.raises(ValueError, match="block structure mismatch"):
+        probabilities(state, povm)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_probabilities_rejects_non_finite(bad):
