@@ -352,10 +352,8 @@ def fidelity(rho1, rho2) -> float:
     contributions.
     """
     if hasattr(rho1, "blocks") and hasattr(rho2, "blocks"):
-        if rho1.N != rho2.N:
-            raise ValueError("block operator cutoff mismatch")
-        if set(rho1.blocks) != set(rho2.blocks):
-            raise ValueError("block structure mismatch")
+        if rho1.N != rho2.N or set(rho1.blocks) != set(rho2.blocks):
+            raise ValueError("block structure mismatch")  # as povm.HermitianCoords.stack says
         tr1 = sum(np.trace(b).real for b in rho1.blocks.values())
         tr2 = sum(np.trace(b).real for b in rho2.blocks.values())
         if abs(tr1 - 1.0) > 1e-9 or abs(tr2 - 1.0) > 1e-9:

@@ -28,10 +28,6 @@ __all__ = [
     "build_povm", "ic_check",
 ]
 
-# settings per kernel call; past eight, a load's peak RSS rises more than its time falls
-_GROUP_SIZE = 8
-
-
 @dataclass(frozen=True)
 class CounterConfig:
     """Detector description: counter count, resolvable range, and imperfections.
@@ -228,19 +224,12 @@ def _counts(top: int, overflow: bool = False, first: int = 0) -> tuple[np.ndarra
     return start, start > top
 
 
-def _poisson_mass(mu, start: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """P(X = start), or P(X >= start) where tail, for X ~ Poisson(mu), indexed
-    [g, *shape] over the means mu[g] (start and tail broadcast to shape),
-    gathered from one poisson_table."""
-    pmf, upper = poisson_table(mu, max(int(np.max(start)), 0))
-    at = np.maximum(start, 0)
-    return np.where(tail, upper[:, at], np.where(start < 0, 0.0, pmf[:, at]))
-
-
-def _count_weights(e: float, alpha: np.ndarray, nu: float, start: np.ndarray,
-                   tail: np.ndarray, dim: int) -> np.ndarray:
+def _count_weights(e: float, alpha: np.ndarray, nu: float, sets: tuple, shifts: np.ndarray,
+                   dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """W[g, s, i, j]: one counter's factor of the element for the amplitude
-    alpha[g, 0], summed over count set s.
+    alpha[g], summed over each count set s the mode-1 pair supplies once 0..N
+    auxiliary photons are counted; the tails P(X >= n) of its Poisson(mu[g])
+    table; and index[x, s'], the s of the set s' of sets less x photons.
 
     A counter mode e a + alpha read with transmission nu contributes
     sum_{n in s} nu^n e^{-mu} (e a^dag + alpha*)^n ... (e a + alpha)^n / n!
@@ -249,103 +238,130 @@ def _count_weights(e: float, alpha: np.ndarray, nu: float, start: np.ndarray,
     P(s - r) / ((i-t)! (j-t)! t!), where r = i + j - t and P(s - r) is the
     Poisson(mu) mass of the count set shifted down by r.
     """
+    # a set below 0 is empty, one reaching down to 0 holds every count
+    starts, tails = (sets[0] - shifts).ravel(), np.tile(sets[1], len(shifts))
+    code = 2 * np.where(tails, np.maximum(starts, 0), np.maximum(starts, -1)) + tails
+    code, index = np.unique(code, return_inverse=True)  # sorted by (start, tail)
+    start, tail = code // 2, code % 2 == 1
     i, j, t = np.array([(i, j, t) for i in range(dim) for j in range(dim)
                         for t in range(min(i, j) + 1)]).T
     r = i + j - t
     fact = np.cumprod(np.r_[1.0, np.arange(1.0, dim)])
+    alpha = alpha[:, None]
     coef = (e ** (i + j) * nu ** r * np.conj(alpha) ** (j - t) * alpha ** (i - t)
             / (fact[i - t] * fact[j - t] * fact[t]))
-    mu = [nu * abs(complex(v)) ** 2 for v in alpha[:, 0]]
-    weights = np.zeros((len(alpha), len(start), dim * dim), dtype=np.complex128)
-    np.add.at(weights, (slice(None), slice(None), i * dim + j),
-              coef[:, None] * _poisson_mass(mu, start[:, None] - r, tail[:, None]))
-    return weights.reshape(len(alpha), -1, dim, dim)
+    pmf, upper = poisson_table([nu * abs(complex(v)) ** 2 for v in alpha[:, 0]],
+                               max(int(np.max(start)), 0))
+    at = np.maximum(start[:, None] - r, 0)
+    mass = np.where(tail[:, None], upper[:, at], np.where(start[:, None] < r, 0.0, pmf[:, at]))
+    # summed over t by a product with the 0/1 map of (i, j, t) to (i, j)
+    weights = _rows_matmul(coef[:, None] * mass, (i * dim + j)[:, None] == np.arange(dim * dim))
+    return weights.reshape(len(alpha), -1, dim, dim), upper, index.reshape(len(shifts), -1)
+
+
+def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, each row's bits independent of how many rows a has: numpy sends a
+    one-row product to a BLAS dot, which sums in another order than gemv or gemm."""
+    if a.shape[-2] > 1:
+        return a @ b
+    return (np.concatenate([a, np.zeros_like(a)], axis=-2) @ b)[..., :1, :]
+
+
+def _aux_weights(partition: PartitionSpec, layout: HermitianCoords, nu1: float,
+                 nu2: float) -> np.ndarray:
+    """w[b, x, y]: the chance that block b's auxiliary photons put x at counter 1
+    and y at counter 2; each reaches them with nu1 eta_s^2, nu2 zeta_s^2, or is lost."""
+    shares = [(nu1 * e ** 2, nu2 * z ** 2, (1 - nu1) * e ** 2 + (1 - nu2) * z ** 2)
+              for e, z in (partition.sectors[slot]
+                           for slot in slot_sectors(partition.K, partition.s1_multi))]
+    w = np.zeros((len(layout.keys), layout.N + 1, layout.N + 1))
+    for b, key in enumerate(layout.keys):
+        splits = ([(x, y, math.comb(i, x) * math.comb(i - x, y) * p1 ** x * p2 ** y
+                    * p0 ** (i - x - y)) for x in range(i + 1) for y in range(i + 1 - x)]
+                  for i, (p1, p2, p0) in zip(key, shares))  # per slot of the key
+        for parts in itertools.product(*splits):
+            x, y = sum(p[0] for p in parts), sum(p[1] for p in parts)
+            w[b, x, y] += math.prod(p[2] for p in parts)
+    return w
+
+
+def _block_rows(u: np.ndarray, v: np.ndarray, index1: np.ndarray, index2: np.ndarray,
+                w: np.ndarray, at: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """out[g, s1, s2, at[b]:at[b] + d * d], d = dims[b]: the raveled sum over x, y
+    of w[b, x, y] conv(u[g, index1[x, s1]], v[g, index2[y, s2]]), conv(A, B)[r, c]
+    = sum_{p, q} A[r - p, q] B[p, c - q] cut at d. One product per block sums
+    over (x, y, p, q), s2 and r down its rows, s1 and g along its stack: its
+    summed and column lengths are the layout's, so each entry comes out bit for
+    bit as in any other batch of gammas or sets."""
+    (G, _, dim, _), n1, n2 = u.shape, index1.shape[1], index2.shape[1]
+    out = np.empty((G, n1, n2, at[-1]), dtype=np.complex128)
+    # u and v raveled per g, then a 0 to read at -1; np.take lays the operands out
+    # contiguously, as numpy sums a product of others itself, in another order than BLAS
+    u, v = (np.concatenate([m.reshape(G, -1), np.zeros((G, 1), m.dtype)], axis=1) for m in (u, v))
+    i, j, k = np.ogrid[:dim, :dim, :dim]  # an entry that is 0 is read at -2^62, below any item
+    left = np.where(j <= i, (i - j) * dim + k, -2 ** 62)  # [r, p, q]: A[r - p, q]
+    right = np.where(j <= k, i * dim + k - j, -2 ** 62)  # [p, q, c]: B[p, c - q]
+    for w_b, a, d in zip(w, at, dims):
+        x, y = np.nonzero(w_b)
+        lhs = np.take(v, np.maximum(index2[y].T[:, None, :, None, None] * dim * dim
+                                    + left[:d, None, :d, :d], -1), axis=1)
+        lhs *= w_b[x, y][:, None, None]
+        rhs = np.take(u, np.maximum(index1[x].T[:, :, None, None, None] * dim * dim
+                                    + right[:d, :d, :d], -1), axis=1)
+        # + 0 makes a product's -0 a 0, as the Hermitian part of the row (_wrap) has it
+        np.add(_rows_matmul(lhs.reshape(G, 1, n2 * d, -1), rhs.reshape(G, n1, -1, d))
+               .reshape(G, n1, n2, -1), 0.0, out=out[..., a:a + d * d])
+    return out
 
 
 def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoords,
-                   nus: tuple, sets: tuple) -> np.ndarray:
-    """Every counting element for the count sets sets[0] x sets[1] (see _counts),
-    at each probe amplitude of gammas, at the layout's cutoff.
+                   nus: tuple, sets: tuple, top: int | None = None) -> tuple:
+    """The elements for the count sets sets[0] x sets[1] (see _counts) at each
+    of gammas, as stack rows [g, s1, s2]; each counter's Poisson tails
+    P(X >= n), n up to its largest start, [g, n]; and, given top, each counter's
+    elements for counts 0..top with the other one unread, [g, k], else None.
 
-    Entry [g, s1, s2] holds the element for gammas[g] as a stack row of the
-    layout. With counter modes A = eta a + zeta gamma and B = zeta a -
-    eta gamma read with transmissions nu1, nu2, the mode-1 element for counts
-    (k, l) is the normally ordered
-    :(nu1 A^dag A)^k (nu2 B^dag B)^l e^{-nu1 A^dag A - nu2 B^dag B}:/(k! l!)
+    With counter modes A = eta a + zeta gamma and B = zeta a - eta gamma read with
+    transmissions nu1, nu2, the mode-1 element for counts (k, l) is the normally
+    ordered :(nu1 A^dag A)^k (nu2 B^dag B)^l e^{-nu1 A^dag A - nu2 B^dag B}:/(k! l!)
     = nu1^k nu2^l e^{-(nu1 zeta^2 + nu2 eta^2)|gamma|^2} G^dag diag(x^n) G/(k! l!),
     G = e^{-s* a} A^k B^l, s = eta zeta gamma (nu1 - nu2), x = 1 - nu1 eta^2 - nu2 zeta^2,
     exact on the truncated space as only lowering operators act on the right.
-    Sums over count sets are closed-form (_count_weights); a marginal sets the
-    other counter's nu to 0. Auxiliary-sector photons split trinomially between
-    counter 1, counter 2 and loss (nu1 eta_s^2, nu2 zeta_s^2, the rest), which
-    shifts the count sets the mode-1 pair must supply. All but the counter
-    factors, e^{-s* a} and the sandwich is built once for all gammas; each
-    gamma's rows come out bit for bit as they would alone.
+    Each counter's factor is sum W[p, q] (a^dag)^p ... a^q (_count_weights), and
+    (a^dag)^p M a^q has entries sqrt(r! c!) M'[r - p, c - q] for M = e^{-s a^dag}
+    diag(x^n) e^{-s* a}, M'[u, v] = M[u, v] / sqrt(u! v!). So the element
+    is sqrt(r! c!) conv(W1, conv(W2, M'))[r, c] (_block_rows), and a marginal is
+    sqrt(r! c!) conv(W, M') with the other nu 0. Auxiliary-sector photons shift
+    the count sets the mode-1 pair must supply (_aux_weights).
     """
     if partition.K > 2:
         raise ValueError("analytic elements support K <= 2 only; use the dense oracle")
     eta, zeta = partition.sectors[0]
-    nu1, nu2 = nus
-    dim = layout.N + 1
-    slots = slot_sectors(partition.K, partition.s1_multi)
-    shifts = np.arange(dim if slots else 1)[:, None]
-    factors, index = [], []
-    for (start, tail), e, c, nu in zip(sets, (eta, zeta), (zeta, -eta), nus):
-        # the sets the mode-1 pair supplies once 0..N auxiliary photons are counted
-        # (a set below 0 is empty, one reaching down to 0 holds every count)
-        starts, tails = (start - shifts).ravel(), np.tile(tail, len(shifts))
-        code = 2 * np.where(tails, np.maximum(starts, 0), np.maximum(starts, -1)) + tails
-        code, inv = np.unique(code, return_inverse=True)  # sorted by (start, tail)
-        alpha = np.array([[c * g] for g in gammas], dtype=np.complex128)
-        factors.append(_count_weights(e, alpha, nu, code // 2, code % 2 == 1, dim))
-        index.append(inv.reshape(len(shifts), -1))
-    w1, w2 = factors[0][:, :, None], factors[1][:, None]  # [g, s1, s2, i, j]
-    # coefficient of (a^dag)^p ... a^q: the product of the two counters' factors
-    coef = np.zeros(np.broadcast_shapes(w1.shape, w2.shape), dtype=np.complex128)
-    for i in range(dim):
-        for j in range(dim):
-            coef[..., i:, j:] += w1[..., i, j, None, None] * w2[..., :dim - i, :dim - j]
-    # a^p is nonzero only at (m, n = m + p), where it is ladder = sqrt(n!/m!); each
-    # product of ladder operators below is written out entry by entry
-    m, n = np.triu_indices(dim)
-    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    ladder = np.stack([np.linalg.matrix_power(lower, p) for p in range(dim)])[n - m, m, n]
+    G, dim = len(gammas), layout.N + 1
+    shifts = np.arange(dim if slot_sectors(partition.K, partition.s1_multi) else 1)[:, None]
+    gammas = np.array(gammas, dtype=np.complex128)
     fact = np.cumprod(np.r_[1.0, np.arange(1.0, dim)])
-    s = np.array([eta * zeta * g * (nu1 - nu2) for g in gammas], dtype=np.complex128)
-    shift_op = np.zeros((len(gammas), dim, dim), dtype=np.complex128)  # e^{-s* a}
-    shift_op[:, m, n] = (-np.conj(s[:, None])) ** (n - m) / fact[n - m] * ladder
-    x = (1 - nu1) * eta ** 2 + (1 - nu2) * zeta ** 2  # 1 - nu1 eta^2 - nu2 zeta^2
-    middle = np.conj(shift_op).transpose(0, 2, 1) @ (x ** np.arange(dim)[:, None] * shift_op)
-    sandwich = np.zeros((len(gammas), dim, dim, dim, dim), dtype=np.complex128)
-    sandwich[:, (n - m)[:, None], n - m, n[:, None], n] = (  # (a^p)^T middle a^q at [p, q]
-        ladder[:, None] * middle[:, m[:, None], m]) * ladder
-    mode1 = (coef.reshape(len(gammas), -1, dim * dim)
-             @ sandwich.reshape(len(gammas), dim * dim, -1)).reshape(coef.shape)
-    del coef
-    shares = [(nu1 * e ** 2, nu2 * z ** 2, (1 - nu1) * e ** 2 + (1 - nu2) * z ** 2)
-              for e, z in (partition.sectors[slot] for slot in slots)]
-    w = np.zeros((len(layout.keys), len(shifts), len(shifts)))  # x aux photons at counter 1, y at 2
-    for b, key in enumerate(layout.keys):
-        for parts in itertools.product(*(_splits(i, *sh) for i, sh in zip(key, shares))):
-            x, y = sum(p[0] for p in parts), sum(p[1] for p in parts)
-            w[b, x, y] += math.prod(p[2] for p in parts)
-    # block b = sum over x, y (x-major) of w[b, x, y] times the mode-1 element for
-    # s1, s2 less x and y auxiliary photons, one (x, y) gather at a time
-    dims, at = layout.dims, layout.at
-    out = np.zeros((len(gammas), index[0].shape[1], index[1].shape[1], at[-1]), dtype=np.complex128)
-    blocks = [out[..., a:a + d * d].reshape(*out.shape[:3], d, d) for a, d in zip(at, dims)]
-    for x, y in np.argwhere(w.any(axis=0)):
-        term = mode1[:, index[0][x][:, None], index[1][y]]
-        for block, w_key, d in zip(blocks, w, dims):
-            if w_key[x, y]:
-                block += w_key[x, y] * term[..., :d, :d]
-    return out
+    u, n = np.tril_indices(dim)
 
-
-def _splits(i: int, p1: float, p2: float, p0: float) -> list[tuple[int, int, float]]:
-    """(x, y, weight): x of i photons reach counter 1, y counter 2, the rest are lost."""
-    return [(x, y, math.comb(i, x) * math.comb(i - x, y) * p1 ** x * p2 ** y * p0 ** (i - x - y))
-            for x in range(i + 1) for y in range(i + 1 - x)]
+    def middle(nu1: float, nu2: float) -> np.ndarray:  # M'[g, None] = T diag(x^n / n!) T^dag
+        x = (1 - nu1) * eta ** 2 + (1 - nu2) * zeta ** 2  # 1 - nu1 eta^2 - nu2 zeta^2
+        t = np.zeros((G, dim, dim), dtype=np.complex128)  # T[u, n] = (-s)^(u - n) / (u - n)!
+        t[:, u, n] = (-eta * zeta * (nu1 - nu2) * gammas[:, None]) ** (u - n) / fact[u - n]
+        return ((t * (x ** np.arange(dim) / fact)) @ np.conj(t).transpose(0, 2, 1))[:, None]
+    factors, tails, index = zip(*(_count_weights(e, c * gammas, nu, counts, shifts, dim) for
+                                  counts, e, c, nu in zip(sets, (eta, zeta), (zeta, -eta), nus)))
+    conv2 = _block_rows(factors[1], middle(*nus), np.arange(factors[1].shape[1])[None],
+                        np.zeros((1, 1), int), np.ones((1, 1, 1)), [0, dim * dim], [dim])
+    scale = np.concatenate([np.outer(fact[:d], fact[:d]).ravel() for d in layout.dims]) ** 0.5
+    rows = _block_rows(factors[0], conv2.reshape(G, -1, dim, dim), *index,
+                       _aux_weights(partition, layout, *nus), layout.at, layout.dims)
+    rows *= scale
+    alone = ((nus[0], 0.0), (0.0, nus[1]))  # each counter read with the other unread
+    return rows, tails, None if top is None else [_block_rows(
+        factors[c], middle(*alone[c]), index[c][:, :top + 1],
+        np.zeros((len(shifts), 1), int), np.moveaxis(_aux_weights(partition, layout, *alone[c]),
+                                                     1, 1 + c), layout.at, layout.dims)[:, :, 0]
+        * scale for c in (0, 1)]
 
 
 def _with_overflow(gammas: list, partition: PartitionSpec, layout: HermitianCoords,
@@ -355,30 +371,24 @@ def _with_overflow(gammas: list, partition: PartitionSpec, layout: HermitianCoor
 
     A counter's overflow is the complement of its in-range counts, exact to
     rounding in absolute terms. When the probe alone overflows that counter
-    with probability below 1e-6 the complement would keep few significant
-    digits, so the closed-form sum over the overflow set stays. The rule holds
-    per gamma; the marginals are built once, for the gammas that take it.
+    with probability below 1e-6 (read from the kernel's Poisson tails) the
+    complement would keep few significant digits, so the closed-form sum over
+    the overflow set stays. The rule holds per gamma.
     """
-    counts = _counts(top, overflow=True)
-    rows = _counting_rows(gammas, partition, layout, nus, (counts, counts))
-    eta, zeta = partition.sectors[0]
-    big1, big2 = (poisson_table([nu * abs(e * g) ** 2 for nu, e in zip(nus, (zeta, eta))
-                                 for g in gammas], top + 1)[1][:, -1] >= 1e-6).reshape(2, -1)
-    big = np.flatnonzero(big1 | big2)
-    if big.size:
-        n = top + 1
-        sub = [gammas[b] for b in big]
-        only1 = _counting_rows(sub, partition, layout, (nus[0], 0.0), (_counts(top), _counts(0)))
-        only2 = _counting_rows(sub, partition, layout, (0.0, nus[1]), (_counts(0), _counts(top)))
-        for b, m1, m2 in zip(big, only1[:, :, 0], only2[:, 0]):
-            # summed gamma by gamma: numpy's summation order follows the array's layout
-            over_k, over_l, over_both = _complement(rows[b, :n, :n], m1, m2, layout.identity)
-            if big2[b]:
-                rows[b, :n, n] = over_k
-            if big1[b]:
-                rows[b, n, :n] = over_l
-            if big1[b] and big2[b]:
-                rows[b, n, n] = over_both
+    n, counts = top + 1, _counts(top, overflow=True)
+    rows, tails, (only1, only2) = _counting_rows(gammas, partition, layout, nus,
+                                                 (counts, counts), top)
+    big1, big2 = (upper[:, n] >= 1e-6 for upper in tails)
+    for b in np.flatnonzero(big1 | big2):
+        # summed gamma by gamma: numpy's summation order follows the array's layout
+        grid, one, two = rows[b, :n, :n], only1[b], only2[b]
+        if big2[b]:  # (k, >), (>, l) and (>, >) as complements
+            rows[b, :n, n] = one - grid.sum(axis=1)
+        if big1[b]:
+            rows[b, n, :n] = two - grid.sum(axis=0)
+        if big1[b] and big2[b]:
+            rows[b, n, n] = (layout.identity - one.sum(axis=0) - two.sum(axis=0)
+                             + grid.sum(axis=(0, 1)))
     return rows
 
 
@@ -388,7 +398,7 @@ def pi_kl(gamma: complex, k: int, l: int, partition: PartitionSpec, N: int) -> P
         raise ValueError("counts must be >= 0")
     sets = (_counts(k, first=k), _counts(l, first=l))
     layout = _layout(partition, N)
-    rows = _counting_rows([complex(gamma)], partition, layout, (1.0, 1.0), sets)
+    rows = _counting_rows([complex(gamma)], partition, layout, (1.0, 1.0), sets)[0]
     return _wrap([(k, l)], rows[0, 0], layout, gamma)[(k, l)]
 
 
@@ -402,18 +412,10 @@ def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
     read, unread = _counts(k, first=k), _counts(0)
     nus, sets = ((1.0, 0.0), (read, unread)) if counter == 1 else ((0.0, 1.0), (unread, read))
     layout = _layout(partition, N)
-    rows = _counting_rows([complex(gamma)], partition, layout, nus, sets)
+    rows = _counting_rows([complex(gamma)], partition, layout, nus, sets)[0]
     el = _wrap([(k,)], rows[0, 0], layout, gamma)[(k,)]
     el.meta = {"counter": counter}
     return el
-
-
-def _complement(grid: np.ndarray, only1: np.ndarray, only2: np.ndarray,
-                ident: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Overflow rows (k, >), (>, l) and (>, >) as complements of the in-range
-    grid, given each counter's in-range marginals and the identity."""
-    return (only1 - grid.sum(axis=1), only2 - grid.sum(axis=0),
-            ident - only1.sum(axis=0) - only2.sum(axis=0) + grid.sum(axis=(0, 1)))
 
 
 def _thinning_matrix(nu: float, cut: int) -> np.ndarray:
@@ -528,10 +530,7 @@ class Setting:
 def _group_rows(settings: list[Setting], layout: HermitianCoords) -> list[tuple]:
     """Outcome labels and element rows (stack rows of the layout, as the kernel
     computes them, in a fixed construction order) of each of settings, which
-    differ only in gamma and are built by one kernel call per _GROUP_SIZE gammas."""
-    if len(settings) > _GROUP_SIZE:
-        return (_group_rows(settings[:_GROUP_SIZE], layout)
-                + _group_rows(settings[_GROUP_SIZE:], layout))
+    differ only in gamma and are built by one kernel pass."""
     first = settings[0]
     gammas = [s.gamma for s in settings]
     cfg, part = first.counter, first.partition
@@ -544,7 +543,7 @@ def _group_rows(settings: list[Setting], layout: HermitianCoords) -> list[tuple]
         present = _counts(cfg.response[0].shape[1] - 1)
         # a single counter's absent partner reads nothing
         nus, other = ((1.0, 0.0), _counts(0)) if cfg.counters == 1 else ((1.0, 1.0), present)
-        rows = _counting_rows(gammas, part, layout, nus, (present, other))
+        rows = _counting_rows(gammas, part, layout, nus, (present, other))[0]
         labels, rows = _respond(rows.reshape(len(gammas), -1, rows.shape[-1]), cfg)
     else:
         nus = cfg.loss or (1.0, 1.0)

@@ -503,6 +503,16 @@ def test_fidelity_of_other_tuple_sets_exits_2(capsys, tmp_path):
     assert "block structure" in capsys.readouterr().err
 
 
+def test_fidelity_of_other_cutoffs_exits_2(capsys, tmp_path):
+    # the message is the one a fit gives for a --true-state of another structure
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(BlockOperator.maximally_mixed(2, 1).to_json()))
+    b.write_text(json.dumps(BlockOperator.maximally_mixed(3, 1).to_json()))
+    code = cli.main(["fidelity", "--a", str(a), "--b", str(b)])
+    assert code == 2
+    assert "block structure mismatch" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(capsys, monkeypatch):
     def boom(n, seed):
         raise np.linalg.LinAlgError("synthetic")

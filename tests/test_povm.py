@@ -592,6 +592,21 @@ def test_context_build_rejects_nan_completeness(monkeypatch):
         MeasurementContext.build([setting])
 
 
+@pytest.mark.parametrize("loss", [None, (0.8, 0.7)])
+def test_quick_start_context_rows_match_each_setting_built_alone(loss):
+    # the README context's 16 probes go through the kernel in one pass; each
+    # setting's labels and rows are bit for bit those it gets built alone
+    readme = PartitionSpec(sectors=((0.5 ** 0.5, 0.5 ** 0.5),), s1_multi=True)
+    settings = [Setting(gamma=g, counter=CounterConfig(counters=2, N_c=6, loss=loss),
+                        partition=readme, N=3) for g in design_gamma(3, seed=7).gammas]
+    assert len(settings) == 16
+    context = MeasurementContext.build(settings)
+    for setting, labels, rows in zip(settings, context.labels, context.rows):
+        alone = MeasurementContext.build([setting])
+        assert labels == alone.labels[0]
+        assert rows.tobytes() == alone.rows[0].tobytes()
+
+
 def test_context_json_ignores_truncation_keys():
     settings = [Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=3, loss=(0.8, 0.7)),
                         partition=P1, N=3)]
