@@ -20,6 +20,7 @@ __all__ = [
     "make_state",
     "truncation_fidelity",
     "poisson_table",
+    "numerical_rank",
     "fidelity",
     "complex_to_json",
     "complex_from_json",
@@ -323,6 +324,15 @@ def poisson_table(mu, top: int) -> tuple[np.ndarray, np.ndarray]:
     far = seed * np.cumprod(mu / np.arange(top + 1, 2 * top + 65), axis=1)
     above = np.cumsum(np.hstack([pmf, far])[:, ::-1], axis=1)[:, ::-1]
     return pmf, np.where(below > 0.5, above[:, :top + 1], 1.0 - below)
+
+
+def numerical_rank(m: np.ndarray) -> int:
+    """The number of singular values of m at least 1e-10 times the largest;
+    0 for an empty or zero matrix."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv >= 1e-10 * sv[0]))
 
 
 def _tr_sqrt_sandwich(a: np.ndarray, b: np.ndarray) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fock import (JsonFieldError, complex_from_json, complex_to_json, field_from_json,
                    int_from_json, is_json_matrix, is_json_number, list_from_json,
-                   poisson_table)
+                   numerical_rank, poisson_table)
 from .optics import PartitionSpec
 from .twirl import BlockOperator, block_tuples, slot_sectors
 
@@ -225,11 +225,11 @@ def _counts(top: int, overflow: bool = False, first: int = 0) -> tuple[np.ndarra
 
 
 def _count_weights(e: float, alpha: np.ndarray, nu: float, sets: tuple, shifts: np.ndarray,
-                   dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   dim: int) -> tuple[np.ndarray, np.ndarray]:
     """W[g, s, i, j]: one counter's factor of the element for the amplitude
     alpha[g], summed over each count set s the mode-1 pair supplies once 0..N
-    auxiliary photons are counted; the tails P(X >= n) of its Poisson(mu[g])
-    table; and index[x, s'], the s of the set s' of sets less x photons.
+    auxiliary photons are counted; and index[x, s'], the s of the set s' of
+    sets less x photons.
 
     A counter mode e a + alpha read with transmission nu contributes
     sum_{n in s} nu^n e^{-mu} (e a^dag + alpha*)^n ... (e a + alpha)^n / n!
@@ -256,7 +256,7 @@ def _count_weights(e: float, alpha: np.ndarray, nu: float, sets: tuple, shifts: 
     mass = np.where(tail[:, None], upper[:, at], np.where(start[:, None] < r, 0.0, pmf[:, at]))
     # summed over t by a product with the 0/1 map of (i, j, t) to (i, j)
     weights = _rows_matmul(coef[:, None] * mass, (i * dim + j)[:, None] == np.arange(dim * dim))
-    return weights.reshape(len(alpha), -1, dim, dim), upper, index.reshape(len(shifts), -1)
+    return weights.reshape(len(alpha), -1, dim, dim), index.reshape(len(shifts), -1)
 
 
 def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -315,11 +315,9 @@ def _block_rows(u: np.ndarray, v: np.ndarray, index1: np.ndarray, index2: np.nda
 
 
 def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoords,
-                   nus: tuple, sets: tuple, top: int | None = None) -> tuple:
+                   nus: tuple, sets: tuple) -> np.ndarray:
     """The elements for the count sets sets[0] x sets[1] (see _counts) at each
-    of gammas, as stack rows [g, s1, s2]; each counter's Poisson tails
-    P(X >= n), n up to its largest start, [g, n]; and, given top, each counter's
-    elements for counts 0..top with the other one unread, [g, k], else None.
+    of gammas, as stack rows [g, s1, s2].
 
     With counter modes A = eta a + zeta gamma and B = zeta a - eta gamma read with
     transmissions nu1, nu2, the mode-1 element for counts (k, l) is the normally
@@ -330,8 +328,8 @@ def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoor
     Each counter's factor is sum W[p, q] (a^dag)^p ... a^q (_count_weights), and
     (a^dag)^p M a^q has entries sqrt(r! c!) M'[r - p, c - q] for M = e^{-s a^dag}
     diag(x^n) e^{-s* a}, M'[u, v] = M[u, v] / sqrt(u! v!). So the element
-    is sqrt(r! c!) conv(W1, conv(W2, M'))[r, c] (_block_rows), and a marginal is
-    sqrt(r! c!) conv(W, M') with the other nu 0. Auxiliary-sector photons shift
+    is sqrt(r! c!) conv(W1, conv(W2, M'))[r, c] (_block_rows); an overflow set
+    {n >= start} is summed in W like any other. Auxiliary-sector photons shift
     the count sets the mode-1 pair must supply (_aux_weights).
     """
     if partition.K > 2:
@@ -342,53 +340,19 @@ def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoor
     gammas = np.array(gammas, dtype=np.complex128)
     fact = np.cumprod(np.r_[1.0, np.arange(1.0, dim)])
     u, n = np.tril_indices(dim)
-
-    def middle(nu1: float, nu2: float) -> np.ndarray:  # M'[g, None] = T diag(x^n / n!) T^dag
-        x = (1 - nu1) * eta ** 2 + (1 - nu2) * zeta ** 2  # 1 - nu1 eta^2 - nu2 zeta^2
-        t = np.zeros((G, dim, dim), dtype=np.complex128)  # T[u, n] = (-s)^(u - n) / (u - n)!
-        t[:, u, n] = (-eta * zeta * (nu1 - nu2) * gammas[:, None]) ** (u - n) / fact[u - n]
-        return ((t * (x ** np.arange(dim) / fact)) @ np.conj(t).transpose(0, 2, 1))[:, None]
-    factors, tails, index = zip(*(_count_weights(e, c * gammas, nu, counts, shifts, dim) for
-                                  counts, e, c, nu in zip(sets, (eta, zeta), (zeta, -eta), nus)))
-    conv2 = _block_rows(factors[1], middle(*nus), np.arange(factors[1].shape[1])[None],
+    x = (1 - nus[0]) * eta ** 2 + (1 - nus[1]) * zeta ** 2  # 1 - nu1 eta^2 - nu2 zeta^2
+    t = np.zeros((G, dim, dim), dtype=np.complex128)  # T[u, n] = (-s)^(u - n) / (u - n)!
+    t[:, u, n] = (-eta * zeta * (nus[0] - nus[1]) * gammas[:, None]) ** (u - n) / fact[u - n]
+    # M' = T diag(x^n / n!) T^dag
+    middle = (t * (x ** np.arange(dim) / fact)) @ np.conj(t).transpose(0, 2, 1)
+    factors, index = zip(*(_count_weights(e, c * gammas, nu, counts, shifts, dim) for
+                           counts, e, c, nu in zip(sets, (eta, zeta), (zeta, -eta), nus)))
+    conv2 = _block_rows(factors[1], middle[:, None], np.arange(factors[1].shape[1])[None],
                         np.zeros((1, 1), int), np.ones((1, 1, 1)), [0, dim * dim], [dim])
     scale = np.concatenate([np.outer(fact[:d], fact[:d]).ravel() for d in layout.dims]) ** 0.5
     rows = _block_rows(factors[0], conv2.reshape(G, -1, dim, dim), *index,
                        _aux_weights(partition, layout, *nus), layout.at, layout.dims)
     rows *= scale
-    alone = ((nus[0], 0.0), (0.0, nus[1]))  # each counter read with the other unread
-    return rows, tails, None if top is None else [_block_rows(
-        factors[c], middle(*alone[c]), index[c][:, :top + 1],
-        np.zeros((len(shifts), 1), int), np.moveaxis(_aux_weights(partition, layout, *alone[c]),
-                                                     1, 1 + c), layout.at, layout.dims)[:, :, 0]
-        * scale for c in (0, 1)]
-
-
-def _with_overflow(gammas: list, partition: PartitionSpec, layout: HermitianCoords,
-                   nus: tuple, top: int) -> np.ndarray:
-    """Elements for counts 0..top and the overflow {> top} at each counter,
-    indexed [g, s1, s2] as by _counting_rows.
-
-    A counter's overflow is the complement of its in-range counts, exact to
-    rounding in absolute terms. When the probe alone overflows that counter
-    with probability below 1e-6 (read from the kernel's Poisson tails) the
-    complement would keep few significant digits, so the closed-form sum over
-    the overflow set stays. The rule holds per gamma.
-    """
-    n, counts = top + 1, _counts(top, overflow=True)
-    rows, tails, (only1, only2) = _counting_rows(gammas, partition, layout, nus,
-                                                 (counts, counts), top)
-    big1, big2 = (upper[:, n] >= 1e-6 for upper in tails)
-    for b in np.flatnonzero(big1 | big2):
-        # summed gamma by gamma: numpy's summation order follows the array's layout
-        grid, one, two = rows[b, :n, :n], only1[b], only2[b]
-        if big2[b]:  # (k, >), (>, l) and (>, >) as complements
-            rows[b, :n, n] = one - grid.sum(axis=1)
-        if big1[b]:
-            rows[b, n, :n] = two - grid.sum(axis=0)
-        if big1[b] and big2[b]:
-            rows[b, n, n] = (layout.identity - one.sum(axis=0) - two.sum(axis=0)
-                             + grid.sum(axis=(0, 1)))
     return rows
 
 
@@ -398,7 +362,7 @@ def pi_kl(gamma: complex, k: int, l: int, partition: PartitionSpec, N: int) -> P
         raise ValueError("counts must be >= 0")
     sets = (_counts(k, first=k), _counts(l, first=l))
     layout = _layout(partition, N)
-    rows = _counting_rows([complex(gamma)], partition, layout, (1.0, 1.0), sets)[0]
+    rows = _counting_rows([complex(gamma)], partition, layout, (1.0, 1.0), sets)
     return _wrap([(k, l)], rows[0, 0], layout, gamma)[(k, l)]
 
 
@@ -412,7 +376,7 @@ def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
     read, unread = _counts(k, first=k), _counts(0)
     nus, sets = ((1.0, 0.0), (read, unread)) if counter == 1 else ((0.0, 1.0), (unread, read))
     layout = _layout(partition, N)
-    rows = _counting_rows([complex(gamma)], partition, layout, nus, sets)[0]
+    rows = _counting_rows([complex(gamma)], partition, layout, nus, sets)
     el = _wrap([(k,)], rows[0, 0], layout, gamma)[(k,)]
     el.meta = {"counter": counter}
     return el
@@ -537,22 +501,24 @@ def _group_rows(settings: list[Setting], layout: HermitianCoords) -> list[tuple]
     if first.detector == "click":
         if part.K != 1:
             raise ValueError("click POVM requires K = 1")
-        rows = _with_overflow(gammas, part, layout, (1.0, 1.0), 0)  # a click overflows 0
+        click = _counts(0, overflow=True)  # a click overflows 0
+        rows = _counting_rows(gammas, part, layout, (1.0, 1.0), (click, click))
         labels, rows = [(0, 0), ("I", 0), (0, "I"), ("I", "I")], rows[:, [0, 1, 0, 1], [0, 0, 1, 1]]
     elif cfg.response is not None:  # ideal counts of every photon number the responses cover
         present = _counts(cfg.response[0].shape[1] - 1)
         # a single counter's absent partner reads nothing
         nus, other = ((1.0, 0.0), _counts(0)) if cfg.counters == 1 else ((1.0, 1.0), present)
-        rows = _counting_rows(gammas, part, layout, nus, (present, other))[0]
+        rows = _counting_rows(gammas, part, layout, nus, (present, other))
         labels, rows = _respond(rows.reshape(len(gammas), -1, rows.shape[-1]), cfg)
     else:
         nus = cfg.loss or (1.0, 1.0)
+        counts = _counts(cfg.N_c, overflow=True)
         names = [_overflow_label(k, cfg.N_c) for k in range(cfg.N_c + 2)]
         if cfg.counters == 1:
-            rows = _with_overflow(gammas, part, layout, (nus[0], 0.0), cfg.N_c)
+            rows = _counting_rows(gammas, part, layout, (nus[0], 0.0), (counts, _counts(0)))
             labels, rows = [(o,) for o in names], rows[:, :, 0]
         else:
-            rows = _with_overflow(gammas, part, layout, nus, cfg.N_c)
+            rows = _counting_rows(gammas, part, layout, nus, (counts, counts))
             # counts in range first, then overflow at counter 2, at counter 1, at both
             n = cfg.N_c + 1
             order = ([(k, l) for k in range(n) for l in range(n)] + [(k, n) for k in range(n)]
@@ -594,9 +560,7 @@ class MeasurementContext:
         self.offsets = np.cumsum([0] + [len(labels) for labels in self.labels])
         self.row_of = [dict(zip(labels, range(at, at + len(labels))))
                        for labels, at in zip(self.labels, self.offsets)]
-        # singular values of the tall P come from its small R factor
-        sv = np.linalg.svd(np.linalg.qr(self.P, mode="r"), compute_uv=False)
-        self.rank = int(np.sum(sv >= 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
+        self.rank = numerical_rank(np.linalg.qr(self.P, mode="r"))  # R has P's singular values
 
     @classmethod
     def build(cls, settings: list[Setting]) -> "MeasurementContext":

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import complex_from_json, complex_to_json, int_from_json, list_from_json
+from .fock import (complex_from_json, complex_to_json, int_from_json, list_from_json,
+                   numerical_rank)
 from .twirl import slot_sectors
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 _DISTINCT_TOL = 1e-9
-_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,6 @@ def interpolation_matrix(probe_set: ProbeSet, form: str = "complex") -> np.ndarr
     return out
 
 
-def _matrix_rank(m: np.ndarray) -> int:
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv >= _RANK_TOL * sv[0]))
-
-
 def design_gamma(N: int, seed: int, max_tries: int = 20) -> ProbeSet:
     """Random probe set of size (N+1)^2 with full-rank interpolation matrix.
 
@@ -114,7 +107,7 @@ def design_gamma(N: int, seed: int, max_tries: int = 20) -> ProbeSet:
             ps = ProbeSet(gammas=tuple(mags * np.exp(1j * phases)), N=N)
         except ValueError:  # two amplitudes coincide
             continue
-        if _matrix_rank(interpolation_matrix(ps)) == size:
+        if numerical_rank(interpolation_matrix(ps)) == size:
             return ps
     raise ValueError(f"no full-rank probe set of size {size} found "
                      f"in {max_tries} tries")

@@ -36,28 +36,27 @@ def parse_outcome(s: str) -> tuple:
     return tuple(p if p in (">", "I") else int(p) for p in parts)
 
 
-def _checked(outcomes, p: np.ndarray) -> dict:
-    """Outcome -> probability, clipping rounding below zero; rejects a
+def _checked(outcomes, p: np.ndarray) -> np.ndarray:
+    """The probabilities p of outcomes, rounding below zero clipped; rejects a
     probability below -1e-12, and a total off 1 by more than 1e-6 or not
     finite."""
-    out = {}
-    total = 0.0
-    for outcome, value in zip(outcomes, p.tolist()):
-        if value < -1e-12:
-            raise ValueError(f"outcome {outcome} has probability {value:.3e} < -1e-12")
-        value = max(value, 0.0)
-        out[outcome] = value
-        total += value
+    low = np.flatnonzero(p < -1e-12)
+    if low.size:
+        raise ValueError(f"outcome {list(outcomes)[low[0]]} has probability "
+                         f"{p[low[0]]:.3e} < -1e-12")
+    p = np.maximum(p, 0.0)
+    total = float(np.cumsum(p)[-1])  # a running sum, in outcome order
     if not abs(total - 1.0) <= 1e-6:  # also fails on a NaN or infinite total
         raise ValueError(f"probabilities sum to {total!r}, off by more than 1e-6")
-    return out
+    return p
 
 
 def probabilities(state: BlockOperator, povm: dict) -> dict:
     """Born probabilities p(o) = sum_blocks tr(chi Pi-block) for every outcome."""
     coords = HermitianCoords.of(state.N, state.tuple_length)
-    return _checked(povm, coords.rows(coords.stack([e.op for e in povm.values()]))
-                    @ coords.rows(coords.stack([state]))[0])
+    p = (coords.rows(coords.stack([e.op for e in povm.values()]))
+         @ coords.rows(coords.stack([state]))[0])
+    return dict(zip(povm, _checked(povm, p).tolist()))
 
 
 def _pair_grid_unitary(block: np.ndarray, cutoff: int) -> np.ndarray:
@@ -199,8 +198,8 @@ def simulate_dataset(state: BlockOperator, context: MeasurementContext,
     p_all = context.P @ context.vec(state)
     cums = []
     for i, labels in enumerate(context.labels):
-        probs = _checked(labels, p_all[context.offsets[i]:context.offsets[i + 1]])
-        cum = np.cumsum(list(probs.values()))  # a running sum, in outcome order
+        # a running sum, in outcome order
+        cum = np.cumsum(_checked(labels, p_all[context.offsets[i]:context.offsets[i + 1]]))
         cum[-1] = 1.0  # guard against float shortfall; u < 1 always lands
         cums.append(cum)
     tallies = inverse_cdf_counts([setting_seed(seed, i) for i in range(len(M_i))], cums, M_i)

@@ -1,14 +1,17 @@
-"""Regenerate povm_reference.json: POVM elements of the README quick-start
-context at 40 digits.
+"""Regenerate povm_reference.json and povm_reference_n5.json: POVM elements
+at 40 digits.
 
-The context is the one the README builds: the 16 probes of
-``design-gamma --n 3 --seed 7``, a balanced s1_multi one-sector partition,
-two counters with N_c = 6, ideal or with transmissions (0.8, 0.7). For two of
-its probes the file holds the block without auxiliary photons of every
-element: the in-range counts (k, l), k, l <= 6, and the overflows (k, >),
-(>, l) and (>, >). Probe 6 (|gamma| = 0.31) overflows a counter with
-probability near 1e-13, so its overflow elements are closed-form sums; probe 1
-(|gamma| = 2.72) overflows with probability near 0.08, so its are complements.
+Both contexts use a balanced s1_multi one-sector partition and two counters,
+ideal or with transmissions (0.8, 0.7). povm_reference.json is the README
+quick-start context: the 16 probes of ``design-gamma --n 3 --seed 7``,
+N_c = 6. It holds probe 6 (|gamma| = 0.31, which overflows a counter with
+probability near 1e-13) and probe 1 (|gamma| = 2.72, near 0.08).
+povm_reference_n5.json holds N = 5, N_c = 9 probes of
+``design-gamma --n 5``: seed 3 probe 21 and seed 1 probe 29, the probes of
+largest |gamma| (2.7-3.0) among seeds 0-5, whose overflow elements carry the
+largest rounding of the closed forms. For each probe a file holds the block
+without auxiliary photons of every element: the in-range counts (k, l),
+k, l <= N_c, and the overflows (k, >), (>, l) and (>, >).
 
 The reference is computed from the optics alone, not from the closed forms of
 ``wfhtomo.povm``: mode a in Fock state |n> meets the probe |gamma> on a beam
@@ -20,9 +23,10 @@ reads k of n1 photons with probability C(n1, k) nu^k (1 - nu)^(n1 - k), so
 E[m, n] = sum_{n1, n2} P(k | n1) P(l | n2) conj(c_m[n1, n2]) c_n[n1, n2]. The
 sums run to 60 photons per mode, past which the masses are below 1e-45.
 
-Each element is stored as its 4 x 4 block's upper triangle, row by row, real
-and imaginary parts of each entry (the imaginary part of a diagonal entry is
-0). Run from the repository root with mpmath installed:
+Each element is stored as its (N + 1) x (N + 1) block's upper triangle, row by
+row, real and imaginary parts of each entry (the imaginary part of a diagonal
+entry is 0). Run from the repository root with mpmath installed (about a
+minute):
 
     python3 tests/data/gen_povm_reference.py
 """
@@ -37,12 +41,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
 from wfhtomo.probes import design_gamma  # noqa: E402
 
 mpmath.mp.dps = 40
-N, N_C, CUT = 3, 6, 60
-PROBES = (6, 1)
+CUT = 60
 LOSSES = (None, (0.8, 0.7))
+# file name, N, N_c, and the (design-gamma seed, probe) pairs it holds
+CONTEXTS = (("povm_reference.json", 3, 6, ((7, 6), (7, 1))),
+            ("povm_reference_n5.json", 5, 9, ((3, 21), (1, 29))))
 
 
-def amplitudes(gamma):
+def amplitudes(gamma, N):
     """c[n][n1][n2] for n = 0..N, n1, n2 = 0..CUT."""
     eta = zeta = mpmath.sqrt(mpmath.mpf(1) / 2)
     alphas = (zeta * gamma, -eta * gamma)
@@ -60,7 +66,7 @@ def amplitudes(gamma):
               for n2 in range(CUT + 1)] for n1 in range(CUT + 1)] for n in range(N + 1)]
 
 
-def readout(nu):
+def readout(nu, N_C):
     """P[k][n1]: k = 0..N_C counts, then the overflow, of n1 photons at transmission nu."""
     nu = mpmath.mpf(1) if nu is None else mpmath.mpf(nu)
     p = [[mpmath.binomial(n1, k) * nu ** k * (1 - nu) ** (n1 - k) if k <= n1 else mpmath.mpf(0)
@@ -69,10 +75,10 @@ def readout(nu):
                            for n1 in range(CUT + 1)]]
 
 
-def elements(c, loss):
+def elements(c, loss, N, N_C):
     """Upper triangles of the elements, in the order (k, l) over 0..N_C then
     ">" at each counter, counter 1 major."""
-    p1, p2 = readout(loss and loss[0]), readout(loss and loss[1])
+    p1, p2 = readout(loss and loss[0], N_C), readout(loss and loss[1], N_C)
     pairs = [(m, n) for m in range(N + 1) for n in range(m, N + 1)]
     x = {(m, n): [[mpmath.conj(c[m][n1][n2]) * c[n][n1][n2] for n2 in range(CUT + 1)]
                   for n1 in range(CUT + 1)] for m, n in pairs}
@@ -91,17 +97,17 @@ def elements(c, loss):
 
 
 def main():
-    gammas = design_gamma(N, seed=7).gammas
-    cases = []
-    for s in PROBES:
-        g = complex(gammas[s])
-        c = amplitudes(mpmath.mpc(g.real, g.imag))
-        for loss in LOSSES:
-            cases.append({"probe": s, "gamma": [g.real, g.imag], "loss": loss,
-                          "elements": elements(c, loss)})
-    out = pathlib.Path(__file__).with_name("povm_reference.json")
-    out.write_text(json.dumps({"N": N, "n_c": N_C, "cases": cases}) + "\n")
-    print(f"wrote {len(cases)} cases to {out}")
+    for name, N, N_C, probes in CONTEXTS:
+        cases = []
+        for seed, s in probes:
+            g = complex(design_gamma(N, seed=seed).gammas[s])
+            c = amplitudes(mpmath.mpc(g.real, g.imag), N)
+            for loss in LOSSES:
+                cases.append({"seed": seed, "probe": s, "gamma": [g.real, g.imag], "loss": loss,
+                              "elements": elements(c, loss, N, N_C)})
+        out = pathlib.Path(__file__).with_name(name)
+        out.write_text(json.dumps({"N": N, "n_c": N_C, "cases": cases}) + "\n")
+        print(f"wrote {len(cases)} cases to {out}")
 
 
 if __name__ == "__main__":

@@ -153,9 +153,8 @@ def mixed_settings(draw):
     single-counter counting, response matrices and click detectors, with up to
     nine probes each, so that one counter's settings can span two kernel calls.
     Each counting counter without responses has the probes 0 and 3 e^{i phi}: at
-    0 no counter overflows (the overflow rows stay closed-form sums), at
-    |gamma| = 3 (n_c <= 3, transmissions >= 0.5) one of them overflows with
-    probability above 1e-6 (its overflow rows are complements)."""
+    0 no counter overflows, at |gamma| = 3 (n_c <= 3, transmissions >= 0.5) one
+    of them overflows with a probability far from 0."""
     partition = draw(partitions())
     k1 = PartitionSpec(sectors=partition.sectors[:1], s1_multi=partition.s1_multi)
     N, n_c = draw(st.integers(0, 3)), draw(st.integers(0, 3))

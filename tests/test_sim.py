@@ -1,6 +1,7 @@
 import bisect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock, standard_bl
 from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
 from wfhtomo.sim import (
     Dataset,
+    _checked,
     born_table,
     format_outcome,
     parse_outcome,
@@ -255,6 +257,36 @@ def test_probabilities_rejects_bad_normalization():
     povm = {("h",): PovmElement(("h",), half, 0.0)}
     with pytest.raises(ValueError):
         probabilities(state, povm)
+
+
+def checked_by_loop(outcomes, p):
+    """The outcome-by-outcome check that sim._checked vectorises, as its reference."""
+    out, total = {}, 0.0
+    for outcome, value in zip(outcomes, p.tolist()):
+        if value < -1e-12:
+            raise ValueError(f"outcome {outcome} has probability {value:.3e} < -1e-12")
+        value = max(value, 0.0)
+        out[outcome] = value
+        total += value
+    if not abs(total - 1.0) <= 1e-6:
+        raise ValueError(f"probabilities sum to {total!r}, off by more than 1e-6")
+    return out
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       st.integers(0, 11), st.sampled_from([None, -0.0, -1e-13, -2e-12, 1e-6, math.nan, math.inf]))
+def test_checked_matches_the_outcome_loop(weights, at, value):
+    p = np.array(weights) / (sum(weights) or 1.0)
+    if value is not None:
+        p[at % len(p)] = value
+    outcomes = [(k, ">") for k in range(len(p))]
+    try:
+        want = checked_by_loop(outcomes, p)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            _checked(outcomes, p)
+    else:
+        assert np.array(list(want.values())).tobytes() == _checked(outcomes, p).tobytes()
 
 
 @pytest.mark.parametrize("state", [BlockOperator.maximally_mixed(2, 1),
