@@ -20,8 +20,11 @@ Doubles are (x >> 11) * 2**-53, uniform on [0, 1).
 xoshiro256++ state update T is linear over GF(2), so J = T^_LANE is a
 256 x 256 bit matrix, and lane k of a stream starts at J^k applied to its
 seed state: the lanes together produce the stream's draws in order. J s is
-the XOR of 64 entries of a table indexed by the 4-bit digits of s; the
-entries are XORs of J's columns.
+the XOR of 32 entries of a table indexed by the bytes (8-bit digits) of s;
+the entries are XORs of J's columns. A pass steps every lane of every
+stream as many times as _PASS draws allow (at least once), writing the
+outputs as rows of one array, then bins and tallies the whole array; the
+streams of many datasets can share one call, and so every pass.
 
 A draw u = k * 2**-53, k = x >> 11, counts in bin bisect_right(cum, u).
 Since c * 2**53 is exact, that is the number of integer thresholds
@@ -36,12 +39,12 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _LANE = 256  # draws per lane; lane k of a stream starts after k * _LANE steps
-_CHUNK = 8  # steps drawn per pass over the lanes (8 words of working set per lane)
+_PASS = 1 << 14  # most draws per pass, unless one step has more (binning holds ~18 B a draw)
 _G = 10  # guide-table bits: a draw k < 2**53 is in bucket k >> _SHIFT
 _SHIFT = 53 - _G
 _U = np.uint64
-_NIBBLES = np.arange(0, 64, 4, dtype=np.uint64)
-_jump_digits = None  # J by 4-bit digits, 64 x 16 x 4 words, built on first use
+_BYTES = np.arange(32)[:, None]
+_jump_digits = None  # J by 8-bit digits, 32 x 256 x 4 words, built on first use
 
 
 class SplitMix64:
@@ -91,29 +94,28 @@ def setting_seed(seed: int, index: int) -> int:
     return SplitMix64((seed ^ index) & _MASK).next_u64()
 
 
-def _rotl_lanes(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << _U(k)) | (x >> _U(64 - k))
-
-
-def _step(s: np.ndarray) -> np.ndarray:
+def _step(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One xoshiro256++ step of every lane of s (4 words x lanes), in place;
-    returns the lanes' outputs."""
+    returns the lanes' outputs, written into out when it is given."""
     s0, s1, s2, s3 = s
-    result = _rotl_lanes(s0 + s3, 23)
+    result = np.add(s0, s3, out=out)
+    high = result >> _U(41)
+    result <<= _U(23)
+    result |= high  # rotl(s0 + s3, 23)
     result += s0
     t = s1 << _U(17)
-    s2 ^= s0
-    s3 ^= s1
-    s1 ^= s2
-    s0 ^= s3
+    s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
+    s[:2] ^= s[:1:-1]  # s0 ^= s3, s1 ^= s2
     s2 ^= t
-    s3[...] = _rotl_lanes(s3, 45)
+    np.right_shift(s3, _U(19), out=t)
+    s3 <<= _U(45)
+    s3 |= t  # rotl(s3, 45)
     return result
 
 
 def _jump_table() -> np.ndarray:
-    """J = T^_LANE by 4-bit digits: table[p, v] is J applied to the state whose
-    bits 4 p .. 4 p + 3 hold v and whose other bits are 0 (4 words)."""
+    """J = T^_LANE by 8-bit digits: table[p, v] is J applied to the state whose
+    bits 8 p .. 8 p + 7 hold v and whose other bits are 0 (4 words)."""
     global _jump_digits
     if _jump_digits is None:
         bit = np.arange(256)
@@ -121,9 +123,9 @@ def _jump_table() -> np.ndarray:
         cols[bit // 64, bit] = _U(1) << (bit % 64).astype(np.uint64)
         for _ in range(_LANE):
             _step(cols)
-        cols = cols.T.reshape(64, 4, 4)  # cols[p, b] = J e_(4 p + b)
-        table = np.zeros((64, 16, 4), dtype=np.uint64)
-        for b in range(4):
+        cols = cols.T.reshape(32, 8, 4)  # cols[p, b] = J e_(8 p + b)
+        table = np.zeros((32, 256, 4), dtype=np.uint64)
+        for b in range(8):
             table[:, 2 ** b:2 ** (b + 1)] = table[:, :2 ** b] ^ cols[:, b, None]
         _jump_digits = table
     return _jump_digits
@@ -131,9 +133,10 @@ def _jump_table() -> np.ndarray:
 
 def _jump(states: np.ndarray) -> np.ndarray:
     """J s for every state of states (streams x 4 words): each state advanced
-    by _LANE steps, as the XOR of one table entry per 4-bit digit of s."""
-    digits = ((states[:, :, None] >> _NIBBLES) & _U(15)).reshape(len(states), 64).T
-    return np.bitwise_xor.reduce(_jump_table()[np.arange(64)[:, None], digits], axis=0)
+    by _LANE steps, as the XOR of one table entry per 8-bit digit of s."""
+    # byte p of a little-endian state holds its bits 8 p .. 8 p + 7
+    digits = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    return np.bitwise_xor.reduce(_jump_table()[_BYTES, digits.T], axis=0)
 
 
 def _guide(cums: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -199,13 +202,16 @@ def inverse_cdf_counts(seeds: list[int], cums: list[list[float]], totals: list[i
     spare = np.cumsum([len(c) for c in cums]) + np.arange(len(cums))  # "no draw" bins
     tally = np.zeros(spare[-1] + 1, dtype=np.int64)
     steps = int(min(_LANE, totals.max()))
-    chunk = np.empty((state.shape[1], _CHUNK), dtype=np.int64)
-    for j0 in range(0, steps, _CHUNK):
-        k = chunk[:, :min(_CHUNK, steps - j0)]
-        for j in range(k.shape[1]):
-            k[:, j] = _step(state) >> _U(11)
-        bins = _bins(table, keys, owner[:, None], k)
-        past = j0 + np.arange(k.shape[1]) >= left[short, None]  # steps after a stream's end
-        bins[short] = np.where(past, spare[owner[short], None], bins[short])
+    chunk = np.empty((min(steps, max(1, _PASS // state.shape[1])), state.shape[1]),
+                     dtype=np.uint64)
+    for j0 in range(0, steps, len(chunk)):
+        rows = chunk[:steps - j0]
+        for row in rows:
+            _step(state, row)
+        rows >>= _U(11)
+        bins = _bins(table, keys, owner, rows.view(np.int64))
+        past = j0 + np.arange(len(rows))[:, None] >= left[short]  # steps after a stream's end
+        bins[:, short] = np.where(past, spare[owner[short]], bins[:, short])
         tally += np.bincount(bins.ravel(), minlength=len(tally))
+        del bins  # not live through the next pass's steps
     return [tally[b - len(c):b] for b, c in zip(spare, cums)]

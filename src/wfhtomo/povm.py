@@ -189,9 +189,14 @@ class HermitianCoords:
         Hermitian X, rows(E) . vec(X) = Re tr(E X)."""
         flat = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
         # halved before the weight, so that a row and its Hermitian part give the
-        # same coordinates bit for bit, subnormal entries included
-        return (flat[:, self._stack] + self._sign * flat[:, self._stack_mirror]) / 2.0 \
-            * self.weight
+        # same coordinates bit for bit, subnormal entries included; in place, so
+        # that one gather of the stack's size is live besides the stack
+        out = flat[:, self._stack_mirror]
+        out *= self._sign
+        out += flat[:, self._stack]
+        out /= 2.0
+        out *= self.weight
+        return out
 
     def vec(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of a dense block-diagonal Hermitian matrix."""

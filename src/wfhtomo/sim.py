@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,15 +38,15 @@ def parse_outcome(s: str) -> tuple:
 
 
 def _checked(outcomes, p: np.ndarray) -> np.ndarray:
-    """The probabilities p of outcomes, rounding below zero clipped; rejects a
-    probability below -1e-12, and a total off 1 by more than 1e-6 or not
-    finite."""
+    """The probabilities p of outcomes, rounding below zero clipped (a -0.0
+    stays, as max(v, 0.0) keeps it); rejects a probability below -1e-12, and a
+    total off 1 by more than 1e-6 or not finite."""
     low = np.flatnonzero(p < -1e-12)
     if low.size:
         raise ValueError(f"outcome {list(outcomes)[low[0]]} has probability "
                          f"{p[low[0]]:.3e} < -1e-12")
-    p = np.maximum(p, 0.0)
-    total = float(np.cumsum(p)[-1])  # a running sum, in outcome order
+    p = np.where(p < 0.0, 0.0, p)
+    total = 0.0 + float(np.cumsum(p)[-1])  # a running sum from 0.0, in outcome order
     if not abs(total - 1.0) <= 1e-6:  # also fails on a NaN or infinite total
         raise ValueError(f"probabilities sum to {total!r}, off by more than 1e-6")
     return p
@@ -182,19 +183,23 @@ class Dataset:
 
 
 def simulate_dataset(state: BlockOperator, context: MeasurementContext,
-                     M_i, seed: int) -> Dataset:
+                     M_i, seed: int | Sequence[int]) -> Dataset | list[Dataset]:
     """Multinomial sampling of every setting, deterministic given the seed.
 
     Sampling uses inverse-CDF draws from a xoshiro256++ stream seeded per
     setting with splitmix64(seed XOR setting index), over the context's
     outcome construction order; the streams are drawn in lanes
-    (``_rng.inverse_cdf_counts``).
+    (``_rng.inverse_cdf_counts``). Given a list of seeds, it returns one
+    dataset per seed, each the dataset of that seed alone, with every
+    stream of every seed drawn in one lane pass.
     """
     M_i = [int(m) for m in M_i]
     if len(M_i) != len(context.settings):
         raise ValueError("M_i must give one total per setting")
     if any(m < 1 for m in M_i):
         raise ValueError("every M_i must be >= 1")
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
     p_all = context.P @ context.vec(state)
     cums = []
     for i, labels in enumerate(context.labels):
@@ -202,6 +207,11 @@ def simulate_dataset(state: BlockOperator, context: MeasurementContext,
         cum = np.cumsum(_checked(labels, p_all[context.offsets[i]:context.offsets[i + 1]]))
         cum[-1] = 1.0  # guard against float shortfall; u < 1 always lands
         cums.append(cum)
-    tallies = inverse_cdf_counts([setting_seed(seed, i) for i in range(len(M_i))], cums, M_i)
-    return Dataset(counts=[dict(zip(o, t.tolist())) for o, t in zip(context.labels, tallies)],
-                   M_i=M_i, seed=int(seed), gammas=[s.gamma for s in context.settings])
+    n = len(M_i)
+    tallies = inverse_cdf_counts([setting_seed(s, i) for s in seeds for i in range(n)],
+                                 cums * len(seeds), M_i * len(seeds))
+    gammas = [s.gamma for s in context.settings]
+    datasets = [Dataset(counts=[dict(zip(o, t.tolist()))
+                                for o, t in zip(context.labels, tallies[j * n:(j + 1) * n])],
+                        M_i=M_i, seed=int(s), gammas=gammas) for j, s in enumerate(seeds)]
+    return datasets[0] if single else datasets

@@ -92,12 +92,19 @@ class Refit(NamedTuple):
     lr: float
 
 
-def _refit(task) -> Refit:
-    context, state, M_i, params, seed = task
-    data = simulate_dataset(state, context, M_i, seed)
-    fit = reconstruct(context, data, params)
-    return Refit(seed, fit.estimate, fit.termination, fit.iterations, fit.loglik_trace[-1],
-                 fit.rk_trace[-1], log_lr(fit.loglik_trace[-1], data.counts))
+_GROUP = 4  # most replicates drawn in one lane pass
+
+
+def _refit_group(task) -> list[Refit]:
+    """Draw a run of replicates in one lane pass, then fit them in order."""
+    context, state, M_i, params, seeds = task
+    fits = []
+    for data in simulate_dataset(state, context, M_i, seeds):
+        fit = reconstruct(context, data, params)
+        fits.append(Refit(data.seed, fit.estimate, fit.termination, fit.iterations,
+                          fit.loglik_trace[-1], fit.rk_trace[-1],
+                          log_lr(fit.loglik_trace[-1], data.counts)))
+    return fits
 
 
 def refit_replicates(state: BlockOperator, context: MeasurementContext, M_i: Sequence[int],
@@ -105,13 +112,19 @@ def refit_replicates(state: BlockOperator, context: MeasurementContext, M_i: Seq
                      n_jobs: int = 1) -> list[Refit]:
     """Simulate n datasets from ``state``, replicate j with seed
     ``setting_seed(seed, j)``, and fit each: serially, or in n_jobs worker
-    processes with the same results. The bootstrap and trial sweeps share it."""
-    tasks = [(context, state, M_i, params, setting_seed(seed, j)) for j in range(n)]
-    workers = min(n_jobs, n)
+    processes with the same results. The bootstrap and trial sweeps share it.
+    A task is a run of at most _GROUP consecutive replicates, drawn together;
+    runs are short enough that every requested worker gets one."""
+    seeds = [setting_seed(seed, j) for j in range(n)]
+    workers = max(1, min(n_jobs, n))
+    size = max(1, min(_GROUP, -(-n // workers)))
+    tasks = [(context, state, M_i, params, seeds[j:j + size]) for j in range(0, n, size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_refit, tasks))
-    return [_refit(t) for t in tasks]
+            groups = list(pool.map(_refit_group, tasks))
+    else:
+        groups = map(_refit_group, tasks)
+    return [fit for group in groups for fit in group]
 
 
 def parametric_bootstrap(estimate, context: MeasurementContext,

@@ -304,7 +304,8 @@ def test_simulate_deterministic(capsys, workspace, tmp_path):
 
 
 def test_readme_quick_start_dataset_is_byte_identical(capsys, tmp_path):
-    # the README quick-start up to `simulate`: its data.json is pinned byte for byte
+    # the README quick-start: its simulate data.json and its bootstrap boot.json are
+    # pinned byte for byte
     def run(*argv):
         assert run_cli(capsys, *argv)[0] == 0
 
@@ -321,6 +322,16 @@ def test_readme_quick_start_dataset_is_byte_identical(capsys, tmp_path):
         str(tmp_path / "context.json"), "--m", "20000", "--out", str(tmp_path / "data.json"))
     assert hashlib.sha256((tmp_path / "data.json").read_bytes()).hexdigest() == \
         "3493f80b7224ffbb8de27f699de7bf12cd236f3a108c98e28f0900603d258053"
+    run("reconstruct", "--context", str(tmp_path / "context.json"), "--data",
+        str(tmp_path / "data.json"), "--true-state", str(tmp_path / "truth.json"),
+        "--out", str(tmp_path / "report.json"))
+    estimate = json.loads((tmp_path / "report.json").read_text())["estimate"]
+    (tmp_path / "estimate.json").write_text(json.dumps(estimate))
+    run("bootstrap", "--estimate", str(tmp_path / "estimate.json"), "--context",
+        str(tmp_path / "context.json"), "--data", str(tmp_path / "data.json"),
+        "--n-boot", "20", "--seed", "777", "--out", str(tmp_path / "boot.json"))
+    assert hashlib.sha256((tmp_path / "boot.json").read_bytes()).hexdigest() == \
+        "ae8af2ce08add1c51413a240e9dfa83e7f4032ac0803f50435380bd852ba095e"
 
 
 def test_simulate_m_list_validation(capsys, workspace, tmp_path):

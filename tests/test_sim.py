@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from wfhtomo._rng import (_G, _SHIFT, SplitMix64, Xoshiro256PP, _bins, _guide, _jump, _step,
-                          inverse_cdf_counts, setting_seed)
+from wfhtomo import _rng
+from wfhtomo._rng import (_G, _LANE, _SHIFT, SplitMix64, Xoshiro256PP, _bins, _guide, _jump,
+                          _step, inverse_cdf_counts, setting_seed)
 from wfhtomo.fock import DenseOperator, OccupationBasis, StateSpec, make_state
 from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock, standard_block
 from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
@@ -161,11 +162,24 @@ def test_lane_counts_match_scalar_stream_past_1023_streams():
                                          for i in range(n)]
 
 
-@pytest.mark.parametrize("lane", [0, 1, 2, 3, 397])
+@pytest.mark.parametrize("passes", [1, 40, 100])
+def test_lane_counts_match_scalar_stream_in_short_passes(monkeypatch, passes):
+    # a pass holds at most _PASS draws: fewer steps per pass, and a remainder pass
+    monkeypatch.setattr(_rng, "_PASS", passes)
+    totals = [1, 255, 256, 257, 513]
+    seeds = [setting_seed(11, i) for i in range(len(totals))]
+    cums = [TALLY_TABLES[i] for i in range(len(totals))]
+    got = inverse_cdf_counts(seeds, cums, totals)
+    for seed, cum, total, counts in zip(seeds, cums, totals, got):
+        assert counts.tolist() == _scalar_counts(seed, cum, total)
+
+
+# lane 78 is the last lane of a 20k-draw stream
+@pytest.mark.parametrize("lane", [0, 1, 2, 3, 78, 397])
 def test_lane_starts_at_its_jump_ahead_draw(lane):
     seed = setting_seed(2023, 5)
     scalar = Xoshiro256PP(seed)
-    for _ in range(lane * 256):
+    for _ in range(lane * _LANE):
         scalar.next_u64()
     state = np.array([Xoshiro256PP(seed).s], dtype=np.uint64)
     for _ in range(lane):
@@ -480,6 +494,27 @@ def test_simulate_dataset_settings_draw_independent_streams():
         Setting(gamma=-0.3j, counter=CounterConfig(counters=2, N_c=3), partition=P1, N=2)])
     appended = simulate_dataset(state, wider, [500, 700, 300], seed=99)
     assert appended.counts[:2] == base.counts
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from([1, 255, 256, 257, 20000]), min_size=2, max_size=2),
+       st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4))
+def test_simulate_dataset_seed_list_matches_one_call_per_seed(M_i, seeds):
+    ctx = _small_context()
+    state = _small_state()
+    group = simulate_dataset(state, ctx, M_i, seeds)
+    assert [json.dumps(d.to_json()) for d in group] == \
+        [json.dumps(simulate_dataset(state, ctx, M_i, s).to_json()) for s in seeds]
+
+
+def test_simulate_dataset_seed_list_in_capped_passes():
+    # 14 streams of 79 lanes: 14 steps per pass (_PASS // 1106), and a remainder pass
+    ctx = _small_context()
+    state = _small_state()
+    seeds = list(range(7))
+    group = simulate_dataset(state, ctx, [20000, 19999], seeds)
+    assert [d.counts for d in group] == \
+        [simulate_dataset(state, ctx, [20000, 19999], s).counts for s in seeds]
 
 
 def test_simulate_dataset_chi_squared():

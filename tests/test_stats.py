@@ -9,7 +9,7 @@ from wfhtomo.optics import PartitionSpec
 from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
 from wfhtomo.probes import design_gamma
 from wfhtomo.sim import simulate_dataset
-from wfhtomo.stats import BootstrapReport, log_lr, parametric_bootstrap
+from wfhtomo.stats import BootstrapReport, log_lr, parametric_bootstrap, refit_replicates
 from wfhtomo.twirl import reduced_assignment, twirl_analytic
 
 BAL = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=False)
@@ -147,3 +147,26 @@ def test_parametric_bootstrap_lrs_score_each_refit(small_problem, params):
                                         "iterations": fit.iterations, "r_k": fit.rk_trace[-1]}
     expected = "stopped_on_r" if params is None else "max_iter"
     assert [r["termination"] for r in report.replicates] == [expected] * 3
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5, 9])
+def test_refit_replicates_in_groups_match_one_fit_per_replicate(small_problem, n):
+    # replicates are drawn in runs of up to 4, each run in one lane pass, and the
+    # runs are split among the workers; every record is that of replicate j alone
+    rho, ctx = small_problem
+    M_i = [300] * len(ctx.settings)
+    params = ReconstructionParams(method="apg")
+
+    def record(f):
+        return (f.seed, f.termination, f.iterations, f.loglik, f.r_k, f.lr,
+                [m.tobytes() for m in f.estimate.blocks.values()])
+
+    want = []
+    for j in range(n):
+        data = simulate_dataset(rho, ctx, M_i, setting_seed(8, j))
+        fit = reconstruct(ctx, data, params)
+        want.append((data.seed, fit.termination, fit.iterations, fit.loglik_trace[-1],
+                     fit.rk_trace[-1], log_lr(fit.loglik_trace[-1], data.counts),
+                     [m.tobytes() for m in fit.estimate.blocks.values()]))
+    for jobs in (0, 1, 2):  # 0 requests no pool, as 1 does
+        assert [record(f) for f in refit_replicates(rho, ctx, M_i, n, params, 8, jobs)] == want
