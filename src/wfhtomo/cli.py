@@ -124,8 +124,7 @@ def _write_json(path: str, payload: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")  # one write, not one per token
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -322,105 +321,96 @@ def _cmd_twirl(args) -> dict:
 
 # parser ---------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+_CONTEXT = _arg("--context", required=True)
+_SEED = _arg("--seed", type=int, default=DEFAULT_SEED)
+_JOBS = _arg("--jobs", type=int, default=1)
+
+# command: (handler, help, its arguments in the order that its --help lists them)
+_COMMANDS = {
+    "feasibility": (_cmd_feasibility, "decide determinability for a configuration", (
+        _arg("--k", type=int, required=True, help="number of BS sectors"),
+        _arg("--s1-multi", action="store_true",
+             help="sector 1 holds more than one input mode"),
+        _arg("--counters", type=int, choices=(1, 2), default=2),
+        _arg("--probe-freedom", choices=("full", "fixed_magnitude"), default="full"),
+        _arg("--detector", choices=("counting", "click"), default="counting"),
+        _arg("--balanced", action="store_true",
+             help="beam splitter is balanced (click detector rule)"),
+        _arg("--n", type=int, default=2, help="photon-number cutoff"),
+        _arg("--out", help="write the verdict JSON here"))),
+    "design-gamma": (_cmd_design_gamma, "draw an informationally complete probe set", (
+        _arg("--n", type=int, required=True),
+        _SEED,
+        _arg("--out", help="write the probe set JSON here"))),
+    "ic-check": (_cmd_ic_check, "rank test of a measurement context", (
+        _CONTEXT, _arg("--out"))),
+    "povm-dump": (_cmd_povm_dump, "write all POVM elements of one setting", (
+        _arg("--setting", required=True), _arg("--out", required=True))),
+    "simulate": (_cmd_simulate, "sample counts from a state", (
+        _arg("--state", required=True, help="block state JSON"),
+        _CONTEXT,
+        _arg("--m", type=int, help="shots per setting"),
+        _arg("--m-list", help="comma-separated shots, one per setting"),
+        _SEED,
+        _arg("--out", required=True))),
+    "reconstruct": (_cmd_reconstruct, "maximum-likelihood estimate", (
+        _CONTEXT,
+        _arg("--data", help="dataset JSON (single-fit mode)"),
+        _arg("--params", help="ReconstructionParams JSON; fits use method "
+                              "apg unless it names one"),
+        _arg("--true-state", help="block state JSON for fidelity"),
+        _arg("--trials", type=int, default=1,
+             help="simulate-and-fit this many datasets from --true-state"),
+        _arg("--m", type=int, help="shots per setting (trials mode)"),
+        _arg("--m-list", help="comma-separated shots (trials mode)"),
+        _SEED, _JOBS, _arg("--out"))),
+    "bootstrap": (_cmd_bootstrap, "parametric bootstrap of the log LR", (
+        _arg("--estimate", required=True, help="block state JSON"),
+        _CONTEXT,
+        _arg("--data", required=True),
+        _arg("--n-boot", type=int, required=True),
+        _arg("--params", help="ReconstructionParams JSON; refits use method "
+                              "apg unless it names one"),
+        _arg("--m", type=int, help="override shots per replicate"),
+        _arg("--m-list"),
+        _SEED, _JOBS, _arg("--out"))),
+    "fidelity": (_cmd_fidelity, "Uhlmann fidelity of two block states", (
+        _arg("--a", required=True), _arg("--b", required=True), _arg("--out"))),
+    "twirl": (_cmd_twirl, "block representative of a twirled state", (
+        _arg("--closed-form", choices=("tmsv", "cat")),
+        _arg("--r", type=float, help="tmsv squeezing"),
+        _arg("--alpha-re", type=float), _arg("--alpha-im", type=float),
+        _arg("--state", help="StateSpec JSON"),
+        _arg("--partition", help="PartitionSpec JSON"),
+        _arg("--assignment", help="comma-separated mode sectors, e.g. 0,0"),
+        _arg("--n", type=int, required=True),
+        _arg("--out", required=True))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The wfh-tomo parser with every subcommand, or with only ``command``'s,
+    which parses that command's arguments alike."""
     parser = _Parser(prog="wfh-tomo",
                      description="Weak-field-homodyne tomography toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("feasibility",
-                       help="decide determinability for a configuration")
-    p.add_argument("--k", type=int, required=True, help="number of BS sectors")
-    p.add_argument("--s1-multi", action="store_true",
-                   help="sector 1 holds more than one input mode")
-    p.add_argument("--counters", type=int, choices=(1, 2), default=2)
-    p.add_argument("--probe-freedom", choices=("full", "fixed_magnitude"),
-                   default="full")
-    p.add_argument("--detector", choices=("counting", "click"),
-                   default="counting")
-    p.add_argument("--balanced", action="store_true",
-                   help="beam splitter is balanced (click detector rule)")
-    p.add_argument("--n", type=int, default=2, help="photon-number cutoff")
-    p.add_argument("--out", help="write the verdict JSON here")
-    p.set_defaults(handler=_cmd_feasibility)
-
-    p = sub.add_parser("design-gamma", help="draw an informationally complete "
-                                            "probe set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", help="write the probe set JSON here")
-    p.set_defaults(handler=_cmd_design_gamma)
-
-    p = sub.add_parser("ic-check", help="rank test of a measurement context")
-    p.add_argument("--context", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_ic_check)
-
-    p = sub.add_parser("povm-dump", help="write all POVM elements of one setting")
-    p.add_argument("--setting", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_povm_dump)
-
-    p = sub.add_parser("simulate", help="sample counts from a state")
-    p.add_argument("--state", required=True, help="block state JSON")
-    p.add_argument("--context", required=True)
-    p.add_argument("--m", type=int, help="shots per setting")
-    p.add_argument("--m-list", help="comma-separated shots, one per setting")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("reconstruct", help="maximum-likelihood estimate")
-    p.add_argument("--context", required=True)
-    p.add_argument("--data", help="dataset JSON (single-fit mode)")
-    p.add_argument("--params", help="ReconstructionParams JSON; fits use method "
-                                    "apg unless it names one")
-    p.add_argument("--true-state", help="block state JSON for fidelity")
-    p.add_argument("--trials", type=int, default=1,
-                   help="simulate-and-fit this many datasets from --true-state")
-    p.add_argument("--m", type=int, help="shots per setting (trials mode)")
-    p.add_argument("--m-list", help="comma-separated shots (trials mode)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_reconstruct)
-
-    p = sub.add_parser("bootstrap", help="parametric bootstrap of the log LR")
-    p.add_argument("--estimate", required=True, help="block state JSON")
-    p.add_argument("--context", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--n-boot", type=int, required=True)
-    p.add_argument("--params", help="ReconstructionParams JSON; refits use method "
-                                    "apg unless it names one")
-    p.add_argument("--m", type=int, help="override shots per replicate")
-    p.add_argument("--m-list")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_bootstrap)
-
-    p = sub.add_parser("fidelity", help="Uhlmann fidelity of two block states")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_fidelity)
-
-    p = sub.add_parser("twirl", help="block representative of a twirled state")
-    p.add_argument("--closed-form", choices=("tmsv", "cat"))
-    p.add_argument("--r", type=float, help="tmsv squeezing")
-    p.add_argument("--alpha-re", type=float)
-    p.add_argument("--alpha-im", type=float)
-    p.add_argument("--state", help="StateSpec JSON")
-    p.add_argument("--partition", help="PartitionSpec JSON")
-    p.add_argument("--assignment", help="comma-separated mode sectors, e.g. 0,0")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_twirl)
-
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only a named command's subparser; help or a missing or unknown command lists all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         summary = args.handler(args)

@@ -166,6 +166,8 @@ class Dataset:
 
     @classmethod
     def from_json(cls, d: dict) -> "Dataset":
+        outcomes = {}  # label -> outcome; each distinct label of this load is parsed once
+
         def setting(s: dict) -> tuple[dict, complex | None]:
             counts = field_from_json(s, "counts", dict)
             for k, v in counts.items():
@@ -173,7 +175,15 @@ class Dataset:
                     raise JsonFieldError(f'counts["{k}"] must be a non-negative integer, '
                                          f"got {v!r}")
             gamma = field_from_json(s, "gamma", complex_from_json) if "gamma" in s else None
-            return {parse_outcome(k): v for k, v in counts.items()}, gamma
+            labels = {}  # outcome -> its label in this setting
+            for k in counts:
+                if k not in outcomes:
+                    outcomes[k] = parse_outcome(k)
+                first = labels.setdefault(outcomes[k], k)
+                if first != k:
+                    raise JsonFieldError(f'counts["{first}"] and counts["{k}"] name the same '
+                                         f"outcome {format_outcome(outcomes[k])}")
+            return {o: counts[k] for o, k in labels.items()}, gamma
         parsed = list_from_json(d, "settings", setting)
         gammas = [g for _, g in parsed]
         return cls(counts=[c for c, _ in parsed],

@@ -9,7 +9,6 @@ estimate to place the observed ratio inside its sampling distribution.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -120,6 +119,7 @@ def refit_replicates(state: BlockOperator, context: MeasurementContext, M_i: Seq
     size = max(1, min(_GROUP, -(-n // workers)))
     tasks = [(context, state, M_i, params, seeds[j:j + size]) for j in range(0, n, size)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
         with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_refit_group, tasks))
     else:

@@ -64,11 +64,26 @@ def test_feasibility_writes_verdict(capsys, tmp_path):
     assert saved["theorem"]
 
 
+_CHOICES = ("'feasibility', 'design-gamma', 'ic-check', 'povm-dump', 'simulate', "
+            "'reconstruct', 'bootstrap', 'fidelity', 'twirl'")
+
+
 def test_invalid_flag_exits_1(capsys):
-    code = cli.main(["feasibility", "--k", "3", "--counters", "7"])
-    assert code == 1
-    code = cli.main(["no-such-command"])
-    assert code == 1
+    # argparse's own message, whether main builds one command's parser or all nine
+    for argv, message in [
+            (["feasibility", "--k", "3", "--counters", "7"],
+             "argument --counters: invalid choice: 7 (choose from 1, 2)"),
+            (["no-such-command"],
+             f"argument command: invalid choice: 'no-such-command' (choose from {_CHOICES})"),
+            ([], "the following arguments are required: command"),
+            (["--bogus"], "the following arguments are required: command"),
+            (["simulate", "--state", "x", "--context", "c", "--out", "d", "--bogus"],
+             "unrecognized arguments: --bogus"),
+            (["simulate", "--state", "x"],
+             "the following arguments are required: --context, --out"),
+            (["reconstruct", "--jobs"], "argument --jobs: expected one argument")]:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_file_exits_1(capsys, tmp_path):
@@ -767,6 +782,16 @@ def test_reconstruct_string_dataset_gamma_exits_1(capsys, workspace, tmp_path):
     assert "settings[1].gamma.re must be a JSON number, got '0.5'" in err
 
 
+def test_reconstruct_duplicate_count_label_exits_1(capsys, workspace, tmp_path):
+    # "(1,2)" and "(1, 2)" parse to one outcome; neither count may be dropped
+    def edit(payload):
+        payload["settings"][3]["counts"]["(1, 2)"] = 3
+    code, err = _reconstruct_edited(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert 'settings[3].counts["(1,2)"] and counts["(1, 2)"] name the same outcome (1,2)' in err
+
+
 def test_twirl_closed_form(capsys, tmp_path):
     out = tmp_path / "tmsv.json"
     code, summary = run_cli(capsys, "twirl", "--closed-form", "tmsv",
@@ -810,10 +835,46 @@ def test_console_entry_point(tmp_path):
     assert summary["determinable"] is True
 
 
-def test_help_exits_zero():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--help"])
-    assert exc.value.code == 0
+def test_help_exits_zero(capsys):
+    for argv, usage in ((["--help"], "usage: wfh-tomo [-h]"),
+                        (["simulate", "--help"], "usage: wfh-tomo simulate [-h]")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+
+# one representative argv per command, every flag of it given where it can be
+_COMMAND_ARGV = {
+    "feasibility": ["--k", "3", "--s1-multi", "--counters", "1", "--probe-freedom",
+                    "fixed_magnitude", "--detector", "click", "--balanced", "--n", "4",
+                    "--out", "v.json"],
+    "design-gamma": ["--n", "2", "--seed", "4", "--out", "p.json"],
+    "ic-check": ["--context", "c.json", "--out", "ic.json"],
+    "povm-dump": ["--setting", "s.json", "--out", "povm.json"],
+    "simulate": ["--state", "x.json", "--context", "c.json", "--m-list", "5,6",
+                 "--seed", "9", "--out", "d.json"],
+    "reconstruct": ["--context", "c.json", "--params", "p.json", "--true-state", "x.json",
+                    "--trials", "3", "--m", "100", "--seed", "2", "--jobs", "2"],
+    "bootstrap": ["--estimate", "e.json", "--context", "c.json", "--data", "d.json",
+                  "--n-boot", "4", "--m", "50", "--jobs", "2", "--out", "b.json"],
+    "fidelity": ["--a", "a.json", "--b", "b.json"],
+    "twirl": ["--closed-form", "cat", "--alpha-re", "0.5", "--alpha-im", "-0.1",
+              "--n", "2", "--out", "t.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_single_command_parser_matches_full_parser(command, capsys):
+    argv = [command, *_COMMAND_ARGV[command]]
+    assert cli.build_parser(command).parse_args(argv) == cli.build_parser().parse_args(argv)
+    helps = []
+    for parser in (cli.build_parser(command), cli.build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and f"usage: wfh-tomo {command} [-h]" in helps[0]
 
 
 def _edited_state(workspace, tmp_path, edit):
@@ -937,6 +998,18 @@ def test_every_command_runs_with_scipy_blocked(workspace, tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"codes": [0] * 9}
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only --jobs > 1 starts a pool, so only it imports one
+    src = str(Path(wfhtomo.__file__).resolve().parents[1])
+    probe = ("import sys, wfhtomo.cli; print(sorted(m for m in sys.modules if m in "
+             "('concurrent.futures.process', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _not_psd(payload):
