@@ -276,7 +276,7 @@ def _cmd_bootstrap(args) -> dict:
         _write_json(args.out, report.to_json())
     return {"command": "bootstrap", "original_lr": report.original_lr,
             "sigma_deviation": report.sigma_deviation,
-            "n_boot": args.n_boot, "nonconverged": report.nonconverged,
+            "p_value": report.p_value, "n_boot": args.n_boot, "nonconverged": report.nonconverged,
             "out": args.out}
 
 

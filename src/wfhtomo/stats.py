@@ -35,7 +35,9 @@ class BootstrapReport:
     replicate that did not reach the certificate is flagged there and
     counted by ``nonconverged``, not dropped from ``boot_lrs``. ``method``
     names the fit method of the refits; the JSON form writes it into every
-    replicate entry."""
+    replicate entry. ``p_value`` is the share of replicates whose LR reaches
+    the observed one, (1 + #{boot LR >= observed}) / (B + 1) (Davison &
+    Hinkley 1997); unlike ``sigma_deviation`` it assumes no symmetric spread."""
 
     original_lr: float
     boot_lrs: list[float]
@@ -48,6 +50,10 @@ class BootstrapReport:
             raise ValueError("boot_lrs must be nonempty")
 
     @property
+    def p_value(self) -> float:
+        return (1 + sum(lr >= self.original_lr for lr in self.boot_lrs)) / (len(self.boot_lrs) + 1)
+
+    @property
     def nonconverged(self) -> int:
         return sum(r["termination"] != "stopped_on_r" for r in self.replicates)
 
@@ -56,6 +62,7 @@ class BootstrapReport:
             "original_lr": float(self.original_lr),
             "boot_lrs": [float(v) for v in self.boot_lrs],
             "sigma_deviation": float(self.sigma_deviation),
+            "p_value": self.p_value,
             "replicates": [{"method": self.method, **r} for r in self.replicates],
         }
 

@@ -346,7 +346,7 @@ def test_readme_quick_start_dataset_is_byte_identical(capsys, tmp_path):
         str(tmp_path / "context.json"), "--data", str(tmp_path / "data.json"),
         "--n-boot", "20", "--seed", "777", "--out", str(tmp_path / "boot.json"))
     assert hashlib.sha256((tmp_path / "boot.json").read_bytes()).hexdigest() == \
-        "ae8af2ce08add1c51413a240e9dfa83e7f4032ac0803f50435380bd852ba095e"
+        "3c78f5af48b5cd8aafe9b8f36785a8349d8468df374c8b5ba3cfb598a35cfd8e"
 
 
 def test_simulate_m_list_validation(capsys, workspace, tmp_path):
@@ -580,6 +580,7 @@ def test_bootstrap_command(capsys, workspace, tmp_path):
     assert len(payload["boot_lrs"]) == 2
     assert payload["original_lr"] >= 0
     assert summary["original_lr"] == payload["original_lr"]
+    assert summary["p_value"] == payload["p_value"]
 
 
 def test_bootstrap_reports_nonconverged(capsys, workspace, tmp_path):

@@ -57,6 +57,13 @@ def test_log_lr_rejects_empty():
         log_lr(0.0, {})
 
 
+def test_bootstrap_p_value_counts_replicates_at_or_above_observed():
+    report = BootstrapReport(original_lr=2.0, boot_lrs=[1.0, 2.0, 3.0, 0.5], sigma_deviation=0.0,
+                             replicates=[], method="apg")
+    assert report.p_value == (1 + 2) / (4 + 1)
+    assert report.to_json()["p_value"] == report.p_value
+
+
 def test_bootstrap_report_validation():
     with pytest.raises(ValueError):
         BootstrapReport(original_lr=1.0, boot_lrs=[], sigma_deviation=0.0,
@@ -75,7 +82,7 @@ def test_parametric_bootstrap_model_matched(small_problem):
     assert report.original_lr >= 0
     assert abs(report.sigma_deviation) <= 3.0
     d = report.to_json()
-    assert set(d) == {"original_lr", "boot_lrs", "sigma_deviation", "replicates"}
+    assert set(d) == {"original_lr", "boot_lrs", "sigma_deviation", "p_value", "replicates"}
 
 
 def test_parametric_bootstrap_deterministic(small_problem):
@@ -170,3 +177,30 @@ def test_refit_replicates_in_groups_match_one_fit_per_replicate(small_problem, n
                      [m.tobytes() for m in fit.estimate.blocks.values()]))
     for jobs in (0, 1, 2):  # 0 requests no pool, as 1 does
         assert [record(f) for f in refit_replicates(rho, ctx, M_i, n, params, 8, jobs)] == want
+
+
+def _p_values(truth, draw_ctx, fit_ctx, seed):
+    """Bootstrap p-values of K = 40 datasets of 600 shots per setting, drawn
+    from ``truth`` through ``draw_ctx`` with seeds setting_seed(seed, k), each
+    fitted through ``fit_ctx`` and bootstrapped with B = 19 APG refits."""
+    apg = ReconstructionParams(method="apg")
+    M_i = [600] * len(fit_ctx.settings)
+    datasets = simulate_dataset(truth, draw_ctx, M_i, [setting_seed(seed, k) for k in range(40)])
+    return [parametric_bootstrap(reconstruct(fit_ctx, data, apg).estimate, fit_ctx, M_i, 19,
+                                 apg, k, data).p_value for k, data in enumerate(datasets)]
+
+
+def test_parametric_bootstrap_holds_its_size(small_problem):
+    # under the true model P(p <= 0.1) = 0.1: of 40 datasets at most 11 may reach
+    # it, the binomial(40, 0.1) 99.9 % quantile
+    rho, ctx = small_problem
+    assert sum(p <= 0.1 for p in _p_values(rho, ctx, ctx, 2013)) <= 11
+
+
+def test_parametric_bootstrap_rejects_unmodelled_loss(small_problem):
+    # data drawn through counters of transmission 0.85 and fitted as lossless
+    rho, ctx = small_problem
+    lossy = MeasurementContext.build(
+        [Setting(gamma=s.gamma, counter=CounterConfig(counters=2, N_c=4, loss=(0.85, 0.85)),
+                 partition=s.partition, N=s.N) for s in ctx.settings])
+    assert sum(p <= 0.05 for p in _p_values(rho, lossy, ctx, 1997)) >= 36
