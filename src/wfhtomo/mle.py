@@ -158,12 +158,21 @@ def _step(rho: np.ndarray, R: np.ndarray, eps: float) -> np.ndarray:
 
 
 def reconstruct(context: MeasurementContext, dataset: Dataset,
-                params: ReconstructionParams | None = None) -> ReconstructionReport:
-    """Run the estimator named by ``params.method`` from the maximally mixed
-    state; both record one trace entry per accepted iterate and stop once
-    r_k <= r_stop."""
+                params: ReconstructionParams | None = None,
+                start: BlockOperator | None = None) -> ReconstructionReport:
+    """Run the estimator named by ``params.method``; both record one trace
+    entry per accepted iterate and stop once r_k <= r_stop.
+
+    An APG fit starts at ``start``, or at the maximally mixed state when it
+    is None; every counted outcome must have positive probability there. The
+    diluted fit always starts at the maximally mixed state, because R rho R
+    cannot leave a rank-deficient start's support, so it takes no ``start``.
+    """
     if params is None:
         params = ReconstructionParams()
+    if start is not None and params.method != "apg":
+        raise ValueError(f"a {params.method} fit starts at the maximally mixed state, "
+                         f"not at a given start")
     likelihood = _likelihood(context, dataset)
     r_stop = params.r_stop if params.r_stop is not None else 1.0 / dataset.total_shots()
 
@@ -173,9 +182,14 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
                       f"(rank {icr['rank']} of {icr['required']}); "
                       f"the estimate may not be unique", stacklevel=2)
 
-    fit = _apg if params.method == "apg" else _diluted
-    rho, loglik_trace, rk_trace, termination, iterations = fit(
-        context.coords, likelihood, float(dataset.total_shots()), r_stop, params)
+    coords, M = context.coords, float(dataset.total_shots())
+    if params.method == "apg":
+        x = coords.vec(np.eye(coords.D, dtype=np.complex128) / coords.D) if start is None \
+            else context.vec(start)
+        fit = _apg(coords, likelihood, M, r_stop, params, x)
+    else:
+        fit = _diluted(coords, likelihood, M, r_stop, params)
+    rho, loglik_trace, rk_trace, termination, iterations = fit
     return ReconstructionReport(estimate=context.coords.split(rho),
                                 loglik_trace=loglik_trace, rk_trace=rk_trace,
                                 termination=termination, iterations=iterations)
@@ -263,8 +277,9 @@ def _momentum(theta: float) -> float:
     return (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
 
 
-def _apg(coords, likelihood, M, r_stop, params):
-    """Accelerated projected gradient (FISTA) on -L/M over density matrices.
+def _apg(coords, likelihood, M, r_stop, params, x):
+    """Accelerated projected gradient (FISTA) on -L/M over density matrices,
+    from the state with coordinates x.
 
     Each trial step x+ = proj(y + t g(y)) from the extrapolated point y is
     accepted once it meets the quadratic bound of a backtracking line search;
@@ -291,7 +306,6 @@ def _apg(coords, likelihood, M, r_stop, params):
             t *= _APG_SHRINK
         return None
 
-    x = coords.vec(np.eye(coords.D, dtype=np.complex128) / coords.D)
     loglik, g = likelihood(x)
     r_k = _r_k(coords.unvec(g))
     loglik_trace, rk_trace = [loglik], [r_k]

@@ -102,11 +102,12 @@ _GROUP = 4  # most replicates drawn in one lane pass
 
 
 def _refit_group(task) -> list[Refit]:
-    """Draw a run of replicates in one lane pass, then fit them in order."""
-    context, state, M_i, params, seeds = task
+    """Draw a run of replicates in one lane pass, then fit them in order,
+    each from the state they were drawn from when ``warm``."""
+    context, state, M_i, params, seeds, warm = task
     fits = []
     for data in simulate_dataset(state, context, M_i, seeds):
-        fit = reconstruct(context, data, params)
+        fit = reconstruct(context, data, params, start=state if warm else None)
         fits.append(Refit(data.seed, fit.estimate, fit.termination, fit.iterations,
                           fit.loglik_trace[-1], fit.rk_trace[-1],
                           log_lr(fit.loglik_trace[-1], data.counts)))
@@ -117,14 +118,20 @@ def refit_replicates(state: BlockOperator, context: MeasurementContext, M_i: Seq
                      n: int, params: ReconstructionParams | None, seed: int,
                      n_jobs: int = 1) -> list[Refit]:
     """Simulate n datasets from ``state``, replicate j with seed
-    ``setting_seed(seed, j)``, and fit each: serially, or in n_jobs worker
-    processes with the same results. The bootstrap and trial sweeps share it.
-    A task is a run of at most _GROUP consecutive replicates, drawn together;
-    runs are short enough that every requested worker gets one."""
+    ``setting_seed(seed, j)``, and fit each as ``reconstruct`` does: serially,
+    or in n_jobs worker processes with the same results."""
+    return _refits(state, context, M_i, n, params, seed, n_jobs, warm=False)
+
+
+def _refits(state, context, M_i, n, params, seed, n_jobs, warm) -> list[Refit]:
+    """``refit_replicates``, whose APG fits start at ``state`` when ``warm``.
+    The bootstrap and trial sweeps share it. A task is a run of at most
+    _GROUP consecutive replicates, drawn together; runs are short enough that
+    every requested worker gets one."""
     seeds = [setting_seed(seed, j) for j in range(n)]
     workers = max(1, min(n_jobs, n))
     size = max(1, min(_GROUP, -(-n // workers)))
-    tasks = [(context, state, M_i, params, seeds[j:j + size]) for j in range(0, n, size)]
+    tasks = [(context, state, M_i, params, seeds[j:j + size], warm) for j in range(0, n, size)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -144,12 +151,16 @@ def parametric_bootstrap(estimate, context: MeasurementContext,
     Each replicate simulates a dataset from ``estimate`` with a seed derived
     from (seed, replicate index), refits it with the same reconstruction
     parameters, and records its LR; ``dataset`` supplies the observed counts
-    whose LR is placed within that distribution.
+    whose LR is placed within that distribution. An APG refit starts at
+    ``estimate``, which gives every count it was drawn with a positive
+    probability; its certificate bounds its log-likelihood gap by M r_k
+    wherever it starts. A diluted refit starts at the maximally mixed state.
     """
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
+    method = (params or ReconstructionParams()).method
     original = log_lr(log_likelihood(estimate, context, dataset), dataset.counts)
-    fits = refit_replicates(estimate, context, M_i, n_boot, params, seed, n_jobs)
+    fits = _refits(estimate, context, M_i, n_boot, params, seed, n_jobs, warm=method == "apg")
     boot = [f.lr for f in fits]
     spread = float(np.std(boot, ddof=1))
     if spread == 0.0:
@@ -160,4 +171,4 @@ def parametric_bootstrap(estimate, context: MeasurementContext,
                            sigma_deviation=sigma,
                            replicates=[{"termination": f.termination,
                                         "iterations": f.iterations, "r_k": f.r_k} for f in fits],
-                           method=(params or ReconstructionParams()).method)
+                           method=method)

@@ -346,7 +346,7 @@ def test_readme_quick_start_dataset_is_byte_identical(capsys, tmp_path):
         str(tmp_path / "context.json"), "--data", str(tmp_path / "data.json"),
         "--n-boot", "20", "--seed", "777", "--out", str(tmp_path / "boot.json"))
     assert hashlib.sha256((tmp_path / "boot.json").read_bytes()).hexdigest() == \
-        "3c78f5af48b5cd8aafe9b8f36785a8349d8468df374c8b5ba3cfb598a35cfd8e"
+        "d7379b0ac77281a4fb214b9017bec34a7c0dee7da5ef5930f68145d595e04db4"
 
 
 def test_simulate_m_list_validation(capsys, workspace, tmp_path):

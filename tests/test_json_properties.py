@@ -226,7 +226,7 @@ def fit_reports(params, seed, shots):
 def assert_strict_json_round_trips(report, boot, records):
     for x in (report.to_json(), boot.to_json(), records):
         assert json.loads(json.dumps(x, allow_nan=False)) == x
-    assert json.loads(json.dumps(boot.to_json()))["p_value"] == boot.p_value
+    assert json.loads(json.dumps(boot.to_json(), allow_nan=False))["p_value"] == boot.p_value
 
 
 @settings(max_examples=15, deadline=None)

@@ -156,6 +156,40 @@ def test_parametric_bootstrap_lrs_score_each_refit(small_problem, params):
     assert [r["termination"] for r in report.replicates] == [expected] * 3
 
 
+def test_apg_bootstrap_refits_start_at_the_estimate_within_the_certificate(small_problem):
+    # a warm refit and a cold fit of one replicate both end certified, so each
+    # log-likelihood lies within M r_k of the maximum and their LRs within
+    # 2 M max(r_k) of each other
+    rho, ctx = small_problem
+    M_i = [600] * len(ctx.settings)
+    apg = ReconstructionParams(method="apg")
+    data = simulate_dataset(rho, ctx, M_i, seed=9)
+    estimate = reconstruct(ctx, data, apg).estimate
+    report = parametric_bootstrap(estimate, ctx, M_i, 8, apg, 123, data)
+    warm_iterations = cold_iterations = 0
+    for j, (lr, replicate) in enumerate(zip(report.boot_lrs, report.replicates)):
+        data_j = simulate_dataset(estimate, ctx, M_i, setting_seed(123, j))
+        assert math.isfinite(log_likelihood(estimate, ctx, data_j))
+        warm = reconstruct(ctx, data_j, apg, start=estimate)
+        assert replicate == {"termination": warm.termination, "iterations": warm.iterations,
+                             "r_k": warm.rk_trace[-1]}
+        assert lr == log_lr(warm.loglik_trace[-1], data_j.counts)
+        cold = reconstruct(ctx, data_j, apg)
+        assert warm.termination == cold.termination == "stopped_on_r"
+        bound = 2 * data_j.total_shots() * max(warm.rk_trace[-1], cold.rk_trace[-1])
+        assert abs(lr - log_lr(cold.loglik_trace[-1], data_j.counts)) <= bound <= 2.0
+        warm_iterations += warm.iterations
+        cold_iterations += cold.iterations
+    assert warm_iterations < cold_iterations
+
+
+def test_diluted_fit_takes_no_start(small_problem):
+    rho, ctx = small_problem
+    data = simulate_dataset(rho, ctx, [200] * len(ctx.settings), seed=6)
+    with pytest.raises(ValueError, match="maximally mixed"):
+        reconstruct(ctx, data, ReconstructionParams(), start=rho)
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 5, 9])
 def test_refit_replicates_in_groups_match_one_fit_per_replicate(small_problem, n):
     # replicates are drawn in runs of up to 4, each run in one lane pass, and the
