@@ -16,35 +16,36 @@ rules so that datasets are byte-identical across language implementations:
 The four xoshiro state words come from four consecutive splitmix64 outputs.
 Doubles are (x >> 11) * 2**-53, uniform on [0, 1).
 
-``inverse_cdf_counts`` draws the same streams in numpy ``uint64`` lanes. The
-xoshiro256++ state update T is linear over GF(2), so J = T^_LANE is a
-256 x 256 bit matrix, and lane k of a stream starts at J^k applied to its
-seed state: the lanes together produce the stream's draws in order. J s is
-the XOR of 32 entries of a table indexed by the bytes (8-bit digits) of s;
-the entries are XORs of J's columns. A pass steps every lane of every
-stream as many times as _PASS draws allow (at least once), writing the
-outputs as rows of one array, then bins and tallies the whole array; the
-streams of many datasets can share one call, and so every pass.
+``inverse_cdf_counts`` draws the same streams in numpy ``uint64`` lanes of
+_LANE draws. The state update T is linear over GF(2), so J = T^_LANE and
+J_B = J^_BLOCK are 256 x 256 bit matrices, and lane a + _BLOCK * b of a stream
+starts at J_B^b J^a applied to its seed state. M s is the XOR of one row of
+M's digit table per 4-bit digit of s (64 x 16 rows, 32 KiB for each of J and
+J_B). A pass steps every lane of every stream as many times as _PASS
+draws allow, then bins and tallies the pass at once. Only a stream's tally
+matters, not its draws' order, so any lane length gives the same counts.
 
 A draw u = k * 2**-53, k = x >> 11, counts in bin bisect_right(cum, u).
 Since c * 2**53 is exact, that is the number of integer thresholds
 ceil(cum_j * 2**53) that are <= k. A guide table (Chen & Asau, AIIE Trans. 6,
-163 (1974)) gives that number for every k of a bucket k >> _SHIFT that holds
-no threshold inside it; a draw in any other bucket is searched exactly among
-the thresholds. So the counts are those of the scalar loop.
+163 (1974)), one row per distinct cumulative table, gives that number for
+every k of a bucket (the top _G bits of x) that holds no threshold inside it;
+a draw in any other bucket is searched exactly among the thresholds. So the
+counts are those of the scalar loop.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
-_LANE = 256  # draws per lane; lane k of a stream starts after k * _LANE steps
-_PASS = 1 << 14  # most draws per pass, unless one step has more (binning holds ~18 B a draw)
-_G = 10  # guide-table bits: a draw k < 2**53 is in bucket k >> _SHIFT
+_LANE = 128  # draws per lane; lane k of a stream starts after k * _LANE steps
+_BLOCK = 16  # lanes per jump block, a power of 2
+_PASS = 12288  # most draws per pass, unless one step has more (binning holds ~19 B a draw)
+_G = 11  # guide-table bits: a draw k < 2**53 is in bucket k >> _SHIFT
 _SHIFT = 53 - _G
 _U = np.uint64
-_BYTES = np.arange(32)[:, None]
-_jump_digits = None  # J by 8-bit digits, 32 x 256 x 4 words, built on first use
+_DIGITS = np.arange(64)[:, None] << 4  # the row of (digit p, value 0) in a digit table
+_jumps = None  # the digit tables of J and J_B, built on first use
 
 
 class SplitMix64:
@@ -113,105 +114,131 @@ def _step(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return result
 
 
-def _jump_table() -> np.ndarray:
-    """J = T^_LANE by 8-bit digits: table[p, v] is J applied to the state whose
-    bits 8 p .. 8 p + 7 hold v and whose other bits are 0 (4 words)."""
-    global _jump_digits
-    if _jump_digits is None:
-        bit = np.arange(256)
-        cols = np.zeros((4, 256), dtype=np.uint64)  # column j: the unit state e_j
-        cols[bit // 64, bit] = _U(1) << (bit % 64).astype(np.uint64)
+def _digit_table(cols: np.ndarray) -> np.ndarray:
+    """The bit matrix of columns cols (256 states x 4 words) by 4-bit digits: row 16 p + v
+    is its image of the state whose digit p holds v, other bits 0. Digit q < 32 is bits
+    8 q .. 8 q + 3 and digit 32 + q bits 8 q + 4 .. 8 q + 7 (byte q's low and high halves)."""
+    cols = cols.reshape(32, 2, 4, 4).transpose(1, 0, 2, 3).reshape(64, 4, 4)  # digit p's bits
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for b in range(4):
+        table[:, 2 ** b:2 ** (b + 1)] = table[:, :2 ** b] ^ cols[:, b, None]
+    return table.reshape(1024, 4)
+
+
+def _jump_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Digit tables of J = T^_LANE and of J_B = J^_BLOCK, by squaring J."""
+    global _jumps
+    if _jumps is None:
+        bit = np.arange(256)  # column j: the unit state e_j, whose word j // 64 holds bit j % 64
+        cols = np.where(bit // 64 == np.arange(4)[:, None], _U(1) << (bit % 64).astype(_U), _U(0))
         for _ in range(_LANE):
             _step(cols)
-        cols = cols.T.reshape(32, 8, 4)  # cols[p, b] = J e_(8 p + b)
-        table = np.zeros((32, 256, 4), dtype=np.uint64)
-        for b in range(8):
-            table[:, 2 ** b:2 ** (b + 1)] = table[:, :2 ** b] ^ cols[:, b, None]
-        _jump_digits = table
-    return _jump_digits
+        cols = cols.T
+        lane = block = _digit_table(cols)
+        for _ in range(_BLOCK.bit_length() - 1):
+            cols = _jump(cols, block)  # M M e_j: the columns of M^2
+            block = _digit_table(cols)
+        _jumps = lane, block
+    return _jumps
 
 
-def _jump(states: np.ndarray) -> np.ndarray:
-    """J s for every state of states (streams x 4 words): each state advanced
-    by _LANE steps, as the XOR of one table entry per 8-bit digit of s."""
-    # byte p of a little-endian state holds its bits 8 p .. 8 p + 7
-    digits = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
-    return np.bitwise_xor.reduce(_jump_table()[_BYTES, digits.T], axis=0)
+def _jump(states: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """M s for each state s (n x 4 words), table M's digit table: the XOR of one row per
+    digit of s, gathered for at most 64 states at once."""
+    # row q of byte: bits 8 q .. 8 q + 7 of each little-endian state
+    byte = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T
+    digits = np.concatenate((byte & 15, byte >> 4))
+    return np.concatenate([np.bitwise_xor.reduce(np.take(table, d + _DIGITS, axis=0), axis=0)
+                           for d in np.split(digits, range(64, digits.shape[1], 64), axis=1)])
+
+
+def _lanes(seeds: list[int], totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Started lanes (4 words x lanes; full lanes lane after lane, then each stream's
+    short last lane), each lane's stream, and the short lanes' draws. Lane l of stream i,
+    column cols[i, l], is jumped by J from lane l - 1 if l < _BLOCK, else by J_B from l - _BLOCK."""
+    left = np.minimum(totals[:, None] - np.arange(-(-totals.max() // _LANE)) * _LANE, _LANE)
+    full, short = left == _LANE, (left > 0) & (left < _LANE)
+    cols = np.full(left.shape, -1)
+    cols.T[full.T] = np.arange(full.sum())
+    cols[short] = full.sum() + np.arange(short.sum())
+    owner = np.concatenate((np.nonzero(full.T)[1], np.nonzero(short)[0]))
+    state = np.empty((4, len(owner)), dtype=np.uint64)
+    live = cols[:, 0] >= 0
+    state[:, cols[live, 0]] = np.array([Xoshiro256PP(s).s for s in seeds], dtype=_U)[live].T
+    lane, block = _jump_tables()
+    for l, w, table in ([(a, 1, lane) for a in range(1, min(_BLOCK, cols.shape[1]))]
+                        + [(b, _BLOCK, block) for b in range(_BLOCK, cols.shape[1], _BLOCK)]):
+        dst, src = cols[:, l:l + w], cols[:, l - w:l]
+        live = dst >= 0
+        state[:, dst[live]] = _jump(state[:, src[:, :dst.shape[1]][live]].T, table).T
+    return state, owner, left[short]
 
 
 def _guide(cums: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Guide table and sorted keys s * 2**53 + ceil(cums[s][j] * 2**53) of settings s.
-
-    Setting s's bin j is global bin j + s + (the number of keys of settings
-    before s). table[s, b] is the global bin of every k of bucket b = k >> _SHIFT,
-    or -1 when a threshold falls inside the bucket (past its first k)."""
-    # clipped, setting s's keys stay in [s, s + 1] * 2**53; no count moves, as 0 <= k < 2**53
-    thr = [np.ceil(np.ldexp(np.clip(c, 0.0, 1.0), 53)).astype(np.int64) for c in cums]
+    """Guide table and sorted keys s * 2**53 + ceil(cums[s][j] * 2**53) of tables s. Table
+    s's bin j is global bin j + s + (the number of keys of tables before s); table[s, b] is
+    the global bin of every k of bucket b = k >> _SHIFT, or -1 if a threshold splits it."""
+    # clipped, table s's keys stay in [s, s + 1] * 2**53; no count moves, as 0 <= k < 2**53
+    thr = np.ceil(np.ldexp(np.clip(np.concatenate(cums), 0.0, 1.0), 53)).astype(np.int64)
     row = np.arange(len(cums))
-    keys = np.concatenate(thr) + (np.repeat(row, [len(t) for t in thr]) << 53)
-    starts = np.arange(2 ** _G) << _SHIFT  # each bucket's first k
-    table = np.empty((len(cums), 2 ** _G), dtype=np.int32)
-    for s in row:
-        table[s] = np.searchsorted(keys, (s << 53) + starts, "right") + s
+    keys = thr + (np.repeat(row, [len(c) for c in cums]) << 53)
+    # key c is at most the first k of flat bucket (s << _G) + b from -(-key_c >> _SHIFT) on
+    edges = np.diff(-(-keys >> _SHIFT), prepend=0, append=len(cums) << _G)
+    bins = np.arange(len(keys) + 1, dtype=np.int16 if len(keys) + len(cums) < 2 ** 15 else np.int32)
+    table = np.repeat(bins, edges).reshape(len(cums), -1) + row[:, None].astype(bins.dtype)
     inside = keys[keys & (2 ** _SHIFT - 1) != 0]
     table.reshape(-1)[inside >> _SHIFT] = -1
     return table, keys
 
 
-def _bins(table: np.ndarray, keys: np.ndarray, owner: np.ndarray, k: np.ndarray):
-    """Global bins (see _guide) of draws k < 2**53 (int64) of settings owner, which
-    broadcasts against k; a draw in an ambiguous bucket is searched among the keys."""
-    index = k >> _SHIFT
-    index += owner << _G
-    bins = table.reshape(-1)[index].reshape(-1)
+def _bins(table: np.ndarray, keys: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Global bins (see _guide) of draws k = x >> 11 (x uint64) from tables rows >> _G: the
+    bucket is x's top _G bits; only a draw in an ambiguous bucket is searched by its k."""
+    index = np.right_shift(x, _U(64 - _G)).view(np.int64)
+    index += rows
+    bins = np.take(table, index)
     amb = np.flatnonzero(bins < 0)
     if amb.size:
-        at = np.unravel_index(amb, k.shape)
-        s = np.broadcast_to(owner, k.shape)[at]
-        bins[amb] = np.searchsorted(keys, (s << 53) + k[at], "right") + s
-    return bins.reshape(k.shape)
+        s = index.reshape(-1)[amb] >> _G
+        k = (x.reshape(-1)[amb] >> _U(11)).view(np.int64)
+        bins.reshape(-1)[amb] = np.searchsorted(keys, (s << 53) + k, "right") + s
+    return bins
 
 
 def inverse_cdf_counts(seeds: list[int], cums: list[list[float]], totals: list[int]
                        ) -> list[np.ndarray]:
     """Outcome counts of totals[i] inverse-CDF draws from Xoshiro256PP(seeds[i]).
 
-    Each draw u = next_double() of stream i counts in bin
-    bisect_right(cums[i], u); cums[i] must be non-decreasing and end at 1.0.
-    The result equals the scalar loop over the streams, but every stream is
-    cut into lanes of _LANE draws, all lanes of all streams step together,
-    and the draws are binned through one guide table (_guide, _bins).
+    Each draw u = next_double() of stream i counts in bin bisect_right(cums[i], u);
+    cums[i] must be non-decreasing and end at 1.0. The result equals the scalar loop,
+    but all lanes (_lanes) of all streams step together, and each draw is binned by
+    its table's guide row (_guide, _bins), then moved into its stream's tally.
     """
     if len(seeds) > 1023:  # _guide's keys s * 2**53 + threshold must fit in int64
         return (inverse_cdf_counts(seeds[:1023], cums[:1023], totals[:1023])
                 + inverse_cdf_counts(seeds[1023:], cums[1023:], totals[1023:]))
+    cums = [np.asarray(c, dtype=np.float64) for c in cums]
+    distinct = {}  # each distinct table's bytes -> its guide row
+    row = np.array([distinct.setdefault(c.tobytes(), len(distinct)) for c in cums])
+    tables = [np.frombuffer(c) for c in distinct]
+    table, keys = _guide(tables)
     totals = np.asarray(totals, dtype=np.int64)
-    lanes = -(-totals // _LANE)
-    first = np.cumsum(lanes) - lanes
-    owner = np.repeat(np.arange(len(totals)), lanes)
-    left = totals[owner] - (np.arange(lanes.sum()) - first[owner]) * _LANE  # draws per lane
-    short = np.nonzero(left < _LANE)[0]  # each stream's last lane, unless it is full
-    state = np.empty((4, int(lanes.sum())), dtype=np.uint64)
-    start = np.array([Xoshiro256PP(seed).s for seed in seeds], dtype=np.uint64)
-    for lane in range(int(lanes.max())):
-        if lane:
-            start = _jump(start)
-        live = lanes > lane
-        state[:, first[live] + lane] = start[live].T
-    table, keys = _guide([np.asarray(c, dtype=np.float64) for c in cums])
-    spare = np.cumsum([len(c) for c in cums]) + np.arange(len(cums))  # "no draw" bins
+    state, owner, left = _lanes(seeds, totals)
+    spare = np.cumsum([len(c) + 1 for c in cums]) - 1  # each stream's "no draw" bin
+    first = np.cumsum([len(c) + 1 for c in tables]) - 1 - [len(c) for c in tables]
+    rows, shift = (row << _G)[owner], (spare - [len(c) for c in cums] - first[row])[owner]
     tally = np.zeros(spare[-1] + 1, dtype=np.int64)
     steps = int(min(_LANE, totals.max()))
-    chunk = np.empty((min(steps, max(1, _PASS // state.shape[1])), state.shape[1]),
-                     dtype=np.uint64)
+    chunk = np.empty((min(steps, max(1, _PASS // len(owner))), len(owner)), dtype=np.uint64)
     for j0 in range(0, steps, len(chunk)):
-        rows = chunk[:steps - j0]
-        for row in rows:
-            _step(state, row)
-        rows >>= _U(11)
-        bins = _bins(table, keys, owner, rows.view(np.int64))
-        past = j0 + np.arange(len(rows))[:, None] >= left[short]  # steps after a stream's end
-        bins[:, short] = np.where(past, spare[owner[short]], bins[:, short])
+        x = chunk[:steps - j0]
+        for r in x:
+            _step(state, r)
+        bins = _bins(table, keys, rows, x).astype(np.int64)
+        bins += shift  # each stream's own tally
+        if left.size and j0 + len(x) > left.min():
+            past = j0 + np.arange(len(x))[:, None] >= left  # steps after a stream's end
+            bins[:, len(owner) - left.size:][past] = spare[-1]
         tally += np.bincount(bins.ravel(), minlength=len(tally))
-        del bins  # not live through the next pass's steps
+        del bins  # not live through the next pass's binning
     return [tally[b - len(c):b] for b, c in zip(spare, cums)]

@@ -2,6 +2,7 @@ import bisect
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from wfhtomo import _rng
-from wfhtomo._rng import (_G, _LANE, _SHIFT, SplitMix64, Xoshiro256PP, _bins, _guide, _jump,
-                          _step, inverse_cdf_counts, setting_seed)
+from wfhtomo._rng import (_BLOCK, _G, _LANE, _SHIFT, SplitMix64, Xoshiro256PP, _bins, _guide,
+                          _lanes, _step, inverse_cdf_counts, setting_seed)
 from wfhtomo.fock import DenseOperator, OccupationBasis, StateSpec, make_state
 from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock, standard_block
 from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
+from wfhtomo.probes import design_gamma
 from wfhtomo.sim import (
     Dataset,
     _checked,
@@ -24,7 +26,7 @@ from wfhtomo.sim import (
     probabilities,
     simulate_dataset,
 )
-from wfhtomo.twirl import BlockOperator, twirl_analytic
+from wfhtomo.twirl import BlockOperator, twirl_analytic, twirled_closed_form
 
 BAL = PartitionSpec(sectors=((1 / math.sqrt(2), 1 / math.sqrt(2)),), s1_multi=False)
 P1 = PartitionSpec(sectors=((math.sqrt(0.6), math.sqrt(0.4)),), s1_multi=False)
@@ -82,12 +84,18 @@ def cumulative_tables(draw):
     return cum
 
 
+# lane and block edges: a short, a full and a just-longer lane, a block of lanes and
+# either side of it, and 255, 256, 257, 513
+EDGE_TOTALS = [1, _LANE - 1, _LANE, _LANE + 1, _LANE * _BLOCK - 1, _LANE * _BLOCK,
+               _LANE * _BLOCK + 1, 255, 256, 257, 513]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_lane_counts_match_scalar_stream(data):
-    # the lane edges (1, 255, 256, 257, 513 draws) are in every example
+    # the lane and block edges are in every example
     totals = data.draw(st.permutations(
-        [1, 255, 256, 257, 513] + data.draw(st.lists(st.integers(1, 3 * 256 + 1), max_size=3))))
+        EDGE_TOTALS + data.draw(st.lists(st.integers(1, 3 * 256 + 1), max_size=3))))
     seeds = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=len(totals),
                                max_size=len(totals)))
     cums = [data.draw(cumulative_tables()) for _ in totals]
@@ -122,7 +130,8 @@ def test_guide_bins_match_bisect_at_chosen_draws():
             edge = t >> _SHIFT << _SHIFT
             ks |= {t - 1, t, t + 1, edge - 1, edge, edge + 2 ** _SHIFT - 1}
         k = np.array(sorted(x for x in ks if 0 <= x < 2 ** 53), dtype=np.int64)
-        got = _bins(table, keys, np.full_like(k, s), k)
+        raw = (k << 11 | k & 0x7FF).astype(np.uint64)  # any low 11 bits: the draw is raw >> 11
+        got = _bins(table, keys, s << _G, raw)
         want = [base + s + bisect.bisect_right(cum, x * GRID) for x in k.tolist()]
         assert got.tolist() == want
         assert (table[s] >= 0).sum() >= 2 ** _G - len(cum)  # at most one -1 per threshold
@@ -162,6 +171,42 @@ def test_lane_counts_match_scalar_stream_past_1023_streams():
                                          for i in range(n)]
 
 
+def test_lane_counts_match_scalar_stream_past_int16_guide_bins():
+    # 40 tables of 1000 outcomes: more global bins than an int16 guide table holds
+    rng = np.random.default_rng(3)
+    cums = []
+    for _ in range(40):
+        cum = np.cumsum(rng.random(1000))
+        cums.append((cum / cum[-1]).tolist()[:-1] + [1.0])
+    assert _guide([np.array(c) for c in cums])[0].dtype != np.int16
+    totals = [1 + 37 * i for i in range(40)]
+    got = inverse_cdf_counts(list(range(40)), cums, totals)
+    assert [c.tolist() for c in got] == [_scalar_counts(i, cums[i], totals[i])
+                                         for i in range(40)]
+
+
+def test_lane_pass_memory_on_the_quick_start_bootstrap_group(monkeypatch):
+    # tracemalloc peak of one sampler call on the README's 2-seed bootstrap group:
+    # 16 quick-start settings of 20,000 shots each
+    probes = design_gamma(3, 7)
+    partition = PartitionSpec(sectors=((0.5 ** 0.5, 0.5 ** 0.5),), s1_multi=True)
+    counter = CounterConfig(counters=2, N_c=6)
+    ctx = MeasurementContext.build([Setting(gamma=g, counter=counter, partition=partition,
+                                            N=probes.N) for g in probes.gammas])
+    calls = []
+    monkeypatch.setattr("wfhtomo.sim.inverse_cdf_counts",
+                        lambda *args: calls.append(args) or inverse_cdf_counts(*args))
+    state = twirled_closed_form("cat", {"alpha": 0.5}, 3)
+    simulate_dataset(state, ctx, [20000] * 16, [777, 778])  # also builds the jump tables
+    tracemalloc.start()
+    try:
+        inverse_cdf_counts(*calls[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.80 * 2 ** 20
+
+
 @pytest.mark.parametrize("passes", [1, 40, 100])
 def test_lane_counts_match_scalar_stream_in_short_passes(monkeypatch, passes):
     # a pass holds at most _PASS draws: fewer steps per pass, and a remainder pass
@@ -174,18 +219,51 @@ def test_lane_counts_match_scalar_stream_in_short_passes(monkeypatch, passes):
         assert counts.tolist() == _scalar_counts(seed, cum, total)
 
 
-# lane 78 is the last lane of a 20k-draw stream
-@pytest.mark.parametrize("lane", [0, 1, 2, 3, 78, 397])
+# lanes either side of the first two block edges, and the last lane of a 20k-draw stream
+@pytest.mark.parametrize("lane", [0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1,
+                                  2 * _BLOCK, 2 * _BLOCK + 1, -(-20000 // _LANE) - 1, 78, 397])
 def test_lane_starts_at_its_jump_ahead_draw(lane):
     seed = setting_seed(2023, 5)
     scalar = Xoshiro256PP(seed)
     for _ in range(lane * _LANE):
         scalar.next_u64()
-    state = np.array([Xoshiro256PP(seed).s], dtype=np.uint64)
-    for _ in range(lane):
-        state = _jump(state)
-    assert state[0].tolist() == scalar.s
-    assert int(_step(state.T.copy())[0]) == scalar.next_u64()
+    # stream 0 has lane + 1 full lanes and stream 1 one: columns 0 and 1 hold their
+    # lanes 0, and column l + 1 stream 0's lane l >= 1
+    state, owner, left = _lanes([seed, 7], np.array([(lane + 1) * _LANE, _LANE]))
+    assert left.size == 0 and owner.tolist() == [0, 1] + [0] * lane
+    column = state[:, lane + 1 if lane else 0]
+    assert column.tolist() == scalar.s
+    assert int(_step(column[:, None].copy())[0]) == scalar.next_u64()
+
+
+def test_lanes_put_each_stream_short_last_lane_last():
+    totals = np.array([2 * _LANE + 5, _LANE, 3, _LANE * _BLOCK + 1])
+    state, owner, left = _lanes([11, 12, 13, 14], totals)
+    lanes = -(-totals // _LANE)
+    assert len(owner) == lanes.sum()
+    assert owner[len(owner) - 3:].tolist() == [0, 2, 3] and left.tolist() == [5, 3, 1]
+    for i, seed in enumerate([11, 12, 13, 14]):  # each stream's lanes in order
+        scalar = Xoshiro256PP(seed)
+        for column in np.flatnonzero(owner == i):
+            assert state[:, column].tolist() == scalar.s
+            for _ in range(_LANE):
+                scalar.next_u64()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_lane_counts_match_scalar_stream_on_shared_tables(data):
+    # streams that share one cumulative table share its guide row, with their own tallies
+    cum = data.draw(cumulative_tables())
+    totals = data.draw(st.lists(st.sampled_from(EDGE_TOTALS) | st.integers(1, 3000),
+                                min_size=2, max_size=6, unique=True))
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=len(totals),
+                               max_size=len(totals)))
+    other = data.draw(cumulative_tables())
+    cums = [cum if i % 3 else list(other) for i in range(len(totals))]
+    got = inverse_cdf_counts(seeds, cums, totals)
+    for seed, c, total, counts in zip(seeds, cums, totals, got):
+        assert counts.tolist() == _scalar_counts(seed, c, total)
 
 
 def test_setting_seed_derivation():
@@ -508,7 +586,7 @@ def test_simulate_dataset_seed_list_matches_one_call_per_seed(M_i, seeds):
 
 
 def test_simulate_dataset_seed_list_in_capped_passes():
-    # 14 streams of 79 lanes: 14 steps per pass (_PASS // 1106), and a remainder pass
+    # 14 streams of 157 lanes: 5 steps per pass (_PASS // 2198), and a remainder pass
     ctx = _small_context()
     state = _small_state()
     seeds = list(range(7))
