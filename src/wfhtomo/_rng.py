@@ -41,7 +41,7 @@ _MASK = (1 << 64) - 1
 _LANE = 128  # draws per lane; lane k of a stream starts after k * _LANE steps
 _BLOCK = 16  # lanes per jump block, a power of 2
 _PASS = 12288  # most draws per pass, unless one step has more (binning holds ~19 B a draw)
-_G = 11  # guide-table bits: a draw k < 2**53 is in bucket k >> _SHIFT
+_G = 10  # guide-table bits: a draw k < 2**53 is in bucket k >> _SHIFT
 _SHIFT = 53 - _G
 _U = np.uint64
 _DIGITS = np.arange(64)[:, None] << 4  # the row of (digit p, value 0) in a digit table
@@ -184,8 +184,8 @@ def _guide(cums: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     keys = thr + (np.repeat(row, [len(c) for c in cums]) << 53)
     # key c is at most the first k of flat bucket (s << _G) + b from -(-key_c >> _SHIFT) on
     edges = np.diff(-(-keys >> _SHIFT), prepend=0, append=len(cums) << _G)
-    bins = np.arange(len(keys) + 1, dtype=np.int16 if len(keys) + len(cums) < 2 ** 15 else np.int32)
-    table = np.repeat(bins, edges).reshape(len(cums), -1) + row[:, None].astype(bins.dtype)
+    table = np.repeat(np.arange(len(keys) + 1, dtype=np.int32), edges).reshape(len(cums), -1)
+    table += row[:, None]
     inside = keys[keys & (2 ** _SHIFT - 1) != 0]
     table.reshape(-1)[inside >> _SHIFT] = -1
     return table, keys

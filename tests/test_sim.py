@@ -171,20 +171,6 @@ def test_lane_counts_match_scalar_stream_past_1023_streams():
                                          for i in range(n)]
 
 
-def test_lane_counts_match_scalar_stream_past_int16_guide_bins():
-    # 40 tables of 1000 outcomes: more global bins than an int16 guide table holds
-    rng = np.random.default_rng(3)
-    cums = []
-    for _ in range(40):
-        cum = np.cumsum(rng.random(1000))
-        cums.append((cum / cum[-1]).tolist()[:-1] + [1.0])
-    assert _guide([np.array(c) for c in cums])[0].dtype != np.int16
-    totals = [1 + 37 * i for i in range(40)]
-    got = inverse_cdf_counts(list(range(40)), cums, totals)
-    assert [c.tolist() for c in got] == [_scalar_counts(i, cums[i], totals[i])
-                                         for i in range(40)]
-
-
 def test_lane_pass_memory_on_the_quick_start_bootstrap_group(monkeypatch):
     # tracemalloc peak of one sampler call on the README's 2-seed bootstrap group:
     # 16 quick-start settings of 20,000 shots each
