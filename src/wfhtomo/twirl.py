@@ -231,8 +231,8 @@ def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
     return out
 
 
-# size of one stack of Fock unitaries in twirl_oracle_mc; a larger stack
-# gains little speed and raises peak memory
+# size of one stack of rest-mode Fock unitaries in twirl_oracle_mc; a larger
+# stack gains little speed and raises peak memory
 _STACK_BYTES = 256 * 1024
 
 
@@ -242,30 +242,44 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
 
     The Haar blocks are drawn sample by sample, group by group, from one
     generator, as ``haar_unitary`` would draw them one at a time: one normal
-    draw per stack of samples, one stacked QR per group. ``plt_on_fock`` maps
-    the samples in stacks of ``_STACK_BYTES``.
+    draw per stack of samples, one stacked QR per group. As X fixes mode 1, its
+    Fock unitary is I (x) R, R = plt_on_fock(X[1:, 1:]) on the other modes,
+    block diagonal in their photon number. ``plt_on_fock`` maps the samples onto
+    that rest basis in stacks of ``_STACK_BYTES``; one GEMM per stack adds to
+    Sop[(a, c), (b, d)] = sum over samples of R[a, c] conj(R[b, d]), for the
+    in-shell pairs |a| = |c|, |b| = |d|, and at the end
+    out[(n, a), (m, b)] = sum_{c, d} Sop[(a, c), (b, d)] rho[(n, c), (m, d)] / samples.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     basis = rho.basis
     S = basis.num_modes
     assign = _check_assignment(sector_assignment, S, partition.K, partition.s1_multi)
-    # mode groups the Haar blocks act on: per sector, its modes minus mode 1
-    groups = [[m for m in range(1, S) if assign[m] == k] for k in range(partition.K)]
+    if S == 1:  # no mode to mix: every X is the identity
+        return DenseOperator(basis, rho.entries.copy())
+    rest = OccupationBasis(S - 1, basis.cutoff)
+    # mode groups the Haar blocks act on, per sector, indexed within the rest modes
+    groups = [[m - 1 for m in range(1, S) if assign[m] == k] for k in range(partition.K)]
     blocks = [(len(modes), np.ix_(modes, modes)) for modes in groups if modes]
     width = [2 * size * size for size, _ in blocks]  # normals per sample and group
+    a, c = np.nonzero(rest.totals[:, None] == rest.totals)  # in-shell pairs (a, c)
     rng = np.random.default_rng(seed)
-    chunk = max(1, _STACK_BYTES // (16 * basis.size ** 2))
-    acc = np.zeros_like(rho.entries)
+    chunk = max(1, _STACK_BYTES // (16 * rest.size ** 2))
+    sop = np.zeros((len(a), len(a)), dtype=np.complex128)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        X = np.tile(np.eye(S, dtype=np.complex128), (count, 1, 1))
+        X = np.tile(np.eye(S - 1, dtype=np.complex128), (count, 1, 1))
         normals = np.split(rng.standard_normal((count, sum(width))), np.cumsum(width)[:-1], axis=1)
         for (size, block), z in zip(blocks, normals):
             X[(slice(None),) + block] = haar_from_normals(z.reshape(count, 2, size, size))
-        U = plt_on_fock(X, basis)
-        V = U @ rho.entries
-        acc += (V @ np.conj(U, out=U).transpose(0, 2, 1)).sum(0)  # U^dag, conjugated in place
+        F = plt_on_fock(X, rest)[:, a, c]
+        sop += F.T @ F.conj()
+    # (row, pair, source): row (n, a) reads rho's row (n, c) through pair (a, c)
+    row, pair, src = np.array([(i, p, basis.index(occ[:1] + rest.states[c[p]]))
+                               for i, occ in enumerate(basis.states)
+                               for p in np.flatnonzero(a == rest.index(occ[1:]))]).T
+    acc = np.zeros_like(rho.entries)
+    np.add.at(acc, (row[:, None], row), sop[np.ix_(pair, pair)] * rho.entries[np.ix_(src, src)])
     return DenseOperator(basis, acc / samples)
 
 

@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wfhtomo.fock import DenseOperator, OccupationBasis, StateSpec, fidelity, make_state
 from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock
@@ -252,12 +255,13 @@ def test_oracle_deterministic():
     np.testing.assert_allclose(a.entries, b.entries, atol=0)
 
 
-# samples = stacks * chunk + extra: 1, chunk - 1, chunk, chunk + 1, 2 chunk + 3
+# samples = stacks * chunk + extra: 1, chunk - 1, chunk, chunk + 1, 2 chunk + 3, where
+# chunk is the oracle's stack length over the rest basis (modes 2-5)
 @pytest.mark.parametrize("stacks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
 def test_oracle_matches_per_sample_loop_across_stack_edges(stacks, extra):
     # sector 1 holds modes 1-3, sector 2 modes 4-5: Haar groups [1, 2] and [3, 4]
     basis = OccupationBasis(5, 2)
-    samples = stacks * (_STACK_BYTES // (16 * basis.size ** 2)) + extra
+    samples = stacks * (_STACK_BYTES // (16 * OccupationBasis(4, 2).size ** 2)) + extra
     rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(16)))
     rng = np.random.default_rng(99)
     acc = np.zeros_like(rho.entries)
@@ -277,24 +281,113 @@ def test_oracle_matches_per_sample_loop_across_stack_edges(stacks, extra):
 ])
 def test_oracle_draws_are_bitwise_per_sample_haar(num_modes, assignment, partition):
     # the oracle's stacked draws and QR against haar_unitary sample by sample,
-    # group by group, mapped and summed in the oracle's own stacks
+    # group by group; each stack is mapped onto the rest basis (modes 2..S) and
+    # its in-shell products R[a, c] conj(R[b, d]) summed in the oracle's own stacks
     basis = OccupationBasis(num_modes, 2)
+    rest = OccupationBasis(num_modes - 1, 2)
     rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(17)))
     groups = [[m for m in range(1, num_modes) if assignment[m] == k]
               for k in range(partition.K)]
-    chunk = _STACK_BYTES // (16 * basis.size ** 2)
+    pairs = [(a, c) for a in range(rest.size) for c in range(rest.size)
+             if sum(rest.states[a]) == sum(rest.states[c])]
+    a, c = np.array(pairs).T
+    chunk = _STACK_BYTES // (16 * rest.size ** 2)
     samples = 2 * chunk + 3
     rng = np.random.default_rng(5)
-    acc = np.zeros_like(rho.entries)
+    sop = np.zeros((len(pairs), len(pairs)), dtype=np.complex128)
     for start in range(0, samples, chunk):
         X = np.tile(np.eye(num_modes, dtype=np.complex128), (min(chunk, samples - start), 1, 1))
         for x in X:
             for modes in groups:
                 x[np.ix_(modes, modes)] = haar_unitary(len(modes), rng)
-        U = plt_on_fock(X, basis)
-        acc += (U @ rho.entries @ U.conj().transpose(0, 2, 1)).sum(0)
+        F = plt_on_fock(X[:, 1:, 1:], rest)[:, a, c]
+        sop += F.T @ F.conj()
+    # out[(n, a), (m, b)] sums sop[(a, c), (b, d)] rho[(n, c), (m, d)], c outer, d inner
+    terms = [(i, p, basis.index((occ[0],) + rest.states[pairs[p][1]]))
+             for i, occ in enumerate(basis.states)
+             for p in range(len(pairs)) if rest.states[pairs[p][0]] == occ[1:]]
+    row, pair, src = (list(t) for t in zip(*terms))
+    product = sop[np.ix_(pair, pair)] * rho.entries[np.ix_(src, src)]
+    acc = np.zeros_like(rho.entries)
+    for t, i in enumerate(row):
+        for u, j in enumerate(row):
+            acc[i, j] += product[t, u]
     out = twirl_oracle_mc(rho, assignment, partition, samples=samples, seed=5)
     assert out.entries.tobytes() == (acc / samples).tobytes()
+
+
+_ETAS = ((0.6, 0.8), (0.5, math.sqrt(0.75)), (0.8, 0.6), (0.28, 0.96))
+
+
+@st.composite
+def _oracle_case(draw):
+    # mode 1 in sector 1; every other mode in sector 1 or in a sector numbered
+    # by first appearance, so that each sector holds at least one mode
+    S = draw(st.integers(1, 4))
+    cutoff = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.integers(0, S - 1), min_size=S - 1, max_size=S - 1))
+    named = list(dict.fromkeys(s for s in raw if s))
+    assignment = [0] + [named.index(s) + 1 if s else 0 for s in raw]
+    K = max(assignment) + 1
+    partition = PartitionSpec(sectors=_ETAS[:K], s1_multi=assignment.count(0) > 1)
+    chunk = _STACK_BYTES // (16 * OccupationBasis(S - 1, cutoff).size ** 2) if S > 1 else 1
+    samples = draw(st.integers(1, chunk + 2))
+    return S, cutoff, assignment, partition, samples, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@example((1, 3, [0], P1_SINGLE, 2, 0))
+@example((2, 2, [0, 1], P2_SINGLE, 3, 1))  # mode 1 alone in sector 1
+@example((4, 2, [0, 0, 1, 1], P2, 164, 2))  # two Haar groups, one stack and one sample
+@example((4, 2, [0, 1, 1, 2], PartitionSpec(sectors=_ETAS[:3], s1_multi=False), 2, 3))
+@given(_oracle_case())
+def test_oracle_property_matches_loop_hermitian_trace(case):
+    S, cutoff, assignment, partition, samples, seed = case
+    basis = OccupationBasis(S, cutoff)
+    rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(seed)))
+    groups = [[m for m in range(1, S) if assignment[m] == k] for k in range(partition.K)]
+    rng = np.random.default_rng(seed)
+    acc = np.zeros_like(rho.entries)
+    for _ in range(samples):
+        X = np.eye(S, dtype=np.complex128)
+        for modes in groups:
+            if modes:
+                X[np.ix_(modes, modes)] = haar_unitary(len(modes), rng)
+        U = plt_on_fock(X, basis).entries
+        acc += U @ rho.entries @ U.conj().T
+    out = twirl_oracle_mc(rho, assignment, partition, samples=samples, seed=seed).entries
+    assert np.max(np.abs(out - acc / samples)) <= 1e-13
+    assert np.max(np.abs(out - out.conj().T)) <= 1e-13
+    assert abs(np.trace(out) - np.trace(rho.entries)) <= 1e-12
+
+
+@pytest.mark.parametrize("samples", [True, 2.5, np.float64(3.0), "3", None, 0, -2])
+def test_oracle_refuses_samples_that_are_not_positive_integers(samples):
+    basis = OccupationBasis(2, 2)
+    rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(18)))
+    with pytest.raises(ValueError, match="samples"):
+        twirl_oracle_mc(rho, [0, 0], P1_MULTI, samples=samples, seed=0)
+
+
+def test_oracle_accepts_numpy_integer_samples():
+    basis = OccupationBasis(2, 2)
+    rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(18)))
+    a = twirl_oracle_mc(rho, [0, 0], P1_MULTI, samples=np.int64(5), seed=3)
+    b = twirl_oracle_mc(rho, [0, 0], P1_MULTI, samples=5, seed=3)
+    assert a.entries.tobytes() == b.entries.tobytes()
+
+
+def test_oracle_memory_on_the_criterion_05_shape():
+    # tracemalloc peak of one 1000-sample oracle call: 3 modes, N = 3, all in sector 1
+    basis = OccupationBasis(3, 3)
+    rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(19)))
+    tracemalloc.start()
+    try:
+        twirl_oracle_mc(rho, [0, 0, 0], P1_MULTI, samples=1000, seed=2024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2 ** 20
 
 
 def test_oracle_converges_to_analytic():
