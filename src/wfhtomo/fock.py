@@ -313,16 +313,16 @@ def poisson_table(mu, top: int) -> tuple[np.ndarray, np.ndarray]:
     """
     mu = np.asarray(mu, dtype=float)[:, None]
     # a scalar log per mean, as exp(n log mu - mu) is sensitive to its last bit
-    log_mu = np.array([[math.log(m) if m > 0 else 0.0] for m in mu[:, 0].tolist()])
+    log_mu = np.array([math.log(m) if m > 0 else 0.0 for m in mu[:, 0].tolist()])[:, None]
     n = np.arange(top + 1)
-    pmf = np.exp(n * log_mu - np.array([math.lgamma(k + 1.0) for k in range(top + 1)]) - mu)
+    pmf = np.exp(n * log_mu - np.array(list(map(math.lgamma, range(1, top + 2)))) - mu)
     pmf[mu[:, 0] == 0] = n == 0
-    below = np.cumsum(np.hstack([0.0 * mu, pmf[:, :-1]]), axis=1)  # P(X < s)
+    below = np.cumsum(np.concatenate([0.0 * mu, pmf[:, :-1]], axis=1), axis=1)  # P(X < s)
     # a row with P(X < top) > 1/2 has mu < top, so its masses past top (each mu/(n + 1)
     # times the one before) halve at least 64 times by 2 top + 64: the rest is below rounding
     seed = np.where(below[:, -1:] > 0.5, pmf[:, -1:], 0.0)
     far = seed * np.cumprod(mu / np.arange(top + 1, 2 * top + 65), axis=1)
-    above = np.cumsum(np.hstack([pmf, far])[:, ::-1], axis=1)[:, ::-1]
+    above = np.cumsum(np.concatenate([pmf, far], axis=1)[:, ::-1], axis=1)[:, ::-1]
     return pmf, np.where(below > 0.5, above[:, :top + 1], 1.0 - below)
 
 
@@ -355,21 +355,19 @@ def _check_density(mat: np.ndarray, label: str) -> None:
 def fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2.
 
-    Accepts two DenseOperators on the same basis or two block operators with
-    matching cutoff and tuple set (anything exposing a ``blocks`` dict of
-    tuple-indexed matrices). For block-diagonal states the multiplicity
+    Accepts two DenseOperators on the same basis or two ``BlockOperator``s
+    with matching cutoff and tuple set, as ``BlockOperator._zip`` checks them
+    (told apart by their ``blocks``). For block-diagonal states the multiplicity
     factors cancel, so the fidelity is the squared sum of per-block
     contributions.
     """
     if hasattr(rho1, "blocks") and hasattr(rho2, "blocks"):
-        if rho1.N != rho2.N or set(rho1.blocks) != set(rho2.blocks):
-            raise ValueError("block structure mismatch")  # as povm.HermitianCoords.stack says
+        pairs = {k: (a, b) for k, a, b in rho1._zip(rho2)}  # _zip checks the block structure
         tr1 = sum(np.trace(b).real for b in rho1.blocks.values())
         tr2 = sum(np.trace(b).real for b in rho2.blocks.values())
         if abs(tr1 - 1.0) > 1e-9 or abs(tr2 - 1.0) > 1e-9:
             raise ValueError("block operators must be trace-1 states")
-        total = sum(_tr_sqrt_sandwich(rho1.blocks[k], rho2.blocks[k])
-                    for k in sorted(rho1.blocks))
+        total = sum(_tr_sqrt_sandwich(*pairs[k]) for k in sorted(pairs))
         return min(1.0, total ** 2)
     if isinstance(rho1, DenseOperator) and isinstance(rho2, DenseOperator):
         if rho1.basis != rho2.basis:

@@ -9,7 +9,6 @@ partition, truncated at max photon number N.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -74,12 +73,10 @@ class CounterConfig:
             object.__setattr__(self, "response", mats)
 
     def to_json(self) -> dict:
-        return {
-            "counters": self.counters,
-            "n_c": self.N_c,
-            "loss": list(self.loss) if self.loss is not None else None,
-            "response": [m.tolist() for m in self.response] if self.response is not None else None,
-        }
+        return {"counters": self.counters, "n_c": self.N_c,
+                "loss": list(self.loss) if self.loss is not None else None,
+                "response": ([m.tolist() for m in self.response]
+                             if self.response is not None else None)}
 
     @classmethod
     def from_json(cls, d: dict) -> "CounterConfig":
@@ -90,13 +87,8 @@ class CounterConfig:
         if response is not None and not (isinstance(response, list)
                                          and all(map(is_json_matrix, response))):
             raise JsonFieldError("response must be a JSON array of matrices of numbers")
-        return cls(
-            counters=int_from_json(d, "counters"),
-            N_c=int_from_json(d, "n_c"),
-            loss=tuple(loss) if loss is not None else None,
-            response=tuple(np.array(m, dtype=float) for m in response)
-            if response is not None else None,
-        )
+        return cls(counters=int_from_json(d, "counters"), N_c=int_from_json(d, "n_c"),
+                   loss=loss, response=response)
 
 
 @dataclass
@@ -132,32 +124,34 @@ class HermitianCoords:
         self.dims = dims = np.array(dims, dtype=np.int64)
         self.D = int(dims.sum())
         self.start = np.cumsum(dims) - dims  # block offsets along the diagonal
-        self.at = np.cumsum(np.r_[0, dims ** 2])  # block offsets in a stack row, then its length
-        flat = self.at[:-1]
-        # each entry's transpose in a stack row; the identity is 1 where the two coincide
-        self.mirror = np.concatenate([a + np.arange(d * d).reshape(d, d).T.ravel()
-                                      for a, d in zip(self.at, self.dims)])
-        self.identity = (self.mirror == np.arange(self.at[-1])).astype(np.complex128)
-        parts = []
-        for b, d in enumerate(dims):
-            iu, ju = np.triu_indices(d, 1)
-            diag = np.arange(d)
-            parts.append((np.full(d + 2 * iu.size, b), np.r_[diag, iu, iu], np.r_[diag, ju, ju],
-                          np.r_[np.zeros(d + iu.size, np.int64), np.ones(iu.size, np.int64)]))
-        block, i, j, imag = (np.concatenate(a) for a in zip(*parts))
+        self.at = np.append(0, np.cumsum(dims ** 2))  # stack-row block offsets, then its length
+        # each stack entry's block, that block's first entry and dimension, row i and column j
+        entry, block = np.arange(self.at[-1]), np.repeat(np.arange(len(dims)), dims ** 2)
+        first, d = self.at[block], dims[block]
+        self.ij = i, j = np.divmod(entry - first, d)
+        self.mirror = first + j * d + i  # each entry's transpose in a stack row
+        self.identity = (i == j).astype(np.complex128)
+        # a block's coordinates: the diagonal, then the upper triangle row by row as Re,
+        # then as Im; an entry i <= j has its place, and one i < j a second, half on
+        upper, half = i < j, d * (d - 1) // 2
+        place = first + np.where(upper, d + i * d - i * (i + 1) // 2 + j - i - 1, i)
+        stack, imag = np.empty_like(entry), np.zeros_like(entry)
+        stack[place[i <= j]] = entry[i <= j]
+        stack[(place + half)[upper]], imag[(place + half)[upper]] = entry[upper], 1
+        block, i, j = block[stack], i[stack], j[stack]
         off = i != j
         self.weight = np.where(off, math.sqrt(2.0), 1.0)
         # positions in the float64 views of a stack row and of a raveled D x D
         # matrix; a stack row is read at (i, j) and (j, i), for its Hermitian part
-        self._stack = 2 * (flat[block] + i * dims[block] + j) + imag
-        self._stack_mirror = 2 * (flat[block] + j * dims[block] + i) + imag
+        self._stack = 2 * stack + imag
+        self._stack_mirror = 2 * self.mirror[stack] + imag
         self._sign = np.where(imag == 1, -1.0, 1.0)
         row, col = self.start[block] + i, self.start[block] + j
         self._dense = 2 * (row * self.D + col) + imag
         # unvec writes each coordinate at (row, col), and its conjugate at (col, row)
-        self._to = np.r_[self._dense, (2 * (col * self.D + row) + imag)[off]]
-        self._from = np.r_[np.arange(i.size), np.nonzero(off)[0]]
-        self._coef = np.r_[1.0 / self.weight, self._sign[off] / math.sqrt(2.0)]
+        self._to = np.concatenate([self._dense, (2 * (col * self.D + row) + imag)[off]])
+        self._from = np.concatenate([entry, np.flatnonzero(off)])
+        self._coef = np.concatenate([1.0 / self.weight, self._sign[off] / math.sqrt(2.0)])
 
     @classmethod
     def of(cls, N: int, length: int) -> "HermitianCoords":
@@ -230,11 +224,11 @@ def _counts(top: int, overflow: bool = False, first: int = 0) -> tuple[np.ndarra
 
 
 def _count_weights(e: float, alpha: np.ndarray, nu: float, sets: tuple, shifts: np.ndarray,
-                   dim: int) -> tuple[np.ndarray, np.ndarray]:
+                   fact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """W[g, s, i, j]: one counter's factor of the element for the amplitude
     alpha[g], summed over each count set s the mode-1 pair supplies once 0..N
     auxiliary photons are counted; and index[x, s'], the s of the set s' of
-    sets less x photons.
+    sets less x photons; fact[n] = n!, n = 0..N.
 
     A counter mode e a + alpha read with transmission nu contributes
     sum_{n in s} nu^n e^{-mu} (e a^dag + alpha*)^n ... (e a + alpha)^n / n!
@@ -243,22 +237,24 @@ def _count_weights(e: float, alpha: np.ndarray, nu: float, sets: tuple, shifts: 
     P(s - r) / ((i-t)! (j-t)! t!), where r = i + j - t and P(s - r) is the
     Poisson(mu) mass of the count set shifted down by r.
     """
+    dim = len(fact)
     # a set below 0 is empty, one reaching down to 0 holds every count
     starts, tails = (sets[0] - shifts).ravel(), np.tile(sets[1], len(shifts))
     code = 2 * np.where(tails, np.maximum(starts, 0), np.maximum(starts, -1)) + tails
     code, index = np.unique(code, return_inverse=True)  # sorted by (start, tail)
     start, tail = code // 2, code % 2 == 1
-    i, j, t = np.array([(i, j, t) for i in range(dim) for j in range(dim)
-                        for t in range(min(i, j) + 1)]).T
+    ijk = np.indices((dim,) * 3)
+    i, j, t = ijk[:, ijk[2] <= np.minimum(ijk[0], ijk[1])]  # the triples t <= min(i, j)
     r = i + j - t
-    fact = np.cumprod(np.r_[1.0, np.arange(1.0, dim)])
     alpha = alpha[:, None]
     coef = (e ** (i + j) * nu ** r * np.conj(alpha) ** (j - t) * alpha ** (i - t)
             / (fact[i - t] * fact[j - t] * fact[t]))
-    pmf, upper = poisson_table([nu * abs(complex(v)) ** 2 for v in alpha[:, 0]],
-                               max(int(np.max(start)), 0))
-    at = np.maximum(start[:, None] - r, 0)
-    mass = np.where(tail[:, None], upper[:, at], np.where(start[:, None] < r, 0.0, pmf[:, at]))
+    mu = [nu * abs(v) ** 2 for v in alpha[:, 0].tolist()]
+    pmf, upper = poisson_table(mu, max(int(start[-1]), 0))
+    # one gather from [pmf, upper, 0]: a tail set's upper mass, else the mass (0 below 0)
+    at = start[:, None] - r
+    at = np.where(tail[:, None], len(pmf[0]) + np.maximum(at, 0), np.where(at < 0, -1, at))
+    mass = np.concatenate([pmf, upper, np.zeros((len(mu), 1))], axis=1)[:, at]
     # summed over t by a product with the 0/1 map of (i, j, t) to (i, j)
     weights = _rows_matmul(coef[:, None] * mass, (i * dim + j)[:, None] == np.arange(dim * dim))
     return weights.reshape(len(alpha), -1, dim, dim), index.reshape(len(shifts), -1)
@@ -291,21 +287,21 @@ def _aux_weights(partition: PartitionSpec, layout: HermitianCoords, nu1: float,
 
 
 def _block_rows(u: np.ndarray, v: np.ndarray, index1: np.ndarray, index2: np.ndarray,
-                w: np.ndarray, at: np.ndarray, dims: np.ndarray) -> np.ndarray:
+                w: np.ndarray, at: np.ndarray, dims: np.ndarray, left: np.ndarray,
+                right: np.ndarray) -> np.ndarray:
     """out[g, s1, s2, at[b]:at[b] + d * d], d = dims[b]: the raveled sum over x, y
     of w[b, x, y] conv(u[g, index1[x, s1]], v[g, index2[y, s2]]), conv(A, B)[r, c]
-    = sum_{p, q} A[r - p, q] B[p, c - q] cut at d. One product per block sums
-    over (x, y, p, q), s2 and r down its rows, s1 and g along its stack: its
-    summed and column lengths are the layout's, so each entry comes out bit for
-    bit as in any other batch of gammas or sets."""
+    = sum_{p, q} A[r - p, q] B[p, c - q] cut at d, read through left and right
+    (_counting_rows). One product per block sums over (x, y, p, q), s2 and r
+    down its rows, s1 and g along its stack: its summed and column lengths are
+    the layout's, so each entry comes out bit for bit as in any other batch of
+    gammas or sets. They keep that shape: folding s1 into the columns made the
+    load about 10 % faster, but changed the bits of P on six of six contexts."""
     (G, _, dim, _), n1, n2 = u.shape, index1.shape[1], index2.shape[1]
     out = np.empty((G, n1, n2, at[-1]), dtype=np.complex128)
     # u and v raveled per g, then a 0 to read at -1; np.take lays the operands out
     # contiguously, as numpy sums a product of others itself, in another order than BLAS
     u, v = (np.concatenate([m.reshape(G, -1), np.zeros((G, 1), m.dtype)], axis=1) for m in (u, v))
-    i, j, k = np.ogrid[:dim, :dim, :dim]  # an entry that is 0 is read at -2^62, below any item
-    left = np.where(j <= i, (i - j) * dim + k, -2 ** 62)  # [r, p, q]: A[r - p, q]
-    right = np.where(j <= k, i * dim + k - j, -2 ** 62)  # [p, q, c]: B[p, c - q]
     for w_b, a, d in zip(w, at, dims):
         x, y = np.nonzero(w_b)
         lhs = np.take(v, np.maximum(index2[y].T[:, None, :, None, None] * dim * dim
@@ -343,21 +339,24 @@ def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoor
     G, dim = len(gammas), layout.N + 1
     shifts = np.arange(dim if slot_sectors(partition.K, partition.s1_multi) else 1)[:, None]
     gammas = np.array(gammas, dtype=np.complex128)
-    fact = np.cumprod(np.r_[1.0, np.arange(1.0, dim)])
+    fact = np.cumprod(np.arange(dim, dtype=float).clip(1.0))  # n!
+    # the read maps of conv in both _block_rows calls; a 0 entry is read at -2^62
+    i, j, k = np.indices((dim,) * 3, sparse=True)
+    gather = (np.where(j <= i, (i - j) * dim + k, -2 ** 62),  # [r, p, q]: A[r - p, q]
+              np.where(j <= k, i * dim + k - j, -2 ** 62))  # [p, q, c]: B[p, c - q]
     u, n = np.tril_indices(dim)
     x = (1 - nus[0]) * eta ** 2 + (1 - nus[1]) * zeta ** 2  # 1 - nu1 eta^2 - nu2 zeta^2
     t = np.zeros((G, dim, dim), dtype=np.complex128)  # T[u, n] = (-s)^(u - n) / (u - n)!
     t[:, u, n] = (-eta * zeta * (nus[0] - nus[1]) * gammas[:, None]) ** (u - n) / fact[u - n]
     # M' = T diag(x^n / n!) T^dag
     middle = (t * (x ** np.arange(dim) / fact)) @ np.conj(t).transpose(0, 2, 1)
-    factors, index = zip(*(_count_weights(e, c * gammas, nu, counts, shifts, dim) for
+    factors, index = zip(*(_count_weights(e, c * gammas, nu, counts, shifts, fact) for
                            counts, e, c, nu in zip(sets, (eta, zeta), (zeta, -eta), nus)))
     conv2 = _block_rows(factors[1], middle[:, None], np.arange(factors[1].shape[1])[None],
-                        np.zeros((1, 1), int), np.ones((1, 1, 1)), [0, dim * dim], [dim])
-    scale = np.concatenate([np.outer(fact[:d], fact[:d]).ravel() for d in layout.dims]) ** 0.5
+                        np.zeros((1, 1), int), np.ones((1, 1, 1)), [0, dim * dim], [dim], *gather)
     rows = _block_rows(factors[0], conv2.reshape(G, -1, dim, dim), *index,
-                       _aux_weights(partition, layout, *nus), layout.at, layout.dims)
-    rows *= scale
+                       _aux_weights(partition, layout, *nus), layout.at, layout.dims, *gather)
+    rows *= (fact[layout.ij[0]] * fact[layout.ij[1]]) ** 0.5  # sqrt(r! c!) at each entry (r, c)
     return rows
 
 
@@ -438,17 +437,13 @@ def identity_response(N_c: int, M_cut: int) -> np.ndarray:
     return T
 
 
-def _overflow_label(row: int, N_c: int):
-    return row if row <= N_c else ">"
-
-
 def _respond(v: np.ndarray, config: CounterConfig) -> tuple[list, np.ndarray]:
     """Outcome labels and rows from flattened ideal elements (photons present
     0..M_cut, row-major over counters) and the config's responses, loss folded in."""
     mats = config.response
     if config.loss is not None:
         mats = tuple(compose_response(t, nu) for t, nu in zip(mats, config.loss))
-    labels = [_overflow_label(r, config.N_c) for r in range(config.N_c + 2)]
+    labels = [*range(config.N_c + 1), ">"]  # counts, then overflow
     if config.counters == 1:
         return [(o,) for o in labels], mats[0] @ v
     weights = np.einsum("km,ln->klmn", *mats).reshape(len(labels) ** 2, -1)
@@ -471,35 +466,27 @@ class Setting:
         if self.detector == "click" and (self.counter.loss or self.counter.response):
             raise ValueError("click detectors with loss/response are not supported")
         gamma = complex(self.gamma)
-        if not np.isfinite(gamma):
+        if not (math.isfinite(gamma.real) and math.isfinite(gamma.imag)):
             raise ValueError(f"gamma must be finite, got {gamma}")
         object.__setattr__(self, "gamma", gamma)
 
     def to_json(self) -> dict:
-        return {
-            "gamma": complex_to_json(self.gamma),
-            "counter": self.counter.to_json(),
-            "partition": self.partition.to_json(),
-            "N": int(self.N),
-            "detector": self.detector,
-        }
+        return {"gamma": complex_to_json(self.gamma), "counter": self.counter.to_json(),
+                "partition": self.partition.to_json(), "N": int(self.N), "detector": self.detector}
 
     @classmethod
-    def from_json(cls, d: dict) -> "Setting":
-        counter = field_from_json(d, "counter", CounterConfig.from_json)
-        return cls(
-            gamma=field_from_json(d, "gamma", complex_from_json),
-            counter=counter,
-            partition=field_from_json(d, "partition", PartitionSpec.from_json),
-            N=int_from_json(d, "N"),
-            detector=d.get("detector", "counting"),
-        )
+    def from_json(cls, d: dict, field=field_from_json) -> "Setting":
+        """A setting from JSON; field(d, key, parse) reads its counter and partition."""
+        counter = field(d, "counter", CounterConfig.from_json)
+        return cls(gamma=field_from_json(d, "gamma", complex_from_json), counter=counter,
+                   partition=field(d, "partition", PartitionSpec.from_json),
+                   N=int_from_json(d, "N"), detector=d.get("detector", "counting"))
 
 
-def _group_rows(settings: list[Setting], layout: HermitianCoords) -> list[tuple]:
-    """Outcome labels and element rows (stack rows of the layout, as the kernel
-    computes them, in a fixed construction order) of each of settings, which
-    differ only in gamma and are built by one kernel pass."""
+def _group_rows(settings: list[Setting], layout: HermitianCoords) -> tuple[list, np.ndarray]:
+    """The outcome labels of settings, which differ only in gamma, and their
+    element rows [g, outcome] (stack rows of the layout, as the kernel computes
+    them, in a fixed construction order), built by one kernel pass."""
     first = settings[0]
     gammas = [s.gamma for s in settings]
     cfg, part = first.counter, first.partition
@@ -518,7 +505,7 @@ def _group_rows(settings: list[Setting], layout: HermitianCoords) -> list[tuple]
     else:
         nus = cfg.loss or (1.0, 1.0)
         counts = _counts(cfg.N_c, overflow=True)
-        names = [_overflow_label(k, cfg.N_c) for k in range(cfg.N_c + 2)]
+        names = [*range(cfg.N_c + 1), ">"]
         if cfg.counters == 1:
             rows = _counting_rows(gammas, part, layout, (nus[0], 0.0), (counts, _counts(0)))
             labels, rows = [(o,) for o in names], rows[:, :, 0]
@@ -530,13 +517,14 @@ def _group_rows(settings: list[Setting], layout: HermitianCoords) -> list[tuple]
                      + [(n, l) for l in range(n)] + [(n, n)])
             k, l = np.array(order).T
             labels, rows = [(names[k], names[l]) for k, l in order], rows[:, k, l]
-    return [(labels, r) for r in rows]
+    return labels, rows
 
 
 def build_povm(setting: Setting) -> dict:
     """Complete outcome map for one setting, in a fixed construction order."""
     layout = _layout(setting.partition, setting.N)
-    return _wrap(*_group_rows([setting], layout)[0], layout, setting.gamma)
+    labels, rows = _group_rows([setting], layout)
+    return _wrap(labels, rows[0], layout, setting.gamma)
 
 
 class DatasetMismatch(ValueError):
@@ -550,9 +538,9 @@ class MeasurementContext:
 
     Setting s has outcomes labels[s], their elements the stack rows rows[s]
     of ``coords``; they own rows ``offsets[s]:offsets[s + 1]`` of ``P``, in
-    that order (``row_of[s]`` maps each outcome to its row), so a state with
-    coordinates x has Born probabilities ``P @ x``. ``rank`` is the rank of
-    ``P``, and ``P.shape[1]`` the number of real parameters of a state.
+    that order (``row_of[s]``, built on first use, maps each outcome to its
+    row), so a state with coordinates x has Born probabilities ``P @ x``.
+    ``rank`` is P's rank, and ``P.shape[1]`` the real parameters of a state.
     """
 
     settings: list[Setting]
@@ -563,8 +551,6 @@ class MeasurementContext:
     def __post_init__(self):
         self.P = self.coords.rows(np.concatenate(self.rows))
         self.offsets = np.cumsum([0] + [len(labels) for labels in self.labels])
-        self.row_of = [dict(zip(labels, range(at, at + len(labels))))
-                       for labels, at in zip(self.labels, self.offsets)]
         self.rank = numerical_rank(np.linalg.qr(self.P, mode="r"))  # R has P's singular values
 
     @classmethod
@@ -581,19 +567,25 @@ class MeasurementContext:
                                  "a context holds one partition and one N")
         layout = _layout(first.partition, first.N)
         groups: dict[tuple, list[int]] = {}
-        for s, setting in enumerate(settings):  # alike but for gamma; counters compared as JSON
-            groups.setdefault((setting.detector, json.dumps(setting.counter.to_json())),
-                              []).append(s)
+        for s, setting in enumerate(settings):  # alike but for gamma; counters by their JSON
+            groups.setdefault((setting.detector, repr(setting.counter.to_json())), []).append(s)
         labels, rows, dev = ([None] * len(settings) for _ in range(3))
         for members in groups.values():
-            group = _group_rows([settings[s] for s in members], layout)
-            for s, (labels[s], rows[s]) in zip(members, group):
-                dev[s] = float(np.max(np.abs(rows[s].sum(axis=0) - layout.identity)))
+            names, group = _group_rows([settings[s] for s in members], layout)
+            devs = np.max(np.abs(group.sum(axis=1) - layout.identity), axis=1).tolist()
+            for s, rows[s], dev[s] in zip(members, group, devs):
+                labels[s] = names
         for s, setting in enumerate(settings):
             if not dev[s] <= 1e-8:
                 raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
                                  f"within {dev[s]:.3e}")
         return cls(list(settings), labels, rows, layout)
+
+    @cached_property
+    def row_of(self) -> list[dict]:
+        """Each setting's map of outcome to row of P, built on first use."""
+        return [dict(zip(labels, range(at, at + len(labels))))
+                for labels, at in zip(self.labels, self.offsets)]
 
     @cached_property
     def povms(self) -> list[dict]:
@@ -635,8 +627,16 @@ class MeasurementContext:
     @classmethod
     def from_json(cls, d: dict) -> "MeasurementContext":
         # Older files carry "tail_tol" and "conv_cut"; the elements are exact,
-        # so both are ignored.
-        return cls.build(list_from_json(d, "settings", Setting.from_json))
+        # so both are ignored. A counter or partition that settings repeat is
+        # parsed and checked once, found by the repr of its JSON (types kept).
+        parsed = {}
+
+        def once(s: dict, key: str, parse):
+            raw = key, repr(s.get(key))
+            if raw not in parsed:
+                parsed[raw] = field_from_json(s, key, parse)
+            return parsed[raw]
+        return cls.build(list_from_json(d, "settings", lambda s: Setting.from_json(s, once)))
 
 
 def ic_check(context: MeasurementContext) -> dict:

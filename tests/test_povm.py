@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from wfhtomo import povm as povm_module
-from wfhtomo.fock import StateSpec, make_state
+from wfhtomo.fock import JsonFieldError, StateSpec, make_state
 from wfhtomo.optics import PartitionSpec, standard_block
 from wfhtomo.povm import (
     CounterConfig,
@@ -585,9 +586,9 @@ def test_context_build_rejects_nan_completeness(monkeypatch):
     import wfhtomo.povm as povm_module
 
     setting = Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=1), partition=P1, N=2)
-    [(labels, rows)] = povm_module._group_rows([setting], povm_module._layout(P1, 2))
-    rows[labels.index((0, 0)), 0] = math.nan  # element (0, 0), vacuum entry
-    monkeypatch.setattr(povm_module, "_group_rows", lambda settings, layout: [(labels, rows)])
+    labels, rows = povm_module._group_rows([setting], povm_module._layout(P1, 2))
+    rows[0, labels.index((0, 0)), 0] = math.nan  # element (0, 0), vacuum entry
+    monkeypatch.setattr(povm_module, "_group_rows", lambda settings, layout: (labels, rows))
     with pytest.raises(ValueError, match="sums to identity"):
         MeasurementContext.build([setting])
 
@@ -605,6 +606,51 @@ def test_quick_start_context_rows_match_each_setting_built_alone(loss):
         alone = MeasurementContext.build([setting])
         assert labels == alone.labels[0]
         assert rows.tobytes() == alone.rows[0].tobytes()
+
+
+def held_arrays(obj) -> list:
+    """Every ndarray an object holds in an attribute, alone or in a list or tuple."""
+    found = []
+    for value in vars(obj).values():
+        found += [v for v in (value if isinstance(value, (list, tuple)) else [value])
+                  if isinstance(v, np.ndarray)]
+    return found
+
+
+def test_two_loads_of_one_context_file_share_nothing(tmp_path):
+    # a load keeps nothing for the next one: no array of one context or of its
+    # layout, lazy views included, shares memory with the other's
+    readme = PartitionSpec(sectors=((0.5 ** 0.5, 0.5 ** 0.5),), s1_multi=True)
+    settings = [Setting(gamma=g, counter=CounterConfig(counters=2, N_c=6, loss=(0.8, 0.7)),
+                        partition=readme, N=3) for g in design_gamma(3, seed=7).gammas]
+    path = tmp_path / "context.json"
+    path.write_text(json.dumps(MeasurementContext.build(settings).to_json()))
+    a, b = (MeasurementContext.from_json(json.loads(path.read_text())) for _ in range(2))
+    for context in (a, b):
+        assert context.row_of and context.povms  # built on first use
+    assert a.coords is not b.coords
+    mine, theirs = held_arrays(a) + held_arrays(a.coords), held_arrays(b) + held_arrays(b.coords)
+    assert len(mine) == len(theirs) > 16
+    for x in mine:
+        for y in theirs:
+            assert not np.shares_memory(x, y)
+
+
+@pytest.mark.parametrize("field, key, value", [
+    ("counter", "n_c", 6.0), ("counter", "counters", 2.0), ("partition", "s1_multi", 1)])
+def test_a_repeated_counter_or_partition_is_still_checked_in_each_setting(field, key, value):
+    # a load parses a counter or partition that settings repeat verbatim once; a
+    # copy that Python finds equal but that holds another JSON type is checked anew
+    settings = [Setting(gamma=g, counter=CounterConfig(counters=2, N_c=6), partition=BAL_MULTI,
+                        N=2) for g in (0.5, 1j, -0.7)]
+    payload = MeasurementContext.build(settings).to_json()
+    loaded = MeasurementContext.from_json(json.loads(json.dumps(payload)))
+    assert loaded.settings[0].counter is loaded.settings[2].counter
+    assert loaded.settings[0].partition is loaded.settings[2].partition
+    assert payload["settings"][2][field][key] == value  # equal in Python, not in JSON
+    payload["settings"][2][field][key] = value
+    with pytest.raises(JsonFieldError, match=re.escape(f"settings[2].{field}.{key} must be")):
+        MeasurementContext.from_json(payload)
 
 
 def test_context_json_ignores_truncation_keys():

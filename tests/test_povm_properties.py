@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from wfhtomo.optics import PartitionSpec
 from wfhtomo.povm import (CounterConfig, HermitianCoords, MeasurementContext, Setting,
                           apply_loss, build_povm, identity_response, pi_kl)
 from wfhtomo.sim import probabilities
-from wfhtomo.twirl import BlockOperator
+from wfhtomo.twirl import BlockOperator, block_tuples
+
+from block_reference import layout_maps
 
 unit = st.floats(0.0, 1.0)
 transmission = st.floats(0.1, 0.9)
@@ -222,3 +225,39 @@ def test_completeness_error_names_the_first_bad_setting(settings_, at):
     [group] = [g for g in by_layout(mixed) if any(s is first for s in g)]
     with pytest.raises(ValueError, match=re.escape(f"POVM for gamma={bad[0].gamma} ")):
         MeasurementContext.build(group)
+
+
+def hermitian_blocks(dims, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for d in dims:
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        blocks.append((a + a.conj().T) / 2)
+    return blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(1, 8), min_size=1, max_size=6), seed=st.integers(0, 2 ** 32 - 1))
+def test_layout_index_maps_match_the_per_block_reference(dims, seed):
+    # the layout's index maps are built by whole-array arithmetic; each must equal
+    # the per-block loop of block_reference.layout_maps, dtype and bits included
+    coords = HermitianCoords(dims)
+    for name, want in layout_maps(dims).items():
+        got = getattr(coords, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    # a stack row (the blocks raveled and concatenated) and the dense matrix of a
+    # Hermitian X give the same coordinates, bit for bit
+    blocks = hermitian_blocks(dims, seed)
+    row = np.concatenate([b.ravel() for b in blocks])[None]
+    assert coords.rows(row)[0].tobytes() == coords.vec(block_diag(*blocks)).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.integers(0, 5), length=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_of_a_stacked_operator_equal_vec_of_its_dense_form(N, length, seed):
+    coords = HermitianCoords.of(N, length)
+    blocks = hermitian_blocks(coords.dims, seed)
+    op = BlockOperator(N, dict(zip(block_tuples(N, length), blocks)))
+    want = coords.vec(block_diag(*blocks))
+    assert coords.rows(coords.stack([op]))[0].tobytes() == want.tobytes()
