@@ -44,6 +44,9 @@ _PASS = 12288  # most draws per pass, unless one step has more (binning holds ~1
 _G = 10  # guide-table bits: a draw k < 2**53 is in bucket k >> _SHIFT
 _SHIFT = 53 - _G
 _U = np.uint64
+# the shift amounts of _step and _bins, as 0-d arrays (see _step)
+_S11, _S17, _S19, _S23, _S41, _S45, _S_BUCKET = (np.array(k, dtype=_U)
+                                                 for k in (11, 17, 19, 23, 41, 45, 64 - _G))
 _DIGITS = np.arange(64)[:, None] << 4  # the row of (digit p, value 0) in a digit table
 _jumps = None  # the digit tables of J and J_B, built on first use
 
@@ -95,21 +98,28 @@ def setting_seed(seed: int, index: int) -> int:
     return SplitMix64((seed ^ index) & _MASK).next_u64()
 
 
-def _step(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _step(s: np.ndarray, out: np.ndarray | None = None,
+          scratch: np.ndarray | None = None) -> np.ndarray:
     """One xoshiro256++ step of every lane of s (4 words x lanes), in place;
-    returns the lanes' outputs, written into out when it is given."""
+    returns the lanes' outputs, written into out when it is given.
+
+    scratch, a lane-sized uint64 row, holds both shifted temporaries, so a loop
+    of steps allocates nothing; without it each step allocates the row. Every
+    shift amount is a 0-d array (_S17 ...): a ufunc converts a numpy-scalar
+    operand to an array on every call, which costs about as much as shifting a
+    row of 2.5k lanes, the quick start's size."""
     s0, s1, s2, s3 = s
     result = np.add(s0, s3, out=out)
-    high = result >> _U(41)
-    result <<= _U(23)
+    high = np.right_shift(result, _S41, out=scratch)
+    result <<= _S23
     result |= high  # rotl(s0 + s3, 23)
     result += s0
-    t = s1 << _U(17)
+    t = np.left_shift(s1, _S17, out=high)
     s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
     s[:2] ^= s[:1:-1]  # s0 ^= s3, s1 ^= s2
     s2 ^= t
-    np.right_shift(s3, _U(19), out=t)
-    s3 <<= _U(45)
+    np.right_shift(s3, _S19, out=t)
+    s3 <<= _S45
     s3 |= t  # rotl(s3, 45)
     return result
 
@@ -194,13 +204,13 @@ def _guide(cums: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _bins(table: np.ndarray, keys: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Global bins (see _guide) of draws k = x >> 11 (x uint64) from tables rows >> _G: the
     bucket is x's top _G bits; only a draw in an ambiguous bucket is searched by its k."""
-    index = np.right_shift(x, _U(64 - _G)).view(np.int64)
+    index = np.right_shift(x, _S_BUCKET).view(np.int64)
     index += rows
     bins = np.take(table, index)
     amb = np.flatnonzero(bins < 0)
     if amb.size:
         s = index.reshape(-1)[amb] >> _G
-        k = (x.reshape(-1)[amb] >> _U(11)).view(np.int64)
+        k = (x.reshape(-1)[amb] >> _S11).view(np.int64)
         bins.reshape(-1)[amb] = np.searchsorted(keys, (s << 53) + k, "right") + s
     return bins
 
@@ -213,6 +223,9 @@ def inverse_cdf_counts(seeds: list[int], cums: list[list[float]], totals: list[i
     cums[i] must be non-decreasing and end at 1.0. The result equals the scalar loop,
     but all lanes (_lanes) of all streams step together, and each draw is binned by
     its table's guide row (_guide, _bins), then moved into its stream's tally.
+    A quick-start call steps 2.5k-5k lanes, where a numpy call's fixed cost is about
+    as large as its arithmetic: so one scratch row, allocated once, serves every
+    step's temporaries, and the shift operands are 0-d arrays (see _step).
     """
     if len(seeds) > 1023:  # _guide's keys s * 2**53 + threshold must fit in int64
         return (inverse_cdf_counts(seeds[:1023], cums[:1023], totals[:1023])
@@ -230,12 +243,12 @@ def inverse_cdf_counts(seeds: list[int], cums: list[list[float]], totals: list[i
     tally = np.zeros(spare[-1] + 1, dtype=np.int64)
     steps = int(min(_LANE, totals.max()))
     chunk = np.empty((min(steps, max(1, _PASS // len(owner))), len(owner)), dtype=np.uint64)
+    scratch = np.empty(len(owner), dtype=np.uint64)  # every step's temporaries (_step)
     for j0 in range(0, steps, len(chunk)):
         x = chunk[:steps - j0]
         for r in x:
-            _step(state, r)
-        bins = _bins(table, keys, rows, x).astype(np.int64)
-        bins += shift  # each stream's own tally
+            _step(state, r, scratch)
+        bins = np.add(_bins(table, keys, rows, x), shift, dtype=np.int64)  # own tallies
         if left.size and j0 + len(x) > left.min():
             past = j0 + np.arange(len(x))[:, None] >= left  # steps after a stream's end
             bins[:, len(owner) - left.size:][past] = spare[-1]

@@ -540,7 +540,8 @@ class MeasurementContext:
     of ``coords``; they own rows ``offsets[s]:offsets[s + 1]`` of ``P``, in
     that order (``row_of[s]``, built on first use, maps each outcome to its
     row), so a state with coordinates x has Born probabilities ``P @ x``.
-    ``rank`` is P's rank, and ``P.shape[1]`` the real parameters of a state.
+    ``rank`` is P's rank, computed on first use (sampling never reads it), and
+    ``P.shape[1]`` the real parameters of a state.
     """
 
     settings: list[Setting]
@@ -551,7 +552,6 @@ class MeasurementContext:
     def __post_init__(self):
         self.P = self.coords.rows(np.concatenate(self.rows))
         self.offsets = np.cumsum([0] + [len(labels) for labels in self.labels])
-        self.rank = numerical_rank(np.linalg.qr(self.P, mode="r"))  # R has P's singular values
 
     @classmethod
     def build(cls, settings: list[Setting]) -> "MeasurementContext":
@@ -567,8 +567,10 @@ class MeasurementContext:
                                  "a context holds one partition and one N")
         layout = _layout(first.partition, first.N)
         groups: dict[tuple, list[int]] = {}
+        counters = {id(s.counter): s.counter for s in settings}  # settings keeps each alive
+        key = {i: repr(c.to_json()) for i, c in counters.items()}  # once per distinct counter
         for s, setting in enumerate(settings):  # alike but for gamma; counters by their JSON
-            groups.setdefault((setting.detector, repr(setting.counter.to_json())), []).append(s)
+            groups.setdefault((setting.detector, key[id(setting.counter)]), []).append(s)
         labels, rows, dev = ([None] * len(settings) for _ in range(3))
         for members in groups.values():
             names, group = _group_rows([settings[s] for s in members], layout)
@@ -580,6 +582,10 @@ class MeasurementContext:
                 raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
                                  f"within {dev[s]:.3e}")
         return cls(list(settings), labels, rows, layout)
+
+    @cached_property
+    def rank(self) -> int:
+        return numerical_rank(np.linalg.qr(self.P, mode="r"))  # R has P's singular values
 
     @cached_property
     def row_of(self) -> list[dict]:

@@ -156,9 +156,10 @@ class Dataset:
         return int(sum(self.M_i))
 
     def to_json(self) -> dict:
+        label = {o: format_outcome(o) for o in set().union(*self.counts)}  # once per outcome
         settings = []
         for i, c in enumerate(self.counts):
-            entry = {"counts": {format_outcome(o): int(n) for o, n in c.items()}}
+            entry = {"counts": {label[o]: int(n) for o, n in c.items()}}
             if self.gammas is not None:
                 entry["gamma"] = complex_to_json(self.gammas[i])
             settings.append(entry)

@@ -319,8 +319,8 @@ def test_simulate_deterministic(capsys, workspace, tmp_path):
 
 
 def test_readme_quick_start_dataset_is_byte_identical(capsys, tmp_path):
-    # the README quick-start: its simulate data.json and its bootstrap boot.json are
-    # pinned byte for byte
+    # the README quick-start: its simulate data.json, its reconstruct report.json (whose
+    # traces are the fit's iterates) and its bootstrap boot.json are pinned byte for byte
     def run(*argv):
         assert run_cli(capsys, *argv)[0] == 0
 
@@ -340,6 +340,8 @@ def test_readme_quick_start_dataset_is_byte_identical(capsys, tmp_path):
     run("reconstruct", "--context", str(tmp_path / "context.json"), "--data",
         str(tmp_path / "data.json"), "--true-state", str(tmp_path / "truth.json"),
         "--out", str(tmp_path / "report.json"))
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == \
+        "70ce9fd3d52aeb26c2e779ba581684f92ed36522b8893a138e2af7faa7cd138b"
     estimate = json.loads((tmp_path / "report.json").read_text())["estimate"]
     (tmp_path / "estimate.json").write_text(json.dumps(estimate))
     run("bootstrap", "--estimate", str(tmp_path / "estimate.json"), "--context",

@@ -141,6 +141,14 @@ def test_log_likelihood_half_half(rho_true):
     assert log_likelihood(rho_true, ctx2, data) == pytest.approx(4 * math.log(0.5))
 
 
+def test_log_likelihood_with_no_counted_outcome_is_zero(rho_true):
+    # an empty sum: no outcome is counted, so none can have zero probability
+    ctx1 = one_outcome_context(rho_true)
+    data = Dataset(counts=[{(0,): 0}], M_i=[0], seed=0)
+    with np.errstate(invalid="ignore"):  # the gradient beside it is 0 / 0 at M = 0
+        assert log_likelihood(rho_true, ctx1, data) == 0.0
+
+
 def test_log_likelihood_minus_inf():
     N = 2
     proj = BlockOperator.zeros(N, 0)
@@ -261,6 +269,31 @@ def test_herm_vec_isometry():
     assert np.allclose(coords.unvec(coords.vec(dense)), dense, atol=1e-12)
     assert np.trace(dense @ dense).real == pytest.approx(
         float(coords.vec(dense) @ coords.vec(dense)), abs=1e-10)
+
+
+def reference_simplex(u):
+    """The simplex projection as numpy array arithmetic: sort, cumsum, the last
+    index that passes, then max(u - tau, 0)."""
+    s = np.sort(u)[::-1]
+    excess = np.cumsum(s) - 1.0
+    k = np.nonzero(s * np.arange(1, s.size + 1) > excess)[0][-1]
+    return np.maximum(u - excess[k] / (k + 1), 0.0)
+
+
+_TIED = st.sampled_from([0.0, -0.0, 0.1, 0.25, -0.25, 1.0 / 3.0, 0.5, 1.0, -1.0, 2.0])
+_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.one_of(st.lists(_VALUES, min_size=1, max_size=21),  # distinct, any sign
+                   st.lists(_TIED, min_size=1, max_size=21),  # ties, signed zeros
+                   st.tuples(st.one_of(_TIED, _VALUES), st.integers(1, 21)).map(
+                       lambda vn: [vn[0]] * vn[1]),  # all equal
+                   st.lists(st.floats(-0.1, 0.3), min_size=1, max_size=21)),  # spectra
+       scale=st.sampled_from([1.0, 1e-3, 1e3]))
+def test_simplex_matches_numpy_formula_bit_for_bit(u, scale):
+    u = np.array(u) * scale
+    assert _simplex(u).tobytes() == reference_simplex(u).tobytes()
 
 
 def per_block_projection(coords, dims, v):

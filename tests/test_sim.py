@@ -222,6 +222,18 @@ def test_lane_starts_at_its_jump_ahead_draw(lane):
     assert int(_step(column[:, None].copy())[0]) == scalar.next_u64()
 
 
+@pytest.mark.parametrize("lanes", [1, 7, 2512])
+def test_step_with_a_scratch_row_matches_one_without(lanes):
+    # the scratch row holds only temporaries: outputs and states are the same bits
+    state, _, _ = _lanes(list(range(lanes)), np.full(lanes, _LANE))
+    plain, reused = state.copy(), state.copy()
+    scratch, out = np.empty(lanes, dtype=np.uint64), np.empty(lanes, dtype=np.uint64)
+    for _ in range(3):
+        want = _step(plain)
+        assert _step(reused, out, scratch) is out
+        assert np.array_equal(out, want) and np.array_equal(reused, plain)
+
+
 def test_lanes_put_each_stream_short_last_lane_last():
     totals = np.array([2 * _LANE + 5, _LANE, 3, _LANE * _BLOCK + 1])
     state, owner, left = _lanes([11, 12, 13, 14], totals)
