@@ -516,7 +516,8 @@ def _group_rows(settings: list[Setting], layout: HermitianCoords) -> tuple[list,
             order = ([(k, l) for k in range(n) for l in range(n)] + [(k, n) for k in range(n)]
                      + [(n, l) for l in range(n)] + [(n, n)])
             k, l = np.array(order).T
-            labels, rows = [(names[k], names[l]) for k, l in order], rows[:, k, l]
+            labels = [(names[k], names[l]) for k, l in order]  # a take writes a contiguous stack
+            rows = np.take(rows.reshape(len(gammas), -1, rows.shape[-1]), k * (n + 1) + l, axis=1)
     return labels, rows
 
 
@@ -546,11 +547,13 @@ class MeasurementContext:
 
     settings: list[Setting]
     labels: list[list]
-    rows: list[np.ndarray]
+    rows: list[np.ndarray] | np.ndarray  # or one stack of settings alike but for gamma
     coords: HermitianCoords
 
     def __post_init__(self):
-        self.P = self.coords.rows(np.concatenate(self.rows))
+        rows = self.rows  # one group's (settings, outcomes, width) stack: its own concatenation
+        self.P = self.coords.rows(rows.reshape(-1, rows.shape[-1]) if isinstance(rows, np.ndarray)
+                                  else np.concatenate(rows))
         self.offsets = np.cumsum([0] + [len(labels) for labels in self.labels])
 
     @classmethod
@@ -581,7 +584,7 @@ class MeasurementContext:
             if not dev[s] <= 1e-8:
                 raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
                                  f"within {dev[s]:.3e}")
-        return cls(list(settings), labels, rows, layout)
+        return cls(list(settings), labels, group if len(groups) == 1 else rows, layout)
 
     @cached_property
     def rank(self) -> int:

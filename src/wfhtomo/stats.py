@@ -67,10 +67,11 @@ class BootstrapReport:
         }
 
 
-def _saturated(counts: Mapping) -> float:
+def _saturated(counts: Mapping, s: int) -> float:
+    """L_u of setting s."""
     M = sum(counts.values())
     if M <= 0:
-        raise ValueError("counts must contain at least one observation")
+        raise ValueError(f"settings[{s}].counts must contain at least one observation")
     return sum(m * math.log(m / M) for m in counts.values() if m > 0)
 
 
@@ -82,7 +83,7 @@ def log_lr(loglik: float, counts: Sequence[Mapping]) -> float:
     """
     if not counts:
         raise ValueError("counts must be nonempty")
-    l_u = sum(_saturated(c) for c in counts)
+    l_u = sum(_saturated(c, s) for s, c in enumerate(counts))
     return -2.0 * (loglik - l_u)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -740,6 +741,45 @@ def test_state_of_another_structure_exits_2_before_any_fit(capsys, monkeypatch, 
     code = cli.main(argv)
     assert code == 2
     assert "block structure mismatch" in capsys.readouterr().err
+
+
+def _quick_start_counting(tmp_path, quick_start, zeroed):
+    """The quick-start data.json with every count of the settings in zeroed set to 0."""
+    payload = json.loads((quick_start / "data.json").read_text())
+    for s in zeroed:
+        payload["settings"][s]["counts"] = dict.fromkeys(payload["settings"][s]["counts"], 0)
+    data = tmp_path / "zeroed.json"
+    data.write_text(json.dumps(payload))
+    return str(data)
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "bootstrap"])
+def test_dataset_that_counts_nothing_exits_1(capsys, quick_start, tmp_path, command):
+    # a dataset whose every count is 0 is an input error at load, before any
+    # fit divides by its shot total or any log-likelihood forms 0 / 0
+    data = _quick_start_counting(tmp_path, quick_start, range(16))
+    ctx, truth = str(quick_start / "context.json"), str(quick_start / "truth.json")
+    argv = {"reconstruct": ["reconstruct", "--context", ctx, "--data", data],
+            "bootstrap": ["bootstrap", "--estimate", truth, "--context", ctx, "--data", data,
+                          "--n-boot", "2"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: invalid dataset") and err.count("\n") == 1
+    assert "settings count no outcome" in err
+
+
+def test_bootstrap_of_one_setting_that_counts_nothing_exits_2(capsys, quick_start, tmp_path):
+    # the saturated model of a setting without shots is undefined; the message names it
+    data = _quick_start_counting(tmp_path, quick_start, [3])
+    ctx, truth = str(quick_start / "context.json"), str(quick_start / "truth.json")
+    code = cli.main(["bootstrap", "--estimate", truth, "--context", ctx, "--data", data,
+                     "--n-boot", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "settings[3].counts must contain at least one observation" in err
 
 
 def test_reconstruct_reversed_settings_exits_1(capsys, workspace, tmp_path):

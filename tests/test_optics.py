@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfhtomo.fock import OccupationBasis
@@ -13,9 +13,13 @@ from wfhtomo.optics import (
     number_power_antinormal,
     number_power_normal,
     plt_on_fock,
+    _shell_entries,
+    _shell_plan,
     standard_block,
     standardize_bs,
 )
+
+from plt_reference import plt_reference
 
 
 def _phased_block(eta: float, p1: float = 0.0, p2: float = 0.0, p3: float = 0.0) -> np.ndarray:
@@ -181,6 +185,36 @@ def test_plt_stack_matches_single_calls_and_composes(S, cutoff, size, seed):
     assert np.max(np.abs(stacked - single)) <= 1e-13
     composed = plt_on_fock(U @ W, basis)
     assert np.max(np.abs(stacked @ plt_on_fock(W, basis) - composed)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@example(S=1, cutoff=0, size=1, seed=0)
+@example(S=1, cutoff=5, size=2, seed=1)
+@example(S=4, cutoff=0, size=3, seed=2)
+@example(S=4, cutoff=5, size=5, seed=3)
+@given(S=st.integers(1, 4), cutoff=st.integers(0, 5), size=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_plt_shell_map_matches_per_mode_reference(S, cutoff, size, seed):
+    # one GEMM per photon-number shell against the per-mode fancy-index recursion
+    basis = OccupationBasis(S, cutoff)
+    U = _haar_stack(S, size, seed)
+    assert np.max(np.abs(plt_on_fock(U, basis) - plt_reference(U, basis))) <= 1e-13
+
+
+@pytest.mark.parametrize("S, cutoff", [(1, 0), (1, 4), (3, 0), (2, 3), (3, 3), (4, 2)])
+def test_plt_is_the_scatter_of_its_in_shell_entries(S, cutoff):
+    # off-shell entries are exactly 0; in-shell ones are the routine's bits, in its pair order
+    basis = OccupationBasis(S, cutoff)
+    U = _haar_stack(S, 3, 41)
+    dense = plt_on_fock(U, basis)
+    plan = _shell_plan(basis)
+    a, c = plan.pairs
+    assert [tuple(p) for p in zip(a.tolist(), c.tolist())] == \
+        [(i, j) for i in range(basis.size) for j in range(basis.size)
+         if basis.totals[i] == basis.totals[j]]
+    assert dense[:, a, c].tobytes() == _shell_entries(U, plan).tobytes()
+    off = basis.totals[:, None] != basis.totals
+    assert not np.any(dense[:, off])
 
 
 @settings(max_examples=20, deadline=None)
