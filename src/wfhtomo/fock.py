@@ -151,28 +151,6 @@ class OccupationBasis:
             raise ValueError(f"occupation {key} not in basis "
                              f"(S={self.num_modes}, cutoff={self.cutoff})") from None
 
-    def indices(self, occupations) -> np.ndarray:
-        """``index`` of every row of an (..., S) integer array, by whole-array
-        arithmetic: a state of total T follows the ``searchsorted(totals, T)``
-        states of smaller total, and within its shell the states that first
-        differ at mode i by a smaller n_i. With R_i the photons in modes
-        i..S-1 (R_S = 0) and m = S - 1 - i modes after i, those number
-        C(R_i + m, m) - C(R_{i+1} + m, m), the compositions of R_i - x into m
-        parts for x < n_i."""
-        occ = np.asarray(occupations, dtype=np.int64)
-        S = self.num_modes
-        if occ.shape[-1:] != (S,):
-            raise ValueError(f"occupations must end in an axis of {S} modes")
-        R = np.zeros(occ.shape[:-1] + (S + 1,), dtype=np.int64)  # R[..., i] = R_i
-        np.cumsum(occ[..., ::-1], axis=-1, out=R[..., -2::-1])
-        if occ.min(initial=0) < 0 or R[..., 0].max(initial=0) > self.cutoff:
-            raise ValueError(f"occupations not in basis (S={S}, cutoff={self.cutoff})")
-        m = np.arange(S - 1, -1, -1)
-        comb = np.array([[math.comb(r + k, k) for r in range(self.cutoff + 1)]
-                         for k in range(S)], dtype=np.int64)  # comb[k, r] = C(r + k, k)
-        rank = (comb[m, R[..., :-1]] - comb[m, R[..., 1:]]).sum(-1)
-        return np.searchsorted(self.totals, R[..., 0]) + rank
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, OccupationBasis)
                 and self.num_modes == other.num_modes

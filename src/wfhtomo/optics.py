@@ -2,9 +2,10 @@
 and normal/anti-normal ordered powers of the total number operator."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,65 +135,43 @@ def standardize_bs(blocks: Sequence[np.ndarray]) -> PartitionSpec:
     return PartitionSpec(sectors=sectors, s1_multi=counts[0] > 1)
 
 
-class _ShellPlan(NamedTuple):
+@functools.lru_cache(maxsize=16)
+def _shell_plan(num_modes: int, cutoff: int) -> tuple:
     """The photon-number-shell recursion of ``plt_on_fock`` on one graded basis.
 
-    ``shells[n - 1]`` is (A, first, prev, norm) for shell n >= 1, of k_n
-    states: A = [A_0 ... A_{S-1}], k_n x S k_{n-1}, where A_j[t, b] =
-    sqrt(b_j + 1) when t = b + e_j applies a_j^dag to shell n - 1; column t of
-    shell n is a_i^dag on column prev[t] of shell n - 1 over norm[t] = sqrt(t_i),
-    for i = first[t] its first occupied mode. ``pairs`` = (a, c), the basis
-    indices of the in-shell entries |a| = |c| in ``_shell_entries``'s order:
-    row-major within each shell, shell after shell.
+    For each shell n >= 1, the states [mid, hi), one tuple (mid, hi, rows,
+    amp, first, prev, norm) of read-only arrays: a_j^dag takes state b of shell
+    n - 1 to state rows[j, b] of shell n with amplitude amp[j, b] =
+    sqrt(b_j + 1), and column t of shell n is a_i^dag on column prev[t] of
+    shell n - 1 over norm[t] = sqrt(t_i), for i = first[t] its first occupied
+    mode. Indices are relative to their shell. A plan holds O(S * dim) numbers
+    and is kept per (S, cutoff), so repeated maps on one basis build it once.
     """
-
-    shells: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    pairs: tuple[np.ndarray, np.ndarray]
-
-
-def _shell_plan(basis: OccupationBasis) -> _ShellPlan:
-    """The shell plan of a graded basis, by whole-array arithmetic."""
+    basis = OccupationBasis(num_modes, cutoff)
     S, dim = basis.num_modes, basis.size
-    occ = np.array(basis.states, dtype=np.int64).reshape(dim, S)
-    bounds = np.searchsorted(basis.totals, np.arange(basis.cutoff + 2))
-    low = bounds[-2]  # the states below the cutoff
-    # a_j^dag takes state b below the cutoff to raised[j, b], with amplitude amp[j, b]
-    raised = basis.indices(occ[None, :low] + np.eye(S, dtype=np.int64)[:, None])
-    amp = np.sqrt(occ[:low].T + 1.0)
-    # column t is a_i^dag on column prev[t] = t - e_i, over norm[t] = sqrt(t_i), for
+    # the graded order puts the states below the cutoff first; applying
+    # a_j^dag to one of them, b, lands on raise_idx[j, b] with amplitude
+    # raise_amp[j, b]. Distinct b land on distinct targets, so a plain
+    # fancy-index += accumulates each term once.
+    low = int(np.count_nonzero(basis.totals < basis.cutoff))
+    lower = basis.states[:low]
+    raise_idx = np.array([[basis.index(n[:j] + (n[j] + 1,) + n[j + 1:]) for n in lower]
+                          for j in range(S)], dtype=np.int64)
+    raise_amp = np.sqrt(np.array(lower, dtype=np.float64).reshape(low, S).T + 1.0)
+    # column t is a_i^dag on column prev[t] = t - e_i, over sqrt(t_i), for
     # i = first[t] its first occupied mode: the smallest i is written last
     first, prev, norm = np.zeros(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64), np.ones(dim)
     for i in reversed(range(S)):
-        first[raised[i]], prev[raised[i]], norm[raised[i]] = i, range(low), amp[i]
-    mode = np.arange(S)[:, None]
-    shells = []
+        first[raise_idx[i]], prev[raise_idx[i]], norm[raise_idx[i]] = i, range(low), raise_amp[i]
+    bounds = np.searchsorted(basis.totals, np.arange(basis.cutoff + 2))
+    shells = []  # shell [mid, hi) is built from the one below, [lo, mid)
     for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
-        A = np.zeros((hi - mid, S, mid - lo))
-        A[raised[:, lo:mid] - mid, mode, np.arange(mid - lo)] = amp[:, lo:mid]
-        shells.append((A.reshape(hi - mid, -1), first[mid:hi], prev[mid:hi] - lo, norm[mid:hi]))
-    return _ShellPlan(shells, np.nonzero(basis.totals[:, None] == basis.totals))
-
-
-def _shell_entries(U: np.ndarray, plan: _ShellPlan) -> np.ndarray:
-    """The (B, sum k_n^2) in-shell entries, in ``plan.pairs`` order, of the
-    Fock unitaries of a (B, S, S) stack that ``ModeMatrix`` has checked.
-
-    Shell n is A @ (R_{n-1}[:, :, prev] U[:, j, first] / norm, stacked over
-    j): each shell R_n is held as (rows, B, cols), so that one 2-D GEMM maps
-    the whole stack.
-    """
-    B = len(U)
-    out = np.empty((B, len(plan.pairs[0])), dtype=np.complex128)
-    out[:, 0] = 1.0
-    R = np.ones((1, B, 1), dtype=np.complex128)  # shell 0, the vacuum
-    at = 1
-    for A, first, prev, norm in plan.shells:
-        k = len(first)
-        coef = (U[:, :, first] / norm).transpose(1, 0, 2)[:, None]  # (S, 1, B, k)
-        R = (A @ (R[:, :, prev] * coef).reshape(A.shape[1], B * k)).reshape(k, B, k)
-        out[:, at:at + k * k] = R.transpose(1, 0, 2).reshape(B, k * k)
-        at += k * k
-    return out
+        arrays = (raise_idx[:, lo:mid] - mid, raise_amp[:, lo:mid, None, None],
+                  first[mid:hi], prev[mid:hi] - lo, norm[mid:hi])
+        for x in arrays:
+            x.flags.writeable = False
+        shells.append((int(mid), int(hi)) + arrays)
+    return tuple(shells)
 
 
 def plt_on_fock(U_M, basis: OccupationBasis) -> DenseOperator | np.ndarray:
@@ -206,7 +185,9 @@ def plt_on_fock(U_M, basis: OccupationBasis) -> DenseOperator | np.ndarray:
     total photon number: on the n-photon shell it is the symmetric power of U.
     Shells are built one from the one below (``_shell_plan``): column t is
     (transformed creation op of its first occupied mode i) applied to column
-    t - e_i, divided by sqrt(t_i); one GEMM per shell maps every sample.
+    t - e_i, divided by sqrt(t_i). A shell is held as (rows, B, cols), so
+    that each mode's raise is one fancy-index ``+=`` on whole rows over the
+    stack, and is then copied into its diagonal block.
 
     One (S, S) matrix (or a ``ModeMatrix``) gives a ``DenseOperator``; a
     stack (B, S, S) gives the (B, dim, dim) array of its unitaries.
@@ -214,11 +195,20 @@ def plt_on_fock(U_M, basis: OccupationBasis) -> DenseOperator | np.ndarray:
     U = (U_M if isinstance(U_M, ModeMatrix) else ModeMatrix(U_M)).entries
     single = U.ndim == 2
     U = U[None] if single else U
-    if U.shape[1] != basis.num_modes:
-        raise ValueError(f"mode matrix dimension {U.shape[1]} != num_modes {basis.num_modes}")
-    plan = _shell_plan(basis)
-    out = np.zeros((len(U), basis.size, basis.size), dtype=np.complex128)
-    out[(slice(None),) + plan.pairs] = _shell_entries(U, plan)
+    S, B = basis.num_modes, len(U)
+    if U.shape[1] != S:
+        raise ValueError(f"mode matrix dimension {U.shape[1]} != num_modes {S}")
+    out = np.zeros((B, basis.size, basis.size), dtype=np.complex128)
+    out[:, 0, 0] = 1.0
+    shell = np.ones((1, B, 1), dtype=np.complex128)  # the vacuum
+    for mid, hi, rows, amp, first, prev, norm in _shell_plan(S, basis.cutoff):
+        w = shell[:, :, prev]
+        transformed = U[:, :, first].transpose(1, 0, 2)  # (S, B, cols)
+        shell = np.zeros((hi - mid, B, hi - mid), dtype=np.complex128)
+        for j in range(S):
+            shell[rows[j]] += transformed[j] * amp[j] * w
+        shell /= norm
+        out[:, mid:hi, mid:hi] = shell.transpose(1, 0, 2)
     return DenseOperator(basis, out[0]) if single else out
 
 

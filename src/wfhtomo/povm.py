@@ -516,8 +516,7 @@ def _group_rows(settings: list[Setting], layout: HermitianCoords) -> tuple[list,
             order = ([(k, l) for k in range(n) for l in range(n)] + [(k, n) for k in range(n)]
                      + [(n, l) for l in range(n)] + [(n, n)])
             k, l = np.array(order).T
-            labels = [(names[k], names[l]) for k, l in order]  # a take writes a contiguous stack
-            rows = np.take(rows.reshape(len(gammas), -1, rows.shape[-1]), k * (n + 1) + l, axis=1)
+            labels, rows = [(names[k], names[l]) for k, l in order], rows[:, k, l]
     return labels, rows
 
 
@@ -547,13 +546,11 @@ class MeasurementContext:
 
     settings: list[Setting]
     labels: list[list]
-    rows: list[np.ndarray] | np.ndarray  # or one stack of settings alike but for gamma
+    rows: list[np.ndarray]
     coords: HermitianCoords
 
     def __post_init__(self):
-        rows = self.rows  # one group's (settings, outcomes, width) stack: its own concatenation
-        self.P = self.coords.rows(rows.reshape(-1, rows.shape[-1]) if isinstance(rows, np.ndarray)
-                                  else np.concatenate(rows))
+        self.P = self.coords.rows(np.concatenate(self.rows))
         self.offsets = np.cumsum([0] + [len(labels) for labels in self.labels])
 
     @classmethod
@@ -584,7 +581,7 @@ class MeasurementContext:
             if not dev[s] <= 1e-8:
                 raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
                                  f"within {dev[s]:.3e}")
-        return cls(list(settings), labels, group if len(groups) == 1 else rows, layout)
+        return cls(list(settings), labels, rows, layout)
 
     @cached_property
     def rank(self) -> int:

@@ -187,8 +187,7 @@ class Dataset:
             return {o: counts[k] for o, k in labels.items()}, gamma
         parsed = list_from_json(d, "settings", setting)
         if not any(n for counts, _ in parsed for n in counts.values()):
-            raise JsonFieldError("settings count no outcome: every count is 0, "
-                                 "and a fit needs at least one")
+            raise JsonFieldError("settings count no outcome, and a fit needs at least one")
         gammas = [g for _, g in parsed]
         return cls(counts=[c for c, _ in parsed],
                    M_i=[sum(c.values()) for c, _ in parsed],

@@ -17,9 +17,8 @@ import numpy as np
 
 from .fock import (DenseOperator, JsonFieldError, OccupationBasis, int_from_json, is_json_matrix,
                    list_from_json)
-from .optics import ModeMatrix, PartitionSpec, _shell_entries, _shell_plan, haar_from_normals
-# bench/tracing.py wraps these under these names; the oracle calls neither
-from .optics import haar_unitary, plt_on_fock  # noqa: F401
+from .optics import PartitionSpec, haar_from_normals, plt_on_fock
+from .optics import haar_unitary  # noqa: F401  (bench/tracing.py wraps it under this name)
 
 __all__ = [
     "BlockOperator",
@@ -237,6 +236,24 @@ def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
 _STACK_BYTES = 256 * 1024
 
 
+def _indices(basis: OccupationBasis, occ: np.ndarray) -> np.ndarray:
+    """``basis.index`` of every row of an (..., S) integer array of occupations
+    in the basis, by whole-array arithmetic: a state of total T follows the
+    ``searchsorted(totals, T)`` states of smaller total, and within its shell
+    the states that first differ at mode i by a smaller n_i. With R_i the
+    photons in modes i..S-1 (R_S = 0) and m = S - 1 - i modes after i, those
+    number C(R_i + m, m) - C(R_{i+1} + m, m), the compositions of R_i - x into
+    m parts for x < n_i."""
+    S = basis.num_modes
+    R = np.zeros(occ.shape[:-1] + (S + 1,), dtype=np.int64)  # R[..., i] = R_i
+    np.cumsum(occ[..., ::-1], axis=-1, out=R[..., -2::-1])
+    m = np.arange(S - 1, -1, -1)
+    comb = np.array([[math.comb(r + k, k) for r in range(basis.cutoff + 1)]
+                     for k in range(S)], dtype=np.int64)  # comb[k, r] = C(r + k, k)
+    rank = (comb[m, R[..., :-1]] - comb[m, R[..., 1:]]).sum(-1)
+    return np.searchsorted(basis.totals, R[..., 0]) + rank
+
+
 def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
                     partition: PartitionSpec, samples: int, seed: int) -> DenseOperator:
     """Monte-Carlo Haar average of X rho X^dag over block PLTs fixing mode 1.
@@ -245,11 +262,10 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     generator, as ``haar_unitary`` would draw them one at a time: one normal
     draw per stack of samples, one stacked QR per group. As X fixes mode 1, its
     Fock unitary is I (x) R, R = plt_on_fock(X[1:, 1:]) on the other modes,
-    block diagonal in their photon number. Each stack of ``_STACK_BYTES``
-    (counted as dense R's) is mapped straight to R's in-shell entries, the
-    pairs (a, c) with |a| = |c| of the rest basis's shell plan, which is built
-    once per call; one GEMM per stack adds to
-    Sop[(a, c), (b, d)] = sum over samples of R[a, c] conj(R[b, d]), and at the end
+    block diagonal in their photon number. ``plt_on_fock`` maps the samples onto
+    that rest basis in stacks of ``_STACK_BYTES``; one GEMM per stack adds to
+    Sop[(a, c), (b, d)] = sum over samples of R[a, c] conj(R[b, d]), for the
+    in-shell pairs |a| = |c|, |b| = |d|, and at the end
     out[(n, a), (m, b)] = sum_{c, d} Sop[(a, c), (b, d)] rho[(n, c), (m, d)] / samples.
     """
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 1:
@@ -260,12 +276,11 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     if S == 1:  # no mode to mix: every X is the identity
         return DenseOperator(basis, rho.entries.copy())
     rest = OccupationBasis(S - 1, basis.cutoff)
-    plan = _shell_plan(rest)
-    a, c = plan.pairs
     # mode groups the Haar blocks act on, per sector, indexed within the rest modes
     groups = [[m - 1 for m in range(1, S) if assign[m] == k] for k in range(partition.K)]
     blocks = [(len(modes), np.ix_(modes, modes)) for modes in groups if modes]
     width = [2 * size * size for size, _ in blocks]  # normals per sample and group
+    a, c = np.nonzero(rest.totals[:, None] == rest.totals)  # in-shell pairs (a, c)
     rng = np.random.default_rng(seed)
     chunk = max(1, _STACK_BYTES // (16 * rest.size ** 2))
     sop = np.zeros((len(a), len(a)), dtype=np.complex128)
@@ -275,17 +290,17 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
         normals = np.split(rng.standard_normal((count, sum(width))), np.cumsum(width)[:-1], axis=1)
         for (size, block), z in zip(blocks, normals):
             X[(slice(None),) + block] = haar_from_normals(z.reshape(count, 2, size, size))
-        F = _shell_entries(ModeMatrix(X).entries, plan)
+        F = plt_on_fock(X, rest)[:, a, c]
         sop += F.T @ F.conj()
     # (row, pair, source): row (n, a) reads rho's row (n, c) through pair (a, c);
-    # the pairs of one a are a run of the plan's pairs, in order of c
+    # the pairs of one a are a run of the in-shell pairs, in order of c
     occ = np.array(basis.states, dtype=np.int64).reshape(basis.size, S)
-    a_of = rest.indices(occ[:, 1:])  # each row's a
+    a_of = _indices(rest, occ[:, 1:])  # each row's a
     run, length = np.searchsorted(a, a_of), np.bincount(a, minlength=rest.size)[a_of]
     row = np.repeat(np.arange(basis.size), length)
     pair = np.arange(len(row)) + np.repeat(run - np.cumsum(length) + length, length)
     rest_occ = np.array(rest.states, dtype=np.int64).reshape(rest.size, S - 1)
-    src = basis.indices(np.column_stack([occ[row, 0], rest_occ[c[pair]]]))
+    src = _indices(basis, np.column_stack([occ[row, 0], rest_occ[c[pair]]]))
     acc = np.zeros_like(rho.entries)
     np.add.at(acc, (row[:, None], row), sop[np.ix_(pair, pair)] * rho.entries[np.ix_(src, src)])
     return DenseOperator(basis, acc / samples)

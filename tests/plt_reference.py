@@ -1,7 +1,8 @@
-"""The per-mode recursion that ``optics.plt_on_fock`` used before it ran by
-photon-number shell, kept as the tests' reference for the shell map: it
-builds every dense (B, dim, dim) Fock unitary with one fancy-index ``+=`` per
-mode and shell."""
+"""The recursion that ``optics.plt_on_fock`` used before it kept a shell plan
+per basis and held each shell as (rows, B, cols), kept as the tests'
+reference: it rebuilds its raise tables on every call and builds every dense
+(B, dim, dim) Fock unitary in place, with one fancy-index ``+=`` per mode and
+shell on the middle axis of the dense stack."""
 import numpy as np
 
 from wfhtomo.fock import OccupationBasis

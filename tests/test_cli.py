@@ -743,21 +743,25 @@ def test_state_of_another_structure_exits_2_before_any_fit(capsys, monkeypatch, 
     assert "block structure mismatch" in capsys.readouterr().err
 
 
-def _quick_start_counting(tmp_path, quick_start, zeroed):
-    """The quick-start data.json with every count of the settings in zeroed set to 0."""
+def _quick_start_counting(tmp_path, quick_start, zeroed, drop=False):
+    """The quick-start data.json with every count of the settings in zeroed
+    set to 0, or with those settings dropped."""
     payload = json.loads((quick_start / "data.json").read_text())
     for s in zeroed:
         payload["settings"][s]["counts"] = dict.fromkeys(payload["settings"][s]["counts"], 0)
+    if drop:
+        payload["settings"] = [x for s, x in enumerate(payload["settings"]) if s not in zeroed]
     data = tmp_path / "zeroed.json"
     data.write_text(json.dumps(payload))
     return str(data)
 
 
+@pytest.mark.parametrize("drop", [False, True], ids=["zero-counts", "no-settings"])
 @pytest.mark.parametrize("command", ["reconstruct", "bootstrap"])
-def test_dataset_that_counts_nothing_exits_1(capsys, quick_start, tmp_path, command):
-    # a dataset whose every count is 0 is an input error at load, before any
-    # fit divides by its shot total or any log-likelihood forms 0 / 0
-    data = _quick_start_counting(tmp_path, quick_start, range(16))
+def test_dataset_that_counts_nothing_exits_1(capsys, quick_start, tmp_path, command, drop):
+    # a dataset whose every count is 0, or that has no setting, is an input error
+    # at load, before any fit divides by its shot total or any log-likelihood forms 0 / 0
+    data = _quick_start_counting(tmp_path, quick_start, range(16), drop)
     ctx, truth = str(quick_start / "context.json"), str(quick_start / "truth.json")
     argv = {"reconstruct": ["reconstruct", "--context", ctx, "--data", data],
             "bootstrap": ["bootstrap", "--estimate", truth, "--context", ctx, "--data", data,

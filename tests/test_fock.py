@@ -51,22 +51,6 @@ def test_basis_index_roundtrip():
         b.index((1, 1))
 
 
-@pytest.mark.parametrize("S, cutoff", [(1, 0), (1, 6), (2, 3), (3, 4), (5, 2), (4, 0)])
-def test_basis_indices_match_index(S, cutoff):
-    basis = OccupationBasis(S, cutoff)
-    occ = np.array(basis.states).reshape(basis.size, S)
-    order = np.random.default_rng(S + cutoff).permutation(basis.size)
-    got = basis.indices(occ[order].reshape(1, basis.size, S))
-    assert got.shape == (1, basis.size)
-    assert got[0].tolist() == [basis.index(occ[i]) for i in order]
-
-
-@pytest.mark.parametrize("occupations", [[[-1, 2]], [[2, 2]], [[1, 1, 1]], 3])
-def test_basis_indices_refuse_occupations_outside_the_basis(occupations):
-    with pytest.raises(ValueError):
-        OccupationBasis(2, 3).indices(occupations)
-
-
 def test_make_state_coherent_vacuum():
     v = make_state(StateSpec("coherent", N=3, alpha=0))
     expected = np.zeros(4)

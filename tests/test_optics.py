@@ -13,7 +13,6 @@ from wfhtomo.optics import (
     number_power_antinormal,
     number_power_normal,
     plt_on_fock,
-    _shell_entries,
     _shell_plan,
     standard_block,
     standardize_bs,
@@ -195,26 +194,33 @@ def test_plt_stack_matches_single_calls_and_composes(S, cutoff, size, seed):
 @given(S=st.integers(1, 4), cutoff=st.integers(0, 5), size=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
 def test_plt_shell_map_matches_per_mode_reference(S, cutoff, size, seed):
-    # one GEMM per photon-number shell against the per-mode fancy-index recursion
+    # shells held as (rows, B, cols) with a shared plan, against the recursion on
+    # the dense stack that rebuilds its tables on every call
     basis = OccupationBasis(S, cutoff)
     U = _haar_stack(S, size, seed)
     assert np.max(np.abs(plt_on_fock(U, basis) - plt_reference(U, basis))) <= 1e-13
 
 
 @pytest.mark.parametrize("S, cutoff", [(1, 0), (1, 4), (3, 0), (2, 3), (3, 3), (4, 2)])
-def test_plt_is_the_scatter_of_its_in_shell_entries(S, cutoff):
-    # off-shell entries are exactly 0; in-shell ones are the routine's bits, in its pair order
+def test_plt_is_exactly_zero_off_shell(S, cutoff):
     basis = OccupationBasis(S, cutoff)
-    U = _haar_stack(S, 3, 41)
-    dense = plt_on_fock(U, basis)
-    plan = _shell_plan(basis)
-    a, c = plan.pairs
-    assert [tuple(p) for p in zip(a.tolist(), c.tolist())] == \
-        [(i, j) for i in range(basis.size) for j in range(basis.size)
-         if basis.totals[i] == basis.totals[j]]
-    assert dense[:, a, c].tobytes() == _shell_entries(U, plan).tobytes()
+    dense = plt_on_fock(_haar_stack(S, 3, 41), basis)
     off = basis.totals[:, None] != basis.totals
     assert not np.any(dense[:, off])
+    assert np.all(np.abs(dense[:, ~off]).sum(axis=0) > 0)
+
+
+def test_plt_shell_plan_is_shared_and_read_only():
+    # one plan per (S, cutoff) serves every call, so no call may write into it
+    basis = OccupationBasis(3, 3)
+    before = plt_on_fock(_haar_stack(3, 2, 5), basis)
+    plan = _shell_plan(3, 3)
+    assert plan is _shell_plan(3, 3) and len(plan) == 3
+    for mid, hi, *arrays in plan:
+        assert all(not x.flags.writeable for x in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][...] = 0
+    assert plt_on_fock(_haar_stack(3, 2, 5), basis).tobytes() == before.tobytes()
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,6 +13,7 @@ from wfhtomo.fock import DenseOperator, OccupationBasis, StateSpec, fidelity, ma
 from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock
 from wfhtomo.twirl import (
     _STACK_BYTES,
+    _indices,
     BlockOperator,
     block_tuples,
     embed_full,
@@ -375,6 +376,17 @@ def test_oracle_accepts_numpy_integer_samples():
     a = twirl_oracle_mc(rho, [0, 0], P1_MULTI, samples=np.int64(5), seed=3)
     b = twirl_oracle_mc(rho, [0, 0], P1_MULTI, samples=5, seed=3)
     assert a.entries.tobytes() == b.entries.tobytes()
+
+
+@pytest.mark.parametrize("S, cutoff", [(1, 0), (1, 6), (2, 3), (3, 4), (5, 2), (4, 0)])
+def test_index_arithmetic_matches_basis_index(S, cutoff):
+    # the oracle's (row, pair, source) triples take their basis indices from _indices
+    basis = OccupationBasis(S, cutoff)
+    occ = np.array(basis.states, dtype=np.int64).reshape(basis.size, S)
+    order = np.random.default_rng(S + cutoff).permutation(basis.size)
+    got = _indices(basis, occ[order].reshape(1, basis.size, S))
+    assert got.shape == (1, basis.size)
+    assert got[0].tolist() == [basis.index(occ[i]) for i in order]
 
 
 def test_oracle_memory_on_the_criterion_05_shape():
