@@ -145,7 +145,8 @@ def _shell_plan(num_modes: int, cutoff: int) -> tuple:
     sqrt(b_j + 1), and column t of shell n is a_i^dag on column prev[t] of
     shell n - 1 over norm[t] = sqrt(t_i), for i = first[t] its first occupied
     mode. Indices are relative to their shell. A plan holds O(S * dim) numbers
-    and is kept per (S, cutoff), so repeated maps on one basis build it once.
+    and is kept per (S, cutoff), so repeated maps on one basis build it once;
+    every caller shares its arrays, so they are read-only.
     """
     basis = OccupationBasis(num_modes, cutoff)
     S, dim = basis.num_modes, basis.size

@@ -195,10 +195,11 @@ def test_plt_stack_matches_single_calls_and_composes(S, cutoff, size, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_plt_shell_map_matches_per_mode_reference(S, cutoff, size, seed):
     # shells held as (rows, B, cols) with a shared plan, against the recursion on
-    # the dense stack that rebuilds its tables on every call
+    # the dense stack that rebuilds its tables on every call: the same products
+    # and sums in the same order, so the same bits
     basis = OccupationBasis(S, cutoff)
     U = _haar_stack(S, size, seed)
-    assert np.max(np.abs(plt_on_fock(U, basis) - plt_reference(U, basis))) <= 1e-13
+    assert plt_on_fock(U, basis).tobytes() == plt_reference(U, basis).tobytes()
 
 
 @pytest.mark.parametrize("S, cutoff", [(1, 0), (1, 4), (3, 0), (2, 3), (3, 3), (4, 2)])
