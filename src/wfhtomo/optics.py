@@ -140,8 +140,8 @@ def _shell_plan(num_modes: int, cutoff: int) -> tuple:
     """The photon-number-shell recursion of ``plt_on_fock`` on one graded basis.
 
     For each shell n >= 1, the states [mid, hi), one tuple (mid, hi, rows,
-    amp, first, prev, norm) of read-only arrays: a_j^dag takes state b of shell
-    n - 1 to state rows[j, b] of shell n with amplitude amp[j, b] =
+    amp, first, prev, norm): a_j^dag takes state b of shell n - 1 to state
+    rows[j, b] of shell n with amplitude amp[j, b] =
     sqrt(b_j + 1), and column t of shell n is a_i^dag on column prev[t] of
     shell n - 1 over norm[t] = sqrt(t_i), for i = first[t] its first occupied
     mode. Indices are relative to their shell. A plan holds O(S * dim) numbers
