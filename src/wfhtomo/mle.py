@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .povm import MeasurementContext, ic_check
-from .sim import Dataset
+from .sim import NOTHING_COUNTED, Dataset
 from .twirl import BlockOperator
 
 METHODS = ("diluted", "apg")
@@ -173,6 +173,8 @@ def reconstruct(context: MeasurementContext, dataset: Dataset,
     if start is not None and params.method != "apg":
         raise ValueError(f"a {params.method} fit starts at the maximally mixed state, "
                          f"not at a given start")
+    if dataset.total_shots() == 0:
+        raise ValueError(NOTHING_COUNTED)
     likelihood = _likelihood(context, dataset)
     r_stop = params.r_stop if params.r_stop is not None else 1.0 / dataset.total_shots()
 

@@ -244,15 +244,47 @@ def number_power_antinormal(k: int, basis: OccupationBasis) -> DenseOperator:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary via phase-fixed QR of a Ginibre matrix."""
+    """Haar-distributed random unitary: the Gram-Schmidt basis of a Ginibre
+    matrix's columns (``haar_from_normals``)."""
     return haar_from_normals(rng.standard_normal((2, dim, dim)))
+
+
+def _ordered_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over one axis as a chain of elementwise adds in index order, so
+    that each element's bits do not depend on the shape around it (numpy's
+    own reductions pick their order by shape and stride)."""
+    parts = np.moveaxis(x, axis, 0)
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
 
 
 def haar_from_normals(normals: np.ndarray) -> np.ndarray:
     """Haar unitaries from standard normals of shape (..., 2, dim, dim): the
-    real then the imaginary parts of Ginibre matrices, whose QR factors are
-    phase-fixed by the diagonal of R; one stacked QR serves the whole stack."""
-    g = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    real then the imaginary parts of Ginibre matrices G.
+
+    Each unitary is the Gram-Schmidt basis of G's columns, that is, G's QR
+    factor with diag R > 0, which is Haar distributed (Mezzadri, Notices AMS
+    54, 592 (2007)). Each column is projected off the ones before it twice,
+    which keeps the basis orthonormal to rounding (Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 1069 (2005)). The whole stack runs as real
+    elementwise arithmetic with every sum written out in index order, so a
+    matrix gets the same bits in any stack, alone included.
+    """
+    lead, dim = normals.shape[:-3], normals.shape[-1]
+    # g[p, i, k] is part p of entry (i, k) over the stack, so that a single
+    # matrix is a stack of one too, and never runs numpy's scalar arithmetic
+    g = normals.reshape(-1, 2, dim, dim).transpose(1, 2, 3, 0)
+    q = np.empty(g.shape)
+    for k in range(dim):
+        v, basis = g[:, :, k], q[:, :, :k]
+        for _ in range(2 if k else 0):
+            # s[a, c, j] = sum_i basis[a, i, j] v[c, i], and r[:, j] the real
+            # and imaginary parts of <q_j, v> = sum_i conj(q_ij) v_i
+            s = _ordered_sum(basis[:, None] * v[None, :, :, None], 2)
+            r = np.stack([s[0, 0] + s[1, 1], s[0, 1] - s[1, 0]])
+            t = _ordered_sum(r[:, None, None] * basis[None], 3)  # sum_j r_j q_j
+            v = v - np.stack([t[0, 0] - t[1, 1], t[0, 1] + t[1, 0]])
+        q[:, :, k] = v / np.sqrt(_ordered_sum((v * v).reshape(2 * dim, -1), 0))
+    return (q[0] + 1j * q[1]).transpose(2, 0, 1).reshape(lead + (dim, dim))

@@ -135,6 +135,10 @@ def born_table(rho: DenseOperator, gamma: complex, bs_blocks, joint_cutoff: int 
     return table
 
 
+# the refusal of a dataset whose counts sum to 0, at the JSON boundary and in a fit
+NOTHING_COUNTED = "settings count no outcome, and a fit needs at least one"
+
+
 @dataclass
 class Dataset:
     """Per-setting outcome counts from a simulated or real experiment."""
@@ -187,7 +191,7 @@ class Dataset:
             return {o: counts[k] for o, k in labels.items()}, gamma
         parsed = list_from_json(d, "settings", setting)
         if not any(n for counts, _ in parsed for n in counts.values()):
-            raise JsonFieldError("settings count no outcome, and a fit needs at least one")
+            raise JsonFieldError(NOTHING_COUNTED)
         gammas = [g for _, g in parsed]
         return cls(counts=[c for c, _ in parsed],
                    M_i=[sum(c.values()) for c, _ in parsed],

@@ -254,15 +254,29 @@ def _indices(basis: OccupationBasis, occ: np.ndarray) -> np.ndarray:
     return np.searchsorted(basis.totals, R[..., 0]) + rank
 
 
+def _haar_stack(rng: np.random.Generator, count: int, modes: int,
+                blocks: list[tuple[int, tuple]]) -> np.ndarray:
+    """(count, modes, modes) identities with a Haar block at each (size,
+    np.ix_ index) of ``blocks``, drawn sample by sample, block by block, from
+    one normal draw; the normals are freed on return."""
+    X = np.tile(np.eye(modes, dtype=np.complex128), (count, 1, 1))
+    width = [2 * size * size for size, _ in blocks]  # normals per sample and block
+    normals = np.split(rng.standard_normal((count, sum(width))), np.cumsum(width)[:-1], axis=1)
+    for (size, block), z in zip(blocks, normals):
+        X[(slice(None),) + block] = haar_from_normals(z.reshape(count, 2, size, size))
+    return X
+
+
 def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
                     partition: PartitionSpec, samples: int, seed: int) -> DenseOperator:
     """Monte-Carlo Haar average of X rho X^dag over block PLTs fixing mode 1.
 
     The Haar blocks are drawn sample by sample, group by group, from one
     generator, as ``haar_unitary`` would draw them one at a time: one normal
-    draw per stack of samples, one stacked QR per group. As X fixes mode 1, its
-    Fock unitary is I (x) R, R = plt_on_fock(X[1:, 1:]) on the other modes,
-    block diagonal in their photon number. ``plt_on_fock`` maps the samples onto
+    draw and one stacked Gram-Schmidt per group for each Haar stack of
+    samples, a whole number of Fock stacks. As X fixes mode 1, its Fock
+    unitary is I (x) R, R = plt_on_fock(X[1:, 1:]) on the other modes, block
+    diagonal in their photon number. ``plt_on_fock`` maps the samples onto
     that rest basis in stacks of ``_STACK_BYTES``; one GEMM per stack adds to
     Sop[(a, c), (b, d)] = sum over samples of R[a, c] conj(R[b, d]), for the
     in-shell pairs |a| = |c|, |b| = |d|, and at the end
@@ -279,19 +293,19 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     # mode groups the Haar blocks act on, per sector, indexed within the rest modes
     groups = [[m - 1 for m in range(1, S) if assign[m] == k] for k in range(partition.K)]
     blocks = [(len(modes), np.ix_(modes, modes)) for modes in groups if modes]
-    width = [2 * size * size for size, _ in blocks]  # normals per sample and group
     a, c = np.nonzero(rest.totals[:, None] == rest.totals)  # in-shell pairs (a, c)
     rng = np.random.default_rng(seed)
     chunk = max(1, _STACK_BYTES // (16 * rest.size ** 2))
+    # the Haar stack: the whole number of Fock stacks whose mode matrices fit
+    # in _STACK_BYTES, at least one
+    haar = chunk * max(1, _STACK_BYTES // (16 * (S - 1) ** 2 * chunk))
     sop = np.zeros((len(a), len(a)), dtype=np.complex128)
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
-        X = np.tile(np.eye(S - 1, dtype=np.complex128), (count, 1, 1))
-        normals = np.split(rng.standard_normal((count, sum(width))), np.cumsum(width)[:-1], axis=1)
-        for (size, block), z in zip(blocks, normals):
-            X[(slice(None),) + block] = haar_from_normals(z.reshape(count, 2, size, size))
-        F = plt_on_fock(X, rest)[:, a, c]
-        sop += F.T @ F.conj()
+    for start in range(0, samples, haar):
+        count = min(haar, samples - start)
+        X = _haar_stack(rng, count, S - 1, blocks)
+        for i in range(0, count, chunk):
+            F = plt_on_fock(X[i:i + chunk], rest)[:, a, c]
+            sop += F.T @ F.conj()
     # (row, pair, source): row (n, a) reads rho's row (n, c) through pair (a, c);
     # the pairs of one a are a run of the in-shell pairs, in order of c
     occ = np.array(basis.states, dtype=np.int64).reshape(basis.size, S)

@@ -463,6 +463,17 @@ def test_reconstruct_fixed_iterations_match_operator_algebra(ctx, ctx_multi, rho
         assert np.max(np.abs(report.estimate.blocks[k] - rho.blocks[k])) <= 1e-12
 
 
+@pytest.mark.parametrize("params", [ReconstructionParams(), ReconstructionParams(method="apg"),
+                                    ReconstructionParams(r_stop=1e-3)])
+def test_reconstruct_of_a_dataset_that_counts_nothing_raises_value_error(ctx, params):
+    # the refusal Dataset.from_json gives, for a dataset built in code
+    data = Dataset(counts=[{(0, 0): 0}] * len(ctx.povms), M_i=[0] * len(ctx.povms), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^settings count no outcome, and a fit needs"):
+            reconstruct(ctx, data, params)
+
+
 def test_reconstruct_immediate_at_mixed_truth(ctx):
     mixed = BlockOperator.maximally_mixed(2, 0)
     data = expected_counts(mixed, ctx)

@@ -9,6 +9,7 @@ from wfhtomo.fock import OccupationBasis
 from wfhtomo.optics import (
     ModeMatrix,
     PartitionSpec,
+    haar_from_normals,
     haar_unitary,
     number_power_antinormal,
     number_power_normal,
@@ -18,6 +19,7 @@ from wfhtomo.optics import (
     standardize_bs,
 )
 
+from haar_reference import haar_reference
 from plt_reference import plt_reference
 
 
@@ -252,6 +254,41 @@ def test_plt_coherent_transport():
     U = plt_on_fock(B, basis).entries
     got = U @ coh2(v_in)
     np.testing.assert_allclose(got, coh2(v_out), atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (3,), (4,), (5,)])
+def test_haar_matches_phase_fixed_qr_reference(n, shape):
+    # () is a single (2, n, n) input, as haar_unitary passes it
+    z = np.random.default_rng([n, *shape]).standard_normal(shape + (2, n, n))
+    got = haar_from_normals(z)
+    assert got.shape == shape + (n, n)
+    assert np.max(np.abs(got - haar_reference(z))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_haar_stack_matches_single_calls_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((2, 3, 2, n, n))
+    stacked = haar_from_normals(z)
+    single = np.array([[haar_from_normals(m) for m in row] for row in z])
+    assert stacked.tobytes() == single.tobytes()
+    # haar_unitary draws its normals as one (2, n, n) block
+    again = np.random.default_rng(n)
+    assert haar_unitary(n, again).tobytes() == single[0, 0].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+def test_haar_is_unitary_on_near_dependent_columns(n, eps):
+    # every column is column 0 plus eps times noise; the second projection
+    # keeps the basis orthonormal to rounding, well inside ModeMatrix's 1e-10
+    z = np.random.default_rng(n).standard_normal((50, 2, n, n))
+    z[..., 1:] = z[..., :1] + eps * z[..., 1:]
+    q = haar_from_normals(z)
+    gram = np.einsum("bji,bjk->bik", q.conj(), q)
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+    ModeMatrix(q)
 
 
 def test_plt_dimension_mismatch():

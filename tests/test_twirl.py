@@ -276,9 +276,30 @@ def test_oracle_matches_per_sample_loop_across_stack_edges(stacks, extra):
     assert np.max(np.abs(out.entries - acc / samples)) <= 1e-13
 
 
+def test_oracle_matches_per_sample_loop_across_a_haar_stack_edge():
+    # the oracle draws its Haar blocks per Haar stack, the whole number of Fock
+    # stacks whose (4, 4) mode matrices fill _STACK_BYTES; one sample past the
+    # first Haar stack, with one 4-mode group [1, 2, 3, 4]
+    basis = OccupationBasis(5, 2)
+    chunk = _STACK_BYTES // (16 * OccupationBasis(4, 2).size ** 2)
+    samples = chunk * (_STACK_BYTES // (16 * 4 ** 2 * chunk)) + 1
+    assert samples > 2 * chunk
+    rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(20)))
+    rng = np.random.default_rng(21)
+    acc = np.zeros_like(rho.entries)
+    for _ in range(samples):
+        X = np.eye(5, dtype=np.complex128)
+        X[1:, 1:] = haar_unitary(4, rng)
+        U = plt_on_fock(X, basis).entries
+        acc += U @ rho.entries @ U.conj().T
+    out = twirl_oracle_mc(rho, [0] * 5, P1_MULTI, samples=samples, seed=21)
+    assert np.max(np.abs(out.entries - acc / samples)) <= 1e-13
+
+
 @pytest.mark.parametrize("num_modes,assignment,partition", [
     (3, [0, 0, 0], P1_MULTI),  # one Haar group, modes [1, 2]
     (5, [0, 0, 0, 1, 1], P2),  # two groups, [1, 2] and [3, 4]
+    (4, [0, 0, 0, 0], P1_MULTI),  # one 3-mode group, [1, 2, 3]
 ])
 def test_oracle_draws_are_bitwise_per_sample_haar(num_modes, assignment, partition):
     # the oracle's stacked draws and QR against haar_unitary sample by sample,
