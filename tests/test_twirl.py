@@ -302,7 +302,7 @@ def test_oracle_matches_per_sample_loop_across_a_haar_stack_edge():
     (4, [0, 0, 0, 0], P1_MULTI),  # one 3-mode group, [1, 2, 3]
 ])
 def test_oracle_draws_are_bitwise_per_sample_haar(num_modes, assignment, partition):
-    # the oracle's stacked draws and QR against haar_unitary sample by sample,
+    # the oracle's stacked draws and Gram-Schmidt against haar_unitary sample by sample,
     # group by group; each stack is mapped onto the rest basis (modes 2..S) and
     # its in-shell products R[a, c] conj(R[b, d]) summed in the oracle's own stacks
     basis = OccupationBasis(num_modes, 2)
