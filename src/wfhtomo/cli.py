@@ -290,6 +290,10 @@ def _cmd_fidelity(args) -> dict:
 
 
 def _cmd_twirl(args) -> dict:
+    for flag in ("r", "alpha_re", "alpha_im"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag.replace('_', '-')} must be a finite number, got {value}")
     if args.closed_form:
         if args.closed_form == "tmsv":
             if args.r is None:

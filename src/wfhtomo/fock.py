@@ -20,7 +20,7 @@ __all__ = [
     "make_state",
     "truncation_fidelity",
     "poisson_table",
-    "numerical_rank",
+    "kept_singular_values",
     "fidelity",
     "complex_to_json",
     "complex_from_json",
@@ -326,13 +326,14 @@ def poisson_table(mu, top: int) -> tuple[np.ndarray, np.ndarray]:
     return pmf, np.where(below > 0.5, above[:, :top + 1], 1.0 - below)
 
 
-def numerical_rank(m: np.ndarray) -> int:
-    """The number of singular values of m at least 1e-10 times the largest;
-    0 for an empty or zero matrix."""
+def kept_singular_values(m: np.ndarray) -> np.ndarray:
+    """The singular values of m at least 1e-10 times the largest, largest
+    first: the numerical-rank rule, whose count is the rank; none for an
+    empty or zero matrix."""
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv >= 1e-10 * sv[0]))
+        return sv[:0]
+    return sv[sv >= 1e-10 * sv[0]]
 
 
 def _tr_sqrt_sandwich(a: np.ndarray, b: np.ndarray) -> float:

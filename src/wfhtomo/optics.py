@@ -79,7 +79,9 @@ class PartitionSpec:
 @dataclass(frozen=True)
 class ModeMatrix:
     """Unitary matrix acting on the vector of mode operators, or a stack
-    (B, S, S) of them; every matrix must be unitary within 1e-10."""
+    (B, S, S) of them; every matrix must be unitary within 1e-10. The check
+    runs once, when the whole stack is built: indexing a stack gives its
+    samples, a view where numpy gives one, without checking them again."""
 
     entries: np.ndarray
 
@@ -92,6 +94,16 @@ class ModeMatrix:
         if not np.all(np.abs(gram - np.eye(m.shape[-1])) <= 1e-10):
             raise ValueError("mode matrix is not unitary within 1e-10")
         object.__setattr__(self, "entries", m)
+
+    def __getitem__(self, key) -> "ModeMatrix":
+        if self.entries.ndim != 3:
+            raise TypeError("only a stack of mode matrices can be indexed")
+        sub = self.entries[key, :, :]
+        if sub.ndim not in (2, 3):
+            raise IndexError("a stack index must give one matrix or a stack")
+        checked = object.__new__(ModeMatrix)
+        object.__setattr__(checked, "entries", sub)
+        return checked
 
 
 def standard_block(eta: float, zeta: float) -> np.ndarray:
@@ -140,13 +152,16 @@ def _shell_plan(num_modes: int, cutoff: int) -> tuple:
     """The photon-number-shell recursion of ``plt_on_fock`` on one graded basis.
 
     For each shell n >= 1, the states [mid, hi), one tuple (mid, hi, rows,
-    amp, first, prev, norm): a_j^dag takes state b of shell n - 1 to state
-    rows[j, b] of shell n with amplitude amp[j, b] =
-    sqrt(b_j + 1), and column t of shell n is a_i^dag on column prev[t] of
-    shell n - 1 over norm[t] = sqrt(t_i), for i = first[t] its first occupied
-    mode. Indices are relative to their shell. A plan holds O(S * dim) numbers
-    and is kept per (S, cutoff), so repeated maps on one basis build it once;
-    every caller shares its arrays, so they are read-only.
+    amp, first, prev, scale, runs): a_j^dag takes state b of shell n - 1 to
+    state rows[j, b] of shell n with amplitude amp[j, b] = sqrt(b_j + 1)
+    (complex, so that no product casts it), and column t of shell n is a_i^dag
+    on column prev[t] of shell n - 1 over sqrt(t_i), for i = first[t] its
+    first occupied mode; ``scale`` holds 1 / sqrt(t_i) twice per column, once
+    for each part. ``runs[j]`` is [start, stop) when rows[j] is the run
+    start, start + 1, ..., stop - 1, else [0, -1]. Indices are relative to
+    their shell. A plan holds O(S * dim) numbers and is kept per (S, cutoff),
+    so repeated maps on one basis build it once; every caller shares its
+    arrays, so they are read-only.
     """
     basis = OccupationBasis(num_modes, cutoff)
     S, dim = basis.num_modes, basis.size
@@ -167,8 +182,11 @@ def _shell_plan(num_modes: int, cutoff: int) -> tuple:
     bounds = np.searchsorted(basis.totals, np.arange(basis.cutoff + 2))
     shells = []  # shell [mid, hi) is built from the one below, [lo, mid)
     for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
-        arrays = (raise_idx[:, lo:mid] - mid, raise_amp[:, lo:mid, None, None],
-                  first[mid:hi], prev[mid:hi] - lo, norm[mid:hi])
+        rows = raise_idx[:, lo:mid] - mid
+        run = np.all(rows == rows[:, :1] + np.arange(mid - lo), axis=1)
+        runs = np.where(run[:, None], rows[:, [0, -1]] + [0, 1], [0, -1])
+        arrays = (rows, raise_amp[:, lo:mid, None, None].astype(np.complex128),
+                  first[mid:hi], prev[mid:hi] - lo, np.repeat(1.0 / norm[mid:hi], 2), runs)
         for x in arrays:
             x.flags.writeable = False
         shells.append((int(mid), int(hi)) + arrays)
@@ -187,11 +205,15 @@ def plt_on_fock(U_M, basis: OccupationBasis) -> DenseOperator | np.ndarray:
     Shells are built one from the one below (``_shell_plan``): column t is
     (transformed creation op of its first occupied mode i) applied to column
     t - e_i, divided by sqrt(t_i). A shell is held as (rows, B, cols), so
-    that each mode's raise is one fancy-index ``+=`` on whole rows over the
-    stack, and is then copied into its diagonal block.
+    that each mode's raise adds into whole rows over the stack: in place on
+    a slice where its targets are one run, else by one fancy-index ``+=``.
+    A shell's products go into two buffers that its modes reuse, and its
+    division is a real multiply by 1 / sqrt(t_i) with the same bits. The
+    shell is then copied into its diagonal block.
 
-    One (S, S) matrix (or a ``ModeMatrix``) gives a ``DenseOperator``; a
-    stack (B, S, S) gives the (B, dim, dim) array of its unitaries.
+    One (S, S) matrix (or a ``ModeMatrix``, whose matrices are checked when it
+    is built) gives a ``DenseOperator``; a stack (B, S, S) gives the
+    (B, dim, dim) array of its unitaries.
     """
     U = (U_M if isinstance(U_M, ModeMatrix) else ModeMatrix(U_M)).entries
     single = U.ndim == 2
@@ -202,13 +224,24 @@ def plt_on_fock(U_M, basis: OccupationBasis) -> DenseOperator | np.ndarray:
     out = np.zeros((B, basis.size, basis.size), dtype=np.complex128)
     out[:, 0, 0] = 1.0
     shell = np.ones((1, B, 1), dtype=np.complex128)  # the vacuum
-    for mid, hi, rows, amp, first, prev, norm in _shell_plan(S, basis.cutoff):
+    for mid, hi, rows, amp, first, prev, scale, runs in _shell_plan(S, basis.cutoff):
         w = shell[:, :, prev]
         transformed = U[:, :, first].transpose(1, 0, 2)  # (S, B, cols)
         shell = np.zeros((hi - mid, B, hi - mid), dtype=np.complex128)
-        for j in range(S):
-            shell[rows[j]] += transformed[j] * amp[j] * w
-        shell /= norm
+        # each mode's term (U[j, i] amp) w, in that order; not in place, where
+        # numpy's complex product can round differently on a one-element array
+        scaled, term = np.empty_like(w), np.empty_like(w)
+        for j, (start, stop) in enumerate(runs.tolist()):
+            np.multiply(transformed[j], amp[j], out=scaled)
+            np.multiply(scaled, w, out=term)
+            if stop < 0:
+                shell[rows[j]] += term
+            else:
+                np.add(shell[start:stop], term, out=shell[start:stop])
+        # numpy divides x by c + 0j as ((re x) + (im x) 0) (1 / c) per part; the
+        # sums start at +0, so no part is -0, and each is its part times 1 / c
+        parts = shell.view(np.float64)
+        parts *= scale
         out[:, mid:hi, mid:hi] = shell.transpose(1, 0, 2)
     return DenseOperator(basis, out[0]) if single else out
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fock import (JsonFieldError, complex_from_json, complex_to_json, field_from_json,
                    int_from_json, is_json_matrix, is_json_number, list_from_json,
-                   numerical_rank, poisson_table)
+                   kept_singular_values, poisson_table)
 from .optics import PartitionSpec
 from .twirl import BlockOperator, block_tuples, slot_sectors
 
@@ -584,8 +584,20 @@ class MeasurementContext:
         return cls(list(settings), labels, rows, layout)
 
     @cached_property
+    def singular_values(self) -> np.ndarray:
+        """The singular values of P that the rank keeps, largest first."""
+        return kept_singular_values(np.linalg.qr(self.P, mode="r"))  # R has P's
+
+    @property
     def rank(self) -> int:
-        return numerical_rank(np.linalg.qr(self.P, mode="r"))  # R has P's singular values
+        return len(self.singular_values)
+
+    @property
+    def ic_margin(self) -> float:
+        """The smallest kept singular value of P over the largest: how far the
+        design is from losing a direction; 0 when none is kept."""
+        sv = self.singular_values
+        return float(sv[-1] / sv[0]) if len(sv) else 0.0
 
     @cached_property
     def row_of(self) -> list[dict]:
@@ -651,7 +663,9 @@ def ic_check(context: MeasurementContext) -> dict:
     The context is IC when its design matrix P, whose rank it computes once,
     has full column rank, one column per real parameter of a block operator.
     For Hermitian elements this is the rank over the complex block entries:
-    both spans have the Gram matrix tr(E_a E_b).
+    both spans have the Gram matrix tr(E_a E_b). ``ic_margin`` is the smallest
+    singular value of P that the rank keeps over the largest.
     """
     required = context.P.shape[1]
-    return {"rank": context.rank, "required": required, "is_ic": context.rank == required}
+    return {"rank": context.rank, "required": required, "is_ic": context.rank == required,
+            "ic_margin": context.ic_margin}

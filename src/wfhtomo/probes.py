@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (complex_from_json, complex_to_json, int_from_json, list_from_json,
-                   numerical_rank)
+from .fock import (complex_from_json, complex_to_json, int_from_json, kept_singular_values,
+                   list_from_json)
 from .twirl import slot_sectors
 
 __all__ = [
@@ -107,7 +107,7 @@ def design_gamma(N: int, seed: int, max_tries: int = 20) -> ProbeSet:
             ps = ProbeSet(gammas=tuple(mags * np.exp(1j * phases)), N=N)
         except ValueError:  # two amplitudes coincide
             continue
-        if numerical_rank(interpolation_matrix(ps)) == size:
+        if len(kept_singular_values(interpolation_matrix(ps))) == size:
             return ps
     raise ValueError(f"no full-rank probe set of size {size} found "
                      f"in {max_tries} tries")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fock import (DenseOperator, JsonFieldError, OccupationBasis, int_from_json, is_json_matrix,
                    list_from_json)
-from .optics import PartitionSpec, haar_from_normals, plt_on_fock
+from .optics import ModeMatrix, PartitionSpec, haar_from_normals, plt_on_fock
 from .optics import haar_unitary  # noqa: F401  (bench/tracing.py wraps it under this name)
 
 __all__ = [
@@ -274,9 +274,11 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     The Haar blocks are drawn sample by sample, group by group, from one
     generator, as ``haar_unitary`` would draw them one at a time: one normal
     draw and one stacked Gram-Schmidt per group for each Haar stack of
-    samples, a whole number of Fock stacks. As X fixes mode 1, its Fock
-    unitary is I (x) R, R = plt_on_fock(X[1:, 1:]) on the other modes, block
-    diagonal in their photon number. ``plt_on_fock`` maps the samples onto
+    samples, a whole number of Fock stacks. Each Haar stack is checked for
+    unitarity once, as one ``ModeMatrix``, whose sub-stacks the Fock map
+    takes without a second check. As X fixes mode 1, its Fock unitary is
+    I (x) R, R = plt_on_fock(X[1:, 1:]) on the other modes, block diagonal in
+    their photon number. ``plt_on_fock`` maps the samples onto
     that rest basis in stacks of ``_STACK_BYTES``; one GEMM per stack adds to
     Sop[(a, c), (b, d)] = sum over samples of R[a, c] conj(R[b, d]), for the
     in-shell pairs |a| = |c|, |b| = |d|, and at the end
@@ -302,7 +304,7 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     sop = np.zeros((len(a), len(a)), dtype=np.complex128)
     for start in range(0, samples, haar):
         count = min(haar, samples - start)
-        X = _haar_stack(rng, count, S - 1, blocks)
+        X = ModeMatrix(_haar_stack(rng, count, S - 1, blocks))
         for i in range(0, count, chunk):
             F = plt_on_fock(X[i:i + chunk], rest)[:, a, c]
             sop += F.T @ F.conj()

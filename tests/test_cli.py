@@ -15,7 +15,7 @@ from wfhtomo import cli, sim, stats
 from wfhtomo.fock import StateSpec, make_state
 from wfhtomo.optics import PartitionSpec
 from wfhtomo.povm import (CounterConfig, MeasurementContext, PovmElement, Setting,
-                          identity_response)
+                          ic_check, identity_response)
 from wfhtomo.probes import ProbeSet, design_gamma, interpolation_matrix
 from wfhtomo.sim import Dataset, simulate_dataset
 from wfhtomo.twirl import BlockOperator, reduced_assignment, twirl_analytic, twirled_closed_form
@@ -120,6 +120,17 @@ def test_ic_check(capsys, workspace):
     assert code == 0
     assert summary["is_ic"] is True
     assert summary["rank"] == summary["required"] == 4
+
+
+def test_ic_check_reports_its_margin(capsys, workspace, tmp_path):
+    root, _, ctx = workspace
+    out = tmp_path / "ic.json"
+    code, summary = run_cli(capsys, "ic-check", "--context", str(root / "context.json"),
+                            "--out", str(out))
+    assert code == 0
+    written = json.loads(out.read_text())
+    assert summary["ic_margin"] == written["ic_margin"] == ic_check(ctx)["ic_margin"]
+    assert 0.0 < written["ic_margin"] <= 1.0
 
 
 def _ic_check_with_edit(capsys, workspace, tmp_path, edit):
@@ -850,6 +861,19 @@ def test_twirl_closed_form(capsys, tmp_path):
     code = cli.main(["twirl", "--closed-form", "tmsv", "--n", "4",
                      "--out", str(out)])
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag, kind", [("--r", "tmsv"), ("--alpha-re", "cat"),
+                                        ("--alpha-im", "cat")])
+def test_twirl_non_finite_number_flag_exits_1(capsys, tmp_path, flag, kind, value):
+    out = tmp_path / "twirled.json"
+    code = cli.main(["twirl", "--closed-form", kind, f"{flag}={value}", "--n", "2",
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be a finite number, got {float(value)}\n"
+    assert not out.exists()
 
 
 def test_twirl_from_state_spec(capsys, tmp_path):

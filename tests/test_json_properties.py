@@ -13,7 +13,7 @@ from wfhtomo import cli
 from wfhtomo.fock import StateSpec, make_state
 from wfhtomo.mle import METHODS, ReconstructionParams, reconstruct
 from wfhtomo.optics import PartitionSpec
-from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
+from wfhtomo.povm import CounterConfig, MeasurementContext, Setting, ic_check
 from wfhtomo.probes import ProbeSet, design_gamma
 from wfhtomo.sim import Dataset, simulate_dataset
 from wfhtomo.stats import parametric_bootstrap, refit_replicates
@@ -184,6 +184,16 @@ def test_measurement_context_round_trip(settings_):
         assert [s.to_json() for s in back.settings] == [s.to_json() for s in context.settings]
         assert back.labels == context.labels
         assert [r.tobytes() for r in back.rows] == [r.tobytes() for r in context.rows]
+
+
+@settings(max_examples=25, deadline=None)
+@given(settings_=context_settings())
+def test_ic_check_round_trips_through_strict_json(settings_):
+    for group in by_layout(settings_):
+        result = ic_check(MeasurementContext.build(group))
+        assert set(result) == {"rank", "required", "is_ic", "ic_margin"}
+        assert json.loads(json.dumps(result, allow_nan=False)) == result
+        assert 0.0 <= result["ic_margin"] <= 1.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -226,6 +226,36 @@ def test_plt_shell_plan_is_shared_and_read_only():
     assert plt_on_fock(_haar_stack(3, 2, 5), basis).tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("S", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 4, 5])
+def test_plt_shell_plan_runs_match_their_rows(S, cutoff):
+    # a recorded run [start, stop) is its mode's target row; a row without one
+    # is not a run of consecutive targets
+    for shell, (mid, hi, rows, *_, runs) in enumerate(_shell_plan(S, cutoff), start=1):
+        assert runs.shape == (S, 2) and not runs.flags.writeable
+        for j, (row, (start, stop)) in enumerate(zip(rows, runs)):
+            if stop < 0:
+                assert (start, stop) == (0, -1)
+                assert np.any(np.diff(row) != 1)
+            else:
+                assert np.array_equal(row, np.arange(start, stop))
+            assert (stop >= 0) == (S <= 2 or shell == 1 or j == 0)
+
+
+def test_mode_matrix_sub_stack_is_a_view_that_maps_like_the_slice():
+    X = _haar_stack(3, 7, 11)
+    checked = ModeMatrix(X)
+    basis = OccupationBasis(3, 3)
+    for i, j in [(0, 7), (2, 5), (6, 7)]:
+        sub = checked[i:j]
+        assert isinstance(sub, ModeMatrix) and sub.entries.base is X
+        assert plt_on_fock(sub, basis).tobytes() == plt_on_fock(X[i:j], basis).tobytes()
+    one = plt_on_fock(checked[4], basis)
+    assert one.entries.tobytes() == plt_on_fock(X[4], basis).entries.tobytes()
+    with pytest.raises(TypeError):
+        checked[4][0]
+
+
 @settings(max_examples=20, deadline=None)
 @given(S=st.integers(1, 3), size=st.integers(1, 4), data=st.data(),
        seed=st.integers(0, 2**32 - 1),

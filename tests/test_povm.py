@@ -487,7 +487,24 @@ def test_ic_check_n_zero():
     settings = [Setting(gamma=0.4, counter=CounterConfig(counters=2, N_c=2),
                         partition=BAL_MULTI, N=0)]
     res = ic_check(MeasurementContext.build(settings))
-    assert res == {"rank": 1, "required": 1, "is_ic": True}
+    assert res == {"rank": 1, "required": 1, "is_ic": True, "ic_margin": 1.0}
+
+
+@pytest.mark.parametrize("N, N_c, gammas", [
+    (3, 6, design_gamma(3, 7).gammas),  # the README quick-start's probes and counter
+    (5, 9, [r * np.exp(1j * np.pi * k / 6) for k, r in enumerate([0.3, 0.6, 0.9, 1.2, 1.5, 1.8])]),
+    (2, 6, [0.7]),  # not IC
+])
+def test_ic_margin_matches_an_independent_svd(N, N_c, gammas):
+    settings = [Setting(gamma=g, counter=CounterConfig(counters=2, N_c=N_c),
+                        partition=BAL_MULTI, N=N) for g in gammas]
+    ctx = MeasurementContext.build(settings)
+    res = ic_check(ctx)
+    sv = np.linalg.svd(ctx.P, compute_uv=False)
+    kept = sv[sv >= 1e-10 * sv[0]]
+    assert res["rank"] == len(kept)
+    assert res["ic_margin"] == pytest.approx(kept[-1] / kept[0], rel=1e-12, abs=0)
+    assert type(res["ic_margin"]) is float
 
 
 def test_ic_check_rank_monotone_in_settings():

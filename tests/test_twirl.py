@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wfhtomo.fock import DenseOperator, OccupationBasis, StateSpec, fidelity, make_state
 from wfhtomo.optics import PartitionSpec, haar_unitary, plt_on_fock
+from wfhtomo import twirl
 from wfhtomo.twirl import (
     _STACK_BYTES,
     _indices,
@@ -336,6 +337,23 @@ def test_oracle_draws_are_bitwise_per_sample_haar(num_modes, assignment, partiti
             acc[i, j] += product[t, u]
     out = twirl_oracle_mc(rho, assignment, partition, samples=samples, seed=5)
     assert out.entries.tobytes() == (acc / samples).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0, 162, 163, 999])
+def test_oracle_checks_every_sample_of_its_haar_stack(monkeypatch, bad):
+    # the bench shape draws one Haar stack of 1000 samples and maps it in Fock
+    # stacks of 163; one matrix off unitarity by 1e-6, in any of them, is refused
+    draw = twirl._haar_stack
+
+    def off(*args):
+        X = draw(*args)
+        X[bad] *= 1.0 + 1e-6
+        return X
+    monkeypatch.setattr(twirl, "_haar_stack", off)
+    basis = OccupationBasis(3, 3)
+    rho = DenseOperator(basis, _random_density(basis.size, np.random.default_rng(22)))
+    with pytest.raises(ValueError, match="not unitary"):
+        twirl_oracle_mc(rho, [0, 0, 0], P1_MULTI, samples=1000, seed=23)
 
 
 _ETAS = ((0.6, 0.8), (0.5, math.sqrt(0.75)), (0.8, 0.6), (0.28, 0.96))
