@@ -595,9 +595,8 @@ class MeasurementContext:
     @property
     def ic_margin(self) -> float:
         """The smallest kept singular value of P over the largest: how far the
-        design is from losing a direction; 0 when none is kept."""
-        sv = self.singular_values
-        return float(sv[-1] / sv[0]) if len(sv) else 0.0
+        design is from losing a direction."""
+        return float(self.singular_values[-1] / self.singular_values[0])
 
     @cached_property
     def row_of(self) -> list[dict]:

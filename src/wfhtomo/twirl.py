@@ -278,8 +278,8 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
     unitarity once, as one ``ModeMatrix``, whose sub-stacks the Fock map
     takes without a second check. As X fixes mode 1, its Fock unitary is
     I (x) R, R = plt_on_fock(X[1:, 1:]) on the other modes, block diagonal in
-    their photon number. ``plt_on_fock`` maps the samples onto
-    that rest basis in stacks of ``_STACK_BYTES``; one GEMM per stack adds to
+    their photon number. ``plt_on_fock`` maps the samples onto that rest
+    basis in stacks of ``_STACK_BYTES``; one GEMM per stack adds to
     Sop[(a, c), (b, d)] = sum over samples of R[a, c] conj(R[b, d]), for the
     in-shell pairs |a| = |c|, |b| = |d|, and at the end
     out[(n, a), (m, b)] = sum_{c, d} Sop[(a, c), (b, d)] rho[(n, c), (m, d)] / samples.
