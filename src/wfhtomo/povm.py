@@ -138,20 +138,36 @@ class HermitianCoords:
         stack, imag = np.empty_like(entry), np.zeros_like(entry)
         stack[place[i <= j]] = entry[i <= j]
         stack[(place + half)[upper]], imag[(place + half)[upper]] = entry[upper], 1
-        block, i, j = block[stack], i[stack], j[stack]
-        off = i != j
-        self.weight = np.where(off, math.sqrt(2.0), 1.0)
-        # positions in the float64 views of a stack row and of a raveled D x D
-        # matrix; a stack row is read at (i, j) and (j, i), for its Hermitian part
+        self._entry = block, i, j, imag = block[stack], i[stack], j[stack], imag
+        self.weight = np.where(i != j, math.sqrt(2.0), 1.0)
+        # positions in the float64 view of a stack row, read at (i, j) and (j, i) for
+        # its Hermitian part; those in a dense matrix are built on first use (vec)
         self._stack = 2 * stack + imag
         self._stack_mirror = 2 * self.mirror[stack] + imag
         self._sign = np.where(imag == 1, -1.0, 1.0)
-        row, col = self.start[block] + i, self.start[block] + j
-        self._dense = 2 * (row * self.D + col) + imag
-        # unvec writes each coordinate at (row, col), and its conjugate at (col, row)
-        self._to = np.concatenate([self._dense, (2 * (col * self.D + row) + imag)[off]])
-        self._from = np.concatenate([entry, np.flatnonzero(off)])
-        self._coef = np.concatenate([1.0 / self.weight, self._sign[off] / math.sqrt(2.0)])
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        """Each coordinate's position in the float64 view of a raveled D x D matrix."""
+        block, i, j, imag = self._entry
+        return 2 * ((self.start[block] + i) * self.D + self.start[block] + j) + imag
+
+    @cached_property
+    def _to(self) -> np.ndarray:
+        """Where unvec writes each coordinate: at (row, col), then its conjugate at (col, row)."""
+        block, i, j, imag = self._entry
+        return np.concatenate([self._dense, (2 * ((self.start[block] + j) * self.D
+                                                  + self.start[block] + i) + imag)[i != j]])
+
+    @cached_property
+    def _from(self) -> np.ndarray:
+        _, i, j, _ = self._entry
+        return np.concatenate([np.arange(len(i)), np.flatnonzero(i != j)])
+
+    @cached_property
+    def _coef(self) -> np.ndarray:
+        _, i, j, _ = self._entry
+        return np.concatenate([1.0 / self.weight, self._sign[i != j] / math.sqrt(2.0)])
 
     @classmethod
     def of(cls, N: int, length: int) -> "HermitianCoords":
@@ -223,12 +239,13 @@ def _counts(top: int, overflow: bool = False, first: int = 0) -> tuple[np.ndarra
     return start, start > top
 
 
-def _count_weights(e: float, alpha: np.ndarray, nu: float, sets: tuple, shifts: np.ndarray,
-                   fact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W[g, s, i, j]: one counter's factor of the element for the amplitude
-    alpha[g], summed over each count set s the mode-1 pair supplies once 0..N
-    auxiliary photons are counted; and index[x, s'], the s of the set s' of
-    sets less x photons; fact[n] = n!, n = 0..N.
+def _count_weights(es: tuple, alphas: np.ndarray, nus: tuple, sets: tuple, shifts: np.ndarray,
+                   fact: np.ndarray) -> tuple[list, list]:
+    """W[c][g, s, i, j]: counter c's factor of the element for the amplitude
+    alphas[c, g], summed over each count set s the mode-1 pair supplies once
+    0..N auxiliary photons are counted, raveled per g with a 0 after
+    (_block_rows); and index[c][x, s'], the s of the set s' of sets[c] less x
+    photons; fact[n] = n!, n = 0..N.
 
     A counter mode e a + alpha read with transmission nu contributes
     sum_{n in s} nu^n e^{-mu} (e a^dag + alpha*)^n ... (e a + alpha)^n / n!
@@ -236,89 +253,134 @@ def _count_weights(e: float, alpha: np.ndarray, nu: float, sets: tuple, shifts: 
     (a^dag)^i ... a^j with weight e^{i+j} sum_t nu^r alpha*^{j-t} alpha^{i-t}
     P(s - r) / ((i-t)! (j-t)! t!), where r = i + j - t and P(s - r) is the
     Poisson(mu) mass of the count set shifted down by r.
+
+    What no amplitude enters is built once: the (i, j, t) triples and the 0/1
+    map that sums over t, and, per distinct count-set pair (start, tail), its
+    set codes, their inverse index and the mass read map. Both counters share
+    these when they read equal sets, and then one gather, product and summing
+    matmul serve both. One poisson_table call covers both counters' means;
+    its rows depend on their own mean alone.
     """
-    dim = len(fact)
-    # a set below 0 is empty, one reaching down to 0 holds every count
-    starts, tails = (sets[0] - shifts).ravel(), np.tile(sets[1], len(shifts))
-    code = 2 * np.where(tails, np.maximum(starts, 0), np.maximum(starts, -1)) + tails
-    code, index = np.unique(code, return_inverse=True)  # sorted by (start, tail)
-    start, tail = code // 2, code % 2 == 1
+    dim, G = len(fact), alphas.shape[1]
     ijk = np.indices((dim,) * 3)
     i, j, t = ijk[:, ijk[2] <= np.minimum(ijk[0], ijk[1])]  # the triples t <= min(i, j)
     r = i + j - t
-    alpha = alpha[:, None]
-    coef = (e ** (i + j) * nu ** r * np.conj(alpha) ** (j - t) * alpha ** (i - t)
-            / (fact[i - t] * fact[j - t] * fact[t]))
-    mu = [nu * abs(v) ** 2 for v in alpha[:, 0].tolist()]
-    pmf, upper = poisson_table(mu, max(int(start[-1]), 0))
-    # one gather from [pmf, upper, 0]: a tail set's upper mass, else the mass (0 below 0)
-    at = start[:, None] - r
-    at = np.where(tail[:, None], len(pmf[0]) + np.maximum(at, 0), np.where(at < 0, -1, at))
-    mass = np.concatenate([pmf, upper, np.zeros((len(mu), 1))], axis=1)[:, at]
-    # summed over t by a product with the 0/1 map of (i, j, t) to (i, j)
-    weights = _rows_matmul(coef[:, None] * mass, (i * dim + j)[:, None] == np.arange(dim * dim))
-    return weights.reshape(len(alpha), -1, dim, dim), index.reshape(len(shifts), -1)
+    alphas = alphas[:, :, None]
+    coef = (np.array(es)[:, None, None] ** (i + j) * np.array(nus)[:, None, None] ** r
+            * np.conj(alphas) ** (j - t) * alphas ** (i - t) / (fact[i - t] * fact[j - t] * fact[t]))
+    mu = [nu * abs(v) ** 2 for nu, alpha in zip(nus, alphas[:, :, 0].tolist()) for v in alpha]
+    readers = [[0, 1]] if all(map(np.array_equal, *sets)) else [[0], [1]]
+    codes = []
+    for start, tail in (sets[c[0]] for c in readers):
+        # a set below 0 is empty, one reaching down to 0 holds every count
+        starts, tails = (start - shifts).ravel(), np.tile(tail, len(shifts))
+        code = 2 * np.where(tails, np.maximum(starts, 0), np.maximum(starts, -1)) + tails
+        codes.append(np.unique(code, return_inverse=True))  # sorted by (start, tail)
+    top = max(max(int(code[-1]) // 2, 0) for code, _ in codes)
+    pmf, upper = poisson_table(mu, top)
+    # one gather from [pmf, upper, 0]: a tail set's upper mass, else the mass (0 below 0);
+    # complex, so that the product with the coefficients casts nothing
+    table = np.concatenate([pmf, upper, np.zeros((2 * G, 1))], axis=1).reshape(2, G, -1)
+    table = table.astype(np.complex128)
+    sums = (i * dim + j)[:, None] == np.arange(dim * dim)  # the 0/1 map of (i, j, t) to (i, j)
+    weights, index = [None, None], [None, None]
+    for members, (code, inverse) in zip(readers, codes):
+        start, tail = code // 2, code % 2 == 1
+        at = start[:, None] - r
+        at = np.where(tail[:, None], top + 1 + np.maximum(at, 0), np.where(at < 0, -1, at))
+        # summed over t by a product with the 0/1 map
+        w = np.empty((len(members), G, len(code) * dim * dim + 1), dtype=np.complex128)
+        w[..., -1] = 0.0
+        mass = table[members][:, :, at]
+        _rows_matmul(np.multiply(coef[members][:, :, None], mass, out=mass), sums,
+                     out=w[..., :-1].reshape(len(members), G, len(code), dim * dim))
+        for c, w_c in zip(members, w):
+            weights[c], index[c] = w_c, inverse.reshape(len(shifts), -1)
+    return weights, index
 
 
-def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, each row's bits independent of how many rows a has: numpy sends a
-    one-row product to a BLAS dot, which sums in another order than gemv or gemm."""
+def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b (into out), each row's bits independent of how many rows a has: numpy
+    sends a one-row product to a BLAS dot, which sums in another order than gemv or gemm."""
     if a.shape[-2] > 1:
-        return a @ b
-    return (np.concatenate([a, np.zeros_like(a)], axis=-2) @ b)[..., :1, :]
+        return np.matmul(a, b, out=out)
+    product = (np.concatenate([a, np.zeros_like(a)], axis=-2) @ b)[..., :1, :]
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def _aux_weights(partition: PartitionSpec, layout: HermitianCoords, nu1: float,
                  nu2: float) -> np.ndarray:
     """w[b, x, y]: the chance that block b's auxiliary photons put x at counter 1
-    and y at counter 2; each reaches them with nu1 eta_s^2, nu2 zeta_s^2, or is lost."""
+    and y at counter 2; each reaches them with nu1 eta_s^2, nu2 zeta_s^2, or is lost.
+
+    A slot's i photons split as x, y and i - x - y with chance C(i, x) C(i - x, y)
+    p1^x p2^y p0^(i - x - y); a block's chance is the product of its slots', summed
+    over their splits in the order of the first slot's (x, y)."""
+    slots, dim = slot_sectors(partition.K, partition.s1_multi), layout.N + 1
     shares = [(nu1 * e ** 2, nu2 * z ** 2, (1 - nu1) * e ** 2 + (1 - nu2) * z ** 2)
-              for e, z in (partition.sectors[slot]
-                           for slot in slot_sectors(partition.K, partition.s1_multi))]
-    w = np.zeros((len(layout.keys), layout.N + 1, layout.N + 1))
-    for b, key in enumerate(layout.keys):
-        splits = ([(x, y, math.comb(i, x) * math.comb(i - x, y) * p1 ** x * p2 ** y
-                    * p0 ** (i - x - y)) for x in range(i + 1) for y in range(i + 1 - x)]
-                  for i, (p1, p2, p0) in zip(key, shares))  # per slot of the key
-        for parts in itertools.product(*splits):
-            x, y = sum(p[0] for p in parts), sum(p[1] for p in parts)
-            w[b, x, y] += math.prod(p[2] for p in parts)
+              for e, z in (partition.sectors[slot] for slot in slots)]
+    power = np.array([[p ** n for n in range(dim)] for ps in shares for p in ps])
+    power = power.reshape(len(slots), 3, dim)  # [slot, p1 | p2 | p0, n]: p^n
+    comb = np.array([[math.comb(n, k) for k in range(dim)] for n in range(dim)], dtype=float)
+    i, x, y = np.indices((dim,) * 3, sparse=True)
+    chance = np.where(x + y <= i, comb[i, x] * comb[i - x, y] * power[:, 0, x] * power[:, 1, y]
+                      * power[:, 2, np.maximum(i - x - y, 0)], 0.0)  # [slot, i, x, y]
+    keys = np.array(layout.keys, dtype=np.int64).reshape(len(layout.keys), len(slots))
+    if not slots:  # one block, and no auxiliary photons
+        return np.pad(np.ones((1, 1, 1)), ((0, 0), (0, dim - 1), (0, dim - 1)))
+    w = chance[0, keys[:, 0]]
+    for s in range(1, len(slots)):
+        prev, w = w, np.zeros_like(w)
+        for x, y in itertools.product(range(dim), repeat=2):
+            w[:, x:, y:] += prev[:, x, y, None, None] * chance[s, keys[:, s], :dim - x, :dim - y]
     return w
 
 
 def _block_rows(u: np.ndarray, v: np.ndarray, index1: np.ndarray, index2: np.ndarray,
                 w: np.ndarray, at: np.ndarray, dims: np.ndarray, left: np.ndarray,
                 right: np.ndarray) -> np.ndarray:
-    """out[g, s1, s2, at[b]:at[b] + d * d], d = dims[b]: the raveled sum over x, y
-    of w[b, x, y] conv(u[g, index1[x, s1]], v[g, index2[y, s2]]), conv(A, B)[r, c]
-    = sum_{p, q} A[r - p, q] B[p, c - q] cut at d, read through left and right
-    (_counting_rows). One product per block sums over (x, y, p, q), s2 and r
-    down its rows, s1 and g along its stack: its summed and column lengths are
-    the layout's, so each entry comes out bit for bit as in any other batch of
-    gammas or sets. They keep that shape: folding s1 into the columns made the
-    load about 10 % faster, but changed the bits of P on six of six contexts."""
-    (G, _, dim, _), n1, n2 = u.shape, index1.shape[1], index2.shape[1]
-    out = np.empty((G, n1, n2, at[-1]), dtype=np.complex128)
-    # u and v raveled per g, then a 0 to read at -1; np.take lays the operands out
-    # contiguously, as numpy sums a product of others itself, in another order than BLAS
-    u, v = (np.concatenate([m.reshape(G, -1), np.zeros((G, 1), m.dtype)], axis=1) for m in (u, v))
-    for w_b, a, d in zip(w, at, dims):
-        x, y = np.nonzero(w_b)
-        lhs = np.take(v, np.maximum(index2[y].T[:, None, :, None, None] * dim * dim
-                                    + left[:d, None, :d, :d], -1), axis=1)
-        lhs *= w_b[x, y][:, None, None]
-        rhs = np.take(u, np.maximum(index1[x].T[:, :, None, None, None] * dim * dim
-                                    + right[:d, :d, :d], -1), axis=1)
-        # + 0 makes a product's -0 a 0, as the Hermitian part of the row (_wrap) has it
-        np.add(_rows_matmul(lhs.reshape(G, 1, n2 * d, -1), rhs.reshape(G, n1, -1, d))
-               .reshape(G, n1, n2, -1), 0.0, out=out[..., a:a + d * d])
+    """out[g, s1, n2 * at[b]:n2 * at[b + 1]], as [s2, r, c] of block b (dimension
+    d = dims[b]): the sum over x, y of w[b, x, y] conv(u[g, index1[x, s1]],
+    v[g, index2[y, s2]]), conv(A, B)[r, c] = sum_{p, q} A[r - p, q] B[p, c - q]
+    cut at d. u, v and out hold their matrices raveled per g, with a 0 after
+    that the entries of left and right past the end read (_counting_rows); np.take
+    lays each product's operands out contiguously, as numpy sums a product of
+    others itself, in another order than BLAS, and the products write into out.
+    One product per block
+    sums over (x, y, p, q), s2 and r down its rows, s1 and g along its stack: its
+    summed and column lengths are the layout's, so each entry comes out bit for
+    bit as in any other batch of gammas or sets. They keep that shape: folding s1
+    into the columns made the load about 10 % faster, but changed the bits of P
+    on six of six contexts. The nonzero (x, y) of every block, their weights and
+    the sets' offsets in u and v are found once, for all blocks."""
+    G, dim, n1, n2 = len(u), len(left), index1.shape[1], index2.shape[1]
+    out = np.empty((G, n1 * n2 * at[-1] + 1), dtype=np.complex128)
+    out[:, -1] = 0.0
+    blocks = out[:, :-1].reshape(G, n1, n2 * at[-1])
+    b, x, y = np.nonzero(w)
+    scale = w[b, x, y].astype(np.complex128)[:, None, None]
+    first1, first2 = (index1 * dim * dim)[x].T, (index2 * dim * dim)[y].T  # [s1 | s2, pair]
+    ends = np.searchsorted(b, np.arange(len(w)) + 1).tolist()
+    for lo, hi, a, d in zip([0] + ends, ends, at, dims):
+        lhs = np.take(v, first2[:, None, lo:hi, None, None] + left[:d, None, :d, :d], axis=1,
+                      mode="clip")
+        lhs *= scale[lo:hi]
+        rhs = np.take(u, first1[:, lo:hi, None, None, None] + right[:d, :d, :d], axis=1,
+                      mode="clip")
+        _rows_matmul(lhs.reshape(G, 1, n2 * d, -1), rhs.reshape(G, n1, -1, d),
+                     out=blocks[..., n2 * a:n2 * (a + d * d)].reshape(G, n1, n2 * d, d))
+    out += 0.0  # makes a product's -0 a 0, as the Hermitian part of the row (_wrap) has it
     return out
 
 
 def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoords,
-                   nus: tuple, sets: tuple) -> np.ndarray:
+                   nus: tuple, sets: tuple, order: np.ndarray | None = None) -> np.ndarray:
     """The elements for the count sets sets[0] x sets[1] (see _counts) at each
-    of gammas, as stack rows [g, s1, s2].
+    of gammas, as stack rows [g, o] of the pairs o = s1 * len(sets[1]) + s2 in
+    order (all pairs when None).
 
     With counter modes A = eta a + zeta gamma and B = zeta a - eta gamma read with
     transmissions nu1, nu2, the mode-1 element for counts (k, l) is the normally
@@ -340,22 +402,29 @@ def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoor
     shifts = np.arange(dim if slot_sectors(partition.K, partition.s1_multi) else 1)[:, None]
     gammas = np.array(gammas, dtype=np.complex128)
     fact = np.cumprod(np.arange(dim, dtype=float).clip(1.0))  # n!
-    # the read maps of conv in both _block_rows calls; a 0 entry is read at -2^62
+    # the read maps of conv in both _block_rows calls; a 0 entry is read past the end
     i, j, k = np.indices((dim,) * 3, sparse=True)
-    gather = (np.where(j <= i, (i - j) * dim + k, -2 ** 62),  # [r, p, q]: A[r - p, q]
-              np.where(j <= k, i * dim + k - j, -2 ** 62))  # [p, q, c]: B[p, c - q]
-    u, n = np.tril_indices(dim)
+    gather = (np.where(j <= i, (i - j) * dim + k, 2 ** 62),  # [r, p, q]: A[r - p, q]
+              np.where(j <= k, i * dim + k - j, 2 ** 62))  # [p, q, c]: B[p, c - q]
+    u, n = np.nonzero(np.tri(dim, dtype=bool))
     x = (1 - nus[0]) * eta ** 2 + (1 - nus[1]) * zeta ** 2  # 1 - nu1 eta^2 - nu2 zeta^2
     t = np.zeros((G, dim, dim), dtype=np.complex128)  # T[u, n] = (-s)^(u - n) / (u - n)!
     t[:, u, n] = (-eta * zeta * (nus[0] - nus[1]) * gammas[:, None]) ** (u - n) / fact[u - n]
     # M' = T diag(x^n / n!) T^dag
     middle = (t * (x ** np.arange(dim) / fact)) @ np.conj(t).transpose(0, 2, 1)
-    factors, index = zip(*(_count_weights(e, c * gammas, nu, counts, shifts, fact) for
-                           counts, e, c, nu in zip(sets, (eta, zeta), (zeta, -eta), nus)))
-    conv2 = _block_rows(factors[1], middle[:, None], np.arange(factors[1].shape[1])[None],
-                        np.zeros((1, 1), int), np.ones((1, 1, 1)), [0, dim * dim], [dim], *gather)
-    rows = _block_rows(factors[0], conv2.reshape(G, -1, dim, dim), *index,
-                       _aux_weights(partition, layout, *nus), layout.at, layout.dims, *gather)
+    factors, index = _count_weights((eta, zeta), np.array([[zeta], [-eta]]) * gammas, nus, sets,
+                                    shifts, fact)
+    conv2 = _block_rows(factors[1], np.concatenate([middle.reshape(G, -1), np.zeros((G, 1))], 1),
+                        np.arange(index[1].max() + 1)[None], np.zeros((1, 1), int),
+                        np.ones((1, 1, 1)), [0, dim * dim], [dim], *gather)
+    rows = _block_rows(factors[0], conv2, *index, _aux_weights(partition, layout, *nus),
+                       layout.at, layout.dims, *gather)
+    # one gather puts the pairs in order and each row's blocks side by side
+    (n1, n2), size = (len(m[0]) for m in index), np.repeat(layout.dims ** 2, layout.dims ** 2)
+    s1, s2 = np.divmod(np.arange(n1 * n2) if order is None else order, n2)
+    read = ((s1 * n2 * layout.at[-1])[:, None] + s2[:, None] * size + np.arange(layout.at[-1])
+            + (n2 - 1) * np.repeat(layout.at[:-1], layout.dims ** 2))
+    rows = np.take(rows, read, axis=1)
     rows *= (fact[layout.ij[0]] * fact[layout.ij[1]]) ** 0.5  # sqrt(r! c!) at each entry (r, c)
     return rows
 
@@ -367,7 +436,7 @@ def pi_kl(gamma: complex, k: int, l: int, partition: PartitionSpec, N: int) -> P
     sets = (_counts(k, first=k), _counts(l, first=l))
     layout = _layout(partition, N)
     rows = _counting_rows([complex(gamma)], partition, layout, (1.0, 1.0), sets)
-    return _wrap([(k, l)], rows[0, 0], layout, gamma)[(k, l)]
+    return _wrap([(k, l)], rows[0], layout, gamma)[(k, l)]
 
 
 def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
@@ -381,7 +450,7 @@ def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
     nus, sets = ((1.0, 0.0), (read, unread)) if counter == 1 else ((0.0, 1.0), (unread, read))
     layout = _layout(partition, N)
     rows = _counting_rows([complex(gamma)], partition, layout, nus, sets)
-    el = _wrap([(k,)], rows[0, 0], layout, gamma)[(k,)]
+    el = _wrap([(k,)], rows[0], layout, gamma)[(k,)]
     el.meta = {"counter": counter}
     return el
 
@@ -494,29 +563,28 @@ def _group_rows(settings: list[Setting], layout: HermitianCoords) -> tuple[list,
         if part.K != 1:
             raise ValueError("click POVM requires K = 1")
         click = _counts(0, overflow=True)  # a click overflows 0
-        rows = _counting_rows(gammas, part, layout, (1.0, 1.0), (click, click))
-        labels, rows = [(0, 0), ("I", 0), (0, "I"), ("I", "I")], rows[:, [0, 1, 0, 1], [0, 0, 1, 1]]
+        rows = _counting_rows(gammas, part, layout, (1.0, 1.0), (click, click), np.array([0, 2, 1, 3]))
+        labels = [(0, 0), ("I", 0), (0, "I"), ("I", "I")]
     elif cfg.response is not None:  # ideal counts of every photon number the responses cover
         present = _counts(cfg.response[0].shape[1] - 1)
         # a single counter's absent partner reads nothing
         nus, other = ((1.0, 0.0), _counts(0)) if cfg.counters == 1 else ((1.0, 1.0), present)
         rows = _counting_rows(gammas, part, layout, nus, (present, other))
-        labels, rows = _respond(rows.reshape(len(gammas), -1, rows.shape[-1]), cfg)
+        labels, rows = _respond(rows, cfg)
     else:
         nus = cfg.loss or (1.0, 1.0)
         counts = _counts(cfg.N_c, overflow=True)
         names = [*range(cfg.N_c + 1), ">"]
         if cfg.counters == 1:
             rows = _counting_rows(gammas, part, layout, (nus[0], 0.0), (counts, _counts(0)))
-            labels, rows = [(o,) for o in names], rows[:, :, 0]
+            labels = [(o,) for o in names]
         else:
-            rows = _counting_rows(gammas, part, layout, nus, (counts, counts))
             # counts in range first, then overflow at counter 2, at counter 1, at both
-            n = cfg.N_c + 1
-            order = ([(k, l) for k in range(n) for l in range(n)] + [(k, n) for k in range(n)]
-                     + [(n, l) for l in range(n)] + [(n, n)])
-            k, l = np.array(order).T
-            labels, rows = [(names[k], names[l]) for k, l in order], rows[:, k, l]
+            over = np.arange(len(names)) > cfg.N_c
+            order = np.argsort(2 * over[:, None] + over, axis=None, kind="stable")
+            grid = list(itertools.product(names, names))
+            labels = [grid[o] for o in order.tolist()]
+            rows = _counting_rows(gammas, part, layout, nus, (counts, counts), order)
     return labels, rows
 
 
@@ -546,11 +614,13 @@ class MeasurementContext:
 
     settings: list[Setting]
     labels: list[list]
-    rows: list[np.ndarray]
+    rows: list[np.ndarray] | np.ndarray  # one array when one kernel pass built every setting
     coords: HermitianCoords
 
     def __post_init__(self):
-        self.P = self.coords.rows(np.concatenate(self.rows))
+        rows = self.rows
+        self.P = self.coords.rows(rows.reshape(-1, rows.shape[-1]) if isinstance(rows, np.ndarray)
+                                  else np.concatenate(rows))
         self.offsets = np.cumsum([0] + [len(labels) for labels in self.labels])
 
     @classmethod
@@ -581,7 +651,7 @@ class MeasurementContext:
             if not dev[s] <= 1e-8:
                 raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
                                  f"within {dev[s]:.3e}")
-        return cls(list(settings), labels, rows, layout)
+        return cls(list(settings), labels, group if len(groups) == 1 else rows, layout)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
