@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -42,6 +43,13 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # a negative number after a flag is its value, in exponent form too (-1e-3, -.5E+1)
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -119,12 +127,35 @@ def _load_params(args) -> ReconstructionParams:
         ReconstructionParams(method="apg")
 
 
+def _json_text(node, pad: str = "\n") -> str:
+    """json.dumps(node, indent=2), with node's first line at the indent of pad.
+
+    json.dumps runs its pure-Python encoder whenever it indents; here the C
+    encoder writes each container of scalars in one call, its items separated
+    by a comma, a newline and their indent, and only the other containers are
+    walked item by item."""
+    if not isinstance(node, (dict, list, tuple)) or not node:
+        return json.dumps(node)
+    inner = pad + "  "
+    kinds = set(map(type, node.values() if isinstance(node, dict) else node))
+    if all(issubclass(kind, (str, int, float, type(None))) for kind in kinds):
+        flat = json.dumps(node, separators=("," + inner, ": "))
+    elif not isinstance(node, dict):
+        flat = "[" + ("," + inner).join(_json_text(v, inner) for v in node) + "]"
+    elif all(isinstance(k, str) for k in node):
+        flat = "{" + ("," + inner).join(f"{json.dumps(k)}: {_json_text(v, inner)}"
+                                        for k, v in node.items()) + "}"
+    else:  # keys that JSON turns into strings
+        return json.dumps(node, indent=2).replace("\n", pad)
+    return flat[0] + inner + flat[1:-1] + pad + flat[-1]
+
+
 def _write_json(path: str, payload: dict) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")  # one write, not one per token
+            fh.write(_json_text(payload) + "\n")  # one write, not one per token
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

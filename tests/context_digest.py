@@ -1,4 +1,4 @@
-"""sha256 digests of what a context load builds, on six fixed contexts.
+"""sha256 digests of what a context load builds, on eight fixed contexts.
 
     PYTHONPATH=src python tests/context_digest.py
 
@@ -18,18 +18,25 @@ import json
 import numpy as np
 
 from wfhtomo.optics import PartitionSpec
-from wfhtomo.povm import CounterConfig, MeasurementContext, Setting
+from wfhtomo.povm import (CounterConfig, MeasurementContext, Setting, compose_response,
+                          identity_response)
 from wfhtomo.probes import design_gamma
 
 BALANCED_MULTI = PartitionSpec(sectors=((0.5 ** 0.5, 0.5 ** 0.5),), s1_multi=True)
 TWO_SECTORS = PartitionSpec(sectors=((0.6, 0.8), (0.8, 0.6)), s1_multi=True)
 
 
-def contexts() -> dict[str, tuple[list, CounterConfig, PartitionSpec, int]]:
-    """name -> (gammas, counter, partition, N): the README quick start ideal and
-    with loss (0.8, 0.7); N = 5, N_c = 9 ideal and with loss (0.9, 0.6); N = 5
-    with one counter at N_c = 4; and two sectors at N = 3, N_c = 5."""
+def contexts() -> dict[str, tuple]:
+    """name -> (gammas, counter, partition, N[, detector]): the README quick
+    start ideal and with loss (0.8, 0.7); N = 5, N_c = 9 ideal and with loss
+    (0.9, 0.6); N = 5 with one counter at N_c = 4; two sectors at N = 3,
+    N_c = 5; click detectors at N = 3; and two counters with response matrices
+    (N_c = 4, up to 20 photons present) and loss (0.9, 0.8) folded in, at N = 3
+    and the quick-start probes with |gamma| < 1.2, whose counts above 20 are
+    negligible. Between them they take every branch of the kernel's grouping
+    (povm._group_rows)."""
     quick, n5 = design_gamma(3, seed=7).gammas, design_gamma(5, seed=3).gammas
+    responses = (compose_response(identity_response(4, 20), 0.95), identity_response(4, 20))
     return {
         "quickstart": (quick, CounterConfig(counters=2, N_c=6), BALANCED_MULTI, 3),
         "quickstart-lossy": (quick, CounterConfig(counters=2, N_c=6, loss=(0.8, 0.7)),
@@ -38,11 +45,15 @@ def contexts() -> dict[str, tuple[list, CounterConfig, PartitionSpec, int]]:
         "n5-lossy": (n5, CounterConfig(counters=2, N_c=9, loss=(0.9, 0.6)), BALANCED_MULTI, 5),
         "n5-one-counter": (n5, CounterConfig(counters=1, N_c=4), BALANCED_MULTI, 5),
         "two-sectors": (quick, CounterConfig(counters=2, N_c=5), TWO_SECTORS, 3),
+        "click": (quick, CounterConfig(counters=2, N_c=0), BALANCED_MULTI, 3, "click"),
+        "response": ([g for g in quick if abs(g) < 1.2], CounterConfig(counters=2, N_c=4, loss=(0.9, 0.8), response=responses),
+                     BALANCED_MULTI, 3),
     }
 
 
-def load(gammas, counter, partition, N) -> MeasurementContext:
-    settings = [Setting(gamma=g, counter=counter, partition=partition, N=N) for g in gammas]
+def load(gammas, counter, partition, N, detector="counting") -> MeasurementContext:
+    settings = [Setting(gamma=g, counter=counter, partition=partition, N=N, detector=detector)
+                for g in gammas]
     text = json.dumps(MeasurementContext.build(settings).to_json())
     return MeasurementContext.from_json(json.loads(text))
 

@@ -876,6 +876,28 @@ def test_twirl_non_finite_number_flag_exits_1(capsys, tmp_path, flag, kind, valu
     assert not out.exists()
 
 
+def test_twirl_negative_exponent_after_a_space(capsys, tmp_path):
+    # argparse alone reads only forms like -12 and -1.5 after a space as values
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    for out, flag in ((spaced, ["--alpha-im", "-1e-3"]), (joined, ["--alpha-im=-1e-3"])):
+        code, _ = run_cli(capsys, "twirl", "--closed-form", "cat", "--alpha-re", "0.5", *flag,
+                          "--n", "2", "--out", str(out))
+        assert code == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    # read as a value, a negative exponent form is still no int
+    assert cli.main(["simulate", "--state", "x", "--context", "c", "--out", "d",
+                     "--m", "-1e3"]) == 1
+    assert capsys.readouterr().err == "error: argument --m: invalid int value: '-1e3'\n"
+
+
+@pytest.mark.parametrize("text, value", [("-1e-3", -1e-3), ("-1E+2", -100.0), ("-.5e1", -5.0),
+                                         ("-12", -12.0), ("-1.5", -1.5), ("-2.", -2.0)])
+def test_negative_numbers_after_a_space_are_values(text, value):
+    args = cli.build_parser("twirl").parse_args(["twirl", "--closed-form", "cat",
+                                                 "--alpha-im", text, "--n", "2", "--out", "y"])
+    assert args.alpha_im == value
+
+
 def test_twirl_from_state_spec(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(StateSpec(kind="tmsv", N=2, r=0.4).to_json()))

@@ -259,3 +259,20 @@ def test_report_round_trips_of_each_termination(termination, seed):
         assert [report.termination] + [r["termination"] for r in boot.replicates + records] \
             == [termination] * 5
         assert_strict_json_round_trips(report, boot, records)
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.just(-0.0) | st.text()
+                | st.floats(allow_nan=True, allow_infinity=True))
+json_trees = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=5)
+                          | st.dictionaries(st.text(), inner, max_size=5), max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=json_trees)
+def test_json_writer_writes_the_bytes_of_json_dumps_indent_2(tree, tmp_path_factory):
+    # the C encoder writes each container of scalars; the file must hold
+    # json.dumps(indent=2)'s bytes, as every artifact's pinned sha256 fixes them
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+    path = tmp_path_factory.mktemp("json") / "tree.json"
+    cli._write_json(str(path), tree)
+    assert path.read_bytes() == (json.dumps(tree, indent=2) + "\n").encode()

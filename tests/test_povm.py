@@ -1,6 +1,8 @@
 import json
 import math
+import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -703,3 +705,31 @@ def test_elements_are_hermitian_and_design_matrix_unchanged(monkeypatch, loss):
     assert max(np.max(np.abs(m - m.conj().T)) for povm in raw.povms
                for e in povm.values() for m in e.op.blocks.values()) > 0
     assert ctx.P.tobytes() == raw.P.tobytes()
+
+
+def test_context_digests_match_the_pinned_bits():
+    # tests/data/context_digest.json holds what tests/context_digest.py printed
+    # when each context load built its maps one numpy call per block and per
+    # split; P, the rows, the labels and the rank of all eight contexts must
+    # come out bit for bit as they did then
+    from context_digest import main
+    with open(pathlib.Path(__file__).parent / "data" / "context_digest.json") as fh:
+        assert main() == json.load(fh)
+
+
+def test_lossy_quick_start_load_memory():
+    # tracemalloc peak of one load of the lossy quick-start context from its JSON
+    # form, rank included: 1.43 MiB when P was built from a concatenated copy of
+    # the rows, 1.13 MiB with the rows of one kernel pass kept as one array
+    balanced = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=True)
+    counter = CounterConfig(counters=2, N_c=6, loss=(0.8, 0.7))
+    payload = json.loads(json.dumps(MeasurementContext.build(
+        [Setting(gamma=g, counter=counter, partition=balanced, N=3)
+         for g in design_gamma(3, 7).gammas]).to_json()))
+    tracemalloc.start()
+    try:
+        assert MeasurementContext.from_json(payload).rank == 30
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2 ** 20
