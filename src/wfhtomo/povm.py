@@ -372,6 +372,7 @@ def _block_rows(u: np.ndarray, v: np.ndarray, index1: np.ndarray, index2: np.nda
                       mode="clip")
         _rows_matmul(lhs.reshape(G, 1, n2 * d, -1), rhs.reshape(G, n1, -1, d),
                      out=blocks[..., n2 * a:n2 * (a + d * d)].reshape(G, n1, n2 * d, d))
+        del lhs, rhs  # freed before the next block's operands are gathered
     out += 0.0  # makes a product's -0 a 0, as the Hermitian part of the row (_wrap) has it
     return out
 
@@ -412,13 +413,14 @@ def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoor
     t[:, u, n] = (-eta * zeta * (nus[0] - nus[1]) * gammas[:, None]) ** (u - n) / fact[u - n]
     # M' = T diag(x^n / n!) T^dag
     middle = (t * (x ** np.arange(dim) / fact)) @ np.conj(t).transpose(0, 2, 1)
-    factors, index = _count_weights((eta, zeta), np.array([[zeta], [-eta]]) * gammas, nus, sets,
-                                    shifts, fact)
-    conv2 = _block_rows(factors[1], np.concatenate([middle.reshape(G, -1), np.zeros((G, 1))], 1),
-                        np.arange(index[1].max() + 1)[None], np.zeros((1, 1), int),
-                        np.ones((1, 1, 1)), [0, dim * dim], [dim], *gather)
-    rows = _block_rows(factors[0], conv2, *index, _aux_weights(partition, layout, *nus),
-                       layout.at, layout.dims, *gather)
+    (u, v), index = _count_weights((eta, zeta), np.array([[zeta], [-eta]]) * gammas, nus, sets,
+                                   shifts, fact)
+    v = _block_rows(v, np.concatenate([middle.reshape(G, -1), np.zeros((G, 1))], 1),  # conv(W2, M')
+                    np.arange(index[1].max() + 1)[None], np.zeros((1, 1), int),
+                    np.ones((1, 1, 1)), [0, dim * dim], [dim], *gather)
+    rows = _block_rows(u, v, *index, _aux_weights(partition, layout, *nus), layout.at,
+                       layout.dims, *gather)
+    del u, v  # freed before the rows are gathered
     # one gather puts the pairs in order and each row's blocks side by side
     (n1, n2), size = (len(m[0]) for m in index), np.repeat(layout.dims ** 2, layout.dims ** 2)
     s1, s2 = np.divmod(np.arange(n1 * n2) if order is None else order, n2)
