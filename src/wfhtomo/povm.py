@@ -255,26 +255,29 @@ def _count_weights(es: tuple, alphas: np.ndarray, nus: tuple, sets: tuple, shift
     Poisson(mu) mass of the count set shifted down by r.
 
     What no amplitude enters is built once: the (i, j, t) triples and the 0/1
-    map that sums over t, and, per distinct count-set pair (start, tail), its
-    set codes, their inverse index and the mass read map. Both counters share
-    these when they read equal sets, and then one gather, product and summing
-    matmul serve both. One poisson_table call covers both counters' means;
-    its rows depend on their own mean alone.
+    map that sums over t, and, per count-set pair (start, tail) passed, its set
+    codes, their inverse index and the mass read map. Both counters share these
+    when the caller passes them one pair (every two-counter and click context
+    does), and then one gather, product and summing matmul serve both. One
+    poisson_table call covers both counters' means; its rows depend on their
+    own mean alone, so each mass keeps its bits.
     """
     dim, G = len(fact), alphas.shape[1]
-    ijk = np.indices((dim,) * 3)
-    i, j, t = ijk[:, ijk[2] <= np.minimum(ijk[0], ijk[1])]  # the triples t <= min(i, j)
+    i, j, t = np.indices((dim,) * 3, sparse=True)
+    i, j, t = np.nonzero(t <= np.minimum(i, j))  # the triples t <= min(i, j)
     r = i + j - t
-    alphas = alphas[:, :, None]
+    # alpha^n and alpha*^n for n = 0..N, each power as numpy computes it elementwise
+    power, n = alphas[:, :, None], np.arange(dim)
+    power = np.concatenate([np.conj(power) ** n, power ** n], axis=2)  # [c, g, conj | plain, n]
     coef = (np.array(es)[:, None, None] ** (i + j) * np.array(nus)[:, None, None] ** r
-            * np.conj(alphas) ** (j - t) * alphas ** (i - t) / (fact[i - t] * fact[j - t] * fact[t]))
-    mu = [nu * abs(v) ** 2 for nu, alpha in zip(nus, alphas[:, :, 0].tolist()) for v in alpha]
-    readers = [[0, 1]] if all(map(np.array_equal, *sets)) else [[0], [1]]
+            * power[:, :, j - t] * power[:, :, dim + i - t] / (fact[i - t] * fact[j - t] * fact[t]))
+    mu = [nu * abs(v) ** 2 for nu, alpha in zip(nus, alphas.tolist()) for v in alpha]
+    readers = [[0, 1]] if sets[0] is sets[1] else [[0], [1]]  # the counters of each pair
     codes = []
     for start, tail in (sets[c[0]] for c in readers):
         # a set below 0 is empty, one reaching down to 0 holds every count
-        starts, tails = (start - shifts).ravel(), np.tile(tail, len(shifts))
-        code = 2 * np.where(tails, np.maximum(starts, 0), np.maximum(starts, -1)) + tails
+        starts = start - shifts
+        code = 2 * np.where(tail, np.maximum(starts, 0), np.maximum(starts, -1)) + tail
         codes.append(np.unique(code, return_inverse=True))  # sorted by (start, tail)
     top = max(max(int(code[-1]) // 2, 0) for code, _ in codes)
     pmf, upper = poisson_table(mu, top)
@@ -320,6 +323,8 @@ def _aux_weights(partition: PartitionSpec, layout: HermitianCoords, nu1: float,
     p1^x p2^y p0^(i - x - y); a block's chance is the product of its slots', summed
     over their splits in the order of the first slot's (x, y)."""
     slots, dim = slot_sectors(partition.K, partition.s1_multi), layout.N + 1
+    if not slots:  # one block, without auxiliary photons
+        return np.eye(1, dim * dim).reshape(1, dim, dim)
     shares = [(nu1 * e ** 2, nu2 * z ** 2, (1 - nu1) * e ** 2 + (1 - nu2) * z ** 2)
               for e, z in (partition.sectors[slot] for slot in slots)]
     power = np.array([[p ** n for n in range(dim)] for ps in shares for p in ps])
@@ -328,9 +333,7 @@ def _aux_weights(partition: PartitionSpec, layout: HermitianCoords, nu1: float,
     i, x, y = np.indices((dim,) * 3, sparse=True)
     chance = np.where(x + y <= i, comb[i, x] * comb[i - x, y] * power[:, 0, x] * power[:, 1, y]
                       * power[:, 2, np.maximum(i - x - y, 0)], 0.0)  # [slot, i, x, y]
-    keys = np.array(layout.keys, dtype=np.int64).reshape(len(layout.keys), len(slots))
-    if not slots:  # one block, and no auxiliary photons
-        return np.pad(np.ones((1, 1, 1)), ((0, 0), (0, dim - 1), (0, dim - 1)))
+    keys = np.array(layout.keys)  # [block, slot]: the photons of each slot
     w = chance[0, keys[:, 0]]
     for s in range(1, len(slots)):
         prev, w = w, np.zeros_like(w)
@@ -346,16 +349,17 @@ def _block_rows(u: np.ndarray, v: np.ndarray, index1: np.ndarray, index2: np.nda
     d = dims[b]): the sum over x, y of w[b, x, y] conv(u[g, index1[x, s1]],
     v[g, index2[y, s2]]), conv(A, B)[r, c] = sum_{p, q} A[r - p, q] B[p, c - q]
     cut at d. u, v and out hold their matrices raveled per g, with a 0 after
-    that the entries of left and right past the end read (_counting_rows); np.take
-    lays each product's operands out contiguously, as numpy sums a product of
-    others itself, in another order than BLAS, and the products write into out.
-    One product per block
-    sums over (x, y, p, q), s2 and r down its rows, s1 and g along its stack: its
-    summed and column lengths are the layout's, so each entry comes out bit for
-    bit as in any other batch of gammas or sets. They keep that shape: folding s1
-    into the columns made the load about 10 % faster, but changed the bits of P
-    on six of six contexts. The nonzero (x, y) of every block, their weights and
-    the sets' offsets in u and v are found once, for all blocks."""
+    that the entries of left and right past the end read (_counting_rows).
+
+    One product per block sums over (x, y, p, q), s2 and r down its rows, s1 and
+    g along its stack, and writes into out: its summed and column lengths are the
+    layout's, so each entry comes out bit for bit as in any other batch of
+    gammas or sets. They keep that shape: folding s1 into the columns made the
+    load about 10 % faster, but changed the bits of P on six of six contexts.
+    np.take lays each product's operands out contiguously, as numpy sums a
+    product of others itself, in another order than BLAS. The nonzero (x, y) of
+    every block, their weights and the sets' offsets in u and v are found once,
+    for all blocks."""
     G, dim, n1, n2 = len(u), len(left), index1.shape[1], index2.shape[1]
     out = np.empty((G, n1 * n2 * at[-1] + 1), dtype=np.complex128)
     out[:, -1] = 0.0
@@ -565,8 +569,9 @@ def _group_rows(settings: list[Setting], layout: HermitianCoords) -> tuple[list,
         if part.K != 1:
             raise ValueError("click POVM requires K = 1")
         click = _counts(0, overflow=True)  # a click overflows 0
-        rows = _counting_rows(gammas, part, layout, (1.0, 1.0), (click, click), np.array([0, 2, 1, 3]))
-        labels = [(0, 0), ("I", 0), (0, "I"), ("I", "I")]
+        labels = [(0, 0), ("I", 0), (0, "I"), ("I", "I")]  # pairs 0, 2, 1, 3 of the 2 x 2
+        rows = _counting_rows(gammas, part, layout, (1.0, 1.0), (click, click),
+                              np.array([0, 2, 1, 3]))
     elif cfg.response is not None:  # ideal counts of every photon number the responses cover
         present = _counts(cfg.response[0].shape[1] - 1)
         # a single counter's absent partner reads nothing

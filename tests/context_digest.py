@@ -8,7 +8,9 @@ setting order), of every setting's outcome labels (their ``repr``) and its
 ``rank``. Two checkouts that print the same object build the same bits, so a
 change to the POVM kernel or the context load that must keep ``P`` unchanged
 is checked by running this at both. Each context goes through its JSON form,
-as a ``wfh-tomo`` command loads it.
+as a ``wfh-tomo`` command loads it. tests/data/context_digest.json holds the
+object as the context load built it before its maps were built by whole-array
+arithmetic, and tests/test_povm.py checks that the load still prints it.
 """
 from __future__ import annotations
 
@@ -46,7 +48,8 @@ def contexts() -> dict[str, tuple]:
         "n5-one-counter": (n5, CounterConfig(counters=1, N_c=4), BALANCED_MULTI, 5),
         "two-sectors": (quick, CounterConfig(counters=2, N_c=5), TWO_SECTORS, 3),
         "click": (quick, CounterConfig(counters=2, N_c=0), BALANCED_MULTI, 3, "click"),
-        "response": ([g for g in quick if abs(g) < 1.2], CounterConfig(counters=2, N_c=4, loss=(0.9, 0.8), response=responses),
+        "response": ([g for g in quick if abs(g) < 1.2],
+                     CounterConfig(counters=2, N_c=4, loss=(0.9, 0.8), response=responses),
                      BALANCED_MULTI, 3),
     }
 
