@@ -320,25 +320,31 @@ def _aux_weights(partition: PartitionSpec, layout: HermitianCoords, nu1: float,
     and y at counter 2; each reaches them with nu1 eta_s^2, nu2 zeta_s^2, or is lost.
 
     A slot's i photons split as x, y and i - x - y with chance C(i, x) C(i - x, y)
-    p1^x p2^y p0^(i - x - y); a block's chance is the product of its slots', summed
-    over their splits in the order of the first slot's (x, y)."""
+    p1^x p2^y p0^(i - x - y); a block's chance is the product of its slots',
+    summed over their splits in lexicographic order (x before y, slot by slot).
+    Every split of every block is one term, so each product and sum keeps its
+    order at any number of slots: a sum over one slot's splits before the next
+    slot's product is not distributive in floating point."""
     slots, dim = slot_sectors(partition.K, partition.s1_multi), layout.N + 1
-    if not slots:  # one block, without auxiliary photons
-        return np.eye(1, dim * dim).reshape(1, dim, dim)
     shares = [(nu1 * e ** 2, nu2 * z ** 2, (1 - nu1) * e ** 2 + (1 - nu2) * z ** 2)
               for e, z in (partition.sectors[slot] for slot in slots)]
     power = np.array([[p ** n for n in range(dim)] for ps in shares for p in ps])
     power = power.reshape(len(slots), 3, dim)  # [slot, p1 | p2 | p0, n]: p^n
     comb = np.array([[math.comb(n, k) for k in range(dim)] for n in range(dim)], dtype=float)
-    i, x, y = np.indices((dim,) * 3, sparse=True)
-    chance = np.where(x + y <= i, comb[i, x] * comb[i - x, y] * power[:, 0, x] * power[:, 1, y]
-                      * power[:, 2, np.maximum(i - x - y, 0)], 0.0)  # [slot, i, x, y]
-    keys = np.array(layout.keys)  # [block, slot]: the photons of each slot
-    w = chance[0, keys[:, 0]]
-    for s in range(1, len(slots)):
-        prev, w = w, np.zeros_like(w)
-        for x, y in itertools.product(range(dim), repeat=2):
-            w[:, x:, y:] += prev[:, x, y, None, None] * chance[s, keys[:, s], :dim - x, :dim - y]
+    x, y = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)  # splits x + y <= N
+    i = np.arange(dim)[:, None]
+    chance = (comb[i, x] * comb[i - x, y] * power[:, 0, x][:, None] * power[:, 1, y][:, None]
+              * power[:, 2][:, np.maximum(i - x - y, 0)])  # [slot, i, split], valid at x + y <= i
+    keys = np.array(layout.keys).reshape(len(layout.keys), -1)  # [block, slot]: its photons
+    b, term = np.arange(len(keys)), np.ones(len(keys))
+    xs = ys = np.zeros(len(keys), dtype=int)  # the photons each term puts at counters 1 and 2
+    for s in range(len(slots)):  # each term grows by each split of the next slot, in order
+        photons = keys[b, s]
+        at, split = np.nonzero(x + y <= photons[:, None])
+        b, xs, ys = b[at], xs[at] + x[split], ys[at] + y[split]
+        term = term[at] * chance[s, photons[at], split]
+    w = np.zeros((len(keys), dim, dim))
+    np.add.at(w, (b, xs, ys), term)  # in term order, as a running sum
     return w
 
 
