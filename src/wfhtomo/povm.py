@@ -259,8 +259,12 @@ def _count_weights(es: tuple, alphas: np.ndarray, nus: tuple, sets: tuple, shift
     codes, their inverse index and the mass read map. Both counters share these
     when the caller passes them one pair (every two-counter and click context
     does), and then one gather, product and summing matmul serve both. One
-    poisson_table call covers both counters' means; its rows depend on their
-    own mean alone, so each mass keeps its bits.
+    poisson_table call covers both counters' means, as each row depends on its
+    own mean alone. A mass also keeps its bits at any top of the table, but a
+    tail is summed from the far end, so its bits move with the top: a pair
+    that reads tails gets a table of its own top, as a counter built alone
+    does, and one table serves both pairs unless the one with the lower top
+    reads tails (no caller passes such pairs).
     """
     dim, G = len(fact), alphas.shape[1]
     i, j, t = np.indices((dim,) * 3, sparse=True)
@@ -279,22 +283,27 @@ def _count_weights(es: tuple, alphas: np.ndarray, nus: tuple, sets: tuple, shift
         starts = start - shifts
         code = 2 * np.where(tail, np.maximum(starts, 0), np.maximum(starts, -1)) + tail
         codes.append(np.unique(code, return_inverse=True))  # sorted by (start, tail)
-    top = max(max(int(code[-1]) // 2, 0) for code, _ in codes)
-    pmf, upper = poisson_table(mu, top)
-    # one gather from [pmf, upper, 0]: a tail set's upper mass, else the mass (0 below 0);
-    # complex, so that the product with the coefficients casts nothing
-    table = np.concatenate([pmf, upper, np.zeros((2 * G, 1))], axis=1).reshape(2, G, -1)
-    table = table.astype(np.complex128)
+    tops = [max(int(code[-1]) // 2, 0) for code, _ in codes]
+    # a pair with tails reads a table of its own top, any other the largest
+    largest = max(tops)
+    tops = [top if (code % 2).any() else largest for top, (code, _) in zip(tops, codes)]
+    tables = {}
+    for top in set(tops):
+        pmf, upper = poisson_table(mu, top)
+        # one gather from [pmf, upper, 0]: a tail set's upper mass, else the mass (0 below
+        # 0); complex, so that the product with the coefficients casts nothing
+        tables[top] = np.concatenate([pmf, upper, np.zeros((2 * G, 1))], axis=1).reshape(
+            2, G, -1).astype(np.complex128)
     sums = (i * dim + j)[:, None] == np.arange(dim * dim)  # the 0/1 map of (i, j, t) to (i, j)
     weights, index = [None, None], [None, None]
-    for members, (code, inverse) in zip(readers, codes):
+    for members, (code, inverse), top in zip(readers, codes, tops):
         start, tail = code // 2, code % 2 == 1
         at = start[:, None] - r
         at = np.where(tail[:, None], top + 1 + np.maximum(at, 0), np.where(at < 0, -1, at))
         # summed over t by a product with the 0/1 map
         w = np.empty((len(members), G, len(code) * dim * dim + 1), dtype=np.complex128)
         w[..., -1] = 0.0
-        mass = table[members][:, :, at]
+        mass = tables[top][members][:, :, at]
         _rows_matmul(np.multiply(coef[members][:, :, None], mass, out=mass), sums,
                      out=w[..., :-1].reshape(len(members), G, len(code), dim * dim))
         for c, w_c in zip(members, w):
@@ -317,34 +326,18 @@ def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
 def _aux_weights(partition: PartitionSpec, layout: HermitianCoords, nu1: float,
                  nu2: float) -> np.ndarray:
     """w[b, x, y]: the chance that block b's auxiliary photons put x at counter 1
-    and y at counter 2; each reaches them with nu1 eta_s^2, nu2 zeta_s^2, or is lost.
-
-    A slot's i photons split as x, y and i - x - y with chance C(i, x) C(i - x, y)
-    p1^x p2^y p0^(i - x - y); a block's chance is the product of its slots',
-    summed over their splits in lexicographic order (x before y, slot by slot).
-    Every split of every block is one term, so each product and sum keeps its
-    order at any number of slots: a sum over one slot's splits before the next
-    slot's product is not distributive in floating point."""
-    slots, dim = slot_sectors(partition.K, partition.s1_multi), layout.N + 1
+    and y at counter 2; each reaches them with nu1 eta_s^2, nu2 zeta_s^2, or is lost."""
     shares = [(nu1 * e ** 2, nu2 * z ** 2, (1 - nu1) * e ** 2 + (1 - nu2) * z ** 2)
-              for e, z in (partition.sectors[slot] for slot in slots)]
-    power = np.array([[p ** n for n in range(dim)] for ps in shares for p in ps])
-    power = power.reshape(len(slots), 3, dim)  # [slot, p1 | p2 | p0, n]: p^n
-    comb = np.array([[math.comb(n, k) for k in range(dim)] for n in range(dim)], dtype=float)
-    x, y = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)  # splits x + y <= N
-    i = np.arange(dim)[:, None]
-    chance = (comb[i, x] * comb[i - x, y] * power[:, 0, x][:, None] * power[:, 1, y][:, None]
-              * power[:, 2][:, np.maximum(i - x - y, 0)])  # [slot, i, split], valid at x + y <= i
-    keys = np.array(layout.keys).reshape(len(layout.keys), -1)  # [block, slot]: its photons
-    b, term = np.arange(len(keys)), np.ones(len(keys))
-    xs = ys = np.zeros(len(keys), dtype=int)  # the photons each term puts at counters 1 and 2
-    for s in range(len(slots)):  # each term grows by each split of the next slot, in order
-        photons = keys[b, s]
-        at, split = np.nonzero(x + y <= photons[:, None])
-        b, xs, ys = b[at], xs[at] + x[split], ys[at] + y[split]
-        term = term[at] * chance[s, photons[at], split]
-    w = np.zeros((len(keys), dim, dim))
-    np.add.at(w, (b, xs, ys), term)  # in term order, as a running sum
+              for e, z in (partition.sectors[slot]
+                           for slot in slot_sectors(partition.K, partition.s1_multi))]
+    w = np.zeros((len(layout.keys), layout.N + 1, layout.N + 1))
+    for b, key in enumerate(layout.keys):
+        splits = ([(x, y, math.comb(i, x) * math.comb(i - x, y) * p1 ** x * p2 ** y
+                    * p0 ** (i - x - y)) for x in range(i + 1) for y in range(i + 1 - x)]
+                  for i, (p1, p2, p0) in zip(key, shares))  # per slot of the key
+        for parts in itertools.product(*splits):
+            x, y = sum(p[0] for p in parts), sum(p[1] for p in parts)
+            w[b, x, y] += math.prod(p[2] for p in parts)
     return w
 
 
@@ -617,23 +610,21 @@ class MeasurementContext:
     """All probe settings of an experiment at one partition and cutoff N, and
     their real design matrix, built once with the context.
 
-    Setting s has outcomes labels[s], their elements the stack rows rows[s]
-    of ``coords``; they own rows ``offsets[s]:offsets[s + 1]`` of ``P``, in
-    that order (``row_of[s]``, built on first use, maps each outcome to its
-    row), so a state with coordinates x has Born probabilities ``P @ x``.
+    Setting s has outcomes labels[s]; they own rows ``offsets[s]:offsets[s + 1]``
+    of ``rows``, their elements as stack rows of ``coords``, and the same rows of
+    ``P``, in that order (``row_of[s]``, built on first use, maps each outcome to
+    its row), so a state with coordinates x has Born probabilities ``P @ x``.
     ``rank`` is P's rank, computed on first use (sampling never reads it), and
     ``P.shape[1]`` the real parameters of a state.
     """
 
     settings: list[Setting]
     labels: list[list]
-    rows: list[np.ndarray] | np.ndarray  # one array when one kernel pass built every setting
+    rows: np.ndarray
     coords: HermitianCoords
 
     def __post_init__(self):
-        rows = self.rows
-        self.P = self.coords.rows(rows.reshape(-1, rows.shape[-1]) if isinstance(rows, np.ndarray)
-                                  else np.concatenate(rows))
+        self.P = self.coords.rows(self.rows)
         self.offsets = np.cumsum([0] + [len(labels) for labels in self.labels])
 
     @classmethod
@@ -664,7 +655,9 @@ class MeasurementContext:
             if not dev[s] <= 1e-8:
                 raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
                                  f"within {dev[s]:.3e}")
-        return cls(list(settings), labels, group if len(groups) == 1 else rows, layout)
+        # the rows of one kernel pass are one array already; others are stacked by a copy
+        rows = group.reshape(-1, group.shape[-1]) if len(groups) == 1 else np.concatenate(rows)
+        return cls(list(settings), labels, rows, layout)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -690,8 +683,9 @@ class MeasurementContext:
     @cached_property
     def povms(self) -> list[dict]:
         """Each setting's outcome map of Hermitised elements, built on first use."""
-        return [_wrap(labels, rows, self.coords, s.gamma)
-                for s, labels, rows in zip(self.settings, self.labels, self.rows)]
+        return [_wrap(labels, self.rows[at:end], self.coords, s.gamma)
+                for s, labels, at, end in zip(self.settings, self.labels, self.offsets,
+                                              self.offsets[1:])]
 
     def vec(self, op: BlockOperator) -> np.ndarray:
         """Coordinates of a block operator of the context's structure."""

@@ -68,8 +68,7 @@ def sha256(data: bytes) -> str:
 def digest(context: MeasurementContext) -> dict:
     return {
         "P": sha256(np.ascontiguousarray(context.P, dtype=np.float64).tobytes()),
-        "rows": sha256(b"".join(np.ascontiguousarray(r, dtype=np.complex128).tobytes()
-                                for r in context.rows)),
+        "rows": sha256(np.ascontiguousarray(context.rows, dtype=np.complex128).tobytes()),
         "labels": sha256(repr(context.labels).encode()),
         "rank": context.rank,
         "shape": list(context.P.shape),

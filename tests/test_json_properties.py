@@ -263,8 +263,11 @@ def test_report_round_trips_of_each_termination(termination, seed):
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.just(-0.0) | st.text()
                 | st.floats(allow_nan=True, allow_infinity=True))
+# keys of every type that JSON turns into a string, so that the writer's paths
+# for them (the C encoder, or json.dumps itself) are checked too
+json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
 json_trees = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=5)
-                          | st.dictionaries(st.text(), inner, max_size=5), max_leaves=30)
+                          | st.dictionaries(json_keys, inner, max_size=5), max_leaves=30)
 
 
 @settings(max_examples=200, deadline=None)

@@ -622,10 +622,11 @@ def test_quick_start_context_rows_match_each_setting_built_alone(loss):
                         partition=readme, N=3) for g in design_gamma(3, seed=7).gammas]
     assert len(settings) == 16
     context = MeasurementContext.build(settings)
-    for setting, labels, rows in zip(settings, context.labels, context.rows):
+    each = np.split(context.rows, context.offsets[1:-1])
+    for setting, labels, rows in zip(settings, context.labels, each, strict=True):
         alone = MeasurementContext.build([setting])
         assert labels == alone.labels[0]
-        assert rows.tobytes() == alone.rows[0].tobytes()
+        assert rows.tobytes() == alone.rows.tobytes()
 
 
 def held_arrays(obj) -> list:
@@ -739,6 +740,26 @@ def test_aux_weights_sum_each_split_in_order(K, s1_multi, N, nus):
     layout = povm_module._layout(partition, N)
     w = povm_module._aux_weights(partition, layout, *nus)
     assert w.tobytes() == aux_weights_by_split(partition, layout, *nus).tobytes()
+
+
+@pytest.mark.parametrize("low", [0, 1])
+def test_count_weights_read_each_tail_at_its_own_table_top(low):
+    # a tail's bits move with the top of the Poisson table, a mass's do not:
+    # counter low reads tails at the lower top, the other counter plain counts at
+    # a higher one, and each gets the bits it gets when both counters read its sets
+    dim = 4
+    fact, shifts = np.cumprod(np.arange(dim, dtype=float).clip(1.0)), np.arange(dim)[:, None]
+    alphas = np.array([[0.4 - 0.3j, 0.9 + 0.2j, -0.6 + 0.7j, 1.3 - 0.1j],
+                       [-0.5 + 0.1j, 0.2 - 0.8j, 1.1 + 0.3j, -0.4 - 0.4j]])
+    es, nus = (0.8, 0.6), (0.9, 0.7)
+    sets = [povm_module._counts(1, overflow=True), povm_module._counts(6)]
+    if low:
+        sets.reverse()
+    weights, index = povm_module._count_weights(es, alphas, nus, tuple(sets), shifts, fact)
+    for c in (0, 1):
+        alone, at = povm_module._count_weights(es, alphas, nus, (sets[c], sets[c]), shifts, fact)
+        assert weights[c].tobytes() == alone[c].tobytes()
+        assert np.array_equal(index[c], at[c])
 
 
 def test_context_digests_match_the_pinned_bits():
