@@ -732,8 +732,9 @@ def aux_weights_by_split(partition, layout, nu1, nu2):
 @pytest.mark.parametrize("nus", [(1.0, 1.0), (1.0, 0.0), (0.8, 0.7)])
 def test_aux_weights_sum_each_split_in_order(K, s1_multi, N, nus):
     # bit for bit the per-split sum at 0 to 4 slots (the kernel takes K <= 2, so
-    # at most 2); summing one slot's splits before the next slot's product, as a
-    # running convolution does, moves bits from 3 slots on
+    # at most 2), which any faster form must keep; summing one slot's splits
+    # before the next slot's product, as a running convolution does, moves bits
+    # from 3 slots on
     angles = np.linspace(0.3, 1.2, K)
     partition = PartitionSpec(sectors=tuple((math.cos(a), math.sin(a)) for a in angles),
                               s1_multi=s1_multi)
