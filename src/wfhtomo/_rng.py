@@ -227,6 +227,8 @@ def inverse_cdf_counts(seeds: list[int], cums: list[list[float]], totals: list[i
     as large as its arithmetic: so one scratch row, allocated once, serves every
     step's temporaries, and the shift operands are 0-d arrays (see _step).
     """
+    if not seeds:  # no stream, no tally (_guide needs at least one table)
+        return []
     if len(seeds) > 1023:  # _guide's keys s * 2**53 + threshold must fit in int64
         return (inverse_cdf_counts(seeds[:1023], cums[:1023], totals[:1023])
                 + inverse_cdf_counts(seeds[1023:], cums[1023:], totals[1023:]))

@@ -194,19 +194,21 @@ class HermitianCoords:
         return BlockOperator(self.N, {key: mat[a:a + d, a:a + d].copy()
                                       for key, a, d in zip(self.keys, self.start, self.dims)})
 
-    def rows(self, stack: np.ndarray) -> np.ndarray:
-        """Coordinates of the Hermitian part of each row of a stack: for a
-        Hermitian X, rows(E) . vec(X) = Re tr(E X)."""
+    def rows(self, stack: np.ndarray, read: np.ndarray | None = None) -> np.ndarray:
+        """Coordinates of the Hermitian part of each row of a stack: for a Hermitian X,
+        rows(E) . vec(X) = Re tr(E X); with a read map, of the rows stack[..., read[o]]."""
         flat = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
-        # halved before the weight, so that a row and its Hermitian part give the
-        # same coordinates bit for bit, subnormal entries included; in place, so
-        # that one gather of the stack's size is live besides the stack
-        out = flat[:, self._stack_mirror]
+        read = np.arange(self.at[-1])[None] if read is None else read
+        # each coordinate's float at (j, i), then at (i, j), through read; halved before
+        # the weight, so that a row and its Hermitian part give the same coordinates bit
+        # for bit, subnormal entries included; in place, so one gather is live besides out
+        pick = (2 * read.take(at // 2, 1) + at % 2 for at in (self._stack_mirror, self._stack))
+        out = np.take(flat, next(pick), axis=-1)
         out *= self._sign
-        out += flat[:, self._stack]
+        out += np.take(flat, next(pick), axis=-1)
         out /= 2.0
         out *= self.weight
-        return out
+        return np.asfortranarray(out.reshape(-1, len(self.weight)))  # the order P @ x sums in
 
     def vec(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of a dense block-diagonal Hermitian matrix."""
@@ -381,10 +383,12 @@ def _block_rows(u: np.ndarray, v: np.ndarray, index1: np.ndarray, index2: np.nda
 
 
 def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoords,
-                   nus: tuple, sets: tuple, order: np.ndarray | None = None) -> np.ndarray:
-    """The elements for the count sets sets[0] x sets[1] (see _counts) at each
-    of gammas, as stack rows [g, o] of the pairs o = s1 * len(sets[1]) + s2 in
-    order (all pairs when None).
+                   nus: tuple, sets: tuple, order: np.ndarray | None = None) -> tuple:
+    """The elements for the count sets sets[0] x sets[1] (see _counts) at each of gammas,
+    as the kernel's output out, the read map of their stack rows out[g, read[o]] for
+    the pairs o = s1 * len(sets[1]) + s2 in order (all pairs when None), and the largest
+    modulus of an entry of each gamma's sum of elements less the identity, summed over s1
+    down the output, then over s2 by its columns.
 
     With counter modes A = eta a + zeta gamma and B = zeta a - eta gamma read with
     transmissions nu1, nu2, the mode-1 element for counts (k, l) is the normally
@@ -424,14 +428,17 @@ def _counting_rows(gammas: list, partition: PartitionSpec, layout: HermitianCoor
     rows = _block_rows(u, v, *index, _aux_weights(partition, layout, *nus), layout.at,
                        layout.dims, *gather)
     del u, v  # freed before the rows are gathered
-    # one gather puts the pairs in order and each row's blocks side by side
+    # pair (s1, s2) reads s2's columns (below) of s1's part, each row's blocks side by side
     (n1, n2), size = (len(m[0]) for m in index), np.repeat(layout.dims ** 2, layout.dims ** 2)
     s1, s2 = np.divmod(np.arange(n1 * n2) if order is None else order, n2)
-    read = ((s1 * n2 * layout.at[-1])[:, None] + s2[:, None] * size + np.arange(layout.at[-1])
-            + (n2 - 1) * np.repeat(layout.at[:-1], layout.dims ** 2))
-    rows = np.take(rows, read, axis=1)
-    rows *= (fact[layout.ij[0]] * fact[layout.ij[1]]) ** 0.5  # sqrt(r! c!) at each entry (r, c)
-    return rows
+    below = (np.arange(n2)[:, None] * size + np.arange(layout.at[-1])
+             + (n2 - 1) * np.repeat(layout.at[:-1], layout.dims ** 2))
+    read = (s1 * n2 * layout.at[-1])[:, None] + below[s2]
+    scale = np.empty(below.size)  # sqrt(r! c!) at each entry (r, c), on each s1's columns
+    scale[below] = (fact[layout.ij[0]] * fact[layout.ij[1]]) ** 0.5
+    rows *= np.append(np.tile(scale, n1), 1.0)
+    total = np.take(rows[:, :-1].reshape(G, n1, -1).sum(axis=1), below, axis=1).sum(axis=1)
+    return rows, read, np.max(np.abs(total - layout.identity), axis=1)
 
 
 def pi_kl(gamma: complex, k: int, l: int, partition: PartitionSpec, N: int) -> PovmElement:
@@ -440,8 +447,8 @@ def pi_kl(gamma: complex, k: int, l: int, partition: PartitionSpec, N: int) -> P
         raise ValueError("counts must be >= 0")
     sets = (_counts(k, first=k), _counts(l, first=l))
     layout = _layout(partition, N)
-    rows = _counting_rows([complex(gamma)], partition, layout, (1.0, 1.0), sets)
-    return _wrap([(k, l)], rows[0], layout, gamma)[(k, l)]
+    out, read, _ = _counting_rows([complex(gamma)], partition, layout, (1.0, 1.0), sets)
+    return _wrap([(k, l)], out[0, read], layout, gamma)[(k, l)]
 
 
 def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
@@ -451,11 +458,11 @@ def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
         raise ValueError("counter must be 1 or 2")
     if k < 0:
         raise ValueError("counts must be >= 0")
-    read, unread = _counts(k, first=k), _counts(0)
-    nus, sets = ((1.0, 0.0), (read, unread)) if counter == 1 else ((0.0, 1.0), (unread, read))
+    counted, other = _counts(k, first=k), _counts(0)
+    nus, sets = ((1.0, 0.0), (counted, other)) if counter == 1 else ((0.0, 1.0), (other, counted))
     layout = _layout(partition, N)
-    rows = _counting_rows([complex(gamma)], partition, layout, nus, sets)
-    el = _wrap([(k,)], rows[0], layout, gamma)[(k,)]
+    out, read, _ = _counting_rows([complex(gamma)], partition, layout, nus, sets)
+    el = _wrap([(k,)], out[0, read], layout, gamma)[(k,)]
     el.meta = {"counter": counter}
     return el
 
@@ -557,48 +564,54 @@ class Setting:
                    N=int_from_json(d, "N"), detector=d.get("detector", "counting"))
 
 
-def _group_rows(settings: list[Setting], layout: HermitianCoords) -> tuple[list, np.ndarray]:
-    """The outcome labels of settings, which differ only in gamma, and their
-    element rows [g, outcome] (stack rows of the layout, as the kernel computes
-    them, in a fixed construction order), built by one kernel pass."""
-    first = settings[0]
-    gammas = [s.gamma for s in settings]
-    cfg, part = first.counter, first.partition
-    if first.detector == "click":
-        if part.K != 1:
-            raise ValueError("click POVM requires K = 1")
-        click = _counts(0, overflow=True)  # a click overflows 0
-        labels = [(0, 0), ("I", 0), (0, "I"), ("I", "I")]  # pairs 0, 2, 1, 3 of the 2 x 2
-        rows = _counting_rows(gammas, part, layout, (1.0, 1.0), (click, click),
-                              np.array([0, 2, 1, 3]))
-    elif cfg.response is not None:  # ideal counts of every photon number the responses cover
-        present = _counts(cfg.response[0].shape[1] - 1)
-        # a single counter's absent partner reads nothing
-        nus, other = ((1.0, 0.0), _counts(0)) if cfg.counters == 1 else ((1.0, 1.0), present)
-        rows = _counting_rows(gammas, part, layout, nus, (present, other))
-        labels, rows = _respond(rows, cfg)
-    else:
-        nus = cfg.loss or (1.0, 1.0)
-        counts = _counts(cfg.N_c, overflow=True)
-        names = [*range(cfg.N_c + 1), ">"]
-        if cfg.counters == 1:
-            rows = _counting_rows(gammas, part, layout, (nus[0], 0.0), (counts, _counts(0)))
-            labels = [(o,) for o in names]
+def _passes(settings: list[Setting], layout: HermitianCoords):
+    """One kernel pass per group of settings alike but for gamma (counters by their JSON):
+    members, outcome labels in a fixed order, and the pass (_counting_rows)."""
+    groups: dict[tuple, list[int]] = {}
+    counters = {id(s.counter): s.counter for s in settings}  # settings keeps each alive
+    key = {i: repr(c.to_json()) for i, c in counters.items()}  # once per distinct counter
+    for s, setting in enumerate(settings):
+        groups.setdefault((setting.detector, key[id(setting.counter)]), []).append(s)
+    for members in groups.values():
+        first, gammas = settings[members[0]], [settings[s].gamma for s in members]
+        cfg, part = first.counter, first.partition
+        if first.detector == "click":
+            if part.K != 1:
+                raise ValueError("click POVM requires K = 1")
+            click = _counts(0, overflow=True)  # a click overflows 0
+            labels = [(0, 0), ("I", 0), (0, "I"), ("I", "I")]  # pairs 0, 2, 1, 3 of the 2 x 2
+            kernel = _counting_rows(gammas, part, layout, (1.0, 1.0), (click, click),
+                                    np.array([0, 2, 1, 3]))
+        elif cfg.response is not None:  # ideal counts of every photon number the responses cover
+            present = _counts(cfg.response[0].shape[1] - 1)
+            # a single counter's absent partner reads nothing
+            nus, other = ((1.0, 0.0), _counts(0)) if cfg.counters == 1 else ((1.0, 1.0), present)
+            out, read, _ = _counting_rows(gammas, part, layout, nus, (present, other))
+            labels, rows = _respond(np.take(out, read, axis=1), cfg)  # then read in order
+            kernel = (rows.reshape(len(gammas), -1), np.arange(rows[0].size).reshape(rows[0].shape),
+                      np.max(np.abs(rows.sum(axis=1) - layout.identity), axis=1))
         else:
-            # counts in range first, then overflow at counter 2, at counter 1, at both
-            over = np.arange(len(names)) > cfg.N_c
-            order = np.argsort(2 * over[:, None] + over, axis=None, kind="stable")
-            grid = list(itertools.product(names, names))
-            labels = [grid[o] for o in order.tolist()]
-            rows = _counting_rows(gammas, part, layout, nus, (counts, counts), order)
-    return labels, rows
+            nus = cfg.loss or (1.0, 1.0)
+            counts = _counts(cfg.N_c, overflow=True)
+            names = [*range(cfg.N_c + 1), ">"]
+            if cfg.counters == 1:
+                kernel = _counting_rows(gammas, part, layout, (nus[0], 0.0), (counts, _counts(0)))
+                labels = [(o,) for o in names]
+            else:
+                # counts in range first, then overflow at counter 2, at counter 1, at both
+                over = np.arange(len(names)) > cfg.N_c
+                order = np.argsort(2 * over[:, None] + over, axis=None, kind="stable")
+                grid = list(itertools.product(names, names))
+                labels = [grid[o] for o in order.tolist()]
+                kernel = _counting_rows(gammas, part, layout, nus, (counts, counts), order)
+        yield members, labels, *kernel
 
 
 def build_povm(setting: Setting) -> dict:
     """Complete outcome map for one setting, in a fixed construction order."""
     layout = _layout(setting.partition, setting.N)
-    labels, rows = _group_rows([setting], layout)
-    return _wrap(labels, rows[0], layout, setting.gamma)
+    _, labels, out, read, _ = next(_passes([setting], layout))
+    return _wrap(labels, out[0, read], layout, setting.gamma)
 
 
 class DatasetMismatch(ValueError):
@@ -610,27 +623,25 @@ class MeasurementContext:
     """All probe settings of an experiment at one partition and cutoff N, and
     their real design matrix, built once with the context.
 
-    Setting s has outcomes labels[s]; they own rows ``offsets[s]:offsets[s + 1]``
-    of ``rows``, their elements as stack rows of ``coords``, and the same rows of
-    ``P``, in that order (``row_of[s]``, built on first use, maps each outcome to
-    its row), so a state with coordinates x has Born probabilities ``P @ x``.
-    ``rank`` is P's rank, computed on first use (sampling never reads it), and
-    ``P.shape[1]`` the real parameters of a state.
+    Setting s has outcomes labels[s]; they own rows ``offsets[s]:offsets[s + 1]`` of
+    ``P``, the coordinates (``coords``) of their elements, in that order (``row_of[s]``,
+    built on first use, maps each outcome to its row), so a state with coordinates x
+    has Born probabilities ``P @ x``. ``rank`` is P's rank, computed on first use
+    (sampling never reads it), and ``P.shape[1]`` the real parameters of a state.
     """
 
     settings: list[Setting]
     labels: list[list]
-    rows: np.ndarray
+    P: np.ndarray
     coords: HermitianCoords
 
     def __post_init__(self):
-        self.P = self.coords.rows(self.rows)
         self.offsets = np.cumsum([0] + [len(labels) for labels in self.labels])
 
     @classmethod
     def build(cls, settings: list[Setting]) -> "MeasurementContext":
         """The context of settings, which must share one partition and N;
-        those that differ only in gamma are built together (_group_rows), and
+        those that differ only in gamma are built together (_passes), and
         every setting's POVM must sum to identity."""
         if not settings:
             raise ValueError("context needs at least one setting")
@@ -640,24 +651,18 @@ class MeasurementContext:
                 raise ValueError(f"settings[{s}].{name} differs from settings[0].{name}: "
                                  "a context holds one partition and one N")
         layout = _layout(first.partition, first.N)
-        groups: dict[tuple, list[int]] = {}
-        counters = {id(s.counter): s.counter for s in settings}  # settings keeps each alive
-        key = {i: repr(c.to_json()) for i, c in counters.items()}  # once per distinct counter
-        for s, setting in enumerate(settings):  # alike but for gamma; counters by their JSON
-            groups.setdefault((setting.detector, key[id(setting.counter)]), []).append(s)
         labels, rows, dev = ([None] * len(settings) for _ in range(3))
-        for members in groups.values():
-            names, group = _group_rows([settings[s] for s in members], layout)
-            devs = np.max(np.abs(group.sum(axis=1) - layout.identity), axis=1).tolist()
-            for s, rows[s], dev[s] in zip(members, group, devs):
+        for members, names, out, read, devs in _passes(settings, layout):
+            P = layout.rows(out, read)
+            for s, rows[s], dev[s] in zip(members, P.reshape(len(members), len(names), -1), devs):
                 labels[s] = names
         for s, setting in enumerate(settings):
             if not dev[s] <= 1e-8:
                 raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "
                                  f"within {dev[s]:.3e}")
-        # the rows of one kernel pass are one array already; others are stacked by a copy
-        rows = group.reshape(-1, group.shape[-1]) if len(groups) == 1 else np.concatenate(rows)
-        return cls(list(settings), labels, rows, layout)
+        if len(members) < len(settings):  # several passes: their rows stacked by one copy
+            P = np.concatenate([r.T for r in rows], 1).T  # by column, as HermitianCoords.rows
+        return cls(list(settings), labels, P, layout)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -682,10 +687,11 @@ class MeasurementContext:
 
     @cached_property
     def povms(self) -> list[dict]:
-        """Each setting's outcome map of Hermitised elements, built on first use."""
-        return [_wrap(labels, self.rows[at:end], self.coords, s.gamma)
-                for s, labels, at, end in zip(self.settings, self.labels, self.offsets,
-                                              self.offsets[1:])]
+        """Each setting's outcome map of Hermitised elements, built again on first use."""
+        povms = {s: _wrap(labels, out[g, read], self.coords, self.settings[s].gamma)
+                 for members, labels, out, read, _ in _passes(self.settings, self.coords)
+                 for g, s in enumerate(members)}
+        return [povms[s] for s in range(len(povms))]
 
     def vec(self, op: BlockOperator) -> np.ndarray:
         """Coordinates of a block operator of the context's structure."""

@@ -151,6 +151,8 @@ class Dataset:
     def __post_init__(self):
         if len(self.counts) != len(self.M_i):
             raise ValueError("counts and M_i must align")
+        if self.gammas is not None and len(self.gammas) != len(self.counts):
+            raise ValueError(f"gammas has {len(self.gammas)} entries, counts {len(self.counts)}")
         for c, m in zip(self.counts, self.M_i):
             total = sum(c.values())
             if total != m:

@@ -4,13 +4,15 @@
 
 prints one JSON object: for each context, the sha256 of its design matrix
 ``P`` (float64 bytes), of every setting's element rows (complex128 bytes, in
-setting order), of every setting's outcome labels (their ``repr``) and its
-``rank``. Two checkouts that print the same object build the same bits, so a
-change to the POVM kernel or the context load that must keep ``P`` unchanged
-is checked by running this at both. Each context goes through its JSON form,
-as a ``wfh-tomo`` command loads it. tests/data/context_digest.json holds the
-object as the context load built it before its maps were built by whole-array
-arithmetic, and tests/test_povm.py checks that the load still prints it.
+setting order, read from the output of each group's kernel pass as
+``povm._passes`` gives it, for a context keeps only ``P``), of every setting's
+outcome labels (their ``repr``) and its ``rank``. Two checkouts that print the
+same object build the same bits, so a change to the POVM kernel or the context
+load that must keep ``P`` unchanged is checked by running this at both. Each
+context goes through its JSON form, as a ``wfh-tomo`` command loads it.
+tests/data/context_digest.json holds the object as the context load built it
+before its maps were built by whole-array arithmetic, and tests/test_povm.py
+checks that the load still prints it.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import json
 
 import numpy as np
 
+from wfhtomo import povm
 from wfhtomo.optics import PartitionSpec
 from wfhtomo.povm import (CounterConfig, MeasurementContext, Setting, compose_response,
                           identity_response)
@@ -36,7 +39,7 @@ def contexts() -> dict[str, tuple]:
     (N_c = 4, up to 20 photons present) and loss (0.9, 0.8) folded in, at N = 3
     and the quick-start probes with |gamma| < 1.2, whose counts above 20 are
     negligible. Between them they take every branch of the kernel's grouping
-    (povm._group_rows)."""
+    (povm._passes)."""
     quick, n5 = design_gamma(3, seed=7).gammas, design_gamma(5, seed=3).gammas
     responses = (compose_response(identity_response(4, 20), 0.95), identity_response(4, 20))
     return {
@@ -65,10 +68,21 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def element_rows(context: MeasurementContext) -> np.ndarray:
+    """Every setting's element rows in setting order, as the kernel computes them
+    in one pass per group of settings."""
+    rows = [None] * len(context.settings)
+    for members, _, out, read, _ in povm._passes(context.settings, context.coords):
+        for g, s in enumerate(members):
+            rows[s] = out[g, read]
+    return np.concatenate(rows)
+
+
 def digest(context: MeasurementContext) -> dict:
     return {
         "P": sha256(np.ascontiguousarray(context.P, dtype=np.float64).tobytes()),
-        "rows": sha256(np.ascontiguousarray(context.rows, dtype=np.complex128).tobytes()),
+        "rows": sha256(np.ascontiguousarray(element_rows(context),
+                                            dtype=np.complex128).tobytes()),
         "labels": sha256(repr(context.labels).encode()),
         "rank": context.rank,
         "shape": list(context.P.shape),

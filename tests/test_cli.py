@@ -270,8 +270,8 @@ def test_twirl_state_spec_non_integer_n_exits_1(capsys, tmp_path):
 
 
 def test_load_path_builds_no_per_outcome_elements(capsys, monkeypatch, workspace, tmp_path):
-    # the commands that load a context read its kernel rows; none of them
-    # wraps a row into a per-outcome PovmElement
+    # the commands that load a context read its design matrix; none of them
+    # wraps a kernel row into a per-outcome PovmElement
     import wfhtomo.povm as povm_module
 
     def refuse(*args):

@@ -116,7 +116,8 @@ def test_params_from_json_method_must_name_one(value):
 def hand_made_context(setting, povm):
     """A one-setting context of a hand-made outcome -> element map (unchecked)."""
     coords = HermitianCoords.of(setting.N, next(iter(povm.values())).tuple_length)
-    return MeasurementContext([setting], [list(povm)], coords.stack(list(povm.values())), coords)
+    return MeasurementContext([setting], [list(povm)],
+                              coords.rows(coords.stack(list(povm.values()))), coords)
 
 
 def one_outcome_context(op, n_outcomes=1):
@@ -177,7 +178,7 @@ def test_log_likelihood_rejects_misaligned(ctx, rho_true):
     data = Dataset(counts=[{("nope",): 1}], M_i=[1], seed=0)
     with pytest.raises(ValueError):
         log_likelihood(rho_true, MeasurementContext(ctx.settings[:1], ctx.labels[:1],
-                                                    ctx.rows[:ctx.offsets[1]], ctx.coords), data)
+                                                    ctx.P[:ctx.offsets[1]], ctx.coords), data)
     with pytest.raises(ValueError):
         log_likelihood(rho_true, ctx, Dataset(counts=[{}], M_i=[0], seed=0))
 

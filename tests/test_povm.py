@@ -606,9 +606,14 @@ def test_context_build_rejects_nan_completeness(monkeypatch):
     import wfhtomo.povm as povm_module
 
     setting = Setting(gamma=0.5, counter=CounterConfig(counters=2, N_c=1), partition=P1, N=2)
-    labels, rows = povm_module._group_rows([setting], povm_module._layout(P1, 2))
-    rows[0, labels.index((0, 0)), 0] = math.nan  # element (0, 0), vacuum entry
-    monkeypatch.setattr(povm_module, "_group_rows", lambda settings, layout: (labels, rows))
+    block_rows, last = povm_module._block_rows, iter([False, True])
+
+    def with_nan(*args):
+        out = block_rows(*args)
+        if next(last):  # the kernel pass's output, which holds element (0, 0) first
+            out[0, 0] = math.nan  # element (0, 0), vacuum entry
+        return out
+    monkeypatch.setattr(povm_module, "_block_rows", with_nan)
     with pytest.raises(ValueError, match="sums to identity"):
         MeasurementContext.build([setting])
 
@@ -616,17 +621,17 @@ def test_context_build_rejects_nan_completeness(monkeypatch):
 @pytest.mark.parametrize("loss", [None, (0.8, 0.7)])
 def test_quick_start_context_rows_match_each_setting_built_alone(loss):
     # the README context's 16 probes go through the kernel in one pass; each
-    # setting's labels and rows are bit for bit those it gets built alone
+    # setting's labels and rows of P are bit for bit those it gets built alone
     readme = PartitionSpec(sectors=((0.5 ** 0.5, 0.5 ** 0.5),), s1_multi=True)
     settings = [Setting(gamma=g, counter=CounterConfig(counters=2, N_c=6, loss=loss),
                         partition=readme, N=3) for g in design_gamma(3, seed=7).gammas]
     assert len(settings) == 16
     context = MeasurementContext.build(settings)
-    each = np.split(context.rows, context.offsets[1:-1])
+    each = np.split(context.P, context.offsets[1:-1])
     for setting, labels, rows in zip(settings, context.labels, each, strict=True):
         alone = MeasurementContext.build([setting])
         assert labels == alone.labels[0]
-        assert rows.tobytes() == alone.rows.tobytes()
+        assert rows.tobytes() == alone.P.tobytes()
 
 
 def held_arrays(obj) -> list:
@@ -636,6 +641,21 @@ def held_arrays(obj) -> list:
         found += [v for v in (value if isinstance(value, (list, tuple)) else [value])
                   if isinstance(v, np.ndarray)]
     return found
+
+
+def test_a_loaded_context_holds_only_its_design_matrix():
+    # a load of the README context keeps P (240 KiB), its row offsets and the
+    # layout's maps, and no complex array of its own: the elements' rows are
+    # never stacked, and povms builds them again when it is first read
+    readme = PartitionSpec(sectors=((0.5 ** 0.5, 0.5 ** 0.5),), s1_multi=True)
+    settings = [Setting(gamma=g, counter=CounterConfig(counters=2, N_c=6), partition=readme,
+                        N=3) for g in design_gamma(3, seed=7).gammas]
+    context = MeasurementContext.from_json(
+        json.loads(json.dumps(MeasurementContext.build(settings).to_json())))
+    assert not any(np.iscomplexobj(a) for a in held_arrays(context))
+    maps = sum(a.nbytes for a in held_arrays(povm_module._layout(readme, 3)))
+    held = sum(a.nbytes for a in held_arrays(context) + held_arrays(context.coords))
+    assert held <= context.P.nbytes + context.offsets.nbytes + maps
 
 
 def test_two_loads_of_one_context_file_share_nothing(tmp_path):
@@ -776,8 +796,11 @@ def test_context_digests_match_the_pinned_bits():
 def test_lossy_quick_start_load_memory():
     # tracemalloc peak of one load of the lossy quick-start context from its JSON
     # form, rank included: 1.43 MiB when P was built from a concatenated copy of
-    # the rows and each block product had its own output, 0.98 MiB with the rows
-    # of one kernel pass kept as one array; the bound is 17 % above that
+    # the rows and each block product had its own output, 0.98 MiB (0.982) with
+    # the rows of one kernel pass kept as one array, and 0.985 MiB with P gathered
+    # straight from the kernel's output, whose read map and two coordinate halves
+    # are live beside it where the gathered rows were; the bound is 17 % above
+    # 0.98 MiB
     balanced = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=True)
     counter = CounterConfig(counters=2, N_c=6, loss=(0.8, 0.7))
     payload = json.loads(json.dumps(MeasurementContext.build(

@@ -139,8 +139,8 @@ def test_probabilities_sum_to_one_on_random_states(context, seed):
 @settings(max_examples=40, deadline=None)
 @given(context=contexts())
 def test_design_matrix_matches_the_povm_view(context):
-    # P is compiled from the stored kernel rows; the per-outcome view built
-    # from them gives the same P bit for bit, over the same outcome order
+    # P is gathered from the kernel's output; the per-outcome view, built again
+    # by the kernel, gives the same P bit for bit, over the same outcome order
     first = next(iter(context.povms[0].values())).op
     coords = HermitianCoords.of(first.N, first.tuple_length)
     rebuilt = np.concatenate([coords.rows(coords.stack([e.op for e in povm.values()]))
@@ -201,14 +201,14 @@ def by_layout(settings_: list) -> list[list]:
 @given(settings_=mixed_settings())
 def test_context_rows_match_each_setting_built_alone(settings_):
     # settings that differ only in gamma are built in one kernel call; each
-    # keeps the labels and, bit for bit, the rows it has built alone
+    # keeps the labels and, bit for bit, the rows of P it has built alone
     for group in by_layout(settings_):
         context = MeasurementContext.build(group)
-        each = np.split(context.rows, context.offsets[1:-1])
+        each = np.split(context.P, context.offsets[1:-1])
         for setting, labels, rows in zip(group, context.labels, each, strict=True):
             alone = MeasurementContext.build([setting])
             assert labels == alone.labels[0]
-            assert rows.tobytes() == alone.rows.tobytes()
+            assert rows.tobytes() == alone.P.tobytes()
 
 
 @settings(max_examples=15, deadline=None)

@@ -593,6 +593,11 @@ def test_simulate_dataset_seed_list_in_capped_passes():
         [simulate_dataset(state, ctx, [20000, 19999], s).counts for s in seeds]
 
 
+def test_simulate_dataset_with_no_seeds_returns_no_datasets():
+    # one dataset per seed in the list, so none for an empty list
+    assert simulate_dataset(_small_state(), _small_context(), [500, 700], []) == []
+
+
 def test_simulate_dataset_chi_squared():
     ctx = _small_context()
     state = _small_state()
@@ -636,3 +641,11 @@ def test_dataset_json_roundtrip():
 def test_dataset_validates_totals():
     with pytest.raises(ValueError):
         Dataset(counts=[{(0, 0): 3}], M_i=[4], seed=0)
+
+
+@pytest.mark.parametrize("gammas", [[0.5], [0.5, 0.9 + 0.4j, 0.1]])
+def test_dataset_rejects_gammas_of_another_length(gammas):
+    # one probe amplitude per setting; a list one short or long is refused here,
+    # not left to fail as an IndexError when a context reads the counts
+    with pytest.raises(ValueError, match=f"^gammas has {len(gammas)} entries, counts 2$"):
+        Dataset(counts=[{(0, 0): 1}, {(0, 0): 2}], M_i=[1, 2], seed=0, gammas=gammas)
