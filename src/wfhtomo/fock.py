@@ -225,7 +225,8 @@ class StateSpec:
         kind, N = d["kind"], int_from_json(d, "N")
         if kind in ("coherent", "cat"):
             return cls(kind=kind, N=N, alpha=field_from_json(d, "alpha", complex_from_json))
-        return cls(kind=kind, N=N, r=float_from_json(d, "r"),
+        # any other kind, or a tmsv without r, is refused by __post_init__, naming it
+        return cls(kind=kind, N=N, r=float_from_json(d, "r") if "r" in d else None,
                    phi=float_from_json(d, "phi") if "phi" in d else 0.0)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -96,14 +96,12 @@ class PovmElement:
     outcome: tuple
     op: BlockOperator
     gamma: complex
-    meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "outcome": [p if isinstance(p, str) else int(p) for p in self.outcome],
             "gamma": complex_to_json(self.gamma),
             "op": self.op.to_json(),
-            "meta": dict(self.meta),
         }
 
 
@@ -462,9 +460,7 @@ def pi_k(gamma: complex, k: int, partition: PartitionSpec, N: int, *,
     nus, sets = ((1.0, 0.0), (counted, other)) if counter == 1 else ((0.0, 1.0), (other, counted))
     layout = _layout(partition, N)
     out, read, _ = _counting_rows([complex(gamma)], partition, layout, nus, sets)
-    el = _wrap([(k,)], out[0, read], layout, gamma)[(k,)]
-    el.meta = {"counter": counter}
-    return el
+    return _wrap([(k,)], out[0, read], layout, gamma)[(k,)]
 
 
 def _thinning_matrix(nu: float, cut: int) -> np.ndarray:
@@ -544,6 +540,8 @@ class Setting:
     def __post_init__(self):
         if self.detector not in ("counting", "click"):
             raise ValueError("detector must be counting or click")
+        if self.detector == "click" and self.counter.counters != 2:
+            raise ValueError(f"click detectors need counters = 2, got {self.counter.counters}")
         if self.detector == "click" and (self.counter.loss or self.counter.response):
             raise ValueError("click detectors with loss/response are not supported")
         gamma = complex(self.gamma)
@@ -590,6 +588,7 @@ def _passes(settings: list[Setting], layout: HermitianCoords):
             labels, rows = _respond(np.take(out, read, axis=1), cfg)  # then read in order
             kernel = (rows.reshape(len(gammas), -1), np.arange(rows[0].size).reshape(rows[0].shape),
                       np.max(np.abs(rows.sum(axis=1) - layout.identity), axis=1))
+            del out, read, rows  # the kernel holds what the group needs
         else:
             nus = cfg.loss or (1.0, 1.0)
             counts = _counts(cfg.N_c, overflow=True)
@@ -605,6 +604,7 @@ def _passes(settings: list[Setting], layout: HermitianCoords):
                 labels = [grid[o] for o in order.tolist()]
                 kernel = _counting_rows(gammas, part, layout, nus, (counts, counts), order)
         yield members, labels, *kernel
+        del kernel  # freed before the next group's pass
 
 
 def build_povm(setting: Setting) -> dict:
@@ -656,6 +656,7 @@ class MeasurementContext:
             P = layout.rows(out, read)
             for s, rows[s], dev[s] in zip(members, P.reshape(len(members), len(names), -1), devs):
                 labels[s] = names
+            del out, read  # freed before the next group's pass
         for s, setting in enumerate(settings):
             if not dev[s] <= 1e-8:
                 raise ValueError(f"POVM for gamma={setting.gamma} sums to identity only "

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,9 @@ def parse_outcome(s: str) -> tuple:
     body = s.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError(f"malformed outcome label {s!r}")
-    parts = [p.strip() for p in body[1:-1].split(",") if p.strip() != ""]
+    parts = [p.strip() for p in body[1:-1].split(",")]
+    if "" in parts:  # "(1,,2)" or "()": no outcome has an empty part
+        raise ValueError(f"outcome label {s!r} has an empty part")
     return tuple(p if p in (">", "I") else int(p) for p in parts)
 
 
@@ -141,22 +143,17 @@ NOTHING_COUNTED = "settings count no outcome, and a fit needs at least one"
 
 @dataclass
 class Dataset:
-    """Per-setting outcome counts from a simulated or real experiment."""
+    """Per-setting outcome counts of an experiment; ``M_i`` holds each setting's total."""
 
     counts: list[dict]
-    M_i: list[int]
     seed: int
     gammas: list[complex] | None = None
+    M_i: list[int] = field(init=False)
 
     def __post_init__(self):
-        if len(self.counts) != len(self.M_i):
-            raise ValueError("counts and M_i must align")
         if self.gammas is not None and len(self.gammas) != len(self.counts):
             raise ValueError(f"gammas has {len(self.gammas)} entries, counts {len(self.counts)}")
-        for c, m in zip(self.counts, self.M_i):
-            total = sum(c.values())
-            if total != m:
-                raise ValueError(f"counts sum to {total}, expected {m}")
+        self.M_i = [sum(c.values()) for c in self.counts]
 
     def total_shots(self) -> int:
         return int(sum(self.M_i))
@@ -196,7 +193,6 @@ class Dataset:
             raise JsonFieldError(NOTHING_COUNTED)
         gammas = [g for _, g in parsed]
         return cls(counts=[c for c, _ in parsed],
-                   M_i=[sum(c.values()) for c, _ in parsed],
                    seed=int_from_json(d, "seed") if "seed" in d else 0,
                    gammas=None if None in gammas else gammas)
 
@@ -232,5 +228,5 @@ def simulate_dataset(state: BlockOperator, context: MeasurementContext,
     gammas = [s.gamma for s in context.settings]
     datasets = [Dataset(counts=[dict(zip(o, t.tolist()))
                                 for o, t in zip(context.labels, tallies[j * n:(j + 1) * n])],
-                        M_i=M_i, seed=int(s), gammas=gammas) for j, s in enumerate(seeds)]
+                        seed=int(s), gammas=gammas) for j, s in enumerate(seeds)]
     return datasets[0] if single else datasets

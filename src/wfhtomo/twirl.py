@@ -236,24 +236,6 @@ def twirl_analytic(rho: DenseOperator, sector_assignment: Sequence[int],
 _STACK_BYTES = 256 * 1024
 
 
-def _indices(basis: OccupationBasis, occ: np.ndarray) -> np.ndarray:
-    """``basis.index`` of every row of an (..., S) integer array of occupations
-    in the basis, by whole-array arithmetic: a state of total T follows the
-    ``searchsorted(totals, T)`` states of smaller total, and within its shell
-    the states that first differ at mode i by a smaller n_i. With R_i the
-    photons in modes i..S-1 (R_S = 0) and m = S - 1 - i modes after i, those
-    number C(R_i + m, m) - C(R_{i+1} + m, m), the compositions of R_i - x into
-    m parts for x < n_i."""
-    S = basis.num_modes
-    R = np.zeros(occ.shape[:-1] + (S + 1,), dtype=np.int64)  # R[..., i] = R_i
-    np.cumsum(occ[..., ::-1], axis=-1, out=R[..., -2::-1])
-    m = np.arange(S - 1, -1, -1)
-    comb = np.array([[math.comb(r + k, k) for r in range(basis.cutoff + 1)]
-                     for k in range(S)], dtype=np.int64)  # comb[k, r] = C(r + k, k)
-    rank = (comb[m, R[..., :-1]] - comb[m, R[..., 1:]]).sum(-1)
-    return np.searchsorted(basis.totals, R[..., 0]) + rank
-
-
 def _haar_stack(rng: np.random.Generator, count: int, modes: int,
                 blocks: list[tuple[int, tuple]]) -> np.ndarray:
     """(count, modes, modes) identities with a Haar block at each (size,
@@ -308,15 +290,13 @@ def twirl_oracle_mc(rho: DenseOperator, sector_assignment: Sequence[int],
         for i in range(0, count, chunk):
             F = plt_on_fock(X[i:i + chunk], rest)[:, a, c]
             sop += F.T @ F.conj()
-    # (row, pair, source): row (n, a) reads rho's row (n, c) through pair (a, c);
-    # the pairs of one a are a run of the in-shell pairs, in order of c
-    occ = np.array(basis.states, dtype=np.int64).reshape(basis.size, S)
-    a_of = _indices(rest, occ[:, 1:])  # each row's a
-    run, length = np.searchsorted(a, a_of), np.bincount(a, minlength=rest.size)[a_of]
-    row = np.repeat(np.arange(basis.size), length)
-    pair = np.arange(len(row)) + np.repeat(run - np.cumsum(length) + length, length)
-    rest_occ = np.array(rest.states, dtype=np.int64).reshape(rest.size, S - 1)
-    src = _indices(basis, np.column_stack([occ[row, 0], rest_occ[c[pair]]]))
+    # (row, pair, source): row (n, a) reads rho's row (n, c) through each pair (a, c), in order
+    shell = [[] for _ in range(rest.size)]  # shell[a]: its pairs' indices p and states c
+    for p, (i, j) in enumerate(zip(a.tolist(), c.tolist())):
+        shell[i].append((p, rest.states[j]))
+    row, pair, src = np.array([(i, p, basis.index(occ[:1] + state))
+                               for i, occ in enumerate(basis.states)
+                               for p, state in shell[rest.index(occ[1:])]]).T
     acc = np.zeros_like(rho.entries)
     np.add.at(acc, (row[:, None], row), sop[np.ix_(pair, pair)] * rho.entries[np.ix_(src, src)])
     return DenseOperator(basis, acc / samples)

@@ -216,6 +216,17 @@ def test_ic_check_non_object_counter_exits_1(capsys, workspace, tmp_path, value)
     assert f"settings[0].counter must be a JSON object, got {value!r}" in err
 
 
+def test_ic_check_single_counter_click_setting_exits_1(capsys, workspace, tmp_path):
+    # a click setting reads two on/off detectors; with one counter it used to build
+    # the four two-detector outcomes all the same
+    def edit(setting):
+        setting["detector"] = "click"
+        setting["counter"].update(counters=1, n_c=0)
+    code, err = _ic_check_with_edit(capsys, workspace, tmp_path, edit)
+    assert code == 1
+    assert "click detectors need counters = 2, got 1" in err
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"settings": [5]}, "settings[0] must be a JSON object, got 5"),
     ({"settings": 5}, "settings must be a JSON array, got 5"),
@@ -267,6 +278,19 @@ def test_twirl_state_spec_non_integer_n_exits_1(capsys, tmp_path):
                      "--assignment", "0", "--n", "2", "--out", str(tmp_path / "twirled.json")])
     assert code == 1
     assert "N must be a JSON integer, got 2.7" in capsys.readouterr().err
+
+
+def test_twirl_state_spec_unknown_kind_exits_1(capsys, tmp_path):
+    # an unknown kind used to be read as a tmsv and fail on its missing r;
+    # the message names the kind
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "foo", "N": 2}))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(BAL.to_json()))
+    code = cli.main(["twirl", "--state", str(spec), "--partition", str(part),
+                     "--assignment", "0", "--n", "2", "--out", str(tmp_path / "twirled.json")])
+    assert code == 1
+    assert "kind must be one of ('coherent', 'tmsv', 'cat'), got 'foo'" in capsys.readouterr().err
 
 
 def test_load_path_builds_no_per_outcome_elements(capsys, monkeypatch, workspace, tmp_path):

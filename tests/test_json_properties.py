@@ -59,8 +59,7 @@ outcomes = st.tuples(st.integers(0, 20) | st.just("I"), st.integers(0, 20) | st.
 def test_dataset_round_trip(counts, seed, with_gamma, data):
     gammas = data.draw(st.lists(complexes, min_size=len(counts), max_size=len(counts))
                        ) if with_gamma else None
-    ds = Dataset(counts=counts, M_i=[sum(c.values()) for c in counts], seed=seed,
-                 gammas=gammas)
+    ds = Dataset(counts=counts, seed=seed, gammas=gammas)
     if not any(n for c in counts for n in c.values()):  # a dataset that counts nothing
         with pytest.raises(ValueError, match="settings count no outcome"):
             Dataset.from_json(through_json(ds.to_json()))

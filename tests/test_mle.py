@@ -131,20 +131,20 @@ def one_outcome_context(op, n_outcomes=1):
 
 def test_log_likelihood_identity_povm(rho_true):
     ctx1 = one_outcome_context(rho_true)
-    data = Dataset(counts=[{(0,): 7}], M_i=[7], seed=0)
+    data = Dataset(counts=[{(0,): 7}], seed=0)
     assert log_likelihood(rho_true, ctx1, data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_likelihood_half_half(rho_true):
     ctx2 = one_outcome_context(rho_true, n_outcomes=2)
-    data = Dataset(counts=[{(0,): 3, (1,): 1}], M_i=[4], seed=0)
+    data = Dataset(counts=[{(0,): 3, (1,): 1}], seed=0)
     assert log_likelihood(rho_true, ctx2, data) == pytest.approx(4 * math.log(0.5))
 
 
 def test_log_likelihood_with_no_counted_outcome_is_zero(rho_true):
     # an empty sum: no outcome is counted, so none can have zero probability
     ctx1 = one_outcome_context(rho_true)
-    data = Dataset(counts=[{(0,): 0}], M_i=[0], seed=0)
+    data = Dataset(counts=[{(0,): 0}], seed=0)
     with np.errstate(invalid="ignore"):  # the gradient beside it is 0 / 0 at M = 0
         assert log_likelihood(rho_true, ctx1, data) == 0.0
 
@@ -160,7 +160,7 @@ def test_log_likelihood_minus_inf():
     ctx1 = hand_made_context(setting, {(0,): proj, (1,): rest})
     vac = BlockOperator.zeros(N, 0)
     vac.blocks[()][0, 0] = 1.0
-    data = Dataset(counts=[{(0,): 1, (1,): 1}], M_i=[2], seed=0)
+    data = Dataset(counts=[{(0,): 1, (1,): 1}], seed=0)
     assert log_likelihood(vac, ctx1, data) == -math.inf
     with pytest.raises(ValueError):
         r_operator(vac, ctx1, data)
@@ -175,12 +175,12 @@ def test_log_likelihood_bounded_by_saturated(ctx, rho_true):
 
 
 def test_log_likelihood_rejects_misaligned(ctx, rho_true):
-    data = Dataset(counts=[{("nope",): 1}], M_i=[1], seed=0)
+    data = Dataset(counts=[{("nope",): 1}], seed=0)
     with pytest.raises(ValueError):
         log_likelihood(rho_true, MeasurementContext(ctx.settings[:1], ctx.labels[:1],
                                                     ctx.P[:ctx.offsets[1]], ctx.coords), data)
     with pytest.raises(ValueError):
-        log_likelihood(rho_true, ctx, Dataset(counts=[{}], M_i=[0], seed=0))
+        log_likelihood(rho_true, ctx, Dataset(counts=[{}], seed=0))
 
 
 def test_r_operator_identity_at_exact_frequencies(ctx, rho_true):
@@ -428,7 +428,7 @@ def test_compiled_forms_match_pair_trace(ctx, ctx_multi, seed, multi):
     state = random_block_state(2, 1 if multi else 0, rng)
     counts = [dict(zip(povm, rng.integers(0, 40, len(povm)).tolist()))
               for povm in context.povms]
-    data = Dataset(counts=counts, M_i=[sum(c.values()) for c in counts], seed=0)
+    data = Dataset(counts=counts, seed=0)
     ll, R_ref = reference_loglik_and_r(state, context, counts, data.total_shots())
     assert log_likelihood(state, context, data) == pytest.approx(ll, rel=1e-12)
     # R-hat is Hermitian; the sum above also carries the elements' rounding-level
@@ -467,7 +467,7 @@ def test_reconstruct_fixed_iterations_match_operator_algebra(ctx, ctx_multi, rho
                                     ReconstructionParams(r_stop=1e-3)])
 def test_reconstruct_of_a_dataset_that_counts_nothing_raises_value_error(ctx, params):
     # the refusal Dataset.from_json gives, for a dataset built in code
-    data = Dataset(counts=[{(0, 0): 0}] * len(ctx.povms), M_i=[0] * len(ctx.povms), seed=0)
+    data = Dataset(counts=[{(0, 0): 0}] * len(ctx.povms), seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^settings count no outcome, and a fit needs"):

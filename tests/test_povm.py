@@ -126,7 +126,6 @@ def test_pi_k_single_photon_reflected():
     # so <1|Pi_0|1> = zeta^2
     el = pi_k(0.0, 0, P1, 3)
     assert abs(el.op.blocks[()][1, 1].real - 0.4) < 1e-12
-    assert el.meta["counter"] == 1
 
 
 def test_pi_k_vacuum_expectation():
@@ -141,7 +140,6 @@ def test_pi_k_counter_two_vacuum_expectation():
     el = pi_k(g, 0, P1, 4, counter=2)
     want = math.exp(-0.6 * abs(g) ** 2)  # counter-2 amplitude is -eta*gamma
     assert abs(el.op.blocks[()][0, 0].real - want) < 1e-12
-    assert el.meta["counter"] == 2
 
 
 def test_pi_k_completeness():
@@ -791,6 +789,34 @@ def test_context_digests_match_the_pinned_bits():
     from context_digest import main
     with open(pathlib.Path(__file__).parent / "data" / "context_digest.json") as fh:
         assert main() == json.load(fh)
+
+
+@pytest.mark.parametrize("first", [CounterConfig(counters=2, N_c=6), CounterConfig(
+    counters=2, N_c=6, response=(np.full((8, 30), 1 / 8),) * 2)], ids=["ideal", "response"])
+def test_two_group_build_frees_the_first_pass_before_the_second(monkeypatch, first):
+    # the 16 README probes under a first counter and a (0.8, 0.7) lossy one: two kernel
+    # passes. As the second starts, the first pass's output and read map are freed
+    # and only its rows of P (and the settings' arrays) are live: 266 KiB traced after
+    # an ideal pass and 262 KiB after a response pass, where 762 KiB and 7.5 MiB were
+    # while the generator and the build loop still held them
+    balanced = PartitionSpec(sectors=((math.sqrt(0.5), math.sqrt(0.5)),), s1_multi=True)
+    settings = [Setting(gamma=g, counter=counter, partition=balanced, N=3)
+                for counter in (first, CounterConfig(counters=2, N_c=6, loss=(0.8, 0.7)))
+                for g in design_gamma(3, 7).gammas]
+    live = []
+    counting_rows = povm_module._counting_rows
+
+    def spy(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return counting_rows(*args)
+    monkeypatch.setattr(povm_module, "_counting_rows", spy)
+    tracemalloc.start()
+    try:
+        MeasurementContext.build(settings)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 2
+    assert live[1] <= 400 * 2 ** 10
 
 
 def test_lossy_quick_start_load_memory():

@@ -638,14 +638,22 @@ def test_dataset_json_roundtrip():
     assert ds2.gammas == [s.gamma for s in ctx.settings]
 
 
-def test_dataset_validates_totals():
-    with pytest.raises(ValueError):
-        Dataset(counts=[{(0, 0): 3}], M_i=[4], seed=0)
-
-
 @pytest.mark.parametrize("gammas", [[0.5], [0.5, 0.9 + 0.4j, 0.1]])
 def test_dataset_rejects_gammas_of_another_length(gammas):
     # one probe amplitude per setting; a list one short or long is refused here,
     # not left to fail as an IndexError when a context reads the counts
     with pytest.raises(ValueError, match=f"^gammas has {len(gammas)} entries, counts 2$"):
-        Dataset(counts=[{(0, 0): 1}, {(0, 0): 2}], M_i=[1, 2], seed=0, gammas=gammas)
+        Dataset(counts=[{(0, 0): 1}, {(0, 0): 2}], seed=0, gammas=gammas)
+
+
+@pytest.mark.parametrize("label", ["(1,,2)", "()", "(1,)", "(,>)", "( , )"])
+def test_parse_outcome_refuses_an_empty_part(label):
+    # "(1,,2)" is no (1, 2): a stray comma would make the key count another outcome
+    with pytest.raises(ValueError, match=re.escape(f"outcome label {label!r} has an empty part")):
+        parse_outcome(label)
+
+
+def test_dataset_from_json_refuses_a_key_with_an_empty_part():
+    payload = {"settings": [{"counts": {"(0,0)": 3, "(1,,2)": 1}}], "seed": 0}
+    with pytest.raises(ValueError, match=re.escape("outcome label '(1,,2)' has an empty part")):
+        Dataset.from_json(payload)
